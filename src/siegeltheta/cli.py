@@ -96,8 +96,8 @@ def _cmd_decompose(args) -> int:
         out["aplus"] = dec.aplus.tolist()
         out["aminus"] = dec.aminus.tolist()
         out["majorant"] = dec.M.tolist()
-        out["proj_plus"] = dec.proj_plus_matrix().tolist()
-        out["proj_minus"] = dec.proj_minus_matrix().tolist()
+        out["proj_plus"] = dec.proj_plus_matrix()
+        out["proj_minus"] = dec.proj_minus_matrix()
     _emit(out)
     return 0
 

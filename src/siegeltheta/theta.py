@@ -140,12 +140,22 @@ def _embedded_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _embedded_symmetric(mat: np.ndarray):
+    """Exact image of a float matrix that is symmetric up to rounding.
+
+    The float eigen-split leaves M and A- symmetric only to a few ulps, and
+    the Gaussian factor built from A- must be exactly symmetric.
+    """
+    return _embedded_matrix(((mat + mat.T) / 2.0).tolist())
+
+
 def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition) -> IndefCoeff:
     """Compose P+ and P- with the definite-split projectors and heat-flow.
 
     The projectors, M and A- are exact rationals whenever the matrix absolute
-    value of A is rational; otherwise their floating images are embedded
-    exactly and the construction is only approximately a solution.
+    value of A is rational; otherwise their floating images (M and A-
+    symmetrised) are embedded exactly and the construction is only
+    approximately a solution.
     """
     alpha = _required_degree(P_plus, "P+")
     beta = _required_degree(P_minus, "P-")
@@ -162,8 +172,8 @@ def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition)
     else:
         pi_plus = _embedded_matrix(dec.proj_plus_matrix())
         pi_minus = _embedded_matrix(dec.proj_minus_matrix())
-        M = _embedded_matrix(dec.M.tolist())
-        aminus = _embedded_matrix(dec.aminus.tolist())
+        M = _embedded_symmetric(dec.M)
+        aminus = _embedded_symmetric(dec.aminus)
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     comp = substitute_linear(P_plus, pi_plus, eye) * substitute_linear(P_minus, pi_minus, eye)
     gpoly = exp_trace_laplace(comp, M, _MINUS_EIGHTH_OVER_PI)
@@ -315,9 +325,13 @@ def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: floa
     """Sum summand over the integer offsets of center with a certified tail.
 
     summand maps an int64 array of shape (k, d) of integer parts to complex
-    values of the full summand at center + rows.  Per-block partial sums are
-    combined with exact float summation so the result does not depend on the
-    block size.  The last returned entry is the gross magnitude sum |f|,
+    values of the full summand at center + rows.  Each block of the
+    enumeration is summed in floating point and the per-block sums are
+    combined with exact float summation.  The result is deterministic for a
+    fixed enumeration block size, because the enumerator fixes both the order
+    of the rows and where the blocks are cut; a different block size rounds
+    the per-block sums differently and may move the result by a few ulps of
+    gross.  The last returned entry is the gross magnitude sum |f|,
     the honest scale for relative comparisons when cancellation drives the
     net value to zero.
     """

@@ -54,6 +54,21 @@ def test_decompose_from_file(tmp_path):
     assert (data["r"], data["s"]) == (1, 1)
 
 
+def test_decompose_irrational_majorant_from_file(tmp_path):
+    # |A| is irrational here, so the split is reported in floats
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps([[2, 1], [1, -3]]))
+    proc = run_cli("decompose", "--form", str(path))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["exact_split"] is False
+    assert (data["r"], data["s"], data["det"]) == (1, 1, "-7")
+    P = np.array(data["proj_plus"])
+    Q = np.array(data["proj_minus"])
+    assert np.allclose(P + Q, np.eye(2), atol=1e-12)
+    assert np.allclose(np.array(data["aplus"]) + np.array(data["aminus"]), [[2, 1], [1, -3]], atol=1e-12)
+
+
 def test_cosets_counts():
     proc = run_cli("cosets", "--form", "diag:2,-2", "--genus", "1")
     data = json.loads(proc.stdout)

@@ -1,5 +1,6 @@
 """Form decomposition, coset representatives, and lattice enumeration."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,15 +10,19 @@ import pytest
 import sympy
 
 from siegeltheta.exactlinalg import det_bareiss, smith_normal_form
+import siegeltheta.quadform as quadform
+import siegeltheta.theta as theta
 from siegeltheta.quadform import (
     FIXTURES,
     QuadForm,
     coset_reps,
     decompose,
+    lattice_blocks,
     lattice_points,
     named_form,
 )
 from siegeltheta.errors import ResourceCapError
+from siegeltheta.siegel import SiegelPoint
 
 
 # ==== oracles ===============================================================
@@ -201,3 +206,138 @@ def test_lattice_points_deterministic_order():
     b = [tuple(map(int, row)) for row in lattice_points(G, [Fraction(1, 2), Fraction(0)], 9)]
     assert a == b
     assert len(set(a)) == len(a)
+
+
+# ==== lattice_blocks against a box oracle ===================================
+
+DEN = 8  # centres are multiples of 1/DEN and R^2 of 1/DEN^2: exact as floats
+
+
+def box_points(G, center, R2):
+    """Exact point list of q(v + center) <= R2, in lattice_blocks order.
+
+    Scans the box |v_i + c_i| <= sqrt(R2 (G^-1)_ii) (plus one), which holds
+    the whole ellipsoid, and filters in integer arithmetic on DEN-scaled
+    coordinates.  Sorted ascending with the last coordinate outermost.
+    """
+    N = G.shape[0]
+    c = np.asarray(center, dtype=float)
+    radius = np.sqrt(R2 * np.diag(np.linalg.inv(G.astype(float))))
+    axes = [np.arange(math.floor(-c[i] - radius[i]) - 1, math.ceil(-c[i] + radius[i]) + 2)
+            for i in range(N)]
+    grid = np.stack(np.meshgrid(*axes[::-1], indexing="ij"), axis=-1).reshape(-1, N)[:, ::-1]
+    x = grid * DEN + np.rint(c * DEN).astype(np.int64)
+    q = np.einsum("ij,jk,ik->i", x, G, x)
+    return [tuple(int(t) for t in row) for row in grid[q <= round(R2 * DEN * DEN)]]
+
+
+def exact_q(G, center, row):
+    x = [Fraction(float(ci)) + int(v) for ci, v in zip(center, row)]
+    N = len(x)
+    return sum(int(G[i][j]) * x[i] * x[j] for i in range(N) for j in range(N))
+
+
+def random_ellipsoids(seed=11):
+    """(G, center, R2, kind) for N = 1..6: R2 = 0 at an integral centre,
+    an empty ellipsoid, and a typical radius."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for N in range(1, 7):
+        G = random_posdef_int(N, rng)
+        lam_min = float(min(np.linalg.eigvalsh(G.astype(float))))
+        out.append((G, rng.integers(-2, 3, size=N).astype(float), 0.0, "zero"))
+        # q(v + 1/2) >= lam_min N / 4 for every integer v
+        empty = math.floor(0.99 * lam_min * N / 4 * DEN * DEN) / DEN ** 2
+        out.append((G, np.full(N, 0.5), empty, "empty"))
+        # about `target` points: vol(B_N) R^N / sqrt(det G) = target
+        target = int(rng.integers(30, 300))
+        ball = math.pi ** (N / 2) / math.gamma(N / 2 + 1)
+        R2 = (target * math.sqrt(np.linalg.det(G.astype(float))) / ball) ** (2 / N)
+        center = rng.integers(-DEN, DEN + 1, size=N) / DEN
+        out.append((G, center, round(R2 * DEN * DEN) / DEN ** 2, "typical"))
+    return out
+
+
+def test_lattice_blocks_against_box_oracle(monkeypatch):
+    for G, center, R2, kind in random_ellipsoids():
+        want = box_points(G, center, R2)
+        if kind == "zero":
+            assert want == [tuple(int(-t) for t in center)]
+        if kind == "empty":
+            assert want == []
+        # small blocks and frontier chunks put every cut between rows
+        for block_size, frontier_rows in itertools.product(
+                (1, 3, 8192), (1, 3, quadform._FRONTIER_ROWS)):
+            monkeypatch.setattr(quadform, "_FRONTIER_ROWS", frontier_rows)
+            blocks = list(lattice_blocks(G, center, R2, block_size=block_size))
+            assert all(b.dtype == np.int64 and b.shape[0] > 0 for b in blocks)
+            rows = [tuple(int(t) for t in row) for b in blocks for row in b]
+            # only the documented just-outside points may be added
+            slack = Fraction(2e-9) * (1 + Fraction(R2))
+            assert all(exact_q(G, center, r) <= Fraction(R2) + slack for r in rows)
+            inside = [r for r in rows if exact_q(G, center, r) <= Fraction(R2)]
+            assert inside == want, (G.shape[0], kind, block_size, frontier_rows)
+            # ascending in each coordinate, last coordinate outermost
+            keys = [r[::-1] for r in rows]
+            assert keys == sorted(set(keys))
+
+
+def test_lattice_blocks_point_cap():
+    G = np.array([[2, 1], [1, 3]], dtype=np.int64)
+    assert len(box_points(G, [0.0, 0.0], 40.0)) > 5
+    for block_size in (1, 8192):
+        with pytest.raises(ResourceCapError):
+            list(lattice_blocks(G, [0.0, 0.0], 40.0, point_cap=5, block_size=block_size))
+
+
+# The certified ellipsoids theta_eval enumerates on the benchmark grid, with
+# the point count and SHA-256 of the emitted rows (int64, in order) recorded
+# from the recursive depth-first enumerator that lattice_blocks replaced.
+# label, form, genus, H = 1/2 in the first row, Y, eps, points, digest
+GRID_ELLIPSOIDS = (
+    ("e8/g1", "e8", 1, False, [[1.3]], 1e-10, 26641,
+     "58c53f936fdb61da95ea637e12d05a2b29081d76794af72fa7cb8dfa5af5da05"),
+    ("e8/g1/cusp", "e8", 1, False, [[0.6]], 1e-10, 1113841,
+     "434c414859346bf297892664d28c8ce47954c537b7f6045faa82c71494489c85"),
+    ("e8/g2/Hhalf", "e8", 2, True, [[3.0, 0.06], [0.06, 3.0]], 1e-9, 35348,
+     "8c49e12d9e6bb5b958204b987578b23f722bda801f339f21323a6647ab3d41a9"),
+    ("h2+e8/g2", "h2+e8", 2, False, [[3.0, 0.0], [0.0, 3.0]], 1e-6, 4385,
+     "45d662912cba6a61dcdbbc2a3163f4556822483ac2b29aa96411b93abb667d9c"),
+    ("h2+e8/g2/Hhalf", "h2+e8", 2, True, [[3.0, 0.0], [0.0, 3.0]], 1e-6, 9676,
+     "b2d82bbfed9f5d5c36d6c2e8fd6d913863875591548026f5554b38c2b009992c"),
+    ("diag:2,-2/g2", "diag:2,-2", 2, False, [[1.0, 0.02], [0.02, 1.0]], 1e-12, 137,
+     "ffe871d63d78d6d9109e37545e74c07d0ecc56c23df4a8f9314a8b1bafbee4ea"),
+    ("diag:2,-2/g2/Hhalf", "diag:2,-2", 2, True, [[1.0, 0.02], [0.02, 1.0]], 1e-12, 176,
+     "f42c0d4a0da8fe3e81e2ef72e4d8ff9f569e80634b74c6bdb2506ca59244b9d6"),
+)
+
+
+def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
+    """The (G, center, R2) that theta_eval hands to lattice_blocks."""
+    seen = []
+
+    def record(G, center, R2, point_cap=None, block_size=8192):
+        seen.append((np.array(G), np.array(center), R2))
+        return iter(())
+
+    m = named_form(form).shape[0]
+    H = [[Fraction(1, 2) if a == 0 and half else Fraction(0)] * genus for a in range(m)]
+    spec = theta.theta_spec(form, H=H, n=genus)
+    with monkeypatch.context() as patch:
+        patch.setattr(theta, "lattice_blocks", record)
+        theta.theta_eval(spec, SiegelPoint(1j * np.array(Y)), eps)
+    (out,) = seen
+    return out
+
+
+@pytest.mark.parametrize("label,form,genus,half,Y,eps,points,digest", GRID_ELLIPSOIDS,
+                         ids=[row[0] for row in GRID_ELLIPSOIDS])
+def test_lattice_blocks_frozen_grid_order(monkeypatch, label, form, genus, half, Y, eps,
+                                          points, digest):
+    G, center, R2 = grid_ellipsoid(monkeypatch, form, genus, half, Y, eps)
+    h = hashlib.sha256()
+    count = 0
+    for block in lattice_blocks(G, center, R2):
+        h.update(np.ascontiguousarray(block, dtype="<i8").tobytes())
+        count += block.shape[0]
+    assert (count, h.hexdigest()) == (points, digest)

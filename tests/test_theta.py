@@ -1,5 +1,6 @@
 """Theta evaluation against independent direct-sum oracles and closed forms."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 
 from siegeltheta.errors import ResourceCapError
 from siegeltheta.polyalg import MatPoly, basis_homopol
-from siegeltheta.quadform import decompose, named_form
+import siegeltheta.theta as theta
+from siegeltheta.quadform import decompose, lattice_blocks, named_form
 from siegeltheta.siegel import SiegelPoint
 from siegeltheta.theta import (
     ThetaSpec,
@@ -116,6 +118,26 @@ def test_tail_bound_honesty():
     coarse = theta_eval(spec, Z, eps=1e-6)
     fine = theta_eval(spec, Z, eps=1e-13)
     assert abs(coarse.value - fine.value) <= coarse.tail_bound + 1e-13
+
+
+def test_block_size_moves_the_sum_by_ulps_only(monkeypatch):
+    # as certified_lattice_sum documents: deterministic for a fixed block
+    # size, within a few ulps of gross across block sizes
+    spec = theta_spec("e8")
+    Z = SiegelPoint(np.array([[0.1 + 1j]]))
+    vals = []
+    for block_size in (77, 8192):
+        monkeypatch.setattr(theta, "lattice_blocks",
+                            functools.partial(lattice_blocks, block_size=block_size))
+        first = theta_eval(spec, Z, eps=1e-10)
+        assert theta_eval(spec, Z, eps=1e-10).value == first.value
+        vals.append(first)
+    a, b = vals
+    assert a.terms == b.terms
+    assert abs(a.value - b.value) <= 8 * np.finfo(float).eps * a.gross
+    doc = " ".join(theta.certified_lattice_sum.__doc__.split())
+    assert "deterministic for a fixed enumeration block size" in doc
+    assert "does not depend on the block size" not in doc
 
 
 def test_halving_eps_stays_within_previous_tail():

@@ -71,6 +71,22 @@ def test_inversion_records_coset_count():
     assert rep.metadata["cosets"] == 4
 
 
+@pytest.mark.parametrize("P_plus,H,K", [
+    (None, None, None),
+    (MatPoly.variable(2, 1, 0, 0), [[Fraction(1, 2)], [Fraction(0)]], [[Fraction(0)], [Fraction(1, 3)]]),
+])
+def test_irrational_majorant_form_satisfies_the_laws(P_plus, H, K):
+    # the matrix absolute value of [[2,1],[1,-3]] is irrational, so the split
+    # and the projectors are floats embedded as exact rationals
+    spec = theta_spec([[2, 1], [1, -3]], P_plus=P_plus, H=H, K=K, n=1)
+    assert not spec.dec.has_exact_split()
+    val = theta_eval(spec, Z_GEN, eps=1e-10)
+    assert val.tail_bound <= 1.1e-10 and val.gross > 0
+    assert check_inversion(spec, Z_GEN).passed
+    assert check_translation(spec, Z_GEN, [[1]]).passed
+    assert check_borcherds_form(spec, Z_GEN).passed
+
+
 def test_borcherds_form_passes():
     assert check_borcherds_form(theta_spec("diag:2,-2"), Z_GEN).passed
     assert check_borcherds_form(H2_SPEC, Z_GEN).passed

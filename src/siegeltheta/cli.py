@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .polyalg import MatPoly, basis_homopol, matpoly_from_json, matpoly_to_json
-from .quadform import FIXTURES, coset_reps, decompose, named_form
+from .quadform import FIXTURES, as_form_array, coset_reps, decompose, named_form
 from .siegel import SiegelPoint
 from .theta import ThetaSpec, build_coeff, theta_eval
 from .verify import run_suite
@@ -42,13 +42,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_form(text: str) -> np.ndarray:
-    """A named fixture, or a path to a JSON file with an integer matrix."""
-    if os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
-        return np.asarray(data, dtype=np.int64)
-    return named_form(text)
+def _load_form(form) -> np.ndarray:
+    """A fixture name, a path to a JSON file holding a matrix, or the matrix itself.
+
+    The raw data goes to as_form_array, which rejects non-integer entries.
+    """
+    if isinstance(form, str):
+        if not os.path.exists(form):
+            return named_form(form)
+        with open(form) as fh:
+            form = json.load(fh)
+    return as_form_array(form)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -115,15 +119,15 @@ def _cmd_cosets(args) -> int:
 
 
 def _parse_spec(data: dict, eps_flag) -> tuple:
-    A = data["A"]
-    A = named_form(A) if isinstance(A, str) else np.asarray(A, dtype=np.int64)
-    dec = decompose(A)
+    dec = decompose(_load_form(data["A"]))
     Zd = data["Z"]
     X = np.asarray(Zd["X"], dtype=float)
     Y = np.asarray(Zd["Y"], dtype=float)
     Z = SiegelPoint.from_xy(X, Y)
     n = Z.n
     coeff_d = data.get("coeff", {"type": "posdef" if dec.s == 0 else "indef"})
+    if not isinstance(coeff_d, dict):
+        raise ValueError("coeff must be a JSON object")
     kind = coeff_d.get("type")
     if kind not in ("posdef", "indef"):
         raise ValueError("coeff.type must be 'posdef' or 'indef'")

@@ -36,8 +36,39 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
+def gauss_jordan(rows, ncols):
+    """Reduce Fraction rows in place to reduced row echelon form in the first ncols columns.
+
+    Rows may be longer than ncols (an augmented matrix); the extra columns
+    ride along.  Returns (pivots, swaps): pivots lists (column, value) for
+    each pivot in order, value being the entry divided out of its row, and
+    swaps counts the row exchanges.  Stops once every row holds a pivot.
+    """
+    pivots = []
+    swaps = 0
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            swaps += 1
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append((col, pv))
+        rank += 1
+        if rank == len(rows):
+            break
+    return pivots, swaps
 
 
 def mat_inverse(m):
@@ -46,23 +77,22 @@ def mat_inverse(m):
     Raises ValueError if the matrix is singular.
     """
     n = len(m)
-    aug = [[Fraction(x) for x in m[i]] + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular over Q")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    aug = [[Fraction(x) for x in row] + unit for row, unit in zip(m, identity_frac(n))]
+    if len(gauss_jordan(aug, n)[0]) < n:
+        raise ValueError("matrix is singular over Q")
     return [row[n:] for row in aug]
+
+
+def is_positive_definite(m) -> bool:
+    """Sylvester's criterion for a symmetric rational matrix, from one elimination.
+
+    Without row exchanges the k-th pivot is the ratio of the k-th and
+    (k-1)-th leading principal minors, so every minor is positive exactly
+    when the elimination needs no exchange and every pivot is positive.
+    """
+    rows = frac_matrix(m)
+    pivots, swaps = gauss_jordan(rows, len(rows))
+    return swaps == 0 and len(pivots) == len(rows) and all(v > 0 for _, v in pivots)
 
 
 def det_bareiss(m) -> int:
@@ -99,32 +129,8 @@ def rational_kernel(rows, ncols):
     Fraction vectors in reduced echelon parametrization, scaled to primitive
     integer vectors with positive leading entry.  Deterministic.
     """
-    dense = []
-    for r in rows:
-        if r:
-            dense.append([Fraction(r.get(j, 0)) for j in range(ncols)])
-    # row reduce
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(dense)):
-            if dense[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        dense[rank], dense[piv] = dense[piv], dense[rank]
-        pv = dense[rank][col]
-        dense[rank] = [x / pv for x in dense[rank]]
-        for r in range(len(dense)):
-            if r != rank and dense[r][col]:
-                f = dense[r][col]
-                dense[r] = [a - f * b for a, b in zip(dense[r], dense[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(dense):
-            break
+    dense = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows if r]
+    pivots = [col for col, _ in gauss_jordan(dense, ncols)[0]]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -155,32 +161,6 @@ def _primitive(v):
                 ints = [-y for y in ints]
             break
     return [Fraction(x) for x in ints]
-
-
-def rank_of_vectors(vectors):
-    """Rank over Q of a list of rational coordinate vectors."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def smith_normal_form(a):

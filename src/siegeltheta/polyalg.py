@@ -44,9 +44,12 @@ class MatPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
+                key = tuple(int(x) for x in e)
+                if len(key) != self.m * self.n or min(key, default=0) < 0 or key != tuple(e):
+                    raise ValueError("exponent %r is not %d nonnegative integers" % (e, self.m * self.n))
                 c = as_pi_scalar(c)
                 if not c.is_zero():
-                    clean[tuple(int(x) for x in e)] = c
+                    clean[key] = c
         self.terms = clean
 
     # ---- constructors ----
@@ -426,40 +429,32 @@ def trace_laplace_weighted(f, A, W):
 # ==== heat-operator exponential =============================================
 
 
-def exp_trace_laplace(p: MatPoly, A, c) -> MatPoly:
-    """exp(c tr Delta_A) p = sum_k c^k/k! (tr Delta_A)^k p (finite on polynomials)."""
+def _heat_series(p: MatPoly, step, c) -> MatPoly:
+    """sum_k c^k/k! step^k p for a degree-lowering operator step (finite on polynomials)."""
     if isinstance(p, ExpQuadPoly):
-        raise TypeError("exp_trace_laplace is only defined on plain polynomials")
+        raise TypeError("heat-operator exponentials are only defined on plain polynomials")
     c = as_pi_scalar(c)
     out = p
     cur = p
     scale = PI_ONE
     k = 0
     while True:
-        cur = trace_laplace(cur, A)
+        cur = step(cur)
         if cur.is_zero():
             return out
         k += 1
         scale = (scale * c).divide_rational(k)
         out = out + cur * scale
+
+
+def exp_trace_laplace(p: MatPoly, A, c) -> MatPoly:
+    """exp(c tr Delta_A) p = sum_k c^k/k! (tr Delta_A)^k p (finite on polynomials)."""
+    return _heat_series(p, lambda f: trace_laplace(f, A), c)
 
 
 def exp_trace_laplace_weighted(p: MatPoly, A, W, c) -> MatPoly:
     """exp(c tr(Delta_A W)) p with a column-mixing weight matrix W."""
-    if isinstance(p, ExpQuadPoly):
-        raise TypeError("exp_trace_laplace_weighted is only defined on plain polynomials")
-    c = as_pi_scalar(c)
-    out = p
-    cur = p
-    scale = PI_ONE
-    k = 0
-    while True:
-        cur = trace_laplace_weighted(cur, A, W)
-        if cur.is_zero():
-            return out
-        k += 1
-        scale = (scale * c).divide_rational(k)
-        out = out + cur * scale
+    return _heat_series(p, lambda f: trace_laplace_weighted(f, A, W), c)
 
 
 # ==== substitution ==========================================================
@@ -688,59 +683,28 @@ def eval_batch(p, W: np.ndarray, pi_value: float = math.pi) -> np.ndarray:
 # ==== JSON round trip ======================================================
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def pi_scalar_to_json(c: PiScalar):
-    return [
-        {"re": _frac_str(re), "im": _frac_str(im), "pi_pow": k}
-        for k, re, im in c.terms()
-    ]
-
-
-def pi_scalar_from_json(items) -> PiScalar:
-    out = PiScalar()
-    for it in items:
-        out = out + PiScalar.from_parts(
-            Fraction(it["re"]), Fraction(it.get("im", "0")), int(it.get("pi_pow", 0))
-        )
-    return out
-
-
 def matpoly_to_json(p: MatPoly) -> dict:
     entries = []
     for e in sorted(p.terms):
         exp = [list(e[i * p.n : (i + 1) * p.n]) for i in range(p.m)]
         for k, re, im in p.terms[e].terms():
             entries.append(
-                {"exp": exp, "re": _frac_str(re), "im": _frac_str(im), "pi_pow": k}
+                {"exp": exp, "re": str(re), "im": str(im), "pi_pow": k}
             )
     return {"m": p.m, "n": p.n, "terms": entries}
 
 
 def matpoly_from_json(data: dict) -> MatPoly:
+    """Inverse of matpoly_to_json; raises ValueError on a malformed term."""
     m, n = int(data["m"]), int(data["n"])
-    p = MatPoly.zero(m, n)
     terms: dict = {}
     for it in data.get("terms", ()):
         exp = it["exp"]
-        e = tuple(int(exp[i][j]) for i in range(m) for j in range(n))
+        if len(exp) != m or any(len(row) != n for row in exp):
+            raise ValueError("exponent %r is not an %d x %d matrix" % (exp, m, n))
+        e = tuple(x for row in exp for x in row)
         c = PiScalar.from_parts(
             Fraction(it["re"]), Fraction(it.get("im", "0")), int(it.get("pi_pow", 0))
         )
         terms[e] = terms.get(e, PiScalar()) + c
-    p.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-    return p
-
-
-def expquad_to_json(g: ExpQuadPoly) -> dict:
-    data = matpoly_to_json(g.poly)
-    data["B"] = [[pi_scalar_to_json(x) for x in row] for row in g.B]
-    return data
-
-
-def expquad_from_json(data: dict) -> ExpQuadPoly:
-    poly = matpoly_from_json(data)
-    B = [[pi_scalar_from_json(x) for x in row] for row in data["B"]]
-    return ExpQuadPoly(poly, B)
+    return MatPoly(m, n, terms)

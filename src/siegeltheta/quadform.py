@@ -2,9 +2,9 @@
 
 A form is a symmetric invertible integer matrix A.  decompose() produces the
 normalized eigen-split A = A+ + A- with majorant M = A+ - A- (the matrix
-absolute value of A) and a scaling matrix S with S^T A S = diag(I_r, -I_s).
-When M is rational the split is upgraded to exact arithmetic, which is what
-makes the symbolic zero-residual checks on the fixture forms possible.
+absolute value of A).  When M is rational the split is upgraded to exact
+arithmetic, which is what makes the symbolic zero-residual checks on the
+fixture forms possible.
 
 coset_reps() enumerates A^-1 Z^(m x n) / Z^(m x n) column-wise from the Smith
 normal form of A.  lattice_blocks() enumerates an ellipsoid q(v + c) <= R^2
@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactlinalg import det_bareiss, frac_matrix, identity_frac, mat_inverse, mat_mul, smith_normal_form
+from .exactlinalg import (det_bareiss, frac_matrix, identity_frac, is_positive_definite, mat_inverse,
+                          mat_mul, smith_normal_form)
 
 # ==== form basics ===========================================================
 
@@ -45,16 +46,6 @@ def form_det(A) -> int:
     return det_bareiss(as_form_array(A).tolist())
 
 
-def is_even(A) -> bool:
-    """True when every diagonal entry is even, so q(v) = v^T A v / 2 is integral."""
-    a = as_form_array(A)
-    return all(int(a[i, i]) % 2 == 0 for i in range(a.shape[0]))
-
-
-def is_unimodular(A) -> bool:
-    return abs(form_det(A)) == 1
-
-
 class QuadForm:
     """A symmetric invertible integer matrix with cached invariants."""
 
@@ -68,14 +59,6 @@ class QuadForm:
         self.r = int(np.sum(eigs > 0))
         self.s = int(np.sum(eigs < 0))
 
-    @property
-    def is_even(self) -> bool:
-        return is_even(self.A)
-
-    @property
-    def is_unimodular(self) -> bool:
-        return abs(self.det) == 1
-
 
 # ==== eigen decomposition ===================================================
 
@@ -83,22 +66,20 @@ class QuadForm:
 class QuadFormDecomposition:
     """Normalized split of an invertible symmetric integer form.
 
-    Float fields always exist; the *_exact fields (Fraction matrices) exist
-    exactly when the matrix absolute value of A is rational, and None
+    Float fields always exist; exact (a dict of Fraction matrices) exists
+    exactly when the matrix absolute value of A is rational, and is None
     otherwise.  proj_plus / proj_minus satisfy U = U+ + U- with
     tr(U+-^T A U+-) = tr(U^T A+- U).
     """
 
-    def __init__(self, form, r, s, S, iota, aplus, aminus, M, exact=None):
+    def __init__(self, form, r, s, aplus, aminus, M, exact=None):
         self.form = form
         self.r = r
         self.s = s
-        self.S = S
-        self.iota = iota
         self.aplus = aplus
         self.aminus = aminus
         self.M = M
-        # exact: dict with keys aplus, aminus, M, Minv, proj_plus, proj_minus
+        # exact: dict with keys aplus, aminus, M, proj_plus, proj_minus
         self.exact = exact
 
     @property
@@ -120,6 +101,23 @@ class QuadFormDecomposition:
             return self.exact["proj_minus"]
         return (-(np.linalg.inv(self.M) @ self.aminus)).tolist()
 
+    def fraction_matrix(self, name: str):
+        """M, aminus, proj_plus or proj_minus as a list of Fraction rows.
+
+        Exact when the matrix absolute value of A is rational.  Otherwise the
+        exact image of the float matrix, with M and A- symmetrised: the float
+        eigen-split leaves them symmetric only to a few ulps, and a Gaussian
+        factor built from A- must be exactly symmetric.
+        """
+        if self.exact is not None:
+            return self.exact[name]
+        if name == "proj_plus":
+            return frac_matrix(self.proj_plus_matrix())
+        if name == "proj_minus":
+            return frac_matrix(self.proj_minus_matrix())
+        mat = {"M": self.M, "aminus": self.aminus}[name]
+        return frac_matrix(((mat + mat.T) / 2.0).tolist())
+
 
 def _rationalize_matrix(Mf: np.ndarray, max_den: int = 10**6):
     return [[Fraction(x).limit_denominator(max_den) for x in row] for row in Mf.tolist()]
@@ -128,10 +126,10 @@ def _rationalize_matrix(Mf: np.ndarray, max_den: int = 10**6):
 def decompose(A) -> QuadFormDecomposition:
     """Eigen-normalized decomposition of a symmetric invertible integer form.
 
-    Columns of S are eigenvectors scaled by abs(eigenvalue)^(-1/2), positive
-    eigenvalues first, so S^T A S = diag(I_r, -I_s).  A+ (A-) restricts the
-    form to the positive (negative) eigenspace; the majorant M = A+ - A- is
-    positive definite and equals (S^-1)^T S^-1.
+    A+ (A-) restricts the form to the positive (negative) eigenspace; the
+    majorant M = A+ - A- is positive definite and is computed as
+    (S^-1)^T S^-1, where the columns of S are the eigenvectors scaled by
+    abs(eigenvalue)^(-1/2).
     """
     form = A if isinstance(A, QuadForm) else QuadForm(A)
     a = form.A.astype(float)
@@ -143,14 +141,13 @@ def decompose(A) -> QuadFormDecomposition:
     eigvecs = eigvecs[:, order]
     r, s = form.r, form.s
     S = eigvecs / np.sqrt(np.abs(eigvals))
-    iota = np.diag(np.concatenate([np.ones(r), -np.ones(s)]).astype(int))
     Sinv = np.linalg.inv(S)
     aplus = eigvecs[:, :r] @ np.diag(eigvals[:r]) @ eigvecs[:, :r].T
     aminus = eigvecs[:, r:] @ np.diag(eigvals[r:]) @ eigvecs[:, r:].T
     M = Sinv.T @ Sinv
 
     exact = _try_exact_split(form)
-    return QuadFormDecomposition(form, r, s, S, iota, aplus, aminus, M, exact)
+    return QuadFormDecomposition(form, r, s, aplus, aminus, M, exact)
 
 
 def _try_exact_split(form: QuadForm):
@@ -176,11 +173,8 @@ def _try_exact_split(form: QuadForm):
         for j in range(m):
             if M2[i][j] != A2[i][j]:
                 return None
-    # positive definiteness: exact leading principal minors
-    for k in range(1, m + 1):
-        sub = [[Mrat[i][j] for j in range(k)] for i in range(k)]
-        if _frac_det(sub) <= 0:
-            return None
+    if not is_positive_definite(Mrat):
+        return None
     arat = frac_matrix(form.A.tolist())
     aplus = [[(arat[i][j] + Mrat[i][j]) / 2 for j in range(m)] for i in range(m)]
     aminus = [[(arat[i][j] - Mrat[i][j]) / 2 for j in range(m)] for i in range(m)]
@@ -194,44 +188,11 @@ def _try_exact_split(form: QuadForm):
         return None
     return {
         "M": Mrat,
-        "Minv": minv,
         "aplus": aplus,
         "aminus": aminus,
         "proj_plus": proj_plus,
         "proj_minus": proj_minus,
     }
-
-
-def _frac_det(mat) -> Fraction:
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
-
-
-def project(dec: QuadFormDecomposition, U):
-    """Split U into (U+, U-) with U = U+ + U-, per the decomposition's eigenspaces."""
-    Ua = np.asarray(U, dtype=float)
-    pp = np.array(dec.proj_plus_matrix(), dtype=float)
-    pm = np.array(dec.proj_minus_matrix(), dtype=float)
-    return pp @ Ua, pm @ Ua
 
 
 # ==== cosets ================================================================
@@ -252,9 +213,6 @@ class CosetRep:
     @property
     def n(self):
         return len(self.J[0])
-
-    def to_floats(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.J], dtype=float)
 
     def __eq__(self, other):
         return isinstance(other, CosetRep) and self.J == other.J

@@ -153,13 +153,6 @@ def sqrt_posdef(Y) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def scalar_power(z: complex, rho: float) -> complex:
-    """z^rho by the principal branch, arg in (-pi, pi]; z on the closed negative real axis with rho fractional is rejected by det_power, not here."""
-    if z == 0:
-        raise ValueError("0 cannot be raised to a fractional power on the principal branch")
-    return cmath.exp(rho * cmath.log(z))
-
-
 def det_power(W, rho: float, axis_tol: float = 1e-12) -> complex:
     """exp(rho * sum of principal logs of the eigenvalues of W).
 

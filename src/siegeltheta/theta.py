@@ -41,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
+from .exactlinalg import frac_matrix, identity_frac
 from .polyalg import (
     ExpQuadPoly,
     MatPoly,
@@ -136,19 +137,6 @@ def build_f_posdef(P: MatPoly, A) -> PolyCoeff:
     return PolyCoeff(f, P, alpha)
 
 
-def _embedded_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def _embedded_symmetric(mat: np.ndarray):
-    """Exact image of a float matrix that is symmetric up to rounding.
-
-    The float eigen-split leaves M and A- symmetric only to a few ulps, and
-    the Gaussian factor built from A- must be exactly symmetric.
-    """
-    return _embedded_matrix(((mat + mat.T) / 2.0).tolist())
-
-
 def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition) -> IndefCoeff:
     """Compose P+ and P- with the definite-split projectors and heat-flow.
 
@@ -164,17 +152,11 @@ def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition)
         raise ValueError("P+ and P- must share a shape")
     if m != dec.m:
         raise ValueError("polynomial rows must match the rank of the form")
-    if dec.exact:
-        pi_plus = dec.exact["proj_plus"]
-        pi_minus = dec.exact["proj_minus"]
-        M = dec.exact["M"]
-        aminus = dec.exact["aminus"]
-    else:
-        pi_plus = _embedded_matrix(dec.proj_plus_matrix())
-        pi_minus = _embedded_matrix(dec.proj_minus_matrix())
-        M = _embedded_symmetric(dec.M)
-        aminus = _embedded_symmetric(dec.aminus)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pi_plus = dec.fraction_matrix("proj_plus")
+    pi_minus = dec.fraction_matrix("proj_minus")
+    M = dec.fraction_matrix("M")
+    aminus = dec.fraction_matrix("aminus")
+    eye = identity_frac(n)
     comp = substitute_linear(P_plus, pi_plus, eye) * substitute_linear(P_minus, pi_minus, eye)
     gpoly = exp_trace_laplace(comp, M, _MINUS_EIGHTH_OVER_PI)
     B = [[PiScalar.from_parts(2 * Fraction(aminus[a][b]), 0, 1) for b in range(m)] for a in range(m)]
@@ -197,7 +179,7 @@ def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = 
 
 
 def _frac_mat(data, m, n, what):
-    rows = [[Fraction(x) for x in row] for row in data]
+    rows = frac_matrix(data)
     if len(rows) != m or any(len(r) != n for r in rows):
         raise ValueError("%s must be %d x %d" % (what, m, n))
     return tuple(tuple(r) for r in rows)
@@ -216,6 +198,8 @@ class ThetaSpec:
         self.dec = dec
         self.coeff = coeff
         H = [list(row) for row in H]
+        if not H:
+            raise ValueError("H must be a %d x n matrix, got no rows" % dec.m)
         ncols = len(H[0])
         self.H = _frac_mat(H, dec.m, ncols, "H")
         self.K = _frac_mat(K, dec.m, ncols, "K")
@@ -228,7 +212,7 @@ class ThetaSpec:
     def _validate_pde(self):
         A = [[int(x) for x in row] for row in self.dec.A.tolist()]
         res = vigneras_residual(self.coeff.f, A, self.coeff.lam)
-        if self.dec.exact:
+        if self.dec.has_exact_split():
             if not res.is_zero():
                 raise ValueError("coefficient does not solve the eigenvalue equation")
         else:
@@ -333,8 +317,10 @@ def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: floa
     the per-block sums differently and may move the result by a few ulps of
     gross.  The last returned entry is the gross magnitude sum |f|,
     the honest scale for relative comparisons when cancellation drives the
-    net value to zero.
+    net value to zero.  eps must be finite and positive (ValueError).
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive, got %r" % eps)
     if Cp == 0.0:
         return 0.0 + 0.0j, 0.0, 0, 0.0, RHO_GRID[0], 0.0
     G = np.asarray(G, dtype=float)
@@ -398,9 +384,43 @@ def _phases(U, Af, Zmat, AK):
     return tau
 
 
-def _finish(vals, expo, phase_turns):
-    turns = phase_turns - np.round(phase_turns)
-    return vals * np.exp(expo + 2j * math.pi * turns)
+def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, poly, sig2: float,
+                    Ysq, phase_forms, Bc, pref: float) -> ThetaValue:
+    """pref times the certified sum over U in H + Z^{m x n} of
+
+        poly(W) exp(tr(W^T Bc W)) e(sum_k tr(U^T A_k U Z_k)/2 + tr(K^T A U)),
+
+    with W = U Ysq (W = U when Ysq is None, no Gaussian when Bc is None) and
+    phase_forms the list of pairs (A_k, Z_k).  The tail budget is eps / pref,
+    so the returned tail bound is at most eps.
+    """
+    cap = point_cap_from_env(point_cap)
+    m, n = spec.m, spec.n
+    G = np.kron(Z.Y, spec.dec.M)
+    c = spec.H_floats().T.reshape(-1)
+    AK = spec.A.astype(float) @ spec.K_floats()
+    if not np.any(AK):
+        AK = None
+
+    def summand(rows):
+        U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
+        W = U if Ysq is None else np.matmul(U, Ysq)
+        vals = eval_batch(poly, W)
+        tau = _phases(U, *phase_forms[0], AK)
+        for Ak, Zk in phase_forms[1:]:
+            tau = tau + _phases(U, Ak, Zk, None)
+        expo = -2.0 * math.pi * tau.imag
+        turns = tau.real
+        if Bc is not None:
+            gq = np.einsum("xaj,ab,xbj->x", W, Bc, W)
+            expo = expo + gq.real
+            turns = turns + gq.imag / (2.0 * math.pi)
+        turns = turns - np.round(turns)
+        return vals * np.exp(expo + 2j * math.pi * turns)
+
+    total, tail, used, R2, rho, gross = certified_lattice_sum(
+        G, c, eps / pref, poly.coeff_norm(), poly.degree(), sig2, summand, cap)
+    return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
 
 
 def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
@@ -408,56 +428,17 @@ def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     """Evaluate the series at Z with total truncation error at most eps."""
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
-    cap = point_cap_from_env(point_cap)
-    m, n = spec.m, spec.n
     Y = Z.Y
-    M = spec.dec.M
-    G = np.kron(Y, M)
-    c = spec.H_floats().T.reshape(-1)
-    lam = float(spec.coeff.lam)
-    dety = float(np.linalg.det(Y))
-    pref = dety ** (-lam / 2.0)
-    poly = spec.coeff.poly_part
-    deg = poly.degree()
-    Cp = poly.coeff_norm()
-    sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(M)))
-    eps_sum = eps / pref
-
-    Ysq = sqrt_posdef(Y)
-    Af = spec.A.astype(float)
-    Zmat = Z.Z
-    AK = Af @ spec.K_floats()
-    if not np.any(AK):
-        AK = None
-    Bc = spec.coeff.gaussian_complex()
-
-    def summand(rows):
-        U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
-        W = np.matmul(U, Ysq)
-        vals = eval_batch(poly, W)
-        tau = _phases(U, Af, Zmat, AK)
-        expo = -2.0 * math.pi * tau.imag
-        turns = tau.real
-        if Bc is not None:
-            gq = np.einsum("xaj,ab,xbj->x", W, Bc, W)
-            expo = expo + gq.real
-            turns = turns + gq.imag / (2.0 * math.pi)
-        return _finish(vals, expo, turns)
-
-    total, tail, used, R2, rho, gross = certified_lattice_sum(
-        G, c, eps_sum, Cp, deg, sig2, summand, cap)
-    return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
+    pref = float(np.linalg.det(Y)) ** (-float(spec.coeff.lam) / 2.0)
+    sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))
+    return _lattice_series(spec, Z, eps, point_cap, spec.coeff.poly_part, sig2, sqrt_posdef(Y),
+                           [(spec.A.astype(float), Z.Z)], spec.coeff.gaussian_complex(), pref)
 
 
 def borcherds_poly(spec: ThetaSpec, Y: np.ndarray) -> MatPoly:
     """The Y^(-1)-weighted heat flow of the source polynomial."""
-    Yinv = np.linalg.inv(Y)
-    W = [[Fraction(x) for x in row] for row in Yinv.tolist()]
-    if spec.dec.exact:
-        M = spec.dec.exact["M"]
-    else:
-        M = [[Fraction(x) for x in row] for row in spec.dec.M.tolist()]
-    return exp_trace_laplace_weighted(spec.coeff.source, M, W, _MINUS_EIGHTH_OVER_PI)
+    return exp_trace_laplace_weighted(spec.coeff.source, spec.dec.fraction_matrix("M"),
+                                      frac_matrix(np.linalg.inv(Y).tolist()), _MINUS_EIGHTH_OVER_PI)
 
 
 def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
@@ -468,34 +449,8 @@ def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     """
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
-    cap = point_cap_from_env(point_cap)
-    m, n = spec.m, spec.n
     Y = Z.Y
-    M = spec.dec.M
-    G = np.kron(Y, M)
-    c = spec.H_floats().T.reshape(-1)
-    pB = borcherds_poly(spec, Y)
-    deg = pB.degree()
-    Cp = pB.coeff_norm()
-    lam_min = float(np.min(np.linalg.eigvalsh(M))) * float(np.min(np.linalg.eigvalsh(Y)))
-    sig2 = 1.0 / lam_min
-
-    Af = spec.A.astype(float)
-    aplus = spec.dec.aplus
-    aminus = spec.dec.aminus
-    Zmat = Z.Z
-    AK = Af @ spec.K_floats()
-    if not np.any(AK):
-        AK = None
-
-    def summand(rows):
-        U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
-        vals = eval_batch(pB, U)
-        tau = _phases(U, aplus, Zmat, AK)
-        tau = tau + _phases(U, aminus, np.conj(Zmat), None)
-        expo = -2.0 * math.pi * tau.imag
-        return _finish(vals, expo, tau.real)
-
-    total, tail, used, R2, rho, gross = certified_lattice_sum(
-        G, c, eps, Cp, deg, sig2, summand, cap)
-    return ThetaValue(total, tail, used, R2, rho, gross)
+    sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
+    phase_forms = [(spec.dec.aplus, Z.Z), (spec.dec.aminus, np.conj(Z.Z))]
+    return _lattice_series(spec, Z, eps, point_cap, borcherds_poly(spec, Y), sig2, None,
+                           phase_forms, None, 1.0)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlinalg import mat_inverse, mat_mul
+from .exactlinalg import frac_matrix, mat_inverse, mat_mul
 from .polyalg import (
     MatPoly,
     euler_entry,
@@ -40,6 +40,7 @@ from .scalars import PiScalar
 from .siegel import SiegelPoint, det_power, random_siegel_point
 from .theta import (
     ThetaSpec,
+    _phases,
     borcherds_poly,
     build_coeff,
     certified_lattice_sum,
@@ -90,10 +91,6 @@ class CheckReport:
 # ==== exact rational phase bookkeeping ======================================
 
 
-def _frac_rows(M):
-    return [[Fraction(x) for x in row] for row in M]
-
-
 def _transpose(M):
     return [list(col) for col in zip(*M)]
 
@@ -122,7 +119,7 @@ def translation_data(spec: ThetaSpec, S):
     """Exact phase argument and shifted characteristic for Z -> Z + S."""
     Sf = [[Fraction(int(x)) for x in row] for row in np.asarray(S).tolist()]
     m, n = spec.m, spec.n
-    A = _frac_rows(spec.A.tolist())
+    A = frac_matrix(spec.A.tolist())
     H = [list(row) for row in spec.H]
     K = [list(row) for row in spec.K]
     phase = -_trace(mat_mul(mat_mul(mat_mul(_transpose(H), A), H), Sf)) / 2
@@ -163,7 +160,7 @@ def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
     pref *= cmath.exp(1j * math.pi * ((dec.s / 2.0 + beta) * n + beta * dec.s))
     pref *= abs(float(dec.form.det)) ** (-n / 2.0)
     pref *= det_power(Z.Z, power)
-    A = _frac_rows(spec.A.tolist())
+    A = frac_matrix(spec.A.tolist())
     hak = _trace(mat_mul(mat_mul(_transpose([list(r) for r in spec.H]), A),
                          [list(r) for r in spec.K]))
     return pref * e_of_fraction(hak)
@@ -372,9 +369,7 @@ def _fz_closure(spec: ThetaSpec, Z: SiegelPoint):
 
     def fn(U):
         vals = eval_batch(pB, U)
-        Q = np.matmul(np.transpose(U, (0, 2, 1)), np.matmul(Af, U))
-        tau = 0.5 * np.einsum("xij,ji->x", Q, Zmat)
-        out = vals * np.exp(2j * math.pi * tau)
+        out = vals * np.exp(2j * math.pi * _phases(U, Af, Zmat, None))
         if indefinite:
             gq = np.einsum("xaj,ab,xbk,kj->x", U, aminus, U, Y)
             out = out * np.exp(2.0 * math.pi * gq)
@@ -407,7 +402,19 @@ def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen")
     W = SiegelPoint(-Zinv)
     fz, _ = _fz_closure(spec, W)
     fval = complex(fz(V.reshape(1, m, n))[0])
+    return _fourier_prefactor(spec, Z, W) * fval
+
+
+def _fourier_prefactor(spec: ThetaSpec, Z: SiegelPoint, W: SiegelPoint) -> complex:
+    """The factor between f_W and the transform of f_Z, with W = -Z^-1.
+
+    The definite and indefinite branches multiply in different orders; each
+    order fixes the last bits of the eigen-Fourier and Poisson outputs.
+    """
+    m, n = spec.m, spec.n
+    dec = spec.dec
     alpha, beta = spec.coeff.alpha, spec.coeff.beta
+    deta = float(dec.form.det)
     pref = cmath.exp(-1j * math.pi * m * n / 4.0)
     if dec.s == 0:
         pref *= deta ** (-n / 2.0) * det_power(W.Z, m / 2.0 + alpha)
@@ -415,8 +422,8 @@ def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen")
         pref *= cmath.exp(1j * math.pi * beta * dec.s)
         pref *= abs(deta) ** (-n / 2.0)
         pref *= det_power(W.Z, dec.r / 2.0 + alpha)
-        pref *= det_power(np.conj(Zmat), -(dec.s / 2.0 + beta))
-    return pref * fval
+        pref *= det_power(np.conj(Z.Z), -(dec.s / 2.0 + beta))
+    return pref
 
 
 def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
@@ -437,10 +444,7 @@ def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
         Zmat = Z.Z
 
         def base(U):
-            vals = eval_batch(poly, U)
-            Q = np.matmul(np.transpose(U, (0, 2, 1)), np.matmul(Af, U))
-            tau = 0.5 * np.einsum("xij,ji->x", Q, Zmat)
-            return vals * np.exp(2j * math.pi * tau)
+            return eval_batch(poly, U) * np.exp(2j * math.pi * _phases(U, Af, Zmat, None))
 
         bound_poly = poly
     else:
@@ -478,17 +482,8 @@ def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     W = SiegelPoint(-np.linalg.inv(Z.Z))
     Ytil = W.Y
     fz, pB = _fz_closure(spec0, W)
-    alpha, beta = spec.coeff.alpha, spec.coeff.beta
+    pref = _fourier_prefactor(spec, Z, W)
     dec = spec.dec
-    deta = float(dec.form.det)
-    pref = cmath.exp(-1j * math.pi * m * n / 4.0)
-    if dec.s == 0:
-        pref *= deta ** (-n / 2.0) * det_power(W.Z, m / 2.0 + alpha)
-    else:
-        pref *= cmath.exp(1j * math.pi * beta * dec.s)
-        pref *= abs(deta) ** (-n / 2.0)
-        pref *= det_power(W.Z, dec.r / 2.0 + alpha)
-        pref *= det_power(np.conj(Z.Z), -(dec.s / 2.0 + beta))
 
     Ainv = np.linalg.inv(spec.A.astype(float))
     GW = np.kron(Ytil, Ainv.T @ dec.M @ Ainv)

@@ -17,9 +17,10 @@ def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    # a timeout turns a hang into a failure instead of a stuck run
     proc = subprocess.run(
         [sys.executable, "-m", "siegeltheta.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=120)
     return proc
 
 
@@ -145,19 +146,67 @@ def test_eval_cap_exits_three(tmp_path):
     assert "error" in json.loads(proc.stdout)
 
 
+_PLAIN = {"A": [[2]], "Z": {"X": [[0.0]], "Y": [[1.0]]}}
+
+
+def _poly_spec(exp):
+    return dict(_PLAIN, coeff={"type": "posdef", "P_alpha": {
+        "m": 1, "n": 1, "terms": [{"exp": exp, "re": "1"}]}})
+
+
+@pytest.mark.parametrize("spec", [
+    dict(_PLAIN, A=[[2.5]]),            # was truncated to [[2]]
+    _poly_spec([[-1]]),                 # the heat flow never terminated
+    _poly_spec([[1, 1]]),               # was truncated to [[1]]
+    _poly_spec([[]]),                   # ended in an IndexError
+    _poly_spec([[1.5]]),
+    dict(_PLAIN, eps=1e-400),           # parses as 0.0
+    dict(_PLAIN, H=[]),
+    dict(_PLAIN, coeff="x"),
+], ids=["non-integer-form", "negative-exponent", "wide-exponent", "short-exponent",
+        "fractional-exponent", "zero-eps", "empty-H", "coeff-not-object"])
+def test_eval_malformed_spec_exits_one_with_json_error(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("eval", "--spec", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "error" in json.loads(proc.stdout)
+
+
+def test_eval_form_from_path(tmp_path):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps([[2]]))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(_PLAIN, A=str(form), eps=1e-12)))
+    proc = run_cli("eval", "--spec", str(path))
+    assert proc.returncode == 0, proc.stdout
+    direct = sum(math.exp(-2 * math.pi * k * k) for k in range(-40, 41))
+    assert json.loads(proc.stdout)["value"][0] == pytest.approx(direct, abs=1e-11)
+
+
+@pytest.mark.parametrize("command", ["decompose", "cosets"])
+def test_non_integer_form_file_exits_one(tmp_path, command):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps([[2.5]]))
+    proc = run_cli(command, "--form", str(path))
+    assert proc.returncode == 1
+    assert "integer" in json.loads(proc.stdout)["error"]
+
+
 def test_missing_file_exits_one():
     proc = run_cli("decompose", "--form", "no_such_file_or_fixture")
     assert proc.returncode == 1
 
 
 def test_verify_suite_green_and_byte_identical():
-    a = run_cli("verify", "--suite", "operators", "--seed", "7")
-    b = run_cli("verify", "--suite", "operators", "--seed", "7")
-    assert a.returncode == 0 and b.returncode == 0
-    assert a.stdout == b.stdout
-    data = json.loads(a.stdout)
-    assert data["passed"] is True
-    assert all(c["passed"] for c in data["checks"])
+    for genus in ("1", "2"):
+        a = run_cli("verify", "--suite", "all", "--genus", genus, "--seed", "7")
+        b = run_cli("verify", "--suite", "all", "--genus", genus, "--seed", "7")
+        assert a.returncode == 0 and b.returncode == 0
+        assert a.stdout == b.stdout
+        data = json.loads(a.stdout)
+        assert data["passed"] is True
+        assert all(c["passed"] for c in data["checks"])
 
 
 def test_fixtures_listing():

@@ -265,3 +265,17 @@ def test_json_round_trip():
         Fraction(1, 3), Fraction(-2, 7), -1)
     q = matpoly_from_json(matpoly_to_json(p))
     assert (p - q).is_zero()
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (1,), (1, 0, 0), (0.5, 0)])
+def test_matpoly_rejects_malformed_exponents(key):
+    with pytest.raises(ValueError):
+        MatPoly(1, 2, {key: 1})
+
+
+@pytest.mark.parametrize("exp", [[[-1]], [[1, 1]], [[]], [[1.5]], [[1], [0]]])
+def test_matpoly_from_json_rejects_malformed_exponents(exp):
+    # a negative power used to send the heat flow into an endless loop, and a
+    # wrong shape was truncated or ended in an IndexError
+    with pytest.raises(ValueError):
+        matpoly_from_json({"m": 1, "n": 1, "terms": [{"exp": exp, "re": "1"}]})

@@ -4,8 +4,10 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
 from siegeltheta.polyalg import MatPoly, basis_homopol
@@ -181,6 +183,19 @@ def test_env_point_cap(monkeypatch):
         theta_eval(theta_spec([[2]]), Z_I, eps=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-10, float("nan"), float("inf")])
+def test_eps_must_be_finite_and_positive(eps):
+    spec = theta_spec([[2]])
+    for evaluate in (theta_eval, theta_eval_borcherds):
+        with pytest.raises(ValueError, match="eps"):
+            evaluate(spec, Z_I, eps=eps)
+
+
+def test_empty_characteristic_is_rejected():
+    with pytest.raises(ValueError):
+        theta_spec([[2]], H=[])
+
+
 def test_spec_validation_rejects_wrong_form():
     # coefficient built for 2u^2 fails the eigen equation for the form 4u^2
     dec2 = decompose(np.array([[2]], dtype=np.int64))
@@ -208,3 +223,45 @@ def test_build_g_indef_lambda_bookkeeping():
     g = build_g_indef(basis_homopol(2, 1, 2)[0], MatPoly.variable(2, 1, 0, 0), dec)
     assert g.alpha == 2 and g.beta == 1
     assert g.lam == 2 - 1 - 1
+
+
+# ==== generated genus-1 diagonal forms against mpmath.jtheta ================
+
+
+def _jacobi_product(diag, z):
+    """prod_i sum_{u in h_i + Z} exp(pi i a_i u^2 tau_i + 2 pi i a_i k_i u), 30 digits.
+
+    tau_i = z for a_i > 0 and conj(z) for a_i < 0; each factor is a Jacobi
+    theta_3 after the shift u = h_i + j.
+    """
+    with mpmath.workdps(30):
+        zc = mpmath.mpc(z.real, z.imag)
+        val = mpmath.mpc(1)
+        for a, h, k in diag:
+            tau = zc if a > 0 else mpmath.conj(zc)
+            h = mpmath.mpf(h.numerator) / h.denominator
+            k = mpmath.mpf(k.numerator) / k.denominator
+            val *= (mpmath.exp(1j * mpmath.pi * a * h * h * tau + 2j * mpmath.pi * a * k * h)
+                    * mpmath.jtheta(3, mpmath.pi * a * (h * tau + k),
+                                    mpmath.exp(1j * mpmath.pi * a * tau)))
+        return complex(val)
+
+
+_CHAR = st.integers(1, 6).flatmap(
+    lambda q: st.builds(Fraction, st.integers(-q, q), st.just(q)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(diag=st.lists(st.tuples(st.integers(1, 4).flatmap(lambda a: st.sampled_from([a, -a])),
+                               _CHAR, _CHAR), min_size=1, max_size=3),
+       x=st.floats(-0.5, 0.5), y=st.floats(0.5, 2.0))
+def test_diagonal_forms_match_jacobi_theta_products(diag, x, y):
+    spec = theta_spec(np.diag([a for a, _, _ in diag]),
+                      H=[[h] for _, h, _ in diag], K=[[k] for _, _, k in diag])
+    s = sum(a < 0 for a, _, _ in diag)
+    Z = SiegelPoint(np.array([[complex(x, y)]]))
+    oracle = _jacobi_product(diag, complex(x, y))
+    # theta_eval = det(Y)^(s/2 + beta) theta_eval_borcherds, with beta = 0 here
+    for val, want in ((theta_eval(spec, Z, eps=1e-10), y ** (s / 2) * oracle),
+                      (theta_eval_borcherds(spec, Z, eps=1e-10), oracle)):
+        assert abs(val.value - want) <= val.tail_bound + 1e-12 * val.gross

@@ -270,6 +270,16 @@ class ExpQuadPoly:
     def B_complex(self, pi_value: float = math.pi) -> np.ndarray:
         return np.array([[x.to_complex(pi_value) for x in row] for row in self.B], dtype=complex)
 
+    def exponent(self) -> MatPoly:
+        """tr(U^T B U) = sum_abj B_ab U_aj U_bj as a polynomial."""
+        m, n = self.m, self.n
+        out = MatPoly.zero(m, n)
+        for a in range(m):
+            for b in range(m):
+                for j in range(n):
+                    out = out + MatPoly.variable(m, n, a, j) * MatPoly.variable(m, n, b, j) * self.B[a][b]
+        return out
+
     def eval(self, U, pi_value: float = math.pi) -> complex:
         Ua = np.asarray(U, dtype=complex)
         q = complex(np.einsum("aj,ab,bj->", Ua, self.B_complex(pi_value), Ua))
@@ -411,12 +421,22 @@ def trace_laplace(f, A):
 
 
 def trace_laplace_weighted(f, A, W):
-    """tr(Delta_A W) f = sum_ij W_ji (Delta_A)_ij f, W an n x n scalar matrix."""
+    """tr(Delta_A W) f = sum_ij W_ji (Delta_A)_ij f, W an n x n scalar matrix.
+
+    A is symmetric and partial derivatives commute, so (Delta_A)_ij =
+    (Delta_A)_ji and each off-diagonal entry is applied once, weighted by
+    W_ij + W_ji (both added: W need not be symmetric, and the float inverse
+    of a symmetric Y is not always bit-symmetric).
+    """
     n = f.n
+
+    def weight(a, b):
+        return as_pi_scalar(W[a][b] if not isinstance(W, np.ndarray) else W[a, b])
+
     acc = None
     for i in range(n):
-        for j in range(n):
-            w = as_pi_scalar(W[j][i] if not isinstance(W, np.ndarray) else W[j, i])
+        for j in range(i, n):
+            w = weight(i, i) if i == j else weight(j, i) + weight(i, j)
             if w.is_zero():
                 continue
             piece = laplace_entry(f, A, i, j) * w
@@ -661,22 +681,78 @@ def minor_product_polys(m: int, n: int, alpha: int):
 # ==== numeric batch evaluation =============================================
 
 
+def _mul_into(a, b):
+    """a *= b for values stored as real arrays with a leading axis of parts.
+
+    One part is a real value, two are (real, imaginary).  The complex product
+    is spelled out in real operations, each rounded on its own: numpy's
+    complex multiply rounds differently in different inner loops (with and
+    without fused multiply-add), and which loop runs depends on the shapes
+    and strides of the operands.
+    """
+    if len(a) == 1:
+        a *= b
+    else:
+        re = a[0] * b[0] - a[1] * b[1]
+        a[1] = a[0] * b[1] + a[1] * b[0]
+        a[0] = re
+
+
 def eval_batch(p, W: np.ndarray, pi_value: float = math.pi) -> np.ndarray:
-    """Evaluate p at a batch of matrices, W of shape (batch, m, n)."""
-    B = W.shape[0]
-    flat = W.reshape(B, p.m * p.n)
+    """Evaluate p at a batch of matrices, W of shape (batch, m, n).
+
+    The T terms become an exponent matrix E (T x mn) and a coefficient vector.
+    Rows are taken in chunks of max(64, 2^16 // T): per chunk, each variable
+    gets a table of its powers 0..max(E) by repeated multiplication, the
+    monomial table (T x chunk) is the product of one gathered power row per
+    variable, and two-operand einsums contract it with the coefficients.  The
+    working set stays near 512 KB (1 MB for complex W) whatever the batch
+    size, and every row's value comes from the same real operations in the
+    same order, so it does not depend on the batch it came in:
+    eval_batch(p, W)[k] is bitwise eval_batch(p, W[k:k+1])[0].
+    """
+    rows = W.shape[0]
+    out = np.zeros(rows, dtype=complex)
     if isinstance(p, ExpQuadPoly):
-        q = np.einsum("xaj,ab,xbj->x", W, p.B_complex(pi_value), W)
-        return eval_batch(p.poly, W, pi_value) * np.exp(q)
-    out = np.zeros(B, dtype=complex)
-    for e, c in p.terms.items():
-        idx = [k for k, ek in enumerate(e) if ek]
-        if idx:
-            exps = np.array([e[k] for k in idx], dtype=np.int64)
-            vals = np.prod(flat[:, idx] ** exps, axis=1)
-        else:
-            vals = np.ones(B, dtype=flat.dtype)
-        out = out + c.to_complex(pi_value) * vals
+        v = eval_batch(p.poly, W, pi_value)
+        g = np.exp(eval_batch(p.exponent(), W, pi_value))
+        vg = np.stack([v.real, v.imag])
+        _mul_into(vg, np.stack([g.real, g.imag]))
+        out.real, out.imag = vg
+        return out
+    if not p.terms or rows == 0:
+        return out
+    E = np.array(list(p.terms), dtype=np.intp)
+    coef = np.array([c.to_complex(pi_value) for c in p.terms.values()])
+    top = int(E.max())
+    if top == 0:
+        out[:] = coef[0]
+        return out
+    flat = W.reshape(rows, p.m * p.n)
+    # parts x variables x rows
+    parts = np.stack([flat.real, flat.imag]) if np.iscomplexobj(flat) else flat[None]
+    parts = parts.astype(float, copy=False).transpose(0, 2, 1)
+    chunk = max(64, 2**16 // len(E))
+    for lo in range(0, rows, chunk):
+        x = parts[:, :, lo:lo + chunk]
+        powers = np.zeros((len(x), top + 1) + x.shape[1:])
+        powers[0, 0] = 1.0
+        powers[:, 1] = x
+        for k in range(2, top + 1):
+            powers[:, k] = powers[:, k - 1]
+            _mul_into(powers[:, k], x)
+        mono = powers[:, E[:, 0], 0]
+        for v in range(1, E.shape[1]):
+            _mul_into(mono, powers[:, E[:, v], v])
+        # einsum, not a matrix product: the first BLAS call grows the
+        # resident set by a few MB
+        re = np.einsum("tr,t->r", mono[0], coef.real)
+        im = np.einsum("tr,t->r", mono[0], coef.imag)
+        if len(mono) == 2:
+            re -= np.einsum("tr,t->r", mono[1], coef.imag)
+            im += np.einsum("tr,t->r", mono[1], coef.real)
+        out.real[lo:lo + chunk] = re
+        out.imag[lo:lo + chunk] = im
     return out
 
 

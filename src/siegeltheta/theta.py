@@ -271,18 +271,26 @@ def theta_spec(A, P_plus=None, P_minus=None, H=None, K=None, n: int = 1) -> Thet
 
 
 def theta1_majorant(x: float) -> float:
-    """1 + 2 sum_k exp(-x k^2); dominates every shifted one-dimensional sum."""
+    """Upper bound of 1 + 2 sum_k exp(-x k^2); dominates every shifted 1-D sum.
+
+    Sums k = 1..K, stopping at a negligible term or at K = 200,000, then adds
+    the integral bound of the rest, 2 sum_{k > K} exp(-x k^2) <=
+    sqrt(pi/x) erfc(K sqrt(x)); for tiny x that rest is most of the value.
+    The factor 1 + (K + 128) 2^-52 covers the rounding of the K additions
+    and of each term (the exponents stay below about 40).
+    """
     if x <= 0:
         raise ValueError("need a positive exponent scale")
     acc = 1.0
-    k = 1
-    while k < 200_000:
-        t = 2.0 * math.exp(-x * k * k)
+    K = 0
+    while K < 200_000:
+        t = 2.0 * math.exp(-x * (K + 1) * (K + 1))
         acc += t
+        K += 1
         if t < 1e-17 * acc:
             break
-        k += 1
-    return acc
+    rest = math.sqrt(math.pi / x) * math.erfc(K * math.sqrt(x))
+    return (acc + rest) * (1.0 + (K + 128) * 2.0**-52)
 
 
 def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):

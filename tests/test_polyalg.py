@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from siegeltheta.polyalg import (
+    ExpQuadPoly,
     MatPoly,
     basis_homopol,
     euler_entry,
@@ -21,6 +23,7 @@ from siegeltheta.polyalg import (
     minor_product_polys,
     substitute_linear,
     trace_laplace,
+    trace_laplace_weighted,
     vigneras_apply,
     vigneras_residual,
 )
@@ -121,6 +124,36 @@ def test_exp_trace_laplace_weighted_identity_weight():
     eye = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
     p = random_poly(2, 2, 3, rng)
     assert (exp_trace_laplace_weighted(p, A22, eye, c) - exp_trace_laplace(p, A22, c)).is_zero()
+
+
+A33 = [[2, 1, 0], [1, 2, 1], [0, 1, 4]]
+
+
+def _weighted_trace_n2(f, A, W):
+    """sum_ij W_ji (Delta_A)_ij f over all n^2 entries."""
+    acc = MatPoly.zero(f.m, f.n)
+    for i in range(f.n):
+        for j in range(f.n):
+            acc = acc + laplace_entry(f, A, i, j) * PiScalar.from_number(W[j][i])
+    return acc
+
+
+@pytest.mark.parametrize("m,n,A", [(2, 2, A22), (3, 2, A33), (3, 3, A33)])
+def test_trace_laplace_weighted_equals_the_n2_sum(m, n, A):
+    rng = np.random.default_rng(10 * m + n)
+    # a rational W that is not symmetric
+    W_rat = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(n)]
+             for _ in range(n)]
+    assert any(W_rat[i][j] != W_rat[j][i] for i in range(n) for j in range(n))
+    # a complex W as the plain Fourier closed form builds it: the float inverse
+    # of a symmetric Z, embedded exactly
+    Z = rng.normal(size=(n, n)) + 1j * (np.eye(n) * 2 + 0.3 * rng.normal(size=(n, n)))
+    Zinv = np.linalg.inv(Z + Z.T)
+    W_cpx = [[PiScalar.from_number(complex(x)) for x in row] for row in Zinv.tolist()]
+    for _ in range(3):
+        p = random_poly(m, n, 4, rng)
+        for W in (W_rat, W_cpx):
+            assert trace_laplace_weighted(p, A, W) == _weighted_trace_n2(p, A, W)
 
 
 def test_substitute_linear_matches_sympy():
@@ -257,6 +290,71 @@ def test_eval_batch_matches_direct():
     fn = sympy.lambdify([U[a, j] for a in range(2) for j in range(2)], expr, "numpy")
     want = np.array([fn(*W[t].reshape(-1)) for t in range(5)], dtype=complex)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _random_coeff(rng):
+    """A small exact scalar with a real, an imaginary and a pi-power part."""
+    re = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9)))
+    im = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9)))
+    return PiScalar.from_parts(re, im, int(rng.integers(-2, 3))) + int(rng.integers(1, 4))
+
+
+def _eval_batch_case(kind, m, n, rng):
+    if kind == "zero":
+        return MatPoly.zero(m, n)
+    if kind == "constant":
+        return MatPoly.constant(m, n, _random_coeff(rng))
+    terms = {}
+    if kind == "random":
+        for _ in range(int(rng.integers(1, 12))):
+            e = np.bincount(rng.integers(m * n, size=int(rng.integers(6))), minlength=m * n)
+            terms[tuple(e.tolist())] = _random_coeff(rng)
+    else:  # "big": degree >= 8 and 300 terms, so rows run in several chunks
+        deg = int(rng.integers(8, 11))
+        while len(terms) < 300:
+            e = np.bincount(rng.integers(m * n, size=deg), minlength=m * n)
+            terms[tuple(e.tolist())] = _random_coeff(rng)
+    return MatPoly(m, n, terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(kind=st.sampled_from(["zero", "constant", "random", "big"]),
+       shape=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2)]),
+       batch=st.sampled_from(["empty", "one", "chunks"]),
+       complex_w=st.booleans(), gaussian=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, gaussian, seed):
+    rng = np.random.default_rng(seed)
+    m, n = (3, 2) if kind == "big" else shape
+    poly = _eval_batch_case(kind, m, n, rng)
+    p = poly
+    if gaussian:
+        B = [[Fraction(int(rng.integers(-3, 4)), 16) for _ in range(m)] for _ in range(m)]
+        p = ExpQuadPoly(poly, [[B[min(a, b)][max(a, b)] for b in range(m)] for a in range(m)])
+    chunk = max(64, 2**16 // max(1, len(poly.terms)))
+    rows = {"empty": 0, "one": 1, "chunks": 2 * chunk + 7}[batch]
+    W = rng.uniform(-1.5, 1.5, size=(rows, m, n))
+    if complex_w:
+        W = W + 1j * rng.uniform(-1.5, 1.5, size=(rows, m, n))
+    got = eval_batch(p, W)
+    assert got.shape == (rows,) and got.dtype == complex
+    if rows == 0:
+        return
+    if kind == "zero":
+        assert not got.any()
+    if kind == "constant" and not gaussian:
+        assert np.all(got == next(iter(poly.terms.values())).to_complex())
+    # the scalar oracle on the chunk edges and on a few rows in between
+    picks = sorted({0, rows - 1, *range(chunk - 1, rows, chunk), *range(chunk, rows, chunk),
+                    *rng.integers(rows, size=min(rows, 12)).tolist()})
+    gross_poly = MatPoly(m, n, {e: c.abs_norm() for e, c in poly.terms.items()})
+    for k in picks:
+        want = p.eval(W[k])
+        gross = gross_poly.eval(np.abs(W[k])).real
+        if gaussian:
+            gross *= abs(ExpQuadPoly(MatPoly.one(m, n), p.B).eval(W[k]))
+        assert abs(got[k] - want) <= 1e-13 * gross
+        # a row's value does not depend on the batch it is evaluated in
+        assert got[k] == eval_batch(p, W[k:k + 1])[0]
 
 
 def test_json_round_trip():

@@ -122,6 +122,13 @@ def test_tail_bound_honesty():
     assert abs(coarse.value - fine.value) <= coarse.tail_bound + 1e-13
 
 
+@pytest.mark.parametrize("x", np.logspace(-14, 1, 61))
+def test_theta1_majorant_is_above_the_gaussian_integral(x):
+    # Poisson summation: sum_{k in Z} exp(-x k^2) = sqrt(pi/x) sum_n exp(-pi^2 n^2 / x)
+    # >= sqrt(pi/x); a majorant that drops its tail or its rounding falls below
+    assert theta.theta1_majorant(float(x)) >= math.sqrt(math.pi / x)
+
+
 def test_block_size_moves_the_sum_by_ulps_only(monkeypatch):
     # as certified_lattice_sum documents: deterministic for a fixed block
     # size, within a few ulps of gross across block sizes

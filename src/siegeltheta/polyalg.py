@@ -81,8 +81,8 @@ class MatPoly:
         """Total degree; the zero polynomial reports 0."""
         return max((sum(e) for e in self.terms), default=0)
 
-    def coeff_norm(self, pi_value: float = math.pi) -> float:
-        return math.fsum(c.abs_norm(pi_value) for c in self.terms.values())
+    def coeff_norm(self) -> float:
+        return math.fsum(c.abs_norm() for c in self.terms.values())
 
     def column_degrees(self):
         """Set of per-monomial column degree vectors."""
@@ -182,12 +182,12 @@ class MatPoly:
 
     # ---- evaluation ----
 
-    def eval(self, U, pi_value: float = math.pi) -> complex:
+    def eval(self, U) -> complex:
         flat = [complex(U[i][j]) if not isinstance(U, np.ndarray) else complex(U[i, j])
                 for i in range(self.m) for j in range(self.n)]
         total = 0j
         for e, c in self.terms.items():
-            v = c.to_complex(pi_value)
+            v = c.to_complex()
             for x, k in zip(flat, e):
                 if k:
                     v *= x**k
@@ -234,8 +234,8 @@ class ExpQuadPoly:
     def degree(self) -> int:
         return self.poly.degree()
 
-    def coeff_norm(self, pi_value: float = math.pi) -> float:
-        return self.poly.coeff_norm(pi_value)
+    def coeff_norm(self) -> float:
+        return self.poly.coeff_norm()
 
     def _same_gaussian(self, other) -> bool:
         return isinstance(other, ExpQuadPoly) and self.B == other.B
@@ -267,23 +267,11 @@ class ExpQuadPoly:
 
     __rmul__ = __mul__
 
-    def B_complex(self, pi_value: float = math.pi) -> np.ndarray:
-        return np.array([[x.to_complex(pi_value) for x in row] for row in self.B], dtype=complex)
-
-    def exponent(self) -> MatPoly:
-        """tr(U^T B U) = sum_abj B_ab U_aj U_bj as a polynomial."""
-        m, n = self.m, self.n
-        out = MatPoly.zero(m, n)
-        for a in range(m):
-            for b in range(m):
-                for j in range(n):
-                    out = out + MatPoly.variable(m, n, a, j) * MatPoly.variable(m, n, b, j) * self.B[a][b]
-        return out
-
-    def eval(self, U, pi_value: float = math.pi) -> complex:
+    def eval(self, U) -> complex:
+        """The scalar reference value at one matrix U."""
         Ua = np.asarray(U, dtype=complex)
-        q = complex(np.einsum("aj,ab,bj->", Ua, self.B_complex(pi_value), Ua))
-        return self.poly.eval(U, pi_value) * np.exp(q)
+        B = np.array([[x.to_complex() for x in row] for row in self.B], dtype=complex)
+        return self.poly.eval(U) * np.exp(complex(np.einsum("aj,ab,bj->", Ua, B, Ua)))
 
     def __repr__(self):
         return "ExpQuadPoly(%r * exp quad)" % (self.poly,)
@@ -311,8 +299,8 @@ class OperatorMatrix:
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.entries for f in row)
 
-    def norm(self, pi_value: float = math.pi) -> float:
-        return max(f.coeff_norm(pi_value) for row in self.entries for f in row)
+    def norm(self) -> float:
+        return max(f.coeff_norm() for row in self.entries for f in row)
 
     @classmethod
     def scalar(cls, lam, f, n):
@@ -698,7 +686,7 @@ def _mul_into(a, b):
         a[0] = re
 
 
-def eval_batch(p, W: np.ndarray, pi_value: float = math.pi) -> np.ndarray:
+def eval_batch(p: MatPoly, W: np.ndarray) -> np.ndarray:
     """Evaluate p at a batch of matrices, W of shape (batch, m, n).
 
     The T terms become an exponent matrix E (T x mn) and a coefficient vector.
@@ -713,17 +701,10 @@ def eval_batch(p, W: np.ndarray, pi_value: float = math.pi) -> np.ndarray:
     """
     rows = W.shape[0]
     out = np.zeros(rows, dtype=complex)
-    if isinstance(p, ExpQuadPoly):
-        v = eval_batch(p.poly, W, pi_value)
-        g = np.exp(eval_batch(p.exponent(), W, pi_value))
-        vg = np.stack([v.real, v.imag])
-        _mul_into(vg, np.stack([g.real, g.imag]))
-        out.real, out.imag = vg
-        return out
     if not p.terms or rows == 0:
         return out
     E = np.array(list(p.terms), dtype=np.intp)
-    coef = np.array([c.to_complex(pi_value) for c in p.terms.values()])
+    coef = np.array([c.to_complex() for c in p.terms.values()])
     top = int(E.max())
     if top == 0:
         out[:] = coef[0]

@@ -16,9 +16,15 @@ point Z = X + iY of the genus-n Siegel upper half-space is
     theta(Z) = det(Y)^(-lam/2) sum_{U in H + Z^{m x n}}
                f(U Y^(1/2)) e(tr(U^T A U Z)/2 + tr(K^T A U)),
 
-with e(w) = exp(2 pi i w).  Every summand has absolute value
-|poly(U Y^(1/2))| exp(-pi tr(U^T M U Y)), so the sum is truncated to the
-ellipsoid tr(U^T M U Y) <= R^2 with a certified bound on the discarded tail:
+with e(w) = exp(2 pi i w).  The Gaussian factor of g is a phase too, so
+every term of every series here is one formula,
+
+    poly(W) e(tau(U)),  tau(U) = tr(U^T A U Z)/2 + tr(K^T A U) - i tr(U^T A- U Y),
+
+with poly the polynomial part of f at W = U Y^(1/2) (A- = 0 for a definite
+form).  Since M = A - 2 A-, its absolute value is
+|poly(W)| exp(-pi tr(U^T M U Y)), so the sum is truncated to the ellipsoid
+tr(U^T M U Y) <= R^2 with a certified bound on the discarded tail:
 
     tail <= C K(rho) exp(-pi rho R^2) prod_i theta1(pi (1-rho) d_i / 2),
 
@@ -28,8 +34,9 @@ one-dimensional majorant theta1(x) = 1 + 2 sum exp(-x k^2), and rho in (0,1)
 is picked from a small grid to minimize the enumeration radius.
 
 theta_eval_borcherds computes the same series in its unslashed normal form,
-with the polynomial evaluated at U itself under a Y^(-1)-weighted heat
-operator; the two agree after multiplying by det(Y)^(s/2 + beta).
+with W = U and the polynomial taken under a Y^(-1)-weighted heat operator;
+the two agree after multiplying by det(Y)^(s/2 + beta).  The Fourier and
+Poisson checks of verify sum and integrate the same terms with K = 0.
 """
 
 from __future__ import annotations
@@ -71,36 +78,18 @@ def point_cap_from_env(explicit=None) -> int:
 # ==== coefficient functions =================================================
 
 
-class PolyCoeff:
-    """Solution exp(-tr Delta_A / 8 pi) P for positive definite A."""
+class Coefficient:
+    """A solution f of D_A f = lam I f, with lam = alpha - beta - s.
 
-    __slots__ = ("f", "source", "alpha", "beta", "lam")
+    f is the heat-flowed MatPoly for a definite form and the split-Gaussian
+    ExpQuadPoly g for an indefinite one; source is the polynomial the heat
+    flow started from.
+    """
 
-    def __init__(self, f: MatPoly, source: MatPoly, alpha: int):
+    __slots__ = ("f", "source", "alpha", "beta", "s", "lam")
+
+    def __init__(self, f, source: MatPoly, alpha: int, beta: int = 0, s: int = 0):
         self.f = f
-        self.source = source
-        self.alpha = alpha
-        self.beta = 0
-        self.lam = alpha
-
-    @property
-    def poly_part(self) -> MatPoly:
-        return self.f
-
-    def gaussian_complex(self):
-        return None
-
-    def __repr__(self):
-        return "PolyCoeff(alpha=%d)" % self.alpha
-
-
-class IndefCoeff:
-    """Split-Gaussian solution for an indefinite form."""
-
-    __slots__ = ("g", "source", "alpha", "beta", "s", "lam")
-
-    def __init__(self, g: ExpQuadPoly, source: MatPoly, alpha: int, beta: int, s: int):
-        self.g = g
         self.source = source
         self.alpha = alpha
         self.beta = beta
@@ -108,18 +97,11 @@ class IndefCoeff:
         self.lam = alpha - beta - s
 
     @property
-    def f(self) -> ExpQuadPoly:
-        return self.g
-
-    @property
     def poly_part(self) -> MatPoly:
-        return self.g.poly
-
-    def gaussian_complex(self):
-        return self.g.B_complex()
+        return self.f.poly if isinstance(self.f, ExpQuadPoly) else self.f
 
     def __repr__(self):
-        return "IndefCoeff(alpha=%d, beta=%d, s=%d)" % (self.alpha, self.beta, self.s)
+        return "Coefficient(alpha=%d, beta=%d, s=%d)" % (self.alpha, self.beta, self.s)
 
 
 def _required_degree(p: MatPoly, what: str) -> int:
@@ -129,15 +111,15 @@ def _required_degree(p: MatPoly, what: str) -> int:
     return alpha
 
 
-def build_f_posdef(P: MatPoly, A) -> PolyCoeff:
+def build_f_posdef(P: MatPoly, A) -> Coefficient:
     """Heat-flow a column-homogeneous P into a coefficient for posdef A."""
     alpha = _required_degree(P, "P")
     f = exp_trace_laplace(P, [[int(x) for x in row] for row in np.asarray(A).tolist()],
                           _MINUS_EIGHTH_OVER_PI)
-    return PolyCoeff(f, P, alpha)
+    return Coefficient(f, P, alpha)
 
 
-def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition) -> IndefCoeff:
+def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition) -> Coefficient:
     """Compose P+ and P- with the definite-split projectors and heat-flow.
 
     The projectors, M and A- are exact rationals whenever the matrix absolute
@@ -161,10 +143,10 @@ def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition)
     gpoly = exp_trace_laplace(comp, M, _MINUS_EIGHTH_OVER_PI)
     B = [[PiScalar.from_parts(2 * Fraction(aminus[a][b]), 0, 1) for b in range(m)] for a in range(m)]
     g = ExpQuadPoly(gpoly, B)
-    return IndefCoeff(g, comp, alpha, beta, dec.s)
+    return Coefficient(g, comp, alpha, beta, dec.s)
 
 
-def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = None) -> "PolyCoeff | IndefCoeff":
+def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = None) -> Coefficient:
     """One entry point for both signatures of the form."""
     if dec.s == 0:
         if P_minus is not None and P_minus.degree() > 0:
@@ -194,7 +176,7 @@ class ThetaSpec:
 
     __slots__ = ("dec", "coeff", "H", "K", "n")
 
-    def __init__(self, dec: QuadFormDecomposition, coeff, H, K, validate: bool = True):
+    def __init__(self, dec: QuadFormDecomposition, coeff, H, K):
         self.dec = dec
         self.coeff = coeff
         H = [list(row) for row in H]
@@ -206,8 +188,7 @@ class ThetaSpec:
         self.n = ncols
         if coeff.poly_part.m != dec.m or coeff.poly_part.n != ncols:
             raise ValueError("coefficient shape does not match the characteristics")
-        if validate:
-            self._validate_pde()
+        self._validate_pde()
 
     def _validate_pde(self):
         A = [[int(x) for x in row] for row in self.dec.A.tolist()]
@@ -273,17 +254,22 @@ def theta_spec(A, P_plus=None, P_minus=None, H=None, K=None, n: int = 1) -> Thet
 def theta1_majorant(x: float) -> float:
     """Upper bound of 1 + 2 sum_k exp(-x k^2); dominates every shifted 1-D sum.
 
-    Sums k = 1..K, stopping at a negligible term or at K = 200,000, then adds
-    the integral bound of the rest, 2 sum_{k > K} exp(-x k^2) <=
-    sqrt(pi/x) erfc(K sqrt(x)); for tiny x that rest is most of the value.
-    The factor 1 + (K + 128) 2^-52 covers the rounding of the K additions
-    and of each term (the exponents stay below about 40).
+    For x >= 1e-4 it sums k = 1..K until a term is negligible (K < 600
+    there), then adds the integral bound of the rest, 2 sum_{k > K}
+    exp(-x k^2) <= sqrt(pi/x) erfc(K sqrt(x)).  The factor
+    1 + (K + 128) 2^-52 covers the rounding of the K additions and of each
+    term (the exponents stay below about 40).  Below 1e-4 Poisson summation
+    gives the value as sqrt(pi/x) (1 + 2 sum_n exp(-pi^2 n^2 / x)), whose
+    dual sum is below exp(-98,000); the factor 1 + 2^-49 covers it and the
+    rounding of sqrt(pi/x).
     """
     if x <= 0:
         raise ValueError("need a positive exponent scale")
+    if x < 1e-4:
+        return math.sqrt(math.pi / x) * (1.0 + 2.0**-49)
     acc = 1.0
     K = 0
-    while K < 200_000:
+    while K < 1000:
         t = 2.0 * math.exp(-x * (K + 1) * (K + 1))
         acc += t
         K += 1
@@ -307,8 +293,12 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
             Th *= theta1_majorant(b * d)
         lead = Cp * Kpoly * Th
         R2 = max(0.0, math.log(lead / eps) / (math.pi * rho)) if lead > eps else 0.0
+        tail = lead * math.exp(-math.pi * rho * R2)
+        while tail > eps:  # the logarithm rounds R^2 a few ulps short
+            R2 = math.nextafter(R2, math.inf)
+            tail = lead * math.exp(-math.pi * rho * R2)
         if best is None or R2 < best[1]:
-            best = (rho, R2, lead * math.exp(-math.pi * rho * R2))
+            best = (rho, R2, tail)
     return best
 
 
@@ -382,52 +372,61 @@ class ThetaValue:
         return "ThetaValue(%r, tail<=%.2e, terms=%d)" % (self.value, self.tail_bound, self.terms)
 
 
-def _phases(U, Af, Zmat, AK):
-    """tr(U^T A U Z)/2 + tr(K^T A U) for a batch of real U."""
-    AU = np.matmul(Af, U)
-    Q = np.matmul(np.transpose(U, (0, 2, 1)), AU)
-    tau = 0.5 * np.einsum("xij,ji->x", Q, Zmat)
-    if AK is not None:
-        tau = tau + np.einsum("aj,xaj->x", AK, U)
-    return tau
+def term_phase(spec: ThetaSpec, Z: SiegelPoint):
+    """U -> e(tau(U)) for a batch of real U, the phase of every series term:
+
+        tau(U) = tr(U^T A U Z)/2 + tr(K^T A U) - i tr(U^T A- U Y),
+
+    with the A- part only for an indefinite form.  |e(tau(U))| =
+    exp(-pi tr(U^T M U Y)), as M = A - 2 A-.  Re tau is reduced mod 1 before
+    the exponential.
+    """
+    Af = spec.A.astype(float)
+    AK = Af @ spec.K_floats()
+    if not np.any(AK):
+        AK = None
+    aminus = spec.dec.aminus if spec.dec.s > 0 else None
+    Zmat, Y = Z.Z, Z.Y
+
+    def phase(U):
+        Ut = np.transpose(U, (0, 2, 1))
+        tau = 0.5 * np.einsum("xij,ji->x", np.matmul(Ut, np.matmul(Af, U)), Zmat)
+        if AK is not None:
+            tau = tau + np.einsum("aj,xaj->x", AK, U)
+        expo = -2.0 * math.pi * tau.imag
+        if aminus is not None:
+            Qm = np.matmul(Ut, np.matmul(aminus, U))
+            expo = expo + 2.0 * math.pi * np.einsum("xij,ji->x", Qm, Y)
+        turns = tau.real - np.round(tau.real)
+        return np.exp(expo + 2j * math.pi * turns)
+
+    return phase
 
 
 def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, poly, sig2: float,
-                    Ysq, phase_forms, Bc, pref: float) -> ThetaValue:
-    """pref times the certified sum over U in H + Z^{m x n} of
+                    Ysq, pref: float) -> ThetaValue:
+    """pref times the certified sum over U in H + Z^{m x n} of poly(W) e(tau(U)),
 
-        poly(W) exp(tr(W^T Bc W)) e(sum_k tr(U^T A_k U Z_k)/2 + tr(K^T A U)),
-
-    with W = U Ysq (W = U when Ysq is None, no Gaussian when Bc is None) and
-    phase_forms the list of pairs (A_k, Z_k).  The tail budget is eps / pref,
-    so the returned tail bound is at most eps.
+    with tau the term_phase and W = U Ysq (W = U when Ysq is None).  The tail
+    budget is the largest float b with pref * b <= eps, so the returned tail
+    bound is at most eps.
     """
     cap = point_cap_from_env(point_cap)
     m, n = spec.m, spec.n
     G = np.kron(Z.Y, spec.dec.M)
     c = spec.H_floats().T.reshape(-1)
-    AK = spec.A.astype(float) @ spec.K_floats()
-    if not np.any(AK):
-        AK = None
+    phase = term_phase(spec, Z)
 
     def summand(rows):
         U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
         W = U if Ysq is None else np.matmul(U, Ysq)
-        vals = eval_batch(poly, W)
-        tau = _phases(U, *phase_forms[0], AK)
-        for Ak, Zk in phase_forms[1:]:
-            tau = tau + _phases(U, Ak, Zk, None)
-        expo = -2.0 * math.pi * tau.imag
-        turns = tau.real
-        if Bc is not None:
-            gq = np.einsum("xaj,ab,xbj->x", W, Bc, W)
-            expo = expo + gq.real
-            turns = turns + gq.imag / (2.0 * math.pi)
-        turns = turns - np.round(turns)
-        return vals * np.exp(expo + 2j * math.pi * turns)
+        return eval_batch(poly, W) * phase(U)
 
+    budget = eps / pref
+    while pref * budget > eps:
+        budget = math.nextafter(budget, 0.0)
     total, tail, used, R2, rho, gross = certified_lattice_sum(
-        G, c, eps / pref, poly.coeff_norm(), poly.degree(), sig2, summand, cap)
+        G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, cap)
     return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
 
 
@@ -439,8 +438,7 @@ def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     Y = Z.Y
     pref = float(np.linalg.det(Y)) ** (-float(spec.coeff.lam) / 2.0)
     sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))
-    return _lattice_series(spec, Z, eps, point_cap, spec.coeff.poly_part, sig2, sqrt_posdef(Y),
-                           [(spec.A.astype(float), Z.Z)], spec.coeff.gaussian_complex(), pref)
+    return _lattice_series(spec, Z, eps, point_cap, spec.coeff.poly_part, sig2, sqrt_posdef(Y), pref)
 
 
 def borcherds_poly(spec: ThetaSpec, Y: np.ndarray) -> MatPoly:
@@ -451,7 +449,7 @@ def borcherds_poly(spec: ThetaSpec, Y: np.ndarray) -> MatPoly:
 
 def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
                          point_cap=None) -> ThetaValue:
-    """The unslashed normal form: polynomial in U, split phase in Z and conj(Z).
+    """The unslashed normal form: the Borcherds polynomial at U, the same phase.
 
     Satisfies theta_eval(spec, Z) = det(Y)^(s/2 + beta) * this value.
     """
@@ -459,6 +457,4 @@ def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
         raise ValueError("point genus does not match the characteristics")
     Y = Z.Y
     sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
-    phase_forms = [(spec.dec.aplus, Z.Z), (spec.dec.aminus, np.conj(Z.Z))]
-    return _lattice_series(spec, Z, eps, point_cap, borcherds_poly(spec, Y), sig2, None,
-                           phase_forms, None, 1.0)
+    return _lattice_series(spec, Z, eps, point_cap, borcherds_poly(spec, Y), sig2, None, 1.0)

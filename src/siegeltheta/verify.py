@@ -40,11 +40,11 @@ from .scalars import PiScalar
 from .siegel import SiegelPoint, det_power, random_siegel_point
 from .theta import (
     ThetaSpec,
-    _phases,
     borcherds_poly,
     build_coeff,
     certified_lattice_sum,
     point_cap_from_env,
+    term_phase,
     theta_eval,
     theta_eval_borcherds,
     theta_spec,
@@ -336,13 +336,12 @@ def check_gauss_transform(p: MatPoly, V, tol: float = 1e-8,
     Vf = np.asarray(V, dtype=float).reshape(m, n)
     eye = [[int(i == j) for j in range(m)] for i in range(m)]
     closed = exp_trace_laplace(p, eye, PiScalar.from_parts(Fraction(1, 4), 0, -1)).eval(Vf)
-    shift = Vf.T.reshape(-1)
+    # exp(-pi tr(U^T U)) is the term phase of the form I at Z = i I
+    gauss = term_phase(theta_spec(eye, n=n), SiegelPoint(1j * np.eye(n)))
 
     def fn(pts):
-        U = (pts + shift).reshape(-1, n, m).transpose(0, 2, 1)
-        vals = eval_batch(p, U)
-        expo = -math.pi * np.sum(pts * pts, axis=1)
-        return vals * np.exp(expo)
+        U = pts.reshape(-1, n, m).transpose(0, 2, 1)
+        return eval_batch(p, U + Vf) * gauss(U)
 
     Cp = p.coeff_norm() * (1.0 + float(np.linalg.norm(Vf))) ** p.degree()
     L = _gaussian_box(Cp, p.degree(), 1.0, dim, quad_eps / 10.0)
@@ -352,57 +351,37 @@ def check_gauss_transform(p: MatPoly, V, tol: float = 1e-8,
                        {"box": L, "nodes": nodes, "drift": drift})
 
 
-def _fz_closure(spec: ThetaSpec, Z: SiegelPoint):
-    """f_Z as a numeric batch closure U -> f_Z(U) plus its polynomial factor.
-
-    f_Z(U) = p_Z(U) e(tr(U^T A U Z)/2), with p_Z the Y^(-1)-weighted heat
-    flow of the source polynomial and, for an indefinite form, the split
-    Gaussian exp(2 pi tr(U^T A- U Y)) included.  The absolute value is
-    bounded by |p_Z(U)| exp(-pi tr(U^T M U Y)).
-    """
-    Y = Z.Y
-    pB = borcherds_poly(spec, Y)
-    Af = spec.A.astype(float)
-    aminus = spec.dec.aminus
-    Zmat = Z.Z
-    indefinite = spec.dec.s > 0
-
-    def fn(U):
-        vals = eval_batch(pB, U)
-        out = vals * np.exp(2j * math.pi * _phases(U, Af, Zmat, None))
-        if indefinite:
-            gq = np.einsum("xaj,ab,xbk,kj->x", U, aminus, U, Y)
-            out = out * np.exp(2.0 * math.pi * gq)
-        return out
-
-    return fn, pB
+def _zero_characteristics(spec: ThetaSpec) -> ThetaSpec:
+    zero = [[0] * spec.n for _ in range(spec.m)]
+    return spec.with_characteristics(H=zero, K=zero)
 
 
 def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen") -> complex:
-    """The closed form of the transform of f_Z, evaluated at V."""
-    m, n = spec.m, spec.n
-    dec = spec.dec
-    V = np.asarray(V, dtype=float).reshape(m, n)
-    Zmat = Z.Z
-    Zinv = np.linalg.inv(Zmat)
-    deta = float(dec.form.det)
-    if form == "plain":
-        if dec.s != 0:
-            raise ValueError("the plain closed form needs a positive definite A")
-        p = spec.coeff.f
-        heat = exp_trace_laplace_weighted(
-            p, [[int(x) for x in row] for row in spec.A.tolist()],
-            [[PiScalar.from_number(complex(x)) for x in row] for row in Zinv.tolist()],
-            PiScalar.from_parts(0, Fraction(1, 4), -1))
-        quad = -0.5 * complex(np.trace(V.T @ spec.A.astype(float) @ V @ Zinv))
-        return (deta ** (-n / 2.0) * det_power(-1j * Zmat, -m / 2.0)
-                * cmath.exp(2j * math.pi * quad) * heat.eval(-V @ Zinv))
-    if form != "eigen":
+    """The closed form of the transform of f_Z, evaluated at V.
+
+    f_Z(U) = p(U) e(tau(U)) is a series term at Z with K = 0 (term_phase):
+    p is spec.coeff.f for the plain form and the Borcherds polynomial at Y
+    for the eigen form.  Its transform is, up to a prefactor, the same kind
+    of term at W = -Z^-1.
+    """
+    if form not in ("plain", "eigen"):
         raise ValueError("form must be 'plain' or 'eigen'")
+    if form == "plain" and spec.dec.s != 0:
+        raise ValueError("the plain closed form needs a positive definite A")
+    m, n = spec.m, spec.n
+    V = np.asarray(V, dtype=float).reshape(m, n)
+    Zinv = np.linalg.inv(Z.Z)
     W = SiegelPoint(-Zinv)
-    fz, _ = _fz_closure(spec, W)
-    fval = complex(fz(V.reshape(1, m, n))[0])
-    return _fourier_prefactor(spec, Z, W) * fval
+    phase = complex(term_phase(_zero_characteristics(spec), W)(V[None])[0])
+    if form == "eigen":
+        pB = borcherds_poly(spec, W.Y)
+        return _fourier_prefactor(spec, Z, W) * complex(eval_batch(pB, V[None])[0] * phase)
+    heat = exp_trace_laplace_weighted(
+        spec.coeff.f, [[int(x) for x in row] for row in spec.A.tolist()],
+        [[PiScalar.from_number(complex(x)) for x in row] for row in Zinv.tolist()],
+        PiScalar.from_parts(0, Fraction(1, 4), -1))
+    return (float(spec.dec.form.det) ** (-n / 2.0) * det_power(-1j * Z.Z, -m / 2.0)
+            * phase * heat.eval(-V @ Zinv))
 
 
 def _fourier_prefactor(spec: ThetaSpec, Z: SiegelPoint, W: SiegelPoint) -> complex:
@@ -434,31 +413,19 @@ def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
     if dim > 2:
         raise ValueError("quadrature checks are limited to two real dimensions")
     V = np.asarray(V, dtype=float).reshape(m, n)
-    Af = spec.A.astype(float)
-    AV = Af @ V
-
-    if form == "plain":
-        if spec.dec.s != 0:
-            raise ValueError("the plain transform needs a positive definite A")
-        poly = spec.coeff.f
-        Zmat = Z.Z
-
-        def base(U):
-            return eval_batch(poly, U) * np.exp(2j * math.pi * _phases(U, Af, Zmat, None))
-
-        bound_poly = poly
-    else:
-        base, bound_poly = _fz_closure(spec, Z)
+    closed = fourier_closed_form(spec, Z, V, form)
+    AV = spec.A.astype(float) @ V
+    poly = spec.coeff.f if form == "plain" else borcherds_poly(spec, Z.Y)
+    phase = term_phase(_zero_characteristics(spec), Z)
 
     def fn(pts):
         U = pts.reshape(-1, n, m).transpose(0, 2, 1)
         pair = np.einsum("aj,xaj->x", AV, U)
-        return base(U) * np.exp(2j * math.pi * pair)
+        return eval_batch(poly, U) * phase(U) * np.exp(2j * math.pi * pair)
 
     lam = float(np.min(np.linalg.eigvalsh(spec.dec.M)) * np.min(np.linalg.eigvalsh(Z.Y)))
-    L = _gaussian_box(bound_poly.coeff_norm(), bound_poly.degree(), lam, dim, quad_eps / 10.0)
+    L = _gaussian_box(poly.coeff_norm(), poly.degree(), lam, dim, quad_eps / 10.0)
     got, nodes, drift = _refined_quad(fn, dim, L, quad_eps)
-    closed = fourier_closed_form(spec, Z, V, form)
     residual = abs(got - closed)
     return CheckReport("fourier_" + form, residual, tol, got, closed,
                        {"box": L, "nodes": nodes, "drift": drift})
@@ -475,13 +442,13 @@ def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     """
     cap = point_cap_from_env(point_cap)
     m, n = spec.m, spec.n
-    zero = [[0] * n for _ in range(m)]
-    spec0 = spec.with_characteristics(H=zero, K=zero)
+    spec0 = _zero_characteristics(spec)
     lhs = theta_eval_borcherds(spec0, Z, eps, cap)
 
     W = SiegelPoint(-np.linalg.inv(Z.Z))
     Ytil = W.Y
-    fz, pB = _fz_closure(spec0, W)
+    pB = borcherds_poly(spec0, Ytil)
+    phase = term_phase(spec0, W)
     pref = _fourier_prefactor(spec, Z, W)
     dec = spec.dec
 
@@ -492,7 +459,7 @@ def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     def summand(rows):
         Wm = rows.astype(float).reshape(-1, n, m).transpose(0, 2, 1)
         Vm = np.einsum("ab,xbj->xaj", Ainv, Wm)
-        return fz(Vm)
+        return eval_batch(pB, Vm) * phase(Vm)
 
     total, tail, used, _, _, gross = certified_lattice_sum(
         GW, np.zeros(m * n), eps, pB.coeff_norm(), pB.degree(), sig2, summand, cap)

@@ -1,5 +1,6 @@
 """Theta evaluation against independent direct-sum oracles and closed forms."""
 
+import cmath
 import functools
 import math
 from fractions import Fraction
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
-from siegeltheta.polyalg import MatPoly, basis_homopol
+from siegeltheta.polyalg import MatPoly, basis_homopol, eval_batch, minor_poly
 import siegeltheta.theta as theta
 from siegeltheta.quadform import decompose, lattice_blocks, named_form
-from siegeltheta.siegel import SiegelPoint
+from siegeltheta.siegel import SiegelPoint, sqrt_posdef
 from siegeltheta.theta import (
     ThetaSpec,
+    borcherds_poly,
     build_coeff,
     build_f_posdef,
     build_g_indef,
@@ -126,7 +128,68 @@ def test_tail_bound_honesty():
 def test_theta1_majorant_is_above_the_gaussian_integral(x):
     # Poisson summation: sum_{k in Z} exp(-x k^2) = sqrt(pi/x) sum_n exp(-pi^2 n^2 / x)
     # >= sqrt(pi/x); a majorant that drops its tail or its rounding falls below
-    assert theta.theta1_majorant(float(x)) >= math.sqrt(math.pi / x)
+    got = theta.theta1_majorant(float(x))
+    assert got >= math.sqrt(math.pi / x)
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(float(x))
+        dual = mpmath.sqrt(mpmath.pi / xm) * mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi ** 2 / xm))
+        assert mpmath.mpf(got) >= dual
+        if x <= 1e-4:
+            # a cut-off sum plus the integral of the rest overshoots by up to
+            # 0.24 / K relative; the Poisson form does not
+            assert mpmath.mpf(got) <= dual * (1 + mpmath.mpf(10) ** -6)
+
+
+_Z1 = SiegelPoint(np.array([[0.3 + 1.1j]]))
+_Z2 = SiegelPoint(np.array([[0.3 + 1.2j, -0.1 + 0.2j], [-0.1 + 0.2j, 0.2 + 0.9j]]))
+
+
+@pytest.mark.parametrize("eps", np.geomspace(1e-6, 7e-13, 9))
+@pytest.mark.parametrize("form, Z", [("e8", _Z1), ("diag:2,-2", _Z1), ("diag:2,-2", _Z2),
+                                     ("h2", _Z1), ("diag:2", _Z1)])
+def test_tail_bound_never_exceeds_eps(form, Z, eps):
+    # R^2 from a logarithm and the det(Y) prefactor each used to round the
+    # bound a few ulps above eps
+    spec = theta_spec(form, n=Z.n)
+    for evaluate in (theta_eval, theta_eval_borcherds):
+        assert evaluate(spec, Z, eps=float(eps)).tail_bound <= eps
+
+
+def _abs_poly(p):
+    return MatPoly(p.m, p.n, {e: c.abs_norm() for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("Z", [_Z1, _Z2], ids=["genus1", "genus2"])
+@pytest.mark.parametrize("form", ["e8", "h2", "h2+e8", "diag:2,2,-2", [[2, 1], [1, -3]]], ids=str)
+def test_term_modulus_is_the_certificate_gaussian(form, Z):
+    # the tail certificate rests on |term| = |poly(W)| exp(-pi tr(U^T M U Y))
+    # for both evaluators; theta_eval's terms also match the scalar oracle
+    # f(W) e(tr(U^T A U Z)/2 + tr(K^T A U)), Gaussian factor included
+    A = named_form(form) if isinstance(form, str) else np.array(form)
+    m, n = A.shape[0], Z.n
+    P = MatPoly.variable(m, 1, 0, 0) if n == 1 else minor_poly(m, 2, (0, 1))
+    H = [[Fraction(1, 2) if a == 0 else 0] * n for a in range(m)]
+    K = [[Fraction(1, 3) if a == m - 1 else 0] * n for a in range(m)]
+    spec = theta_spec(A, P_plus=P, H=H, K=K, n=n)
+    rng = np.random.default_rng(5)
+    U = spec.H_floats() + rng.integers(-1, 2, size=(300, m, n))
+    q = np.einsum("xaj,ab,xbk,kj->x", U, spec.dec.M, U, Z.Y)
+    U, q = U[q < 60], q[q < 60]
+    assert len(U) >= 20
+    phase = theta.term_phase(spec, Z)(U)
+    Ysq = sqrt_posdef(Z.Y)
+    for poly, W in ((spec.coeff.poly_part, U @ Ysq), (borcherds_poly(spec, Z.Y), U)):
+        vals = eval_batch(poly, W)
+        want = np.abs(vals) * np.exp(-math.pi * q)
+        assert np.all(np.abs(np.abs(vals * phase) - want) <= 1e-12 * want)
+    W = U @ Ysq
+    terms = eval_batch(spec.coeff.poly_part, W) * phase
+    AK = A @ spec.K_floats()
+    for k in range(len(U)):
+        tau = 0.5 * np.trace(U[k].T @ A @ U[k] @ Z.Z) + np.sum(AK * U[k])
+        want = spec.coeff.f.eval(W[k]) * cmath.exp(2j * math.pi * tau)
+        scale = _abs_poly(spec.coeff.poly_part).eval(np.abs(W[k])).real * math.exp(-math.pi * q[k])
+        assert abs(terms[k] - want) <= 1e-12 * scale
 
 
 def test_block_size_moves_the_sum_by_ulps_only(monkeypatch):

@@ -11,7 +11,10 @@ Subcommands:
 All output is JSON on standard output with sorted keys; rational numbers are
 encoded as strings like "-3/2" so characteristics survive the round trip
 exactly.  Exit codes: 0 success, 1 invalid input, 2 a check failed,
-3 enumeration cap exceeded (see THETA_MAX_POINTS).
+3 enumeration cap exceeded (see THETA_MAX_POINTS).  A standard output that
+the reader has closed (as in `siegeltheta verify ... | head -1`) is not an
+error: the rest of the output is dropped, nothing is written to standard
+error, and the exit code is the command's own.
 """
 
 from __future__ import annotations
@@ -33,8 +36,13 @@ from .verify import run_suite
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(obj, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is left, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _fail(message: str, code: int) -> int:

@@ -16,6 +16,13 @@ solver for the space of det-homogeneous polynomials of a given degree.
 Coefficients are exact (see scalars.PiScalar); numeric evaluation substitutes
 pi and converts to complex only at the end.  Exponent keys are flat row-major
 tuples of length m*n.
+
+Numeric evaluation goes through a CompiledPoly: an int exponent matrix and a
+complex coefficient vector.  A HeatPlan compiles the heat flow of one source
+polynomial for every weight matrix at once: the entries of Delta_A commute,
+so exp(tr(Delta_A W)) P is a linear combination of the exact operator words
+L^alpha P, computed once, with coefficients that are monomials in the
+entries of W, evaluated in floats per weight matrix.
 """
 
 from __future__ import annotations
@@ -650,22 +657,6 @@ def minor_poly(m: int, n: int, row_subset) -> MatPoly:
     return out
 
 
-def minor_product_polys(m: int, n: int, alpha: int):
-    """All alpha-fold products of n x n minors of U (a spanning set, not a basis)."""
-    if alpha == 0:
-        return [MatPoly.one(m, n)]
-    if m < n:
-        return []
-    minors = [minor_poly(m, n, rows) for rows in itertools.combinations(range(m), n)]
-    out = []
-    for combo in itertools.combinations_with_replacement(range(len(minors)), alpha):
-        prod = MatPoly.one(m, n)
-        for k in combo:
-            prod = prod * minors[k]
-        out.append(prod)
-    return out
-
-
 # ==== numeric batch evaluation =============================================
 
 
@@ -686,25 +677,63 @@ def _mul_into(a, b):
         a[0] = re
 
 
-def eval_batch(p: MatPoly, W: np.ndarray) -> np.ndarray:
-    """Evaluate p at a batch of matrices, W of shape (batch, m, n).
+class CompiledPoly:
+    """A polynomial ready for numeric evaluation.
 
-    The T terms become an exponent matrix E (T x mn) and a coefficient vector.
-    Rows are taken in chunks of max(64, 2^16 // T): per chunk, each variable
-    gets a table of its powers 0..max(E) by repeated multiplication, the
-    monomial table (T x chunk) is the product of one gathered power row per
-    variable, and two-operand einsums contract it with the coefficients.  The
-    working set stays near 512 KB (1 MB for complex W) whatever the batch
-    size, and every row's value comes from the same real operations in the
-    same order, so it does not depend on the batch it came in:
-    eval_batch(p, W)[k] is bitwise eval_batch(p, W[k:k+1])[0].
+    exponents is a T x mn int matrix, one row per term, and coef the T complex
+    coefficients.  terms is the exponent matrix, so len(p.terms) counts the
+    terms as it does for a MatPoly.
     """
+
+    __slots__ = ("m", "n", "exponents", "coef")
+
+    def __init__(self, m: int, n: int, exponents: np.ndarray, coef: np.ndarray):
+        self.m = m
+        self.n = n
+        self.exponents = exponents
+        self.coef = coef
+
+    @property
+    def terms(self) -> np.ndarray:
+        return self.exponents
+
+    def degree(self) -> int:
+        """Largest total degree of a row; the empty polynomial reports 0."""
+        return int(self.exponents.sum(axis=1).max(initial=0))
+
+    def coeff_norm(self) -> float:
+        return math.fsum(np.abs(self.coef))
+
+
+def compile_poly(p) -> CompiledPoly:
+    """p as a CompiledPoly, pi substituted; a CompiledPoly is returned as it is."""
+    if isinstance(p, CompiledPoly):
+        return p
+    E = np.array(list(p.terms), dtype=np.intp).reshape(len(p.terms), p.m * p.n)
+    coef = np.array([c.to_complex() for c in p.terms.values()], dtype=complex)
+    return CompiledPoly(p.m, p.n, E, coef)
+
+
+def eval_batch(p, W: np.ndarray) -> np.ndarray:
+    """Evaluate p (a MatPoly or CompiledPoly) at a batch of matrices, W of shape (batch, m, n).
+
+    A MatPoly is compiled first: its T terms become an exponent matrix E
+    (T x mn) and a coefficient vector.  Rows are taken in chunks of
+    max(64, 2^16 // T): per chunk, each variable gets a table of its powers
+    0..max(E) by repeated multiplication, the monomial table (T x chunk) is
+    the product of one gathered power row per variable, and two-operand
+    einsums contract it with the coefficients.  The working set stays near
+    512 KB (1 MB for complex W) whatever the batch size, and every row's
+    value comes from the same real operations in the same order, so it does
+    not depend on the batch it came in: eval_batch(p, W)[k] is bitwise
+    eval_batch(p, W[k:k+1])[0].
+    """
+    p = compile_poly(p)
+    E, coef = p.exponents, p.coef
     rows = W.shape[0]
     out = np.zeros(rows, dtype=complex)
-    if not p.terms or rows == 0:
+    if not len(E) or rows == 0:
         return out
-    E = np.array(list(p.terms), dtype=np.intp)
-    coef = np.array([c.to_complex() for c in p.terms.values()])
     top = int(E.max())
     if top == 0:
         out[:] = coef[0]
@@ -735,6 +764,58 @@ def eval_batch(p: MatPoly, W: np.ndarray) -> np.ndarray:
         out.real[lo:lo + chunk] = re
         out.imag[lo:lo + chunk] = im
     return out
+
+
+class HeatPlan:
+    """exp(tr(Delta_A W)) P for every n x n weight matrix W, from exact words built once.
+
+    The entries (Delta_A)_ij with i <= j commute, so with the weights
+    w = (W_11, W_12 + W_21, ..., W_22, ...), each off-diagonal entry taken
+    once as in trace_laplace_weighted,
+
+        exp(tr(Delta_A W)) P = sum_alpha w^alpha L^alpha P / alpha!,
+
+    where L^alpha applies entry e alpha_e times.  Every nonzero word
+    L^alpha P / alpha! is computed exactly, once, as one laplace_entry of an
+    earlier word; each entry lowers the degree by two, so there are finitely
+    many.  exponents is the union of their monomials (T x mn), coef their
+    pi-substituted coefficients (T x words) and alphas the multi-indices
+    (words x entries).  flow(W) is then one float matrix-vector product.
+    """
+
+    __slots__ = ("m", "n", "entries", "alphas", "exponents", "coef")
+
+    def __init__(self, P: MatPoly, A):
+        self.m, self.n = P.m, P.n
+        self.entries = [(i, j) for i in range(P.n) for j in range(i, P.n)]
+        words = [((0,) * len(self.entries), P)]
+        frontier = words
+        while frontier:
+            grown = []
+            for alpha, word in frontier:
+                # every multiset of entries once: extend at or after the last one used
+                last = max((e for e, k in enumerate(alpha) if k), default=0)
+                for e in range(last, len(self.entries)):
+                    child = laplace_entry(word, A, *self.entries[e])
+                    if not child.is_zero():
+                        beta = alpha[:e] + (alpha[e] + 1,) + alpha[e + 1:]
+                        grown.append((beta, child * Fraction(1, beta[e])))
+            words = words + grown
+            frontier = grown
+        monomials = sorted({e for _, word in words for e in word.terms})
+        self.alphas = np.array([alpha for alpha, _ in words], dtype=np.intp)
+        self.exponents = np.array(monomials, dtype=np.intp).reshape(len(monomials), P.m * P.n)
+        self.coef = np.array(
+            [[word.terms[e].to_complex() if e in word.terms else 0j for _, word in words]
+             for e in monomials], dtype=complex).reshape(len(monomials), len(words))
+
+    def flow(self, W) -> CompiledPoly:
+        """exp(tr(Delta_A W)) P, compiled, for a real or complex n x n array W."""
+        W = np.asarray(W)
+        w = np.array([W[i, i] if i == j else W[j, i] + W[i, j] for i, j in self.entries])
+        # einsum, not a matrix product (see eval_batch)
+        coef = np.einsum("ta,a->t", self.coef, np.prod(w ** self.alphas, axis=1))
+        return CompiledPoly(self.m, self.n, self.exponents, coef)
 
 
 # ==== JSON round trip ======================================================

@@ -154,9 +154,6 @@ class PiScalar:
         inv = _ONE / q
         return PiScalar({k: (re * inv, im * inv) for k, (re, im) in self._c.items()})
 
-    def conjugate(self) -> "PiScalar":
-        return PiScalar({k: (re, -im) for k, (re, im) in self._c.items()})
-
     # ---- inspection ----------------------------------------------------
 
     def terms(self):
@@ -174,9 +171,6 @@ class PiScalar:
         return math.fsum(
             abs(complex(re, im)) * pi_value**k for k, (re, im) in self._c.items()
         )
-
-    def is_rational(self) -> bool:
-        return all(k == 0 and im == 0 for k, (re, im) in self._c.items())
 
     def __repr__(self):
         if not self._c:

@@ -35,8 +35,11 @@ is picked from a small grid to minimize the enumeration radius.
 
 theta_eval_borcherds computes the same series in its unslashed normal form,
 with W = U and the polynomial taken under a Y^(-1)-weighted heat operator;
-the two agree after multiplying by det(Y)^(s/2 + beta).  The Fourier and
-Poisson checks of verify sum and integrate the same terms with K = 0.
+the two agree after multiplying by det(Y)^(s/2 + beta).  That weight changes
+at every point, so the coefficient keeps a HeatPlan of its source polynomial
+(the exact operator words, built on first use) and each point combines them
+in floats.  The Fourier and Poisson checks of verify sum and integrate the
+same terms with K = 0.
 """
 
 from __future__ import annotations
@@ -50,15 +53,18 @@ import numpy as np
 from .errors import ResourceCapError
 from .exactlinalg import frac_matrix, identity_frac
 from .polyalg import (
+    CompiledPoly,
     ExpQuadPoly,
+    HeatPlan,
     MatPoly,
+    compile_poly,
     eval_batch,
     exp_trace_laplace,
-    exp_trace_laplace_weighted,
     homogeneity_degree,
     substitute_linear,
     vigneras_residual,
 )
+from .polyalg import exp_trace_laplace_weighted  # noqa: F401  (patched by perfbench tracing)
 from .quadform import QuadFormDecomposition, decompose, lattice_blocks, named_form
 from .scalars import PiScalar
 from .siegel import SiegelPoint, sqrt_posdef
@@ -83,10 +89,12 @@ class Coefficient:
 
     f is the heat-flowed MatPoly for a definite form and the split-Gaussian
     ExpQuadPoly g for an indefinite one; source is the polynomial the heat
-    flow started from.
+    flow started from.  plan is the HeatPlan of source under Delta_M, built
+    by heat_plan on the first weighted flow and shared by every spec that
+    shares the coefficient.
     """
 
-    __slots__ = ("f", "source", "alpha", "beta", "s", "lam")
+    __slots__ = ("f", "source", "alpha", "beta", "s", "lam", "plan")
 
     def __init__(self, f, source: MatPoly, alpha: int, beta: int = 0, s: int = 0):
         self.f = f
@@ -95,6 +103,7 @@ class Coefficient:
         self.beta = beta
         self.s = s
         self.lam = alpha - beta - s
+        self.plan = None
 
     @property
     def poly_part(self) -> MatPoly:
@@ -417,10 +426,12 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, poly
     c = spec.H_floats().T.reshape(-1)
     phase = term_phase(spec, Z)
 
+    compiled = compile_poly(poly)
+
     def summand(rows):
         U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
         W = U if Ysq is None else np.matmul(U, Ysq)
-        return eval_batch(poly, W) * phase(U)
+        return eval_batch(compiled, W) * phase(U)
 
     budget = eps / pref
     while pref * budget > eps:
@@ -441,10 +452,21 @@ def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     return _lattice_series(spec, Z, eps, point_cap, spec.coeff.poly_part, sig2, sqrt_posdef(Y), pref)
 
 
-def borcherds_poly(spec: ThetaSpec, Y: np.ndarray) -> MatPoly:
-    """The Y^(-1)-weighted heat flow of the source polynomial."""
-    return exp_trace_laplace_weighted(spec.coeff.source, spec.dec.fraction_matrix("M"),
-                                      frac_matrix(np.linalg.inv(Y).tolist()), _MINUS_EIGHTH_OVER_PI)
+def heat_plan(spec: ThetaSpec) -> HeatPlan:
+    """The coefficient's HeatPlan of its source polynomial under Delta_M, built once."""
+    coeff = spec.coeff
+    if coeff.plan is None:
+        coeff.plan = HeatPlan(coeff.source, spec.dec.fraction_matrix("M"))
+    return coeff.plan
+
+
+def borcherds_poly(spec: ThetaSpec, Y: np.ndarray) -> CompiledPoly:
+    """exp(-tr(Delta_M Y^-1) / 8 pi) of the source polynomial, compiled.
+
+    The exact words of heat_plan(spec) are combined with float weights from
+    Y^-1, so Y enters as a float, as it does everywhere else.
+    """
+    return heat_plan(spec).flow(np.linalg.inv(Y) * (-1.0 / (8.0 * math.pi)))
 
 
 def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,

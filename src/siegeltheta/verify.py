@@ -30,11 +30,11 @@ from .polyalg import (
     euler_entry,
     eval_batch,
     exp_trace_laplace,
-    exp_trace_laplace_weighted,
     laplace_entry,
     trace_laplace,
     vigneras_residual,
 )
+from .polyalg import exp_trace_laplace_weighted  # noqa: F401  (patched by perfbench tracing)
 from .quadform import coset_reps, decompose, named_form
 from .scalars import PiScalar
 from .siegel import SiegelPoint, det_power, random_siegel_point
@@ -43,6 +43,7 @@ from .theta import (
     borcherds_poly,
     build_coeff,
     certified_lattice_sum,
+    heat_plan,
     point_cap_from_env,
     term_phase,
     theta_eval,
@@ -362,7 +363,11 @@ def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen")
     f_Z(U) = p(U) e(tau(U)) is a series term at Z with K = 0 (term_phase):
     p is spec.coeff.f for the plain form and the Borcherds polynomial at Y
     for the eigen form.  Its transform is, up to a prefactor, the same kind
-    of term at W = -Z^-1.
+    of term at W = -Z^-1.  For the plain form that term carries
+    exp(tr(Delta_A (i/4 pi) Z^-1)) f; heat operators commute and
+    f = exp(-tr(Delta_A) / 8 pi) P, so it is the flow of P under the one
+    complex weight (i/4 pi) Z^-1 - I/(8 pi), taken from the coefficient's
+    HeatPlan (M = A for a definite form).
     """
     if form not in ("plain", "eigen"):
         raise ValueError("form must be 'plain' or 'eigen'")
@@ -376,12 +381,9 @@ def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen")
     if form == "eigen":
         pB = borcherds_poly(spec, W.Y)
         return _fourier_prefactor(spec, Z, W) * complex(eval_batch(pB, V[None])[0] * phase)
-    heat = exp_trace_laplace_weighted(
-        spec.coeff.f, [[int(x) for x in row] for row in spec.A.tolist()],
-        [[PiScalar.from_number(complex(x)) for x in row] for row in Zinv.tolist()],
-        PiScalar.from_parts(0, Fraction(1, 4), -1))
+    heat = heat_plan(spec).flow(Zinv * (1j / (4.0 * math.pi)) - np.eye(n) / (8.0 * math.pi))
     return (float(spec.dec.form.det) ** (-n / 2.0) * det_power(-1j * Z.Z, -m / 2.0)
-            * phase * heat.eval(-V @ Zinv))
+            * phase * complex(eval_batch(heat, (-V @ Zinv)[None])[0]))
 
 
 def _fourier_prefactor(spec: ThetaSpec, Z: SiegelPoint, W: SiegelPoint) -> complex:

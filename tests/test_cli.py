@@ -209,6 +209,24 @@ def test_verify_suite_green_and_byte_identical():
         assert all(c["passed"] for c in data["checks"])
 
 
+@pytest.mark.parametrize("args, code", [
+    (("verify", "--suite", "operators", "--genus", "2"), 0),
+    (("decompose", "--form", "no_such_file_or_fixture"), 1),
+], ids=["verify", "invalid-input"])
+def test_closed_stdout_exits_quietly_with_the_commands_code(args, code):
+    # the reader closes the pipe before the command writes, as `| head -1`
+    # does when it has its line
+    proc = subprocess.Popen([sys.executable, "-m", "siegeltheta.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert b"Traceback" not in err and err == b""
+    assert proc.returncode == code
+
+
 def test_fixtures_listing():
     proc = run_cli("fixtures", "--list")
     data = json.loads(proc.stdout)

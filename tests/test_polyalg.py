@@ -1,5 +1,6 @@
 """Operator algebra on matrix-argument polynomials, checked against sympy."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from siegeltheta.polyalg import (
     laplace_entry,
     matpoly_from_json,
     matpoly_to_json,
-    minor_product_polys,
+    minor_poly,
     substitute_linear,
     trace_laplace,
     trace_laplace_weighted,
@@ -255,6 +256,18 @@ def test_homogeneity_degree():
     assert homogeneity_degree(det2) == 1
     bad = MatPoly.variable(2, 2, 0, 0) + MatPoly.one(2, 2)
     assert homogeneity_degree(bad) is None
+
+
+def minor_product_polys(m: int, n: int, alpha: int):
+    """All alpha-fold products of n x n minors of U (a spanning set, not a basis)."""
+    minors = [minor_poly(m, n, rows) for rows in itertools.combinations(range(m), n)]
+    out = []
+    for combo in itertools.combinations_with_replacement(range(len(minors)), alpha):
+        prod = MatPoly.one(m, n)
+        for k in combo:
+            prod = prod * minors[k]
+        out.append(prod)
+    return out
 
 
 def test_minor_products_lie_in_solution_space():

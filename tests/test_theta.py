@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
-from siegeltheta.polyalg import MatPoly, basis_homopol, eval_batch, minor_poly
+import siegeltheta.polyalg as polyalg
+from siegeltheta.polyalg import (
+    MatPoly,
+    basis_homopol,
+    eval_batch,
+    exp_trace_laplace_weighted,
+    minor_poly,
+)
+from siegeltheta.scalars import PiScalar
 import siegeltheta.theta as theta
 from siegeltheta.quadform import decompose, lattice_blocks, named_form
 from siegeltheta.siegel import SiegelPoint, sqrt_posdef
@@ -114,6 +122,79 @@ def test_posdef_borcherds_path_identical():
     a = theta_eval(spec, Z_I, eps=1e-12)
     b = theta_eval_borcherds(spec, Z_I, eps=1e-12)
     assert a.value == pytest.approx(b.value, rel=1e-13)
+
+
+# ==== the Borcherds heat plan ===============================================
+
+A3 = [[2, 1, 0], [1, 2, 1], [0, 1, 4]]
+# Y whose float inverse is dyadic, so the exact weighted flow is an exact oracle
+DYADIC_Y = {
+    1: (np.array([[4.0]]), [[Fraction(1, 4)]]),
+    2: (np.array([[2.0, 1.0], [1.0, 1.0]]), [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]),
+}
+
+
+def _combination_spec(form, genus, alpha, seed):
+    """theta_spec with a seeded integer combination of basis_homopol(m, genus, alpha)."""
+    A = named_form(form) if isinstance(form, str) else np.array(form)
+    m = A.shape[0]
+    rng = np.random.default_rng(seed)
+    P = MatPoly.zero(m, genus)
+    for b in basis_homopol(m, genus, alpha):
+        P = P + b * int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return theta_spec(A, P_plus=P, n=genus)
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("form", [A3, "diag:2,2,-2", [[2, 1], [1, -3]]], ids=str)
+def test_borcherds_plan_matches_the_exact_flow(form, genus, alpha):
+    spec = _combination_spec(form, genus, alpha, seed=10 * genus + alpha)
+    Y, Yinv = DYADIC_Y[genus]
+    assert np.array_equal(np.linalg.inv(Y), np.array(Yinv, dtype=float))
+    exact = exp_trace_laplace_weighted(spec.coeff.source, spec.dec.fraction_matrix("M"), Yinv,
+                                       PiScalar.from_parts(Fraction(-1, 8), 0, -1))
+    want = {e: c.to_complex() for e, c in exact.terms.items()}
+    compiled = borcherds_poly(spec, Y)
+    got = {tuple(e.tolist()): c for e, c in zip(compiled.exponents, compiled.coef)}
+    assert len(got) == len(compiled.terms) and set(want) <= set(got)
+    scale = max(abs(c) for c in want.values())
+    assert max(abs(got[e] - want.get(e, 0.0)) for e in got) <= 1e-15 * scale
+    assert compiled.degree() == exact.degree()
+
+
+def test_borcherds_plan_is_compiled_once(monkeypatch):
+    spec = _combination_spec(A3, 2, 2, seed=1)
+    calls = []
+    laplace_entry = polyalg.laplace_entry
+
+    def counted(*args):
+        calls.append(args[1:])
+        return laplace_entry(*args)
+
+    monkeypatch.setattr(polyalg, "laplace_entry", counted)
+    Y = np.array([[0.7, 0.1], [0.1, 0.6]])
+    first = borcherds_poly(spec, Y)
+    assert calls  # the first weighted flow builds the plan
+    calls.clear()
+    again = borcherds_poly(spec, Y)
+    moved = spec.with_characteristics(H=[[Fraction(1, 2)] * 2, [0, 0], [0, 0]])
+    borcherds_poly(moved, 1.5 * Y)
+    theta_eval_borcherds(moved, SiegelPoint.from_xy(np.zeros((2, 2)), Y), eps=1e-6)
+    assert not calls
+    assert np.array_equal(first.coef, again.coef)
+
+
+@pytest.mark.parametrize("complex_w", [False, True])
+def test_compiled_rows_do_not_depend_on_the_batch(complex_w):
+    poly = borcherds_poly(_combination_spec(A3, 2, 3, seed=2), np.array([[0.7, 0.1], [0.1, 0.6]]))
+    rng = np.random.default_rng(3)
+    rows = 2 * max(64, 2**16 // len(poly.terms)) + 7
+    W = rng.uniform(-1.5, 1.5, size=(rows, 3, 2))
+    if complex_w:
+        W = W + 1j * rng.uniform(-1.5, 1.5, size=(rows, 3, 2))
+    alone = np.array([eval_batch(poly, W[k:k + 1])[0] for k in range(rows)])
+    assert np.array_equal(eval_batch(poly, W), alone)
 
 
 def test_tail_bound_honesty():

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegeltheta.polyalg import MatPoly
+from siegeltheta.polyalg import MatPoly, basis_homopol, exp_trace_laplace_weighted
 from siegeltheta.quadform import named_form
-from siegeltheta.siegel import SiegelPoint
-from siegeltheta.theta import theta_eval, theta_spec
+from siegeltheta.scalars import PiScalar
+from siegeltheta.siegel import SiegelPoint, det_power
+from siegeltheta.theta import term_phase, theta_eval, theta_spec
 from siegeltheta.verify import (
     check_borcherds_form,
     check_commutator,
@@ -20,6 +21,7 @@ from siegeltheta.verify import (
     check_translation,
     check_vigneras,
     e_of_fraction,
+    fourier_closed_form,
     run_suite,
     translation_data,
 )
@@ -126,6 +128,27 @@ def test_fourier_plain_and_eigen_agree():
     Z = SiegelPoint(np.array([[(1 + 3j) / 5]]))
     assert check_fourier(spec, Z, [[0.5]], form="plain").passed
     assert check_fourier(spec, Z, [[0.5]], form="eigen").passed
+
+
+@pytest.mark.parametrize("A, P, Z", [
+    ([[2]], MatPoly.variable(1, 1, 0, 0) ** 4, SiegelPoint(np.array([[(1 + 3j) / 5]]))),
+    ([[2, 1], [1, 2]], basis_homopol(2, 2, 1)[0],
+     SiegelPoint.from_xy([[0.2, -0.1], [-0.1, 0.3]], [[0.9, 0.2], [0.2, 0.7]])),
+], ids=["genus1", "genus2"])
+def test_plain_fourier_closed_form_matches_the_exact_flow_of_f(A, P, Z):
+    # the closed form flows P once under (i/4 pi) Z^-1 - I/(8 pi); the exact
+    # route flows f = exp(-tr(Delta_A)/8 pi) P under (i/4 pi) Z^-1
+    spec = theta_spec(A, P_plus=P, n=Z.n)
+    m, n = spec.m, spec.n
+    V = np.linspace(0.5, -0.25, m * n).reshape(m, n)
+    Zinv = np.linalg.inv(Z.Z)
+    heat = exp_trace_laplace_weighted(
+        spec.coeff.f, A, [[PiScalar.from_number(complex(x)) for x in row] for row in Zinv.tolist()],
+        PiScalar.from_parts(0, Fraction(1, 4), -1))
+    phase = term_phase(spec, SiegelPoint(-Zinv))(V[None])[0]
+    want = (float(np.linalg.det(A)) ** (-n / 2.0) * det_power(-1j * Z.Z, -m / 2.0)
+            * phase * heat.eval(-V @ Zinv))
+    assert fourier_closed_form(spec, Z, V, "plain") == pytest.approx(want, rel=1e-13)
 
 
 def test_fourier_indefinite():

@@ -586,6 +586,8 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
     deterministic order.  For m < n and alpha >= 1 the space is empty; the
     result coincides with the span of alpha-fold products of n x n minors.
     """
+    if min(m, n) < 1:
+        raise ValueError("%s must be positive, got %d" % (("m", m) if m < 1 else ("n", n)))
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if alpha == 0:
@@ -635,26 +637,6 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
         terms = {monomials[k]: vec[k] for k in range(len(monomials)) if vec[k]}
         basis.append(MatPoly(m, n, terms))
     return basis
-
-
-def minor_poly(m: int, n: int, row_subset) -> MatPoly:
-    """Determinant of the n x n submatrix of U on the given rows."""
-    rows = list(row_subset)
-    if len(rows) != n:
-        raise ValueError("need exactly n rows")
-    out = MatPoly.zero(m, n)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = MatPoly.constant(m, n, sign)
-        for j in range(n):
-            term = term * MatPoly.variable(m, n, rows[perm[j]], j)
-        out = out + term
-    return out
 
 
 # ==== numeric batch evaluation =============================================

@@ -241,6 +241,8 @@ def coset_column_reps(A):
 
 def coset_reps(A, n: int, cap: int = 100_000):
     """All m x n matrices J with columns in A^-1 Z^m / Z^m, abs(det A)^n of them."""
+    if n < 1:
+        raise ValueError("genus n must be positive, got %d" % n)
     a = as_form_array(A)
     count = abs(form_det(a)) ** n
     if count > cap:
@@ -298,7 +300,9 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
     points may be admitted (harmless for tail-certified sums; lattice_points
     refilters exactly).  Rows come in blocks of about block_size, in a
     deterministic order: ascending in each coordinate, last coordinate
-    outermost.
+    outermost.  Each interval is cast to int64 and allocated whole, so a
+    bound beyond 2^52 or one interval of more than point_cap candidates
+    raises ResourceCapError before that.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(center, dtype=float).reshape(-1)
@@ -309,6 +313,12 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
         return
     d, mu = _cholesky_data(G)
     slack = 1e-9 * (1.0 + abs(R2))
+    # bounds at level l lie within the ellipsoid's projection |c_l| + sqrt((R2 + slack)
+    # (G^-1)_ll), plus 1; an interval holds at most 2 sqrt((R2 + slack) / d_l) + 2 points
+    reach = np.abs(c) + np.sqrt((R2 + slack) * np.diag(np.linalg.inv(G))) + 1.0
+    if not np.all(reach < 2.0**52):
+        raise ResourceCapError("an enumeration bound of %.3g is beyond 2^52" % float(np.max(reach)))
+    wide = point_cap is not None and bool(np.any(2.0 * np.sqrt((R2 + slack) / d) + 2.0 > point_cap))
 
     buffer = []
     buffered = 0
@@ -348,6 +358,9 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
         lo = np.ceil(-mid - half - 1e-12).astype(np.int64)
         hi = np.floor(-mid + half + 1e-12).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
+        if wide and counts.max() > point_cap:
+            raise ResourceCapError("one enumeration interval holds %d candidates, above the %d point cap"
+                                   % (counts.max(), point_cap))
         ends = np.cumsum(counts)
         # Expand the longest prefix of parents with at most _FRONTIER_ROWS
         # children (always at least one parent); the rest go back on the stack

@@ -33,12 +33,16 @@ polynomial growth, d_i are the Cholesky pivots of kron(Y, M), theta1 is the
 one-dimensional majorant theta1(x) = 1 + 2 sum exp(-x k^2), and rho in (0,1)
 is picked from a small grid to minimize the enumeration radius.
 
+The right sides of the inversion and Poisson laws are the same series with
+U over the dual lattice H + A^-1 Z^{m x n} (dual_theta_eval), one certified
+sum with Gram matrix kron(Y, A^-1 M A^-1) rather than one per coset.
+
 theta_eval_borcherds computes the same series in its unslashed normal form,
 with W = U and the polynomial taken under a Y^(-1)-weighted heat operator;
 the two agree after multiplying by det(Y)^(s/2 + beta).  That weight changes
 at every point, so the coefficient keeps a HeatPlan of its source polynomial
 (the exact operator words, built on first use) and each point combines them
-in floats.  The Fourier and Poisson checks of verify sum and integrate the
+in floats.  The Fourier and Poisson checks of verify integrate and sum the
 same terms with K = 0.
 """
 
@@ -50,7 +54,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceCapError
 from .exactlinalg import frac_matrix, identity_frac
 from .polyalg import (
     CompiledPoly,
@@ -412,24 +415,45 @@ def term_phase(spec: ThetaSpec, Z: SiegelPoint):
     return phase
 
 
-def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, poly, sig2: float,
-                    Ysq, pref: float) -> ThetaValue:
-    """pref times the certified sum over U in H + Z^{m x n} of poly(W) e(tau(U)),
+def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borcherds: bool,
+                    L=None) -> ThetaValue:
+    """The plain or the Borcherds series of spec at Z, certified, over U in H + L Z^{m x n}.
 
-    with tau the term_phase and W = U Ysq (W = U when Ysq is None).  The tail
-    budget is the largest float b with pref * b <= eps, so the returned tail
-    bound is at most eps.
+    Every term is poly(W) e(tau(U)), tau the term_phase: the plain series has
+    poly = f, W = U Y^(1/2) and pref = det(Y)^(-lam/2), the Borcherds one the
+    Borcherds polynomial, W = U and pref = 1.  L is an invertible m x m
+    lattice basis (Z^m when None); the sum runs over the integer rows V of
+    U = L(V + L^-1 H), with Gram matrix kron(Y, L^T M L).  The tail budget is
+    the largest float b with pref * b <= eps, so the tail bound is at most
+    eps.  A det(Y) outside the float range leaves pref 0 or inf (ValueError).
     """
-    cap = point_cap_from_env(point_cap)
+    if Z.n != spec.n:
+        raise ValueError("point genus does not match the characteristics")
+    Y = Z.Y
+    if borcherds:
+        poly, Ysq, pref = borcherds_poly(spec, Y), None, 1.0
+        sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
+    else:
+        poly, Ysq = spec.coeff.poly_part, sqrt_posdef(Y)
+        with np.errstate(all="ignore"):
+            pref = float(np.linalg.det(Y) ** (-float(spec.coeff.lam) / 2.0))
+        sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))
+    if not (math.isfinite(pref) and pref > 0):
+        raise ValueError("series prefactor %r is not a positive finite float "
+                         "(det(Y) outside the float range)" % pref)
     m, n = spec.m, spec.n
-    G = np.kron(Z.Y, spec.dec.M)
-    c = spec.H_floats().T.reshape(-1)
+    H, M = spec.H_floats(), spec.dec.M
+    if L is not None:
+        H, M = np.linalg.solve(L, H), L.T @ M @ L
+    G = np.kron(Y, M)
+    c = H.T.reshape(-1)
     phase = term_phase(spec, Z)
-
     compiled = compile_poly(poly)
 
     def summand(rows):
         U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
+        if L is not None:
+            U = np.einsum("ab,xbj->xaj", L, U)
         W = U if Ysq is None else np.matmul(U, Ysq)
         return eval_batch(compiled, W) * phase(U)
 
@@ -437,19 +461,25 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, poly
     while pref * budget > eps:
         budget = math.nextafter(budget, 0.0)
     total, tail, used, R2, rho, gross = certified_lattice_sum(
-        G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, cap)
+        G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, point_cap_from_env(point_cap))
     return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
 
 
 def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
                point_cap=None) -> ThetaValue:
     """Evaluate the series at Z with total truncation error at most eps."""
-    if Z.n != spec.n:
-        raise ValueError("point genus does not match the characteristics")
-    Y = Z.Y
-    pref = float(np.linalg.det(Y)) ** (-float(spec.coeff.lam) / 2.0)
-    sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))
-    return _lattice_series(spec, Z, eps, point_cap, spec.coeff.poly_part, sig2, sqrt_posdef(Y), pref)
+    return _lattice_series(spec, Z, eps, point_cap, borcherds=False)
+
+
+def dual_theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10, point_cap=None,
+                    borcherds: bool = False) -> ThetaValue:
+    """theta_eval (or theta_eval_borcherds) with U over the dual lattice H + A^-1 Z^{m x n}.
+
+    One certified sum, the union of the |det A|^n series over the cosets
+    J + H + Z^{m x n}, J in A^-1 Z^{m x n} / Z^{m x n}; the right side of
+    the inversion and Poisson laws.
+    """
+    return _lattice_series(spec, Z, eps, point_cap, borcherds, np.linalg.inv(spec.A.astype(float)))
 
 
 def heat_plan(spec: ThetaSpec) -> HeatPlan:
@@ -475,8 +505,4 @@ def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
 
     Satisfies theta_eval(spec, Z) = det(Y)^(s/2 + beta) * this value.
     """
-    if Z.n != spec.n:
-        raise ValueError("point genus does not match the characteristics")
-    Y = Z.Y
-    sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
-    return _lattice_series(spec, Z, eps, point_cap, borcherds_poly(spec, Y), sig2, None, 1.0)
+    return _lattice_series(spec, Z, eps, point_cap, borcherds=True)

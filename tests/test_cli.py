@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from siegeltheta.polyalg import basis_homopol, matpoly_from_json
+from siegeltheta.polyalg import basis_homopol, matpoly_from_json, matpoly_to_json
 from siegeltheta.quadform import named_form
 
 
@@ -171,6 +171,36 @@ def test_eval_malformed_spec_exits_one_with_json_error(tmp_path, spec):
     proc = run_cli("eval", "--spec", str(path))
     assert proc.returncode == 1, proc.stderr
     assert "error" in json.loads(proc.stdout)
+
+
+def test_eval_prefactor_outside_the_float_range_exits_one(tmp_path):
+    det = matpoly_to_json(basis_homopol(2, 2, 1)[0])
+    spec = {"A": "diag:2,2", "coeff": {"type": "posdef", "P_alpha": det},
+            "Z": {"X": [[0.0, 0.0], [0.0, 0.0]], "Y": [[1e200, 0.0], [0.0, 1e200]]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("eval", "--spec", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert "prefactor" in json.loads(proc.stdout)["error"]
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args, name", [
+    (("basis", "--m", "-1", "--n", "1", "--alpha", "1"), "m"),
+    (("basis", "--m", "0", "--n", "1", "--alpha", "1"), "m"),
+    (("basis", "--m", "1", "--n", "0", "--alpha", "1"), "n"),
+    (("cosets", "--form", "diag:2", "--genus", "0"), "genus"),
+    (("cosets", "--form", "diag:2", "--genus", "-1"), "genus"),
+    (("verify", "--suite", "all", "--genus", "0"), "genus"),
+    (("verify", "--suite", "all", "--genus", "-1"), "genus"),
+], ids=["basis-m-1", "basis-m0", "basis-n0", "cosets-genus0", "cosets-genus-1",
+        "verify-genus0", "verify-genus-1"])
+def test_non_positive_sizes_exit_one_naming_the_argument(args, name):
+    proc = run_cli(*args)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith(name + " ") and "must be positive" in error
+    assert proc.stderr == ""
 
 
 def test_eval_form_from_path(tmp_path):

@@ -20,7 +20,6 @@ from siegeltheta.polyalg import (
     laplace_entry,
     matpoly_from_json,
     matpoly_to_json,
-    minor_poly,
     substitute_linear,
     trace_laplace,
     trace_laplace_weighted,
@@ -256,6 +255,18 @@ def test_homogeneity_degree():
     assert homogeneity_degree(det2) == 1
     bad = MatPoly.variable(2, 2, 0, 0) + MatPoly.one(2, 2)
     assert homogeneity_degree(bad) is None
+
+
+def minor_poly(m: int, n: int, rows) -> MatPoly:
+    """Determinant of the n x n submatrix of U on the given rows (Leibniz formula)."""
+    out = MatPoly.zero(m, n)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = MatPoly.constant(m, n, (-1) ** inversions)
+        for j in range(n):
+            term = term * MatPoly.variable(m, n, rows[perm[j]], j)
+        out = out + term
+    return out
 
 
 def minor_product_polys(m: int, n: int, alpha: int):

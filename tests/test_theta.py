@@ -17,7 +17,6 @@ from siegeltheta.polyalg import (
     basis_homopol,
     eval_batch,
     exp_trace_laplace_weighted,
-    minor_poly,
 )
 from siegeltheta.scalars import PiScalar
 import siegeltheta.theta as theta
@@ -248,7 +247,11 @@ def test_term_modulus_is_the_certificate_gaussian(form, Z):
     # f(W) e(tr(U^T A U Z)/2 + tr(K^T A U)), Gaussian factor included
     A = named_form(form) if isinstance(form, str) else np.array(form)
     m, n = A.shape[0], Z.n
-    P = MatPoly.variable(m, 1, 0, 0) if n == 1 else minor_poly(m, 2, (0, 1))
+    if n == 1:
+        P = MatPoly.variable(m, 1, 0, 0)
+    else:  # the minor of U on rows 0 and 1
+        P = (MatPoly.variable(m, 2, 0, 0) * MatPoly.variable(m, 2, 1, 1)
+             - MatPoly.variable(m, 2, 1, 0) * MatPoly.variable(m, 2, 0, 1))
     H = [[Fraction(1, 2) if a == 0 else 0] * n for a in range(m)]
     K = [[Fraction(1, 3) if a == m - 1 else 0] * n for a in range(m)]
     spec = theta_spec(A, P_plus=P, H=H, K=K, n=n)
@@ -326,6 +329,23 @@ def test_genus_two_even_unimodular_at_scaled_identity():
 def test_point_cap_raises():
     with pytest.raises(ResourceCapError):
         theta_eval(theta_spec([[2]]), Z_I, eps=1e-12, point_cap=2)
+
+
+@pytest.mark.parametrize("y", [1e-40, 1e-100, 1e-20])
+def test_degenerate_point_fails_fast_instead_of_a_bogus_certificate(y):
+    # the interval bounds at 1e-40j and 1e-100j do not fit in int64 (the
+    # cast once gave 0.948 with terms=1, against a true value near 7e19);
+    # at 1e-20j one interval alone holds about 5.6e10 points
+    with pytest.raises(ResourceCapError):
+        theta_eval(theta_spec("diag:2"), SiegelPoint([[y * 1j]]), point_cap=10**6)
+
+
+@pytest.mark.parametrize("y", [1e200, 1e-200])
+def test_prefactor_outside_the_float_range_is_a_value_error(y):
+    # det(Y) overflows (underflows), so det(Y)^(-lam/2) is 0.0 (inf), lam = 1
+    spec = theta_spec("diag:2,2", P_plus=basis_homopol(2, 2, 1)[0], n=2)
+    with pytest.raises(ValueError, match="prefactor"):
+        theta_eval(spec, SiegelPoint(y * 1j * np.eye(2)))
 
 
 def test_env_point_cap(monkeypatch):

@@ -1,16 +1,20 @@
 """The identity checks themselves: green on fixtures, honest on failures."""
 
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import siegeltheta.theta as theta
+import siegeltheta.verify as verify
 from siegeltheta.polyalg import MatPoly, basis_homopol, exp_trace_laplace_weighted
-from siegeltheta.quadform import named_form
+from siegeltheta.quadform import coset_reps, named_form
 from siegeltheta.scalars import PiScalar
 from siegeltheta.siegel import SiegelPoint, det_power
-from siegeltheta.theta import term_phase, theta_eval, theta_spec
+from siegeltheta.theta import dual_theta_eval, term_phase, theta_eval, theta_spec
 from siegeltheta.verify import (
     check_borcherds_form,
     check_commutator,
@@ -22,6 +26,7 @@ from siegeltheta.verify import (
     check_vigneras,
     e_of_fraction,
     fourier_closed_form,
+    inversion_prefactor,
     run_suite,
     translation_data,
 )
@@ -71,6 +76,88 @@ def test_inversion_passes_on_fixtures():
 def test_inversion_records_coset_count():
     rep = check_inversion(theta_spec("diag:2,-2"), Z_I)
     assert rep.metadata["cosets"] == 4
+    # the one-sum budget eps * 4 overflows here; it is capped, not refused
+    rep = check_inversion(theta_spec("diag:2,-2"), Z_I, eps=1e308)
+    assert rep.metadata["absolute_residual"] <= rep.metadata["tail_budget"] < math.inf
+
+
+def _coset_loop(spec, Z, eps):
+    """The inversion right side as |det A|^n sums, one per coset J + K + Z^{m x n}."""
+    negH = [[-x for x in row] for row in spec.H]
+    parts = []
+    for rep in coset_reps(spec.A, spec.n):
+        HJ = [[rep.J[a][j] + spec.K[a][j] for j in range(spec.n)] for a in range(spec.m)]
+        parts.append(theta_eval(spec.with_characteristics(H=HJ, K=negH), Z, eps))
+    value = complex(math.fsum(p.value.real for p in parts), math.fsum(p.value.imag for p in parts))
+    return (value, math.fsum(p.tail_bound for p in parts), math.fsum(p.gross for p in parts),
+            sum(p.terms for p in parts))
+
+
+@pytest.mark.parametrize("form", ["diag:2,-2", "h2", "diag:2,2,-2", "diag:3,-2", [[2, 1], [1, -3]]],
+                         ids=["diag:2,-2", "h2", "diag:2,2,-2", "diag:3,-2", "irrational"])
+@pytest.mark.parametrize("genus", [1, 2])
+def test_inversion_dual_sum_matches_the_coset_loop(form, genus):
+    m = len(named_form(form)) if isinstance(form, str) else len(form)
+    H = [[Fraction(1, 2) if a == 0 else Fraction(1, 5) * j for j in range(genus)] for a in range(m)]
+    K = [[Fraction(1, 3) if a == m - 1 else Fraction(-1, 4) for _ in range(genus)] for a in range(m)]
+    spec = theta_spec(form, H=H, K=K, n=genus)
+    Z = SiegelPoint.from_xy(0.1 * np.ones((genus, genus)), 0.3 * np.ones((genus, genus)) + 0.8 * np.eye(genus))
+    eps = 1e-10
+    loop, loop_tail, loop_gross, loop_terms = _coset_loop(spec, Z, eps)
+    cosets = abs(int(spec.dec.form.det)) ** genus
+    negH = [[-x for x in row] for row in spec.H]
+    one = dual_theta_eval(spec.with_characteristics(H=spec.K, K=negH), Z, eps * cosets)
+    assert one.tail_bound <= eps * cosets
+    assert one.terms == loop_terms
+    assert abs(one.value - loop) <= one.tail_bound + loop_tail + 1e-12 * max(one.gross, loop_gross)
+    # and that one sum is check_inversion's right side
+    rep = check_inversion(spec, Z, eps=eps)
+    assert rep.rhs == inversion_prefactor(spec, Z) * one.value
+    assert rep.metadata["cosets"] == cosets
+
+
+def test_inversion_and_poisson_make_one_lattice_sum_per_side(monkeypatch):
+    calls = []
+    inner = theta.certified_lattice_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(theta, "certified_lattice_sum", counting)
+    spec = theta_spec("diag:2,2,-2", n=2)
+    rep = check_inversion(spec, SiegelPoint(1j * np.eye(2)))
+    assert rep.passed and rep.metadata["cosets"] == 64
+    assert len(calls) == 2
+    calls.clear()
+    assert check_poisson(spec, SiegelPoint(1j * np.eye(2))).passed
+    assert len(calls) == 2
+    assert "coset_cap" not in inspect.signature(check_inversion).parameters
+    assert "certified_lattice_sum(" not in inspect.getsource(verify)
+
+
+_RATIONAL = st.integers(1, 4).flatmap(lambda q: st.builds(Fraction, st.integers(-q, q), st.just(q)))
+
+
+_FORMS_1 = st.sampled_from([-3, -2, -1, 1, 2, 3]).map(lambda a: [[a]])
+_FORMS_2 = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-3, 3)).filter(
+    lambda t: t[0] * t[2] != t[1] * t[1]).map(lambda t: [[t[0], t[1]], [t[1], t[2]]])
+
+
+# Invertible integer forms with m <= 2, every signature and off-diagonal
+# entries, genus 1, rational H and K.  Time budget: 5 s for all 50 examples
+# (each one inversion and one Poisson check; under 1 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(form=st.one_of(_FORMS_1, _FORMS_2), hk=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=2, max_size=2),
+       x=st.floats(-0.5, 0.5), y=st.floats(0.7, 1.5))
+def test_inversion_and_poisson_on_generated_forms(form, hk, x, y):
+    m = len(form)
+    spec = theta_spec(form, H=[[h] for h, _ in hk[:m]], K=[[k] for _, k in hk[:m]])
+    Z = SiegelPoint(np.array([[complex(x, y)]]))
+    inv = check_inversion(spec, Z)
+    assert inv.residual <= inv.tolerance, inv
+    poi = check_poisson(spec, Z)
+    assert poi.residual <= poi.tolerance, poi
 
 
 @pytest.mark.parametrize("P_plus,H,K", [

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Q and Z.
 
-Everything here operates on small matrices (Gram matrices, projector factors,
-homogeneity constraint systems; at most a few hundred rows), so plain
-Fraction arithmetic with Gaussian elimination is fast enough and keeps every
+Everything here operates on small matrices (Gram matrices, projector factors
+and the homogeneity constraint systems, which basis_homopol solves one
+row-degree block at a time, a few dozen columns each), so plain Fraction
+arithmetic with Gaussian elimination is fast enough and keeps every
 intermediate value exact.
 """
 

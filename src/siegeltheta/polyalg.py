@@ -386,24 +386,57 @@ def _exact_inverse(A):
 
 
 def laplace_entry(f, A, i: int, j: int):
-    """(Delta_A)_ij f = sum_ab d/dU_ai (A^-1)_ab d/dU_bj f."""
+    """(Delta_A)_ij f = sum_ab d/dU_ai (A^-1)_ab d/dU_bj f.
+
+    A MatPoly takes one direct monomial pass per (b, a) with (A^-1)_ab != 0,
+    each term gaining c k_bj k_ai (A^-1)_ab; the terms are accumulated in the
+    order the sum of the m^2 pieces d/dU_ai ((A^-1)_ab d/dU_bj f) would give,
+    so the result's term order is that of the product-rule path.
+    """
     ainv = _exact_inverse(A)
     m = f.m
-    acc = None
+    if isinstance(f, ExpQuadPoly):
+        acc = None
+        for b in range(m):
+            db = partial(f, b, j)
+            if db.is_zero():
+                continue
+            for a in range(m):
+                c = ainv[a][b]
+                if c:
+                    piece = partial(db, a, i) * c
+                    acc = piece if acc is None else acc + piece
+        return ExpQuadPoly(MatPoly.zero(f.m, f.n), f.B) if acc is None else acc
+    n = f.n
+    terms = {}
     for b in range(m):
-        db = partial(f, b, j)
-        if db.is_zero():
-            continue
+        bj = b * n + j
         for a in range(m):
             c = ainv[a][b]
-            if c:
-                piece = partial(db, a, i) * c
-                acc = piece if acc is None else acc + piece
-    if acc is None:
-        if isinstance(f, ExpQuadPoly):
-            return ExpQuadPoly(MatPoly.zero(f.m, f.n), f.B)
-        return MatPoly.zero(f.m, f.n)
-    return acc
+            if not c:
+                continue
+            ai = a * n + i
+            for e, coef in f.terms.items():
+                kb = e[bj]
+                if not kb:
+                    continue
+                ka = e[ai] - (ai == bj)
+                if not ka:
+                    continue
+                e2 = list(e)
+                e2[bj] -= 1
+                e2[ai] -= 1
+                key = tuple(e2)
+                add = coef * (c * (kb * ka))
+                s = terms.get(key)
+                s = add if s is None else s + add
+                if s.is_zero():
+                    terms.pop(key, None)
+                else:
+                    terms[key] = s
+    out = MatPoly(m, n)
+    out.terms = terms
+    return out
 
 
 def trace_laplace(f, A):
@@ -585,6 +618,15 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
     that support).  Returns primitive-integer-coefficient MatPolys in a
     deterministic order.  For m < n and alpha >= 1 the space is empty; the
     result coincides with the span of alpha-fold products of n x n minors.
+
+    E_ij = sum_d U_di d/dU_dj moves a unit within row d, so it keeps the row
+    degree vector (sum_j e_dj)_d of a monomial, its GL_m weight.  Grouped by
+    that vector the constraint matrix is block diagonal, and one small kernel
+    is solved per block.  The reduced-echelon kernel of a block-diagonal
+    matrix is the union of its blocks' kernels (a column is a pivot exactly
+    when it is one within its block), so sorting the vectors by their free
+    monomial gives the list the single system over all monomials gives,
+    element for element and in the same order.
     """
     if min(m, n) < 1:
         raise ValueError("%s must be positive, got %d" % (("m", m) if m < 1 else ("n", n)))
@@ -602,41 +644,40 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
         )
 
     col_choices = sorted(_compositions(alpha, m))
-    monomials = []
+    blocks = {}
     for combo in itertools.product(col_choices, repeat=n):
         e = [0] * (m * n)
         for j, col in enumerate(combo):
             for i in range(m):
                 e[i * n + j] = col[i]
-        monomials.append(tuple(e))
-    monomials.sort()
+        weight = tuple(sum(col[i] for col in combo) for i in range(m))
+        blocks.setdefault(weight, []).append(tuple(e))
 
-    rows = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for src, e in enumerate(monomials):
-                for d in range(m):
-                    k = e[d * n + j]
-                    if not k:
-                        continue
-                    e2 = list(e)
-                    e2[d * n + j] = k - 1
-                    e2[d * n + i] += 1
-                    tgt = (i, j, tuple(e2))
-                    row = rows.get(tgt)
-                    if row is None:
-                        row = rows[tgt] = {}
-                    row[src] = row.get(src, 0) + k
-
-    ordered = [rows[k] for k in sorted(rows.keys())]
-    kernel = rational_kernel(ordered, len(monomials))
-    basis = []
-    for vec in kernel:
-        terms = {monomials[k]: vec[k] for k in range(len(monomials)) if vec[k]}
-        basis.append(MatPoly(m, n, terms))
-    return basis
+    found = []
+    for monomials in blocks.values():
+        monomials.sort()
+        rows = {}
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                for src, e in enumerate(monomials):
+                    for d in range(m):
+                        k = e[d * n + j]
+                        if not k:
+                            continue
+                        e2 = list(e)
+                        e2[d * n + j] = k - 1
+                        e2[d * n + i] += 1
+                        row = rows.setdefault((i, j, tuple(e2)), {})
+                        row[src] = row.get(src, 0) + k
+        ordered = [rows[k] for k in sorted(rows)]
+        for vec in rational_kernel(ordered, len(monomials)):
+            terms = {e: x for e, x in zip(monomials, vec) if x}
+            # the free monomial is the last one: every pivot lies left of it
+            found.append((max(terms), terms))
+    found.sort(key=lambda item: item[0])
+    return [MatPoly(m, n, terms) for _, terms in found]
 
 
 # ==== numeric batch evaluation =============================================

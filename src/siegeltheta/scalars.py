@@ -94,12 +94,15 @@ class PiScalar:
                 return NotImplemented
         c = dict(self._c)
         for k, (re, im) in other._c.items():
-            cre, cim = c.get(k, (_ZERO, _ZERO))
-            re, im = cre + re, cim + im
-            if re or im:
-                c[k] = (re, im)
-            elif k in c:
-                del c[k]
+            got = c.get(k)
+            if got is not None:
+                # a zero part adds nothing; most coefficients are real
+                re = got[0] + re if re else got[0]
+                im = got[1] + im if im else got[1]
+                if not (re or im):
+                    del c[k]
+                    continue
+            c[k] = (re, im)
         out = PiScalar()
         out._c = c
         return out
@@ -117,20 +120,37 @@ class PiScalar:
         return PiScalar.from_number(other) + (-self)
 
     def __mul__(self, other) -> "PiScalar":
+        out = PiScalar()
+        if isinstance(other, (int, Fraction)):
+            # a rational scales every pair; nonzero times nonzero stays nonzero
+            if other:
+                out._c = {k: (re * other if re else re, im * other if im else im)
+                          for k, (re, im) in self._c.items()}
+            return out
         if not isinstance(other, PiScalar):
-            if isinstance(other, (int, float, complex, Fraction)):
+            if isinstance(other, (float, complex)):
                 other = PiScalar.from_number(other)
             else:
                 return NotImplemented
         c = {}
-        for k1, (a1, b1) in self._c.items():
-            for k2, (a2, b2) in other._c.items():
-                k = k1 + k2
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-                cre, cim = c.get(k, (_ZERO, _ZERO))
-                c[k] = (cre + re, cim + im)
-        return PiScalar(c)
+        if any(b for _, b in self._c.values()) or any(b for _, b in other._c.values()):
+            for k1, (a1, b1) in self._c.items():
+                for k2, (a2, b2) in other._c.items():
+                    k = k1 + k2
+                    re = a1 * a2 - b1 * b2
+                    im = a1 * b2 + b1 * a2
+                    got = c.get(k)
+                    c[k] = (re, im) if got is None else (got[0] + re, got[1] + im)
+            out._c = {k: v for k, v in c.items() if v[0] or v[1]}
+        else:
+            # both real: the imaginary cross terms all vanish
+            for k1, (a1, _) in self._c.items():
+                for k2, (a2, _) in other._c.items():
+                    k = k1 + k2
+                    got = c.get(k)
+                    c[k] = a1 * a2 if got is None else got + a1 * a2
+            out._c = {k: (re, _ZERO) for k, re in c.items() if re}
+        return out
 
     __rmul__ = __mul__
 

@@ -1,10 +1,12 @@
 """Executable checks for the operator identities and transformation laws.
 
-Every check returns a CheckReport rather than raising: the algebraic
-identities (eigenvalue equation, commutators) are tested in exact arithmetic
-and must come out identically zero, while the analytic laws (translation,
-inversion, Fourier, Poisson) compare certified truncated evaluations or
-quadratures against closed forms within an explicit tolerance.
+Every check returns a CheckReport rather than raising on a failed identity
+(an input it cannot evaluate, such as a det(Y) whose power leaves the float
+range, is a ValueError): the algebraic identities (eigenvalue equation,
+commutators) are tested in exact arithmetic and must come out identically
+zero, while the analytic laws (translation, inversion, Fourier, Poisson)
+compare certified truncated evaluations or quadratures against closed forms
+within an explicit tolerance.
 
 Conventions, fixed throughout:
   * e(w) = exp(2 pi i w);
@@ -197,11 +199,24 @@ def check_inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
 
 def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
                          tol: float = 1e-12, point_cap=None) -> CheckReport:
-    """det(Y)^(s/2+beta) times the unslashed form against the definition."""
+    """det(Y)^(s/2+beta) times the unslashed form against the definition.
+
+    A det(Y) whose power leaves the float range makes the prefactor 0 or inf
+    and the right side meaningless (inf * 0 is nan): ValueError, before any
+    series is summed.
+    """
+    with np.errstate(all="ignore"):
+        dety = float(np.linalg.det(Z.Y))
+    try:
+        pref = dety ** (spec.dec.s / 2.0 + spec.coeff.beta) if dety > 0 else math.nan
+    except OverflowError:
+        pref = math.inf
+    if not (math.isfinite(pref) and pref > 0):
+        raise ValueError("Borcherds prefactor det(Y)^(s/2+beta) = %r is not a positive finite "
+                         "float (det(Y) outside the float range)" % pref)
     lhs = theta_eval(spec, Z, eps, point_cap)
     rhs = theta_eval_borcherds(spec, Z, eps, point_cap)
-    dety = float(np.linalg.det(Z.Y)) ** (spec.dec.s / 2.0 + spec.coeff.beta)
-    rhs_val, residual = _relative_residual(lhs, dety, rhs)
+    rhs_val, residual = _relative_residual(lhs, pref, rhs)
     return CheckReport(
         "borcherds_form", residual, tol, lhs.value, rhs_val,
         {"eps": eps, "terms": lhs.terms + rhs.terms})

@@ -9,6 +9,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from siegeltheta.errors import ResourceCapError
+from siegeltheta.exactlinalg import rational_kernel
 from siegeltheta.polyalg import (
     MatPoly,
     basis_homopol,
@@ -20,6 +22,7 @@ from siegeltheta.polyalg import (
     laplace_entry,
     matpoly_from_json,
     matpoly_to_json,
+    partial,
     substitute_linear,
     trace_laplace,
     trace_laplace_weighted,
@@ -104,6 +107,27 @@ def test_laplace_matches_sympy():
         got_tr = to_sympy(trace_laplace(p, A22), U)
         want_tr = sympy.expand(sum(sym_laplace(expr, U, Ainv, i, i) for i in range(2)))
         assert sympy.expand(got_tr - want_tr) == 0
+
+
+@pytest.mark.parametrize("A", [[[2, 1, 0], [1, 2, 1], [0, 1, 4]], [[2, 0, 0], [0, -2, 1], [0, 1, 3]]])
+def test_laplace_entry_is_the_product_rule_sum_term_for_term(A):
+    # the monomial pass must give the terms in the order the sum of the m^2
+    # pieces gives them: compiled coefficients are summed in term order
+    rng = np.random.default_rng(4)
+    ainv = sympy.Matrix(A).inv()
+    for _ in range(3):
+        p = random_poly(3, 2, 5, rng) * PiScalar.from_parts(Fraction(2, 3), Fraction(-1, 5), -1) \
+            + random_poly(3, 2, 4, rng)
+        for i in range(2):
+            for j in range(2):
+                want = MatPoly.zero(3, 2)
+                for b in range(3):
+                    for a in range(3):
+                        if ainv[a, b]:
+                            c = Fraction(int(ainv[a, b].p), int(ainv[a, b].q))
+                            want = want + partial(partial(p, b, j), a, i) * c
+                got = laplace_entry(p, A, i, j)
+                assert got == want and list(got.terms) == list(want.terms)
 
 
 def test_exp_trace_laplace_inverse():
@@ -255,6 +279,111 @@ def test_homogeneity_degree():
     assert homogeneity_degree(det2) == 1
     bad = MatPoly.variable(2, 2, 0, 0) + MatPoly.one(2, 2)
     assert homogeneity_degree(bad) is None
+
+
+# ==== the per-block solve against one system over every monomial ==========
+
+BLOCK_GRID = [(3, 2, 2), (3, 2, 3), (3, 2, 4), (2, 2, 3), (4, 2, 2), (3, 3, 1), (3, 3, 2),
+              (4, 3, 1), (2, 1, 5), (4, 4, 1), (5, 2, 2)]
+
+
+def single_system(m, n, alpha):
+    """The sorted monomials of column degree alpha and the off-diagonal Euler
+    constraint rows over all of them, in one system, ordered by (i, j, target)."""
+    cols = itertools.product(range(alpha + 1), repeat=m)
+    cols = [c for c in cols if sum(c) == alpha]
+    monomials = sorted(tuple(combo[j][d] for d in range(m) for j in range(n))
+                       for combo in itertools.product(cols, repeat=n))
+    rows = {}
+    for i, j in itertools.permutations(range(n), 2):
+        for src, e in enumerate(monomials):
+            for d in range(m):
+                k = e[d * n + j]
+                if k:
+                    e2 = list(e)
+                    e2[d * n + j] -= 1
+                    e2[d * n + i] += 1
+                    row = rows.setdefault((i, j, tuple(e2)), {})
+                    row[src] = row.get(src, 0) + k
+    return monomials, [rows[key] for key in sorted(rows)]
+
+
+def sparse_kernel(rows, ncols):
+    """rational_kernel by sparse Gauss-Jordan: the reduced echelon form is
+    unique, so this is the dense routine's output at a fraction of its cost."""
+    reduced = {}  # pivot column -> row with a leading 1, zero in every other pivot column
+    for r in rows:
+        r = {c: Fraction(x) for c, x in r.items() if x}
+        for pc, prow in reduced.items():
+            f = r.get(pc)
+            if f:
+                for c, x in prow.items():
+                    v = r.get(c, 0) - f * x
+                    if v:
+                        r[c] = v
+                    else:
+                        r.pop(c, None)
+        if not r:
+            continue
+        pc = min(r)
+        r = {c: x / r[pc] for c, x in r.items()}
+        for prow in reduced.values():
+            g = prow.get(pc)
+            if g:
+                for c, x in r.items():
+                    v = prow.get(c, 0) - g * x
+                    if v:
+                        prow[c] = v
+                    else:
+                        prow.pop(c, None)
+        reduced[pc] = r
+    kernel = []
+    for fc in range(ncols):
+        if fc in reduced:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, prow in reduced.items():
+            v[pc] = -prow.get(fc, 0)
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = math.gcd(*ints)
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        kernel.append([Fraction(sign * x // g) for x in ints])
+    return kernel
+
+
+def single_system_basis(m, n, alpha):
+    monomials, rows = single_system(m, n, alpha)
+    return [MatPoly(m, n, {e: x for e, x in zip(monomials, vec) if x})
+            for vec in sparse_kernel(rows, len(monomials))]
+
+
+@pytest.mark.parametrize("m,n,alpha", [(3, 2, 2), (3, 2, 3), (2, 2, 3), (4, 2, 2), (3, 3, 1),
+                                       (4, 3, 1), (2, 1, 5)])
+def test_sparse_oracle_equals_the_dense_kernel(m, n, alpha):
+    # the dense rational_kernel over every monomial takes seconds at (3,3,2),
+    # (4,4,1) and (3,2,4); where it is cheap it pins the sparse oracle
+    monomials, rows = single_system(m, n, alpha)
+    assert sparse_kernel(rows, len(monomials)) == rational_kernel(rows, len(monomials))
+
+
+@pytest.mark.parametrize("m,n,alpha", BLOCK_GRID)
+def test_basis_per_block_equals_the_single_system(m, n, alpha):
+    got = basis_homopol(m, n, alpha)
+    want = single_system_basis(m, n, alpha)
+    # the same list, in the same order, down to the order of each element's terms
+    assert got == want
+    assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
+    assert all(homogeneity_degree(p) == alpha for p in got)
+
+
+@pytest.mark.parametrize("m,n,alpha", [(3, 2, 4), (4, 4, 1), (5, 2, 2)])
+def test_basis_monomial_cap_counts_every_monomial_of_the_degree(m, n, alpha):
+    total = math.comb(n * alpha + m * n - 1, n * alpha)
+    assert basis_homopol(m, n, alpha, monomial_cap=total) == basis_homopol(m, n, alpha)
+    with pytest.raises(ResourceCapError):
+        basis_homopol(m, n, alpha, monomial_cap=total - 1)
 
 
 def minor_poly(m: int, n: int, rows) -> MatPoly:

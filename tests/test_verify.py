@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import siegeltheta.theta as theta
 import siegeltheta.verify as verify
@@ -179,6 +179,41 @@ def test_irrational_majorant_form_satisfies_the_laws(P_plus, H, K):
 def test_borcherds_form_passes():
     assert check_borcherds_form(theta_spec("diag:2,-2"), Z_GEN).passed
     assert check_borcherds_form(H2_SPEC, Z_GEN).passed
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_borcherds_form_rejects_a_prefactor_outside_the_float_range(scale):
+    # det(Y)^(1/2) overflows (or det(Y) underflows to 0): the right side would
+    # be inf * 0 = nan, which used to read as passed with residual 0
+    spec = theta_spec("h2", P_plus=basis_homopol(2, 2, 1)[0], n=2)
+    with pytest.raises(ValueError, match="prefactor"):
+        check_borcherds_form(spec, SiegelPoint(scale * 1j * np.eye(2)))
+
+
+_LAW_FORMS = st.sampled_from([[[2]], [[-2]], [[2, 1], [1, 2]], [[2, 1, 0], [1, 2, 1], [0, 1, 4]],
+                              "diag:2,-2", "h2", "diag:2,2,-2", [[2, 1], [1, -3]]])
+
+
+# Integer combinations of the basis_homopol(m, n, alpha) elements, alpha <= 2,
+# on definite and indefinite forms with m <= 3, in genus 1 and 2.  Time
+# budget: 5 s for all 40 examples (about 1 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form=_LAW_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 2),
+       weights=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       x=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       y=st.tuples(st.floats(0.7, 1.5), st.floats(-0.2, 0.2), st.floats(0.7, 1.5)))
+def test_borcherds_form_on_generated_coefficients(form, n, alpha, weights, x, y):
+    m = len(named_form(form)) if isinstance(form, str) else len(form)
+    basis = basis_homopol(m, n, alpha)
+    assume(basis)
+    P = MatPoly.zero(m, n)
+    for w, b in zip(weights, basis):
+        P = P + b * w
+    assume(not P.is_zero())
+    X = np.array([[x[0], x[1]], [x[1], x[2]]])[:n, :n]
+    Y = np.array([[y[0], y[1]], [y[1], y[2]]])[:n, :n]
+    rep = check_borcherds_form(theta_spec(form, P_plus=P, n=n), SiegelPoint(X + 1j * Y))
+    assert rep.residual <= rep.tolerance, rep
 
 
 def test_zero_series_checks_stay_honest():

@@ -1,15 +1,18 @@
-"""Exact dense linear algebra over Q and Z.
+"""Exact linear algebra over Q and Z.
 
-Everything here operates on small matrices (Gram matrices, projector factors
-and the homogeneity constraint systems, which basis_homopol solves one
-row-degree block at a time, a few dozen columns each), so plain Fraction
-arithmetic with Gaussian elimination is fast enough and keeps every
-intermediate value exact.
+Every exact rational system (matrix inverses, Sylvester's test, and the
+homogeneity constraints basis_homopol solves as one kernel over all monomials
+of the degree) goes through gauss_jordan, which works on sparse rows, one
+{column: Fraction} dict per row.  The constraint systems have hundreds of
+columns but at most three nonzeros per row, so dict rows skip nearly all the
+work a dense row would do, and every intermediate value stays exact.
+Determinants of integer matrices use fraction-free Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def frac_matrix(rows):
@@ -38,33 +41,36 @@ def mat_mul(a, b):
 
 
 def gauss_jordan(rows, ncols):
-    """Reduce Fraction rows in place to reduced row echelon form in the first ncols columns.
+    """Reduce sparse Fraction rows in place to reduced row echelon form in columns < ncols.
 
-    Rows may be longer than ncols (an augmented matrix); the extra columns
-    ride along.  Returns (pivots, swaps): pivots lists (column, value) for
-    each pivot in order, value being the entry divided out of its row, and
-    swaps counts the row exchanges.  Stops once every row holds a pivot.
+    Each row is a {column: Fraction} dict holding no zeros; columns >= ncols
+    (an augmented matrix) ride along.  Columns are taken left to right and the
+    first remaining row with a nonzero entry becomes the pivot row.  Returns
+    (pivots, swaps): pivots lists (column, value) for each pivot in order,
+    value being the entry divided out of its row, and swaps counts the row
+    exchanges.  Stops once every row holds a pivot.
     """
     pivots = []
     swaps = 0
     rank = 0
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(rows)) if col in rows[r]), None)
         if piv is None:
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
             swaps += 1
         pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        prow = rows[rank] = {c: x / pv for c, x in rows[rank].items()}
+        for row in rows:
+            f = row.get(col)
+            if f and row is not prow:
+                for c, x in prow.items():
+                    v = row.get(c, 0) - f * x
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
         pivots.append((col, pv))
         rank += 1
         if rank == len(rows):
@@ -72,16 +78,23 @@ def gauss_jordan(rows, ncols):
     return pivots, swaps
 
 
+def _sparse_rows(m):
+    """The rows of a dense matrix as {column: Fraction} dicts without zeros."""
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m]
+
+
 def mat_inverse(m):
-    """Exact inverse of a square Fraction matrix via Gauss-Jordan.
+    """Exact inverse of a square rational matrix via Gauss-Jordan.
 
     Raises ValueError if the matrix is singular.
     """
     n = len(m)
-    aug = [[Fraction(x) for x in row] + unit for row, unit in zip(m, identity_frac(n))]
+    aug = _sparse_rows(m)
+    for i, row in enumerate(aug):
+        row[n + i] = Fraction(1)
     if len(gauss_jordan(aug, n)[0]) < n:
         raise ValueError("matrix is singular over Q")
-    return [row[n:] for row in aug]
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in aug]
 
 
 def is_positive_definite(m) -> bool:
@@ -91,7 +104,7 @@ def is_positive_definite(m) -> bool:
     (k-1)-th leading principal minors, so every minor is positive exactly
     when the elimination needs no exchange and every pivot is positive.
     """
-    rows = frac_matrix(m)
+    rows = _sparse_rows(m)
     pivots, swaps = gauss_jordan(rows, len(rows))
     return swaps == 0 and len(pivots) == len(rows) and all(v > 0 for _, v in pivots)
 
@@ -130,118 +143,25 @@ def rational_kernel(rows, ncols):
     Fraction vectors in reduced echelon parametrization, scaled to primitive
     integer vectors with positive leading entry.  Deterministic.
     """
-    dense = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows if r]
-    pivots = [col for col, _ in gauss_jordan(dense, ncols)[0]]
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced = [r for r in ({c: Fraction(x) for c, x in row.items() if x} for row in rows) if r]
+    pivots = [col for col, _ in gauss_jordan(reduced, ncols)[0]]
+    pivot_set = set(pivots)
+    zero = Fraction(0)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -dense[r][fc]
-        basis.append(_primitive(v))
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: Fraction(1)}
+        for row, pc in zip(reduced, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        # v has the entry 1, so clearing the denominators by their lcm
+        # already leaves a primitive integer vector
+        den = lcm(*(x.denominator for x in v.values()))
+        if v[min(v)] < 0:
+            den = -den
+        vec = [zero] * ncols
+        for c, x in v.items():
+            vec[c] = Fraction(x.numerator * (den // x.denominator))
+        basis.append(vec)
     return basis
-
-
-def _primitive(v):
-    """Scale a rational vector to a primitive integer vector, first nonzero entry > 0."""
-    from math import gcd, lcm
-
-    den = 1
-    for x in v:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return [Fraction(x) for x in ints]
-
-
-def smith_normal_form(a):
-    """Smith normal form with transforms: returns (d, u, v) with u a v = d.
-
-    a is a square integer matrix; u and v are unimodular integer matrices and
-    d is diagonal with d[i] | d[i+1] and d[i] >= 0.  Classic elementary-ops
-    algorithm; fine for the small Gram matrices handled here.
-    """
-    m = [[int(x) for x in row] for row in a]
-    n = len(m)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def add_row(src, dst, f):
-        for j in range(n):
-            m[dst][j] += f * m[src][j]
-            u[dst][j] += f * u[src][j]
-
-    def add_col(src, dst, f):
-        for r in range(n):
-            m[r][dst] += f * m[r][src]
-            v[r][dst] += f * v[r][src]
-
-    for t in range(n):
-        while True:
-            # locate the smallest nonzero entry of the trailing block
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break  # trailing block is zero
-            bi, bj = best
-            if bi != t:
-                swap_rows(t, bi)
-            if bj != t:
-                swap_cols(t, bj)
-            done = True
-            for i in range(t + 1, n):
-                q = m[i][t] // m[t][t]
-                if q:
-                    add_row(t, i, -q)
-                if m[i][t]:
-                    done = False
-            for j in range(t + 1, n):
-                q = m[t][j] // m[t][t]
-                if q:
-                    add_col(t, j, -q)
-                if m[t][j]:
-                    done = False
-            if not done:
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-
-    for t in range(n):
-        if m[t][t] < 0:
-            for j in range(n):
-                m[t][j] = -m[t][j]
-                u[t][j] = -u[t][j]
-    d = [m[i][i] for i in range(n)]
-    return d, u, v

@@ -618,15 +618,6 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
     that support).  Returns primitive-integer-coefficient MatPolys in a
     deterministic order.  For m < n and alpha >= 1 the space is empty; the
     result coincides with the span of alpha-fold products of n x n minors.
-
-    E_ij = sum_d U_di d/dU_dj moves a unit within row d, so it keeps the row
-    degree vector (sum_j e_dj)_d of a monomial, its GL_m weight.  Grouped by
-    that vector the constraint matrix is block diagonal, and one small kernel
-    is solved per block.  The reduced-echelon kernel of a block-diagonal
-    matrix is the union of its blocks' kernels (a column is a pivot exactly
-    when it is one within its block), so sorting the vectors by their free
-    monomial gives the list the single system over all monomials gives,
-    element for element and in the same order.
     """
     if min(m, n) < 1:
         raise ValueError("%s must be positive, got %d" % (("m", m) if m < 1 else ("n", n)))
@@ -644,40 +635,33 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
         )
 
     col_choices = sorted(_compositions(alpha, m))
-    blocks = {}
+    monomials = []
     for combo in itertools.product(col_choices, repeat=n):
         e = [0] * (m * n)
         for j, col in enumerate(combo):
             for i in range(m):
                 e[i * n + j] = col[i]
-        weight = tuple(sum(col[i] for col in combo) for i in range(m))
-        blocks.setdefault(weight, []).append(tuple(e))
+        monomials.append(tuple(e))
+    monomials.sort()
 
-    found = []
-    for monomials in blocks.values():
-        monomials.sort()
-        rows = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for src, e in enumerate(monomials):
-                    for d in range(m):
-                        k = e[d * n + j]
-                        if not k:
-                            continue
-                        e2 = list(e)
-                        e2[d * n + j] = k - 1
-                        e2[d * n + i] += 1
-                        row = rows.setdefault((i, j, tuple(e2)), {})
-                        row[src] = row.get(src, 0) + k
-        ordered = [rows[k] for k in sorted(rows)]
-        for vec in rational_kernel(ordered, len(monomials)):
-            terms = {e: x for e, x in zip(monomials, vec) if x}
-            # the free monomial is the last one: every pivot lies left of it
-            found.append((max(terms), terms))
-    found.sort(key=lambda item: item[0])
-    return [MatPoly(m, n, terms) for _, terms in found]
+    rows = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for src, e in enumerate(monomials):
+                for d in range(m):
+                    k = e[d * n + j]
+                    if not k:
+                        continue
+                    e2 = list(e)
+                    e2[d * n + j] = k - 1
+                    e2[d * n + i] += 1
+                    row = rows.setdefault((i, j, tuple(e2)), {})
+                    row[src] = row.get(src, 0) + k
+    ordered = [rows[k] for k in sorted(rows)]
+    return [MatPoly(m, n, {e: x for e, x in zip(monomials, vec) if x})
+            for vec in rational_kernel(ordered, len(monomials))]
 
 
 # ==== numeric batch evaluation =============================================

@@ -6,14 +6,14 @@ absolute value of A).  When M is rational the split is upgraded to exact
 arithmetic, which is what makes the symbolic zero-residual checks on the
 fixture forms possible.
 
-coset_reps() enumerates A^-1 Z^(m x n) / Z^(m x n) column-wise from the Smith
-normal form of A.  lattice_blocks() enumerates an ellipsoid q(v + c) <= R^2
-around a real center, pruning on the Cholesky factorization of the Gram
-matrix over a chunked numpy frontier of partial vectors (the level-by-level
-ellipsoid enumeration of Deconinck et al., "Computing Riemann theta
-functions", Math. Comp. 73 (2004), run depth first chunk by chunk so memory
-stays bounded), in a deterministic order; lattice_points() refilters its
-output exactly.
+coset_reps() enumerates A^-1 Z^(m x n) / Z^(m x n) column-wise, as the group
+the columns of A^-1 generate mod 1.  lattice_blocks() enumerates an ellipsoid
+q(v + c) <= R^2 around a real center, pruning on the Cholesky factorization
+of the Gram matrix over a chunked numpy frontier of partial vectors (the
+level-by-level ellipsoid enumeration of Deconinck et al., "Computing Riemann
+theta functions", Math. Comp. 73 (2004), run depth first chunk by chunk so
+memory stays bounded), in a deterministic order; lattice_points() refilters
+its output exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactlinalg import (det_bareiss, frac_matrix, identity_frac, is_positive_definite, mat_inverse,
-                          mat_mul, smith_normal_form)
+from .exactlinalg import det_bareiss, frac_matrix, identity_frac, is_positive_definite, mat_inverse, mat_mul
 
 # ==== form basics ===========================================================
 
@@ -119,8 +118,8 @@ class QuadFormDecomposition:
         return frac_matrix(((mat + mat.T) / 2.0).tolist())
 
 
-def _rationalize_matrix(Mf: np.ndarray, max_den: int = 10**6):
-    return [[Fraction(x).limit_denominator(max_den) for x in row] for row in Mf.tolist()]
+def _rationalize_matrix(Mf: np.ndarray):
+    return [[Fraction(x).limit_denominator(10**6) for x in row] for row in Mf.tolist()]
 
 
 def decompose(A) -> QuadFormDecomposition:
@@ -225,18 +224,20 @@ class CosetRep:
 
 
 def coset_column_reps(A):
-    """Representatives of A^-1 Z^m / Z^m as Fraction column vectors in [0,1)."""
-    a = as_form_array(A)
-    m = a.shape[0]
-    d, u, v = smith_normal_form(a.tolist())
-    if any(x == 0 for x in d):
-        raise ValueError("form is degenerate")
-    cols = []
-    for ks in itertools.product(*(range(di) for di in d)):
-        w = [Fraction(k, di) for k, di in zip(ks, d)]
-        col = [sum(Fraction(v[i][j]) * w[j] for j in range(m)) % 1 for i in range(m)]
-        cols.append(tuple(col))
-    return cols
+    """A^-1 Z^m / Z^m as sorted Fraction column vectors in [0,1).
+
+    The columns of A^-1 mod 1 generate the group; sums of them are added
+    until no new vector appears.
+    """
+    inv = mat_inverse(as_form_array(A).tolist())
+    gens = {tuple(row[j] % 1 for row in inv) for j in range(len(inv))}
+    group = {tuple(Fraction(0) for _ in inv)}
+    frontier = set(group)
+    while frontier:
+        sums = {tuple((a + b) % 1 for a, b in zip(x, g)) for x in frontier for g in gens}
+        frontier = sums - group
+        group |= frontier
+    return sorted(group)
 
 
 def coset_reps(A, n: int, cap: int = 100_000):
@@ -244,7 +245,10 @@ def coset_reps(A, n: int, cap: int = 100_000):
     if n < 1:
         raise ValueError("genus n must be positive, got %d" % n)
     a = as_form_array(A)
-    count = abs(form_det(a)) ** n
+    det = form_det(a)
+    if det == 0:
+        raise ValueError("form is degenerate")
+    count = abs(det) ** n
     if count > cap:
         raise ResourceCapError("coset count %d exceeds the cap %d" % (count, cap))
     cols = coset_column_reps(a)

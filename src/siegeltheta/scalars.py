@@ -167,7 +167,7 @@ class PiScalar:
         return out
 
     def divide_rational(self, q) -> "PiScalar":
-        """Divide by a nonzero rational (or Gaussian rational given as complex parts)."""
+        """Divide by a nonzero real rational (int, Fraction, float or decimal string)."""
         q = _frac(q)
         if q == 0:
             raise ZeroDivisionError("division of PiScalar by zero")

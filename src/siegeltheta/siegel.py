@@ -18,11 +18,11 @@ import cmath
 import numpy as np
 
 
-def _sym_check(M: np.ndarray, what: str, tol: float = 1e-10):
+def _sym_check(M: np.ndarray, what: str):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("%s must be square" % what)
     scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.T)) > tol * scale:
+    if np.max(np.abs(M - M.T)) > 1e-10 * scale:
         raise ValueError("%s must be symmetric" % what)
 
 
@@ -127,7 +127,7 @@ class SymplecticMatrix:
         return "SymplecticMatrix(n=%d)" % self.n
 
 
-def act(M: SymplecticMatrix, Z: SiegelPoint, tol: float = 1e-10) -> SiegelPoint:
+def act(M: SymplecticMatrix, Z: SiegelPoint) -> SiegelPoint:
     """(A Z + B)(C Z + D)^-1 with the imaginary-part relation verified."""
     if M.n != Z.n:
         raise ValueError("size mismatch between the matrix and the point")
@@ -137,8 +137,8 @@ def act(M: SymplecticMatrix, Z: SiegelPoint, tol: float = 1e-10) -> SiegelPoint:
     W = num @ np.linalg.inv(den)
     out = SiegelPoint((W + W.T) / 2)
     lhs = (C @ np.conj(Z.Z) + D).T @ out.Y @ (C @ Z.Z + D)
-    scale = max(1.0, float(np.max(np.abs(Z.Y))))
-    if np.max(np.abs(lhs.real - Z.Y)) > tol * scale or np.max(np.abs(lhs.imag)) > tol * scale:
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(Z.Y))))
+    if np.max(np.abs(lhs.real - Z.Y)) > tol or np.max(np.abs(lhs.imag)) > tol:
         raise ValueError("imaginary-part relation violated beyond tolerance")
     return out
 
@@ -153,7 +153,7 @@ def sqrt_posdef(Y) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def det_power(W, rho: float, axis_tol: float = 1e-12) -> complex:
+def det_power(W, rho: float) -> complex:
     """exp(rho * sum of principal logs of the eigenvalues of W).
 
     Agrees with det(W)^rho whenever the eigenvalue arguments do not wrap, and
@@ -169,7 +169,7 @@ def det_power(W, rho: float, axis_tol: float = 1e-12) -> complex:
     for lam in eigs:
         if abs(lam) == 0.0:
             raise ValueError("zero eigenvalue: fractional power undefined")
-        if lam.real < 0 and abs(lam.imag) <= axis_tol * abs(lam):
+        if lam.real < 0 and abs(lam.imag) <= 1e-12 * abs(lam):
             raise ValueError(
                 "eigenvalue %r on the negative real axis: branch undefined" % lam
             )
@@ -177,10 +177,10 @@ def det_power(W, rho: float, axis_tol: float = 1e-12) -> complex:
     return cmath.exp(rho * total)
 
 
-def random_siegel_point(n: int, rng, y_scale: float = 1.0) -> SiegelPoint:
+def random_siegel_point(n: int, rng) -> SiegelPoint:
     """A reproducible generic point: random symmetric X, well-conditioned Y."""
     Xh = rng.uniform(-0.5, 0.5, size=(n, n))
     X = (Xh + Xh.T) / 2
     Q = rng.normal(size=(n, n))
-    Y = y_scale * (Q @ Q.T / n + 0.5 * np.eye(n))
+    Y = Q @ Q.T / n + 0.5 * np.eye(n)
     return SiegelPoint.from_xy(X, Y)

@@ -308,8 +308,8 @@ def _tensor_quad(fn, dim: int, L: float, N: int) -> complex:
     return complex(np.einsum("i,j,ij->", w, w, vals))
 
 
-def _refined_quad(fn, dim: int, L: float, quad_eps: float, start: int = 24):
-    N = start
+def _refined_quad(fn, dim: int, L: float, quad_eps: float):
+    N = 24
     prev = _tensor_quad(fn, dim, L, N)
     while N < 512:
         N *= 2

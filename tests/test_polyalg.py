@@ -197,7 +197,7 @@ def test_substitute_linear_matches_sympy():
 # ==== solution-space bases ==================================================
 
 # dimensions frozen from the rank of the defining linear system, computed
-# independently by sympy nullspace on the monomial coefficient matrix
+# independently by sympy from the monomial coefficient matrix
 FROZEN_DIMS = {
     (2, 1, 2): 3,
     (2, 2, 1): 1,
@@ -221,30 +221,25 @@ def sympy_basis_dim(m, n, alpha):
             fill(exps + [e], pos + 1, left - e)
 
     fill([], 0, alpha * n)
-    rows = []
-    for mono in monos:
+    # one row per (constraint entry i, j; monomial of the image), one column
+    # per monomial of the degree; each image is expanded into its coefficient
+    # dictionary once
+    entries = {}
+    for t, mono in enumerate(monos):
         term = sympy.Integer(1)
         for idx, e in enumerate(mono):
             term *= U[idx // n, idx % n] ** e
-        constraints = []
         for i in range(n):
             for j in range(n):
                 want = alpha * term if i == j else 0
-                constraints.append(sympy.expand(sym_euler(term, U, i, j) - want))
-        rows.append(constraints)
-    if not monos:
-        return 0
-    # coefficient matrix of all constraints in the monomial basis
-    allmonos = sorted({mm for row in rows for c in row
-                       for mm in sympy.Poly(c, *U).monoms()}) if any(
-        any(c != 0 for c in row) for row in rows) else []
-    sys_rows = []
-    for comp in range(len(rows[0])):
-        for mm in allmonos:
-            sys_rows.append([
-                sympy.Poly(rows[t][comp], *U).coeff_monomial(mm) if rows[t][comp] != 0 else 0
-                for t in range(len(monos))])
-    M = sympy.Matrix(sys_rows) if sys_rows else sympy.zeros(1, len(monos))
+                image = sympy.expand(sym_euler(term, U, i, j) - want)
+                if image != 0:
+                    for mm, c in sympy.Poly(image, *U).as_dict().items():
+                        entries[(i, j, mm, t)] = c
+    keys = sorted({key[:3] for key in entries})
+    index = {key: r for r, key in enumerate(keys)}
+    M = sympy.SparseMatrix(len(keys), len(monos),
+                           {(index[key[:3]], key[3]): c for key, c in entries.items()})
     return len(monos) - M.rank()
 
 
@@ -281,8 +276,9 @@ def test_homogeneity_degree():
     assert homogeneity_degree(bad) is None
 
 
-# ==== the per-block solve against one system over every monomial ==========
+# ==== basis_homopol against an independent single-system oracle ============
 
+# the shapes basis_homopol is pinned on, up to 256 monomials and 50 basis elements
 BLOCK_GRID = [(3, 2, 2), (3, 2, 3), (3, 2, 4), (2, 2, 3), (4, 2, 2), (3, 3, 1), (3, 3, 2),
               (4, 3, 1), (2, 1, 5), (4, 4, 1), (5, 2, 2)]
 
@@ -309,8 +305,9 @@ def single_system(m, n, alpha):
 
 
 def sparse_kernel(rows, ncols):
-    """rational_kernel by sparse Gauss-Jordan: the reduced echelon form is
-    unique, so this is the dense routine's output at a fraction of its cost."""
+    """rational_kernel by a separate sparse elimination that reduces one row
+    at a time against the pivot rows found so far; the reduced echelon form
+    is unique, so the output must be rational_kernel's, vector for vector."""
     reduced = {}  # pivot column -> row with a leading 1, zero in every other pivot column
     for r in rows:
         r = {c: Fraction(x) for c, x in r.items() if x}
@@ -359,11 +356,11 @@ def single_system_basis(m, n, alpha):
             for vec in sparse_kernel(rows, len(monomials))]
 
 
-@pytest.mark.parametrize("m,n,alpha", [(3, 2, 2), (3, 2, 3), (2, 2, 3), (4, 2, 2), (3, 3, 1),
-                                       (4, 3, 1), (2, 1, 5)])
+@pytest.mark.parametrize("m,n,alpha", BLOCK_GRID)
 def test_sparse_oracle_equals_the_dense_kernel(m, n, alpha):
-    # the dense rational_kernel over every monomial takes seconds at (3,3,2),
-    # (4,4,1) and (3,2,4); where it is cheap it pins the sparse oracle
+    # the package's rational_kernel and the row-at-a-time sparse_kernel here
+    # are two separate eliminations; the reduced echelon form is unique, so
+    # both give the same primitive vectors in the same order
     monomials, rows = single_system(m, n, alpha)
     assert sparse_kernel(rows, len(monomials)) == rational_kernel(rows, len(monomials))
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from siegeltheta.exactlinalg import det_bareiss, smith_normal_form
+from siegeltheta.exactlinalg import det_bareiss
 import siegeltheta.quadform as quadform
 import siegeltheta.theta as theta
 from siegeltheta.quadform import (
@@ -126,27 +127,50 @@ def test_decompose_random_floats_still_valid():
     assert min(np.linalg.eigvalsh(dec.M)) > 0
 
 
-# ==== Smith form and cosets =================================================
+# ==== cosets ================================================================
 
-def test_smith_normal_form_against_sympy():
-    rng = np.random.default_rng(1)
-    from sympy.matrices.normalforms import smith_normal_form as snf_oracle
-    for _ in range(6):
-        A = rng.integers(-4, 5, size=(3, 3)).tolist()
-        if det_bareiss([[int(x) for x in row] for row in A]) == 0:
-            continue
-        diag, U, V = smith_normal_form([[int(x) for x in row] for row in A])
-        # U A V = diag, U and V unimodular, diagonal divisibility
-        UA = sympy.Matrix(U) * sympy.Matrix(A) * sympy.Matrix(V)
-        assert UA == sympy.diag(*diag)
-        assert abs(sympy.Matrix(U).det()) == 1
-        assert abs(sympy.Matrix(V).det()) == 1
-        for i in range(2):
-            assert diag[i] >= 0
-            if diag[i] != 0:
-                assert diag[i + 1] % diag[i] == 0
-        want = snf_oracle(sympy.Matrix(A))
-        assert diag == [abs(want[i, i]) for i in range(3)]
+@st.composite
+def _forms(draw):
+    """Nondegenerate symmetric integer forms of size 1-3 with |det| <= 12."""
+    m = draw(st.integers(1, 3))
+    upper = draw(st.lists(st.integers(-3, 3), min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2))
+    it = iter(upper)
+    A = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            A[i][j] = A[j][i] = next(it)
+    assume(0 < abs(det_bareiss(A)) <= 12)
+    return A
+
+
+def brute_force_columns(A):
+    """{A^-1 v mod 1 : v in {0..|det A|-1}^m}, the whole dual quotient, since
+    det(A) Z^m lies in A Z^m; A^-1 is the adjugate over det, from sympy."""
+    det = det_bareiss(A)
+    adj = [[int(x) for x in row] for row in sympy.Matrix(A).adjugate().tolist()]
+    m = len(A)
+    return {tuple(Fraction(sum(adj[i][j] * v[j] for j in range(m)), det) % 1 for i in range(m))
+            for v in itertools.product(range(abs(det)), repeat=m)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(A=_forms(), n=st.integers(1, 2))
+def test_cosets_are_the_dual_quotient(A, n):
+    reps = coset_reps(np.array(A), n)
+    m, det = len(A), abs(det_bareiss(A))
+    assert len(reps) == len(set(reps)) == det ** n
+    for rep in reps:
+        assert all(0 <= x < 1 for row in rep.J for x in row)
+        assert all(sum(A[a][b] * rep.J[b][j] for b in range(m)).denominator == 1
+                   for a in range(m) for j in range(n))
+    columns = brute_force_columns(A)
+    assert {tuple(tuple(rep.J[i][j] for i in range(m)) for j in range(n)) for rep in reps} \
+        == set(itertools.product(columns, repeat=n))
+
+
+def test_cosets_of_a_degenerate_form_are_refused():
+    with pytest.raises(ValueError, match="form is degenerate"):
+        coset_reps(np.array([[1, 2], [2, 4]]), 1)
 
 
 @pytest.mark.parametrize("name,count", [("diag:2,-2", 4), ("h2", 1), ("e8", 1)])

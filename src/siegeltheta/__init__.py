@@ -3,7 +3,6 @@
 from .errors import ResourceCapError
 from .polyalg import (
     MatPoly,
-    ExpQuadPoly,
     basis_homopol,
     vigneras_apply,
     vigneras_residual,
@@ -23,8 +22,6 @@ from .theta import (
     ThetaSpec,
     ThetaValue,
     build_coeff,
-    build_f_posdef,
-    build_g_indef,
     theta_eval,
     theta_eval_borcherds,
     theta_spec,
@@ -46,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
-    "ExpQuadPoly",
     "FIXTURES",
     "MatPoly",
     "PiScalar",
@@ -60,8 +56,6 @@ __all__ = [
     "act",
     "basis_homopol",
     "build_coeff",
-    "build_f_posdef",
-    "build_g_indef",
     "check_borcherds_form",
     "check_commutator",
     "check_fourier",

@@ -253,6 +253,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 3)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc), 1)
+    except ArithmeticError as exc:  # a zero denominator, a number beyond the float range
+        return _fail("invalid number: %s" % exc, 1)
 
 
 if __name__ == "__main__":

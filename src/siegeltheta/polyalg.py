@@ -12,6 +12,9 @@ together with the finite heat-operator exponential exp(c tr Delta_A) and its
 column-weighted variant exp(c tr(Delta_A W)), linear substitutions
 p(U) -> p(L U N), the homogeneity eigen-test E p = alpha I p, and an exact
 solver for the space of det-homogeneous polynomials of a given degree.
+D_A also acts on an indefinite coefficient f exp(2 pi tr(U^T A- U)): it
+takes the polynomial f and the form's A- (vigneras_apply), and no type
+holds the Gaussian.
 
 Coefficients are exact (see scalars.PiScalar); numeric evaluation substitutes
 pi and converts to complex only at the end.  Exponent keys are flat row-major
@@ -205,85 +208,6 @@ class MatPoly:
         return "MatPoly(%dx%d, %d terms, degree %d)" % (self.m, self.n, len(self.terms), self.degree())
 
 
-class ExpQuadPoly:
-    """poly(U) * exp(tr(U^T B U)) with B a symmetric m x m exact-scalar matrix.
-
-    Closed under differentiation and under the Euler/Laplace operators, which
-    is all the indefinite theta coefficients need.  The heat-operator
-    exponential is deliberately not defined on this type (the series would
-    not terminate), so exp_trace_laplace refuses it.
-    """
-
-    __slots__ = ("poly", "B")
-
-    def __init__(self, poly: MatPoly, B):
-        self.poly = poly
-        rows = tuple(tuple(as_pi_scalar(x) for x in row) for row in B)
-        if len(rows) != poly.m or any(len(r) != poly.m for r in rows):
-            raise ValueError("B must be m x m")
-        for i in range(poly.m):
-            for j in range(poly.m):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("B must be symmetric")
-        self.B = rows
-
-    @property
-    def m(self):
-        return self.poly.m
-
-    @property
-    def n(self):
-        return self.poly.n
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def degree(self) -> int:
-        return self.poly.degree()
-
-    def coeff_norm(self) -> float:
-        return self.poly.coeff_norm()
-
-    def _same_gaussian(self, other) -> bool:
-        return isinstance(other, ExpQuadPoly) and self.B == other.B
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpQuadPoly):
-            return NotImplemented
-        return self.B == other.B and self.poly == other.poly
-
-    def __add__(self, other):
-        if isinstance(other, ExpQuadPoly):
-            if not self._same_gaussian(other):
-                raise ValueError("cannot add ExpQuadPoly with different Gaussian factors")
-            return ExpQuadPoly(self.poly + other.poly, self.B)
-        return NotImplemented
-
-    def __neg__(self):
-        return ExpQuadPoly(-self.poly, self.B)
-
-    def __sub__(self, other):
-        if isinstance(other, ExpQuadPoly):
-            return self + (-other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, PiScalar, MatPoly)):
-            return ExpQuadPoly(self.poly * other, self.B)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def eval(self, U) -> complex:
-        """The scalar reference value at one matrix U."""
-        Ua = np.asarray(U, dtype=complex)
-        B = np.array([[x.to_complex() for x in row] for row in self.B], dtype=complex)
-        return self.poly.eval(U) * np.exp(complex(np.einsum("aj,ab,bj->", Ua, B, Ua)))
-
-    def __repr__(self):
-        return "ExpQuadPoly(%r * exp quad)" % (self.poly,)
-
-
 class OperatorMatrix:
     """An n x n grid of ring elements, the result of a matrix operator."""
 
@@ -312,7 +236,7 @@ class OperatorMatrix:
     @classmethod
     def scalar(cls, lam, f, n):
         """lam * I * f: lam f on the diagonal, zero off it."""
-        zero = f * 0 if isinstance(f, ExpQuadPoly) else MatPoly.zero(f.m, f.n)
+        zero = MatPoly.zero(f.m, f.n)
         return cls([[f * lam if i == j else zero for j in range(n)] for i in range(n)])
 
 
@@ -320,15 +244,7 @@ class OperatorMatrix:
 
 
 def partial(f, i: int, j: int):
-    """d/dU_ij, with the product rule for the Gaussian factor of an ExpQuadPoly."""
-    if isinstance(f, ExpQuadPoly):
-        # d exp(tr(U^T B U)) = 2 (B U)_ij exp(...)
-        lin = MatPoly.zero(f.m, f.n)
-        for b in range(f.m):
-            c = f.B[i][b]
-            if not c.is_zero():
-                lin = lin + MatPoly.variable(f.m, f.n, b, j) * (c * 2)
-        return ExpQuadPoly(partial(f.poly, i, j) + f.poly * lin, f.B)
+    """d/dU_ij."""
     idx = i * f.n + j
     terms = {}
     for e, c in f.terms.items():
@@ -343,14 +259,7 @@ def partial(f, i: int, j: int):
 
 
 def euler_entry(f, i: int, j: int):
-    """E_ij f = sum_d U_di d/dU_dj f."""
-    if isinstance(f, ExpQuadPoly):
-        acc = None
-        for d in range(f.m):
-            piece = partial(f, d, j) * MatPoly.variable(f.m, f.n, d, i)
-            acc = piece if acc is None else acc + piece
-        return acc
-    # direct monomial shuffle, avoiding intermediate products
+    """E_ij f = sum_d U_di d/dU_dj f, by a direct monomial shuffle."""
     terms = {}
     for e, c in f.terms.items():
         for d in range(f.m):
@@ -388,26 +297,12 @@ def _exact_inverse(A):
 def laplace_entry(f, A, i: int, j: int):
     """(Delta_A)_ij f = sum_ab d/dU_ai (A^-1)_ab d/dU_bj f.
 
-    A MatPoly takes one direct monomial pass per (b, a) with (A^-1)_ab != 0,
-    each term gaining c k_bj k_ai (A^-1)_ab; the terms are accumulated in the
-    order the sum of the m^2 pieces d/dU_ai ((A^-1)_ab d/dU_bj f) would give,
-    so the result's term order is that of the product-rule path.
+    One direct monomial pass per (b, a) with (A^-1)_ab != 0, each term
+    gaining c k_bj k_ai (A^-1)_ab; the terms are accumulated in the order the
+    sum of the m^2 pieces d/dU_ai ((A^-1)_ab d/dU_bj f) would give them.
     """
     ainv = _exact_inverse(A)
-    m = f.m
-    if isinstance(f, ExpQuadPoly):
-        acc = None
-        for b in range(m):
-            db = partial(f, b, j)
-            if db.is_zero():
-                continue
-            for a in range(m):
-                c = ainv[a][b]
-                if c:
-                    piece = partial(db, a, i) * c
-                    acc = piece if acc is None else acc + piece
-        return ExpQuadPoly(MatPoly.zero(f.m, f.n), f.B) if acc is None else acc
-    n = f.n
+    m, n = f.m, f.n
     terms = {}
     for b in range(m):
         bj = b * n + j
@@ -469,9 +364,7 @@ def trace_laplace_weighted(f, A, W):
                 continue
             piece = laplace_entry(f, A, i, j) * w
             acc = piece if acc is None else acc + piece
-    if acc is None:
-        return MatPoly.zero(f.m, f.n) if isinstance(f, MatPoly) else ExpQuadPoly(MatPoly.zero(f.m, f.n), f.B)
-    return acc
+    return MatPoly.zero(f.m, f.n) if acc is None else acc
 
 
 # ==== heat-operator exponential =============================================
@@ -479,8 +372,6 @@ def trace_laplace_weighted(f, A, W):
 
 def _heat_series(p: MatPoly, step, c) -> MatPoly:
     """sum_k c^k/k! step^k p for a degree-lowering operator step (finite on polynomials)."""
-    if isinstance(p, ExpQuadPoly):
-        raise TypeError("heat-operator exponentials are only defined on plain polynomials")
     c = as_pi_scalar(c)
     out = p
     cur = p
@@ -556,22 +447,46 @@ def substitute_linear(p: MatPoly, L, N) -> MatPoly:
 _MINUS_QUARTER_OVER_PI = PiScalar.from_parts(Fraction(-1, 4), 0, -1)
 
 
-def vigneras_apply(f, A) -> OperatorMatrix:
-    """Matrix of (E - Delta_A/(4 pi)) applied to f, an n x n OperatorMatrix."""
-    n = f.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            ent = euler_entry(f, i, j) + laplace_entry(f, A, i, j) * _MINUS_QUARTER_OVER_PI
-            row.append(ent)
-        rows.append(row)
+def vigneras_apply(f: MatPoly, A, aminus=None) -> OperatorMatrix:
+    """Matrix of (E - Delta_A/(4 pi)) applied to f, an n x n OperatorMatrix.
+
+    With aminus, the A- of an indefinite form (exact entries), the operator
+    acts on the coefficient f exp(2 pi tr(U^T A- U)) and the Gaussian is
+    divided out of the result again: by the product rule every d/dU_ai
+    becomes d/dU_ai + 4 pi (A- U)_ai.  Without it, euler_entry and
+    laplace_entry act on f by their direct monomial passes.
+    """
+    m, n = f.m, f.n
+    if aminus is None:
+        return OperatorMatrix(
+            [[euler_entry(f, i, j) + laplace_entry(f, A, i, j) * _MINUS_QUARTER_OVER_PI
+              for j in range(n)] for i in range(n)])
+    ainv = _exact_inverse(A)
+    four_pi = PiScalar.from_parts(4, 0, 1)
+    zero = MatPoly.zero(m, n)
+    # 4 pi (A- U)_ai, the U_ai-derivative of the Gaussian's exponent
+    shift = [[sum((MatPoly.variable(m, n, b, i) * (four_pi * Fraction(aminus[a][b]))
+                   for b in range(m) if aminus[a][b]), zero)
+              for i in range(n)] for a in range(m)]
+
+    def d(p, a, i):
+        return partial(p, a, i) + p * shift[a][i]
+
+    rows = [[None] * n for _ in range(n)]
+    for j in range(n):
+        dj = [d(f, b, j) for b in range(m)]
+        # sum_b (A^-1)_ab D_bj f, the inner half of every (Delta_A)_ij
+        inner = [sum((dj[b] * ainv[a][b] for b in range(m) if ainv[a][b]), zero) for a in range(m)]
+        for i in range(n):
+            euler = sum((MatPoly.variable(m, n, e, i) * dj[e] for e in range(m)), zero)
+            laplace = sum((d(inner[a], a, i) for a in range(m)), zero)
+            rows[i][j] = euler + laplace * _MINUS_QUARTER_OVER_PI
     return OperatorMatrix(rows)
 
 
-def vigneras_residual(f, A, lam) -> OperatorMatrix:
-    """vigneras_apply(f, A) - lam * I * f; identically zero for a solution."""
-    return vigneras_apply(f, A) - OperatorMatrix.scalar(as_pi_scalar(lam), f, f.n)
+def vigneras_residual(f: MatPoly, A, lam, aminus=None) -> OperatorMatrix:
+    """vigneras_apply(f, A, aminus) - lam * I * f; identically zero for a solution."""
+    return vigneras_apply(f, A, aminus) - OperatorMatrix.scalar(as_pi_scalar(lam), f, f.n)
 
 
 # ==== homogeneity ===========================================================

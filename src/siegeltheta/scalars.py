@@ -5,8 +5,8 @@ Every coefficient that the operator calculus produces lives in the ring
     Q(i)[pi, 1/pi]  =  { sum_k (a_k + i b_k) pi^k : a_k, b_k in Q, finitely many k }.
 
 The heat-operator factors 1/(8 pi) and 1/(4 pi) lower the pi-degree, while
-differentiating a Gaussian factor exp(tr(U^T B U)) with B a rational multiple
-of pi raises it, so the ring must allow both signs of k.  Equality of ring
+differentiating the Gaussian factor exp(2 pi tr(U^T A- U)) of an indefinite
+coefficient raises it, so the ring must allow both signs of k.  Equality of ring
 elements is exact; conversion to a complex float happens only at evaluation
 time by substituting a numeric value for pi.
 
@@ -16,6 +16,7 @@ and Fraction(float) preserves it bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -181,9 +182,15 @@ class PiScalar:
         return [(k, re, im) for k, (re, im) in sorted(self._c.items())]
 
     def to_complex(self, pi_value: float = math.pi) -> complex:
-        z = 0j
-        for k, (re, im) in self._c.items():
-            z += complex(re, im) * pi_value**k
+        """The value at pi = pi_value; ValueError when it is not a finite complex float."""
+        try:
+            z = 0j
+            for k, (re, im) in self._c.items():
+                z += complex(re, im) * pi_value**k
+        except OverflowError:
+            z = complex(math.inf)
+        if not cmath.isfinite(z):
+            raise ValueError("an exact coefficient is outside the float range")
         return z
 
     def abs_norm(self, pi_value: float = math.pi) -> float:

@@ -27,12 +27,14 @@ def _sym_check(M: np.ndarray, what: str):
 
 
 class SiegelPoint:
-    """Z = X + iY with X, Y real symmetric and Y positive definite."""
+    """Z = X + iY with X, Y real symmetric and Y positive definite, all entries finite."""
 
     __slots__ = ("Z",)
 
     def __init__(self, Z):
         Z = np.asarray(Z, dtype=complex)
+        if not np.all(np.isfinite(Z)):
+            raise ValueError("point entries must be finite")
         _sym_check(Z, "Z")
         Y = Z.imag
         try:
@@ -43,7 +45,8 @@ class SiegelPoint:
 
     @classmethod
     def from_xy(cls, X, Y) -> "SiegelPoint":
-        return cls(np.asarray(X, dtype=float) + 1j * np.asarray(Y, dtype=float))
+        with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, which __init__ refuses
+            return cls(np.asarray(X, dtype=float) + 1j * np.asarray(Y, dtype=float))
 
     @property
     def n(self) -> int:

@@ -1,14 +1,18 @@
 """Theta series with matrix-valued elliptic-operator coefficients.
 
-A coefficient function f solves D_A f = lam I f, where D_A is the Euler
-operator minus 1/(4 pi) times the A-Laplacian.  For positive definite A the
-solutions used here are f = exp(-tr Delta_A / 8 pi) P with P of homogeneity
-degree alpha in every column; for indefinite A they are
+A coefficient function g solves D_A g = lam I g, where D_A is the Euler
+operator minus 1/(4 pi) times the A-Laplacian.  build_coeff makes every
+coefficient used here, for both signatures, as
 
-    g = exp(-tr Delta_M / 8 pi)(P+(Pi+ U) P-(Pi- U)) * exp(2 pi tr(U^T A- U))
+    g = f exp(2 pi tr(U^T A- U)),  f = exp(-tr Delta_M / 8 pi)(P+(Pi+ U) P-(Pi- U)),
 
-with M the matrix absolute value of A, A = A+ + A- its definite split, and
-Pi+- the associated projectors; then lam = alpha - beta - s.
+with M the matrix absolute value of A, A = A+ + A- its definite split, Pi+-
+the associated projectors, and P+- of homogeneity degrees alpha and beta in
+every column; then lam = alpha - beta - s.  A definite form has Pi+ = I,
+Pi- = 0, M = A and A- = 0, so g = f = exp(-tr Delta_A / 8 pi) P+.  The
+coefficient keeps only the polynomial f: the Gaussian is carried by the
+form's A-, in the series phase below and in the exact validation
+(polyalg.vigneras_residual with A-).
 
 The series attached to characteristics H, K (rational m x n matrices) at a
 point Z = X + iY of the genus-n Siegel upper half-space is
@@ -16,15 +20,16 @@ point Z = X + iY of the genus-n Siegel upper half-space is
     theta(Z) = det(Y)^(-lam/2) sum_{U in H + Z^{m x n}}
                f(U Y^(1/2)) e(tr(U^T A U Z)/2 + tr(K^T A U)),
 
-with e(w) = exp(2 pi i w).  The Gaussian factor of g is a phase too, so
-every term of every series here is one formula,
+with e(w) = exp(2 pi i w) and g in place of f for an indefinite form.  The
+Gaussian factor of g is a phase too, so every term of every series here is
+one formula,
 
     poly(W) e(tau(U)),  tau(U) = tr(U^T A U Z)/2 + tr(K^T A U) - i tr(U^T A- U Y),
 
-with poly the polynomial part of f at W = U Y^(1/2) (A- = 0 for a definite
-form).  Since M = A - 2 A-, its absolute value is
-|poly(W)| exp(-pi tr(U^T M U Y)), so the sum is truncated to the ellipsoid
-tr(U^T M U Y) <= R^2 with a certified bound on the discarded tail:
+with poly = f at W = U Y^(1/2) (A- = 0 for a definite form).  Since M = A -
+2 A-, its absolute value is |poly(W)| exp(-pi tr(U^T M U Y)), so the sum is
+truncated to the ellipsoid tr(U^T M U Y) <= R^2 with a certified bound on
+the discarded tail:
 
     tail <= C K(rho) exp(-pi rho R^2) prod_i theta1(pi (1-rho) d_i / 2),
 
@@ -57,7 +62,6 @@ import numpy as np
 from .exactlinalg import frac_matrix, identity_frac
 from .polyalg import (
     CompiledPoly,
-    ExpQuadPoly,
     HeatPlan,
     MatPoly,
     compile_poly,
@@ -88,11 +92,13 @@ def point_cap_from_env(explicit=None) -> int:
 
 
 class Coefficient:
-    """A solution f of D_A f = lam I f, with lam = alpha - beta - s.
+    """A solution of D_A g = lam I g, with lam = alpha - beta - s.
 
-    f is the heat-flowed MatPoly for a definite form and the split-Gaussian
-    ExpQuadPoly g for an indefinite one; source is the polynomial the heat
-    flow started from.  plan is the HeatPlan of source under Delta_M, built
+    f is the heat-flowed MatPoly and source the polynomial the heat flow
+    started from.  For a definite form g = f.  For an indefinite one g =
+    f exp(2 pi tr(U^T A- U)), and the Gaussian is carried by the form's A-:
+    the series puts it in term_phase, and the validation passes A- to
+    vigneras_residual.  plan is the HeatPlan of source under Delta_M, built
     by heat_plan on the first weighted flow and shared by every spec that
     shares the coefficient.
     """
@@ -108,10 +114,6 @@ class Coefficient:
         self.lam = alpha - beta - s
         self.plan = None
 
-    @property
-    def poly_part(self) -> MatPoly:
-        return self.f.poly if isinstance(self.f, ExpQuadPoly) else self.f
-
     def __repr__(self):
         return "Coefficient(alpha=%d, beta=%d, s=%d)" % (self.alpha, self.beta, self.s)
 
@@ -123,50 +125,37 @@ def _required_degree(p: MatPoly, what: str) -> int:
     return alpha
 
 
-def build_f_posdef(P: MatPoly, A) -> Coefficient:
-    """Heat-flow a column-homogeneous P into a coefficient for posdef A."""
-    alpha = _required_degree(P, "P")
-    f = exp_trace_laplace(P, [[int(x) for x in row] for row in np.asarray(A).tolist()],
-                          _MINUS_EIGHTH_OVER_PI)
-    return Coefficient(f, P, alpha)
+def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = None) -> Coefficient:
+    """exp(-tr Delta_M / 8 pi) of P+(Pi+ U) P-(Pi- U), the coefficient of the form dec.
 
-
-def build_g_indef(P_plus: MatPoly, P_minus: MatPoly, dec: QuadFormDecomposition) -> Coefficient:
-    """Compose P+ and P- with the definite-split projectors and heat-flow.
-
-    The projectors, M and A- are exact rationals whenever the matrix absolute
-    value of A is rational; otherwise their floating images (M and A-
-    symmetrised) are embedded exactly and the construction is only
+    P+ and P- must be homogeneous of degrees alpha and beta (P- = 1 when
+    None).  A definite form has Pi+ = I, Pi- = 0 and M = A, so its source is
+    P+ itself and P- may only be a constant, which multiplies it.  For an
+    indefinite form the projectors and M are exact rationals whenever the
+    matrix absolute value of A is rational; otherwise their floating images
+    (M symmetrised) are embedded exactly and the construction is only
     approximately a solution.
     """
-    alpha = _required_degree(P_plus, "P+")
-    beta = _required_degree(P_minus, "P-")
     m, n = P_plus.m, P_plus.n
-    if (P_minus.m, P_minus.n) != (m, n):
-        raise ValueError("P+ and P- must share a shape")
+    if P_minus is None:
+        P_minus = MatPoly.one(m, n)
     if m != dec.m:
         raise ValueError("polynomial rows must match the rank of the form")
-    pi_plus = dec.fraction_matrix("proj_plus")
-    pi_minus = dec.fraction_matrix("proj_minus")
-    M = dec.fraction_matrix("M")
-    aminus = dec.fraction_matrix("aminus")
-    eye = identity_frac(n)
-    comp = substitute_linear(P_plus, pi_plus, eye) * substitute_linear(P_minus, pi_minus, eye)
-    gpoly = exp_trace_laplace(comp, M, _MINUS_EIGHTH_OVER_PI)
-    B = [[PiScalar.from_parts(2 * Fraction(aminus[a][b]), 0, 1) for b in range(m)] for a in range(m)]
-    g = ExpQuadPoly(gpoly, B)
-    return Coefficient(g, comp, alpha, beta, dec.s)
-
-
-def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = None) -> Coefficient:
-    """One entry point for both signatures of the form."""
+    if (P_minus.m, P_minus.n) != (m, n):
+        raise ValueError("P+ and P- must share a shape")
+    alpha = _required_degree(P_plus, "P+")
+    beta = _required_degree(P_minus, "P-")
     if dec.s == 0:
-        if P_minus is not None and P_minus.degree() > 0:
+        if beta > 0:
             raise ValueError("a definite form takes a single polynomial")
-        return build_f_posdef(P_plus, dec.A)
-    if P_minus is None:
-        P_minus = MatPoly.one(P_plus.m, P_plus.n)
-    return build_g_indef(P_plus, P_minus, dec)
+        source = P_plus * P_minus
+        M = frac_matrix(dec.A.tolist())
+    else:
+        eye = identity_frac(n)
+        source = (substitute_linear(P_plus, dec.fraction_matrix("proj_plus"), eye)
+                  * substitute_linear(P_minus, dec.fraction_matrix("proj_minus"), eye))
+        M = dec.fraction_matrix("M")
+    return Coefficient(exp_trace_laplace(source, M, _MINUS_EIGHTH_OVER_PI), source, alpha, beta, dec.s)
 
 
 # ==== theta specifications ==================================================
@@ -198,18 +187,19 @@ class ThetaSpec:
         self.H = _frac_mat(H, dec.m, ncols, "H")
         self.K = _frac_mat(K, dec.m, ncols, "K")
         self.n = ncols
-        if coeff.poly_part.m != dec.m or coeff.poly_part.n != ncols:
+        if coeff.f.m != dec.m or coeff.f.n != ncols:
             raise ValueError("coefficient shape does not match the characteristics")
         self._validate_pde()
 
     def _validate_pde(self):
         A = [[int(x) for x in row] for row in self.dec.A.tolist()]
-        res = vigneras_residual(self.coeff.f, A, self.coeff.lam)
+        aminus = self.dec.fraction_matrix("aminus") if self.dec.s > 0 else None
+        res = vigneras_residual(self.coeff.f, A, self.coeff.lam, aminus)
         if self.dec.has_exact_split():
             if not res.is_zero():
                 raise ValueError("coefficient does not solve the eigenvalue equation")
         else:
-            scale = max(1.0, self.coeff.poly_part.coeff_norm()) * (1.0 + abs(self.coeff.lam))
+            scale = max(1.0, self.coeff.f.coeff_norm()) * (1.0 + abs(self.coeff.lam))
             if res.norm() > 1e-8 * scale:
                 raise ValueError("coefficient residual %.3e beyond float tolerance" % res.norm())
 
@@ -434,7 +424,7 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
         poly, Ysq, pref = borcherds_poly(spec, Y), None, 1.0
         sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
     else:
-        poly, Ysq = spec.coeff.poly_part, sqrt_posdef(Y)
+        poly, Ysq = spec.coeff.f, sqrt_posdef(Y)
         with np.errstate(all="ignore"):
             pref = float(np.linalg.det(Y) ** (-float(spec.coeff.lam) / 2.0))
         sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))

@@ -20,8 +20,6 @@ from siegeltheta.scalars import PiScalar
 from siegeltheta.siegel import SiegelPoint
 from siegeltheta.theta import (
     build_coeff,
-    build_f_posdef,
-    build_g_indef,
     theta_eval,
     theta_spec,
 )
@@ -60,7 +58,7 @@ def test_criterion_2_solution_space_suite():
         A = POSDEF[m]
         for alpha in range(4):
             for P in basis_homopol(m, n, alpha):
-                f = build_f_posdef(P, A)
+                f = build_coeff(decompose(A), P)
                 assert f.lam == alpha
                 assert vigneras_residual(f.f, A, f.lam).is_zero(), (m, n, alpha)
                 count_pos += 1
@@ -68,13 +66,14 @@ def test_criterion_2_solution_space_suite():
     for name in ("diag:2,-2", "h2", "diag:2,2,-2"):
         dec = decompose(named_form(name))
         A = [[int(x) for x in row] for row in dec.form.A.tolist()]
+        aminus = dec.fraction_matrix("aminus")
         for alpha in range(3):
             for beta in range(3):
                 Pminus = basis_homopol(dec.m, 1, beta)[0]
                 for P in basis_homopol(dec.m, 1, alpha):
-                    g = build_g_indef(P, Pminus, dec)
+                    g = build_coeff(dec, P, Pminus)
                     assert g.lam == alpha - beta - dec.s
-                    assert vigneras_residual(g.f, A, g.lam).is_zero(), (name, alpha, beta)
+                    assert vigneras_residual(g.f, A, g.lam, aminus).is_zero(), (name, alpha, beta)
                     count_ind += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0

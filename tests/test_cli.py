@@ -149,9 +149,9 @@ def test_eval_cap_exits_three(tmp_path):
 _PLAIN = {"A": [[2]], "Z": {"X": [[0.0]], "Y": [[1.0]]}}
 
 
-def _poly_spec(exp):
+def _poly_spec(exp, **term):
     return dict(_PLAIN, coeff={"type": "posdef", "P_alpha": {
-        "m": 1, "n": 1, "terms": [{"exp": exp, "re": "1"}]}})
+        "m": 1, "n": 1, "terms": [dict({"exp": exp, "re": "1"}, **term)]}})
 
 
 @pytest.mark.parametrize("spec", [
@@ -163,8 +163,15 @@ def _poly_spec(exp):
     dict(_PLAIN, eps=1e-400),           # parses as 0.0
     dict(_PLAIN, H=[]),
     dict(_PLAIN, coeff="x"),
+    dict(_PLAIN, Z={"X": [[math.nan]], "Y": [[1.0]]}),   # summed to a NaN value, exit 0
+    dict(_PLAIN, Z={"X": [[0.0]], "Y": [[math.inf]]}),   # exceeded the point cap, exit 3
+    _poly_spec([[0]], re="1/0"),                         # the rest ended in a traceback
+    dict(_PLAIN, H=[["1/0"]]),
+    _poly_spec([[0]], pi_pow=100000),
 ], ids=["non-integer-form", "negative-exponent", "wide-exponent", "short-exponent",
-        "fractional-exponent", "zero-eps", "empty-H", "coeff-not-object"])
+        "fractional-exponent", "zero-eps", "empty-H", "coeff-not-object", "nan-point",
+        "infinite-point", "zero-denominator-coefficient", "zero-denominator-H",
+        "pi-power-overflow"])
 def test_eval_malformed_spec_exits_one_with_json_error(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -279,7 +279,7 @@ def test_homogeneity_degree():
 # ==== basis_homopol against an independent single-system oracle ============
 
 # the shapes basis_homopol is pinned on, up to 256 monomials and 50 basis elements
-BLOCK_GRID = [(3, 2, 2), (3, 2, 3), (3, 2, 4), (2, 2, 3), (4, 2, 2), (3, 3, 1), (3, 3, 2),
+BASIS_GRID = [(3, 2, 2), (3, 2, 3), (3, 2, 4), (2, 2, 3), (4, 2, 2), (3, 3, 1), (3, 3, 2),
               (4, 3, 1), (2, 1, 5), (4, 4, 1), (5, 2, 2)]
 
 
@@ -356,8 +356,8 @@ def single_system_basis(m, n, alpha):
             for vec in sparse_kernel(rows, len(monomials))]
 
 
-@pytest.mark.parametrize("m,n,alpha", BLOCK_GRID)
-def test_sparse_oracle_equals_the_dense_kernel(m, n, alpha):
+@pytest.mark.parametrize("m,n,alpha", BASIS_GRID)
+def test_sparse_oracle_equals_rational_kernel(m, n, alpha):
     # the package's rational_kernel and the row-at-a-time sparse_kernel here
     # are two separate eliminations; the reduced echelon form is unique, so
     # both give the same primitive vectors in the same order
@@ -365,8 +365,8 @@ def test_sparse_oracle_equals_the_dense_kernel(m, n, alpha):
     assert sparse_kernel(rows, len(monomials)) == rational_kernel(rows, len(monomials))
 
 
-@pytest.mark.parametrize("m,n,alpha", BLOCK_GRID)
-def test_basis_per_block_equals_the_single_system(m, n, alpha):
+@pytest.mark.parametrize("m,n,alpha", BASIS_GRID)
+def test_basis_equals_the_single_system_oracle(m, n, alpha):
     got = basis_homopol(m, n, alpha)
     want = single_system_basis(m, n, alpha)
     # the same list, in the same order, down to the order of each element's terms

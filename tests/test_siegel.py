@@ -1,5 +1,7 @@
 """Upper half-space points, symplectic action, branch-locked det powers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,10 @@ def test_point_validation():
         SiegelPoint(np.array([[1j, 0.5], [0.2, 1j]]))  # not symmetric
     with pytest.raises(ValueError):
         SiegelPoint(np.array([[1.0 + 0j]]))  # Y not positive definite
+    with pytest.raises(ValueError):
+        SiegelPoint.from_xy(np.array([[math.nan]]), np.array([[1.0]]))  # summed to a NaN value
+    with pytest.raises(ValueError):
+        SiegelPoint.from_xy(np.array([[0.0]]), np.array([[math.inf]]))  # exceeded the point cap
     Z = SiegelPoint.from_xy(np.array([[0.5]]), np.array([[2.0]]))
     assert Z.n == 1
     assert Z.X[0, 0] == 0.5 and Z.Y[0, 0] == 2.0

@@ -17,17 +17,17 @@ from siegeltheta.polyalg import (
     basis_homopol,
     eval_batch,
     exp_trace_laplace_weighted,
+    vigneras_residual,
 )
 from siegeltheta.scalars import PiScalar
 import siegeltheta.theta as theta
 from siegeltheta.quadform import decompose, lattice_blocks, named_form
 from siegeltheta.siegel import SiegelPoint, sqrt_posdef
 from siegeltheta.theta import (
+    Coefficient,
     ThetaSpec,
     borcherds_poly,
     build_coeff,
-    build_f_posdef,
-    build_g_indef,
     theta_eval,
     theta_eval_borcherds,
     theta_spec,
@@ -262,17 +262,19 @@ def test_term_modulus_is_the_certificate_gaussian(form, Z):
     assert len(U) >= 20
     phase = theta.term_phase(spec, Z)(U)
     Ysq = sqrt_posdef(Z.Y)
-    for poly, W in ((spec.coeff.poly_part, U @ Ysq), (borcherds_poly(spec, Z.Y), U)):
+    for poly, W in ((spec.coeff.f, U @ Ysq), (borcherds_poly(spec, Z.Y), U)):
         vals = eval_batch(poly, W)
         want = np.abs(vals) * np.exp(-math.pi * q)
         assert np.all(np.abs(np.abs(vals * phase) - want) <= 1e-12 * want)
     W = U @ Ysq
-    terms = eval_batch(spec.coeff.poly_part, W) * phase
+    terms = eval_batch(spec.coeff.f, W) * phase
     AK = A @ spec.K_floats()
+    aminus = np.array(spec.dec.fraction_matrix("aminus"), dtype=float)
     for k in range(len(U)):
         tau = 0.5 * np.trace(U[k].T @ A @ U[k] @ Z.Z) + np.sum(AK * U[k])
-        want = spec.coeff.f.eval(W[k]) * cmath.exp(2j * math.pi * tau)
-        scale = _abs_poly(spec.coeff.poly_part).eval(np.abs(W[k])).real * math.exp(-math.pi * q[k])
+        gauss = math.exp(2.0 * math.pi * np.trace(W[k].T @ aminus @ W[k]))
+        want = spec.coeff.f.eval(W[k]) * gauss * cmath.exp(2j * math.pi * tau)
+        scale = _abs_poly(spec.coeff.f).eval(np.abs(W[k])).real * math.exp(-math.pi * q[k])
         assert abs(terms[k] - want) <= 1e-12 * scale
 
 
@@ -386,14 +388,40 @@ def test_build_coeff_rejects_minus_poly_on_definite_form():
 def test_build_f_posdef_requires_homogeneous():
     bad = MatPoly.variable(2, 1, 0, 0) + MatPoly.one(2, 1)
     with pytest.raises(ValueError):
-        build_f_posdef(bad, [[2, 0], [0, 2]])
+        build_coeff(decompose([[2, 0], [0, 2]]), bad)
 
 
 def test_build_g_indef_lambda_bookkeeping():
     dec = decompose(named_form("h2"))
-    g = build_g_indef(basis_homopol(2, 1, 2)[0], MatPoly.variable(2, 1, 0, 0), dec)
+    g = build_coeff(dec, basis_homopol(2, 1, 2)[0], MatPoly.variable(2, 1, 0, 0))
     assert g.alpha == 2 and g.beta == 1
     assert g.lam == 2 - 1 - 1
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("form", ["diag:2,-2", "h2", "diag:2,2,-2"])
+def test_indefinite_validation_needs_the_true_gaussian(form, genus):
+    # the Gaussian exp(2 pi tr(U^T A- U)) lives in the form's A-: the exact
+    # residual vanishes with it and with nothing else
+    dec = decompose(named_form(form))
+    m = dec.m
+    if genus == 1:
+        P_plus, P_minus = MatPoly.variable(m, 1, 0, 0), MatPoly.variable(m, 1, m - 1, 0)
+    else:  # a rank-1 projection kills every minor, so P+ = P- = 1
+        P_plus = P_minus = MatPoly.one(m, genus)
+    coeff = build_coeff(dec, P_plus, P_minus)
+    A = [[int(x) for x in row] for row in dec.A.tolist()]
+    aminus = dec.fraction_matrix("aminus")
+    assert not coeff.f.is_zero()
+    assert vigneras_residual(coeff.f, A, coeff.lam, aminus).is_zero()
+    assert not vigneras_residual(coeff.f, A, coeff.lam, [[-x for x in row] for row in aminus]).is_zero()
+    assert not vigneras_residual(coeff.f, A, coeff.lam).is_zero()
+    assert not vigneras_residual(coeff.f, A, coeff.lam + 1, aminus).is_zero()
+    zero = [[0] * genus for _ in range(m)]
+    ThetaSpec(dec, coeff, zero, zero)
+    wrong = Coefficient(coeff.f, coeff.source, coeff.alpha + 1, coeff.beta, coeff.s)
+    with pytest.raises(ValueError, match="eigenvalue equation"):
+        ThetaSpec(dec, wrong, zero, zero)
 
 
 # ==== generated genus-1 diagonal forms against mpmath.jtheta ================

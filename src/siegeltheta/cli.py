@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .polyalg import MatPoly, basis_homopol, matpoly_from_json, matpoly_to_json
+from .polyalg import MatPoly, basis_homopol, json_fraction, matpoly_from_json, matpoly_to_json
 from .quadform import FIXTURES, as_form_array, coset_reps, decompose, named_form
 from .siegel import SiegelPoint
 from .theta import ThetaSpec, build_coeff, theta_eval
@@ -72,7 +72,7 @@ def _frac_mat_out(rows) -> list:
 
 
 def _frac_mat_in(data) -> list:
-    return [[Fraction(str(x)) for x in row] for row in data]
+    return [[json_fraction(x) for x in row] for row in data]
 
 
 def _cmd_basis(args) -> int:

@@ -11,6 +11,7 @@ Determinants of integer matrices use fraction-free Bareiss elimination.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
@@ -48,29 +49,53 @@ def gauss_jordan(rows, ncols):
     first remaining row with a nonzero entry becomes the pivot row.  Returns
     (pivots, swaps): pivots lists (column, value) for each pivot in order,
     value being the entry divided out of its row, and swaps counts the row
-    exchanges.  Stops once every row holds a pivot.
+    exchanges.  Stops once every row holds a pivot.  An index from each
+    column to the positions of the rows that hold it finds the pivot row and
+    the rows to clear without scanning the others.
     """
+    holders = defaultdict(set)
+    for r, row in enumerate(rows):
+        for c in row:
+            if c < ncols:
+                holders[c].add(r)
     pivots = []
     swaps = 0
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if col in rows[r]), None)
-        if piv is None:
+        below = [r for r in holders[col] if r >= rank]
+        if not below:
             continue
+        piv = min(below)
         if piv != rank:
+            a, b = rows[rank].keys(), rows[piv].keys()
+            for c in a - b:
+                if c < ncols:
+                    holders[c].remove(rank)
+                    holders[c].add(piv)
+            for c in b - a:
+                if c < ncols:
+                    holders[c].remove(piv)
+                    holders[c].add(rank)
             rows[rank], rows[piv] = rows[piv], rows[rank]
             swaps += 1
         pv = rows[rank][col]
         prow = rows[rank] = {c: x / pv for c, x in rows[rank].items()}
-        for row in rows:
-            f = row.get(col)
-            if f and row is not prow:
-                for c, x in prow.items():
-                    v = row.get(c, 0) - f * x
+        for r in [r for r in holders[col] if r != rank]:
+            row = rows[r]
+            f = row[col]
+            for c, x in prow.items():
+                if c in row:
+                    v = row[c] - f * x
                     if v:
                         row[c] = v
                     else:
                         del row[c]
+                        if c < ncols:
+                            holders[c].discard(r)
+                else:
+                    row[c] = -f * x
+                    if c < ncols:
+                        holders[c].add(r)
         pivots.append((col, pv))
         rank += 1
         if rank == len(rows):

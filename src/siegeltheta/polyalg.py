@@ -626,6 +626,12 @@ class CompiledPoly:
     def coeff_norm(self) -> float:
         return math.fsum(np.abs(self.coef))
 
+    def parity_split(self):
+        """(even, odd): the terms of even and of odd total degree, None for an empty part."""
+        odd = self.exponents.sum(axis=1) % 2 == 1
+        return tuple(CompiledPoly(self.m, self.n, self.exponents[keep], self.coef[keep])
+                     if keep.any() else None for keep in (~odd, odd))
+
 
 def compile_poly(p) -> CompiledPoly:
     """p as a CompiledPoly, pi substituted; a CompiledPoly is returned as it is."""
@@ -754,8 +760,20 @@ def matpoly_to_json(p: MatPoly) -> dict:
     return {"m": p.m, "n": p.n, "terms": entries}
 
 
+def json_fraction(x) -> Fraction:
+    """A JSON number or string as the rational it spells: "1/3", 2, or 0.1 as 1/10.
+
+    A float is read through its shortest decimal form, so a coefficient and a
+    characteristic written the same way are the same rational.
+    """
+    return Fraction(str(x))
+
+
 def matpoly_from_json(data: dict) -> MatPoly:
-    """Inverse of matpoly_to_json; raises ValueError on a malformed term."""
+    """Inverse of matpoly_to_json; raises ValueError on a malformed term.
+
+    Coefficients are read with json_fraction.
+    """
     m, n = int(data["m"]), int(data["n"])
     terms: dict = {}
     for it in data.get("terms", ()):
@@ -764,7 +782,7 @@ def matpoly_from_json(data: dict) -> MatPoly:
             raise ValueError("exponent %r is not an %d x %d matrix" % (exp, m, n))
         e = tuple(x for row in exp for x in row)
         c = PiScalar.from_parts(
-            Fraction(it["re"]), Fraction(it.get("im", "0")), int(it.get("pi_pow", 0))
+            json_fraction(it["re"]), json_fraction(it.get("im", "0")), int(it.get("pi_pow", 0))
         )
         terms[e] = terms.get(e, PiScalar()) + c
     return MatPoly(m, n, terms)

@@ -12,8 +12,9 @@ q(v + c) <= R^2 around a real center, pruning on the Cholesky factorization
 of the Gram matrix over a chunked numpy frontier of partial vectors (the
 level-by-level ellipsoid enumeration of Deconinck et al., "Computing Riemann
 theta functions", Math. Comp. 73 (2004), run depth first chunk by chunk so
-memory stays bounded), in a deterministic order; lattice_points() refilters
-its output exactly.
+memory stays bounded), in a deterministic order; with half=True and 2 center
+integral it emits one point of each pair {x, -x}, which the series sum as one
+term pair; lattice_points() refilters its output exactly.
 """
 
 from __future__ import annotations
@@ -288,7 +289,8 @@ def _cholesky_data(G: np.ndarray):
 _FRONTIER_ROWS = 1024
 
 
-def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192):
+def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
+                   half: bool = False):
     """Yield (k, N) int64 arrays of all v in Z^N with q(v + center) <= R2.
 
     The search runs from the last coordinate down to the first over a
@@ -307,15 +309,30 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
     outermost.  Each interval is cast to int64 and allocated whole, so a
     bound beyond 2^52 or one interval of more than point_cap candidates
     raises ResourceCapError before that.
+
+    With half, 2 center must be integral (ValueError otherwise), so that
+    the ellipsoid is closed under x -> -x, x = v + center; then exactly one
+    x of each pair {x, -x} is emitted, the one whose last nonzero coordinate
+    is positive, and the origin x = 0 once.  A partial vector whose fixed
+    coordinates of x are all zero is "on axis" and takes x_l >= 0 at its
+    level.  The order is the full order restricted to those rows, so the
+    origin, when the center is integral, is the first row emitted.
+    point_cap then counts the points of the full ellipsoid, two for each
+    row emitted besides the origin.
     """
     G = np.asarray(G, dtype=float)
     c = np.asarray(center, dtype=float).reshape(-1)
     N = G.shape[0]
     if G.shape != (N, N) or c.shape != (N,):
         raise ValueError("Gram/center shape mismatch")
+    if half and np.any(2.0 * c != np.round(2.0 * c)):
+        raise ValueError("a half-space enumeration needs 2 center integral")
     if R2 < 0:
         return
     d, mu = _cholesky_data(G)
+    # with half, an on-axis row at level l takes x_l = v_l + c_l >= 0
+    axis_lo = np.ceil(-c).astype(np.int64)
+    origin = int(half and not np.any(c % 1.0))
     slack = 1e-9 * (1.0 + abs(R2))
     # bounds at level l lie within the ellipsoid's projection |c_l| + sqrt((R2 + slack)
     # (G^-1)_ll), plus 1; an interval holds at most 2 sqrt((R2 + slack) / d_l) + 2 points
@@ -344,7 +361,7 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
         keep = rows[q_values(rows) <= R2 + slack]
         if keep.shape[0]:
             count += keep.shape[0]
-            if point_cap is not None and count > point_cap:
+            if point_cap is not None and (2 * count - origin if half else count) > point_cap:
                 raise ResourceCapError(
                     "lattice enumeration exceeded the %d point cap" % point_cap
                 )
@@ -353,14 +370,18 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
 
     # A chunk at level l: fixed coordinates V (entries below l are zero), the
     # shifts S[:, i] = sum_{j>l} mu[i, j] (V[:, j] + c[j]) for i <= l,
-    # accumulated from the outermost level inwards, and the partial q so far.
-    stack = [(N - 1, np.zeros((1, N), dtype=np.int64), np.zeros((1, N)), np.zeros(1))]
+    # accumulated from the outermost level inwards, the partial q so far and
+    # the on-axis flags (all False without half).
+    stack = [(N - 1, np.zeros((1, N), dtype=np.int64), np.zeros((1, N)), np.zeros(1),
+              np.full(1, half))]
     while stack:
-        level, V, S, used = stack.pop()
-        half = np.sqrt(((R2 - used) + slack) / d[level])
+        level, V, S, used, axis = stack.pop()
+        width = np.sqrt(((R2 - used) + slack) / d[level])
         mid = c[level] + S[:, level]
-        lo = np.ceil(-mid - half - 1e-12).astype(np.int64)
-        hi = np.floor(-mid + half + 1e-12).astype(np.int64)
+        lo = np.ceil(-mid - width - 1e-12).astype(np.int64)
+        hi = np.floor(-mid + width + 1e-12).astype(np.int64)
+        if half:
+            lo = np.where(axis, np.maximum(lo, axis_lo[level]), lo)
         counts = np.maximum(hi - lo + 1, 0)
         if wide and counts.max() > point_cap:
             raise ResourceCapError("one enumeration interval holds %d candidates, above the %d point cap"
@@ -371,7 +392,7 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
         # beneath the children so that the depth-first order is kept.
         take = max(1, int(np.searchsorted(ends, _FRONTIER_ROWS, side="right")))
         if take < V.shape[0]:
-            stack.append((level, V[take:], S[take:], used[take:]))
+            stack.append((level, V[take:], S[take:], used[take:], axis[take:]))
             counts, ends = counts[:take], ends[:take]
         total = int(ends[-1])
         if total == 0:
@@ -387,7 +408,9 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192)
             child_S = S[parent, :level] + mu[:level, level] * x[:, None]
             live = (R2 - child_used) + slack >= 0
             if live.any():
-                stack.append((level - 1, rows[live], child_S[live], child_used[live]))
+                child_axis = axis[parent] & (x == 0.0)
+                stack.append((level - 1, rows[live], child_S[live], child_used[live],
+                              child_axis[live]))
             continue
         # Leaves: one run per parent.  A block is cut after the run that
         # brings the buffer to block_size.

@@ -194,10 +194,17 @@ class PiScalar:
         return z
 
     def abs_norm(self, pi_value: float = math.pi) -> float:
-        """Sum of term magnitudes; an upper bound for abs(to_complex())."""
-        return math.fsum(
-            abs(complex(re, im)) * pi_value**k for k, (re, im) in self._c.items()
-        )
+        """Sum of term magnitudes; an upper bound for abs(to_complex()).
+
+        ValueError when it is not a finite float, as for to_complex.
+        """
+        try:
+            norm = math.fsum(abs(complex(re, im)) * pi_value**k for k, (re, im) in self._c.items())
+        except OverflowError:
+            norm = math.inf
+        if not math.isfinite(norm):
+            raise ValueError("an exact coefficient is outside the float range")
+        return norm
 
     def __repr__(self):
         if not self._c:

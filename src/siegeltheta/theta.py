@@ -42,6 +42,20 @@ The right sides of the inversion and Poisson laws are the same series with
 U over the dual lattice H + A^-1 Z^{m x n} (dual_theta_eval), one certified
 sum with Gram matrix kron(Y, A^-1 M A^-1) rather than one per coset.
 
+Every series sums each pair {U, -U} once when its coset is closed under
+U -> -U, that is when 2H is integral (2 A H for the dual lattice), decided
+on the exact Fractions: H = 0 or 1/2 with any K.  The quadratic part Q(U)
+of tau is even, L(U) = tr(K^T A U) is odd and W is linear in U, so with
+poly = p_even + p_odd split by degree parity once, a pair sums to
+
+    e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi L(U)),
+
+and lattice_blocks(..., half=True) enumerates one U of each pair.  The
+reported terms still count every U in the ellipsoid, gross every |term|,
+and the point cap counts terms.  A centre with 2c not integral, such as
+K = 1/3 moved into the dual sum by the inversion law, is summed term by
+term.
+
 theta_eval_borcherds computes the same series in its unslashed normal form,
 with W = U and the polynomial taken under a Y^(-1)-weighted heat operator;
 the two agree after multiplying by det(Y)^(s/2 + beta).  That weight changes
@@ -305,19 +319,26 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
 
 
 def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: float,
-                          summand, point_cap: int):
+                          summand, point_cap: int, paired: bool = False):
     """Sum summand over the integer offsets of center with a certified tail.
 
-    summand maps an int64 array of shape (k, d) of integer parts to complex
-    values of the full summand at center + rows.  Each block of the
-    enumeration is summed in floating point and the per-block sums are
-    combined with exact float summation.  The result is deterministic for a
-    fixed enumeration block size, because the enumerator fixes both the order
-    of the rows and where the blocks are cut; a different block size rounds
-    the per-block sums differently and may move the result by a few ulps of
-    gross.  The last returned entry is the gross magnitude sum |f|,
-    the honest scale for relative comparisons when cancellation drives the
-    net value to zero.  eps must be finite and positive (ValueError).
+    summand maps an int64 array of shape (k, d) of integer parts to a pair
+    of float arrays: the complex values of the full summand at center + rows
+    and their magnitudes.  With paired, 2 center must be integral: the
+    enumeration then emits one x = center + row of each pair {x, -x}
+    (lattice_blocks with half), summand must return term(x) + term(-x) and
+    |term(x)| + |term(-x)| for each row, and the origin, whose paired value
+    is twice its term, is halved here.  terms counts the terms of the full
+    series either way, two per pair and one for the origin, and point_cap
+    caps that count.  Each block of the enumeration is summed in floating
+    point and the per-block sums are combined with exact float summation.
+    The result is deterministic for a fixed enumeration block size, because
+    the enumerator fixes both the order of the rows and where the blocks
+    are cut; a different block size rounds the per-block sums differently
+    and may move the result by a few ulps of gross.  The last returned entry
+    is the gross magnitude sum |f| over all terms, the honest scale for
+    relative comparisons when cancellation drives the net value to zero.
+    eps must be finite and positive (ValueError).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive, got %r" % eps)
@@ -326,18 +347,24 @@ def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: floa
     G = np.asarray(G, dtype=float)
     pivots = np.diag(np.linalg.cholesky(G)) ** 2
     rho, R2, tail = _tail_plan(Cp, deg, sig2, pivots, eps)
+    # with paired and an integral center the origin is the first row emitted
+    origin = int(paired and not np.any(np.asarray(center) % 1.0))
     re_parts = []
     im_parts = []
     abs_parts = []
     used = 0
-    for rows in lattice_blocks(G, center, R2, point_cap=point_cap):
-        vals = np.asarray(summand(rows), dtype=complex)
+    for rows in lattice_blocks(G, center, R2, point_cap=point_cap, half=paired):
+        vals, mags = summand(rows)
+        if origin and not used:
+            vals[0] *= 0.5
+            mags[0] *= 0.5
         re_parts.append(float(np.sum(vals.real)))
         im_parts.append(float(np.sum(vals.imag)))
-        abs_parts.append(float(np.sum(np.abs(vals))))
+        abs_parts.append(float(np.sum(mags)))
         used += rows.shape[0]
+    terms = 2 * used - origin if paired else used
     total = complex(math.fsum(re_parts), math.fsum(im_parts))
-    return total, tail, used, R2, rho, math.fsum(abs_parts)
+    return total, tail, terms, R2, rho, math.fsum(abs_parts)
 
 
 class ThetaValue:
@@ -374,6 +401,33 @@ class ThetaValue:
         return "ThetaValue(%r, tail<=%.2e, terms=%d)" % (self.value, self.tail_bound, self.terms)
 
 
+def _phase_parts(spec: ThetaSpec, Z: SiegelPoint):
+    """The even and the odd part of tau, for a batch of real U.
+
+    quad(U) = (expo, turns) with e(Q(U)) = exp(expo + 2 pi i turns), where
+    Q(U) = tr(U^T A U Z)/2 - i tr(U^T A- U Y) is even in U; lin(U) =
+    tr(K^T A U), real and odd, or None when A K = 0.
+    """
+    Af = spec.A.astype(float)
+    AK = Af @ spec.K_floats()
+    aminus = spec.dec.aminus if spec.dec.s > 0 else None
+    Zmat, Y = Z.Z, Z.Y
+
+    def quad(U):
+        Ut = np.transpose(U, (0, 2, 1))
+        tau = 0.5 * np.einsum("xij,ji->x", np.matmul(Ut, np.matmul(Af, U)), Zmat)
+        expo = -2.0 * math.pi * tau.imag
+        if aminus is not None:
+            Qm = np.matmul(Ut, np.matmul(aminus, U))
+            expo = expo + 2.0 * math.pi * np.einsum("xij,ji->x", Qm, Y)
+        return expo, tau.real
+
+    def lin(U):
+        return np.einsum("aj,xaj->x", AK, U)
+
+    return quad, (lin if np.any(AK) else None)
+
+
 def term_phase(spec: ThetaSpec, Z: SiegelPoint):
     """U -> e(tau(U)) for a batch of real U, the phase of every series term:
 
@@ -383,39 +437,50 @@ def term_phase(spec: ThetaSpec, Z: SiegelPoint):
     exp(-pi tr(U^T M U Y)), as M = A - 2 A-.  Re tau is reduced mod 1 before
     the exponential.
     """
-    Af = spec.A.astype(float)
-    AK = Af @ spec.K_floats()
-    if not np.any(AK):
-        AK = None
-    aminus = spec.dec.aminus if spec.dec.s > 0 else None
-    Zmat, Y = Z.Z, Z.Y
+    quad, lin = _phase_parts(spec, Z)
 
     def phase(U):
-        Ut = np.transpose(U, (0, 2, 1))
-        tau = 0.5 * np.einsum("xij,ji->x", np.matmul(Ut, np.matmul(Af, U)), Zmat)
-        if AK is not None:
-            tau = tau + np.einsum("aj,xaj->x", AK, U)
-        expo = -2.0 * math.pi * tau.imag
-        if aminus is not None:
-            Qm = np.matmul(Ut, np.matmul(aminus, U))
-            expo = expo + 2.0 * math.pi * np.einsum("xij,ji->x", Qm, Y)
-        turns = tau.real - np.round(tau.real)
-        return np.exp(expo + 2j * math.pi * turns)
+        expo, turns = quad(U)
+        if lin is not None:
+            turns = turns + lin(U)
+        return np.exp(expo + 2j * math.pi * (turns - np.round(turns)))
 
     return phase
 
 
+def _frac_center(spec: ThetaSpec, dual: bool):
+    """The exact center of the series' integer rows: H, or A H for the dual lattice."""
+    H = [list(row) for row in spec.H]
+    if dual:
+        A = spec.A.tolist()
+        H = [[sum(A[a][b] * H[b][j] for b in range(spec.m)) for j in range(spec.n)]
+             for a in range(spec.m)]
+    return H
+
+
 def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borcherds: bool,
-                    L=None) -> ThetaValue:
+                    dual: bool = False) -> ThetaValue:
     """The plain or the Borcherds series of spec at Z, certified, over U in H + L Z^{m x n}.
 
     Every term is poly(W) e(tau(U)), tau the term_phase: the plain series has
     poly = f, W = U Y^(1/2) and pref = det(Y)^(-lam/2), the Borcherds one the
-    Borcherds polynomial, W = U and pref = 1.  L is an invertible m x m
-    lattice basis (Z^m when None); the sum runs over the integer rows V of
-    U = L(V + L^-1 H), with Gram matrix kron(Y, L^T M L).  The tail budget is
-    the largest float b with pref * b <= eps, so the tail bound is at most
-    eps.  A det(Y) outside the float range leaves pref 0 or inf (ValueError).
+    Borcherds polynomial, W = U and pref = 1.  L = A^-1 for the dual lattice
+    and I otherwise; the sum runs over the integer rows V of U = L(V + c),
+    c = L^-1 H taken exactly, with Gram matrix kron(Y, L^T M L).  The tail
+    budget is the largest float b with pref * b <= eps, so the tail bound is
+    at most eps.  A det(Y) outside the float range leaves pref 0 or inf
+    (ValueError).
+
+    When 2c is integral the coset is closed under U -> -U, and each pair is
+    summed once (certified_lattice_sum with paired): W is linear in U, Q(U)
+    is even and L(U) = tr(K^T A U) odd (_phase_parts), so with poly = p_even
+    + p_odd split by degree parity,
+
+        term(U) + term(-U) = e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi L(U)),
+
+    one polynomial and one phase evaluation for two terms.  Every coset with
+    2H integral (H = 0 or 1/2) pairs, for any K; a centre such as A K with
+    K = 1/3, which the inversion law moves into the dual sum, does not.
     """
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
@@ -432,26 +497,51 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
         raise ValueError("series prefactor %r is not a positive finite float "
                          "(det(Y) outside the float range)" % pref)
     m, n = spec.m, spec.n
-    H, M = spec.H_floats(), spec.dec.M
-    if L is not None:
-        H, M = np.linalg.solve(L, H), L.T @ M @ L
+    M, L = spec.dec.M, None
+    if dual:
+        L = np.linalg.inv(spec.A.astype(float))
+        M = L.T @ M @ L
+    center = _frac_center(spec, dual)
+    paired = all((2 * x).denominator == 1 for row in center for x in row)
     G = np.kron(Y, M)
-    c = H.T.reshape(-1)
-    phase = term_phase(spec, Z)
+    c = _float_mat(center).T.reshape(-1)
     compiled = compile_poly(poly)
+    if paired:
+        quad, lin = _phase_parts(spec, Z)
+        even, odd = compiled.parity_split()
+    else:
+        phase = term_phase(spec, Z)
 
     def summand(rows):
         U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
         if L is not None:
             U = np.einsum("ab,xbj->xaj", L, U)
         W = U if Ysq is None else np.matmul(U, Ysq)
-        return eval_batch(compiled, W) * phase(U)
+        if not paired:
+            vals = eval_batch(compiled, W) * phase(U)
+            return vals, np.abs(vals)
+        expo, turns = quad(U)
+        eq = np.exp(expo + 2j * math.pi * (turns - np.round(turns)))
+        pe = 0.0 if even is None else eval_batch(even, W)
+        po = 0.0 if odd is None else eval_batch(odd, W)
+        if lin is None:  # sin 2 pi L(U) = 0
+            both = 2.0 * pe
+        else:
+            t = lin(U)
+            t = 2.0 * math.pi * (t - np.round(t))
+            both = 2.0 * (pe * np.cos(t) + 1j * po * np.sin(t))
+        if even is None or odd is None:
+            mags = 2.0 * np.abs(pe + po)
+        else:
+            mags = np.abs(pe + po) + np.abs(pe - po)
+        return eq * both, np.abs(eq) * mags
 
     budget = eps / pref
     while pref * budget > eps:
         budget = math.nextafter(budget, 0.0)
     total, tail, used, R2, rho, gross = certified_lattice_sum(
-        G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, point_cap_from_env(point_cap))
+        G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, point_cap_from_env(point_cap),
+        paired)
     return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
 
 
@@ -469,7 +559,7 @@ def dual_theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10, point_c
     J + H + Z^{m x n}, J in A^-1 Z^{m x n} / Z^{m x n}; the right side of
     the inversion and Poisson laws.
     """
-    return _lattice_series(spec, Z, eps, point_cap, borcherds, np.linalg.inv(spec.A.astype(float)))
+    return _lattice_series(spec, Z, eps, point_cap, borcherds, dual=True)
 
 
 def heat_plan(spec: ThetaSpec) -> HeatPlan:

@@ -6,11 +6,15 @@ import os
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from siegeltheta import cli
 from siegeltheta.polyalg import basis_homopol, matpoly_from_json, matpoly_to_json
 from siegeltheta.quadform import named_form
+from siegeltheta.scalars import PiScalar
 
 
 def run_cli(*args, env_extra=None):
@@ -178,6 +182,23 @@ def test_eval_malformed_spec_exits_one_with_json_error(tmp_path, spec):
     proc = run_cli("eval", "--spec", str(path))
     assert proc.returncode == 1, proc.stderr
     assert "error" in json.loads(proc.stdout)
+
+
+def test_json_floats_read_as_their_decimal_rationals(tmp_path):
+    # H, K and polynomial coefficients read a JSON float one way: 0.1 is 1/10
+    assert cli._frac_mat_in([[0.1, "1/3", 2]]) == [[Fraction(1, 10), Fraction(1, 3), Fraction(2)]]
+    p = matpoly_from_json({"m": 1, "n": 1, "terms": [{"exp": [[0]], "re": 0.1, "im": 0.25}]})
+    assert p.terms[(0,)] == PiScalar.from_parts(Fraction(1, 10), Fraction(1, 4))
+    outs = []
+    for h, re in ((0.1, 0.1), ("1/10", "1/10")):
+        spec = dict(_PLAIN, H=[[h]], coeff={"type": "posdef", "P_alpha": {
+            "m": 1, "n": 1, "terms": [{"exp": [[0]], "re": re}]}})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("eval", "--spec", str(path))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_eval_prefactor_outside_the_float_range_exits_one(tmp_path):

@@ -306,6 +306,54 @@ def test_lattice_blocks_against_box_oracle(monkeypatch):
             assert keys == sorted(set(keys))
 
 
+def test_lattice_blocks_half_space_against_box_oracle(monkeypatch):
+    # centres rounded to half-integers: the rows emitted with half and their
+    # mirrors -x - c are disjoint (the origin aside) and make up the full set
+    for G, center, R2, kind in random_ellipsoids():
+        center = np.round(2 * center) / 2
+        want = set(box_points(G, center, R2))
+        shift = np.rint(2 * center).astype(np.int64)
+        for block_size, frontier_rows in itertools.product(
+                (1, 3, 8192), (1, 3, quadform._FRONTIER_ROWS)):
+            monkeypatch.setattr(quadform, "_FRONTIER_ROWS", frontier_rows)
+            blocks = list(lattice_blocks(G, center, R2, block_size=block_size, half=True))
+            rows = [tuple(int(t) for t in row) for b in blocks for row in b]
+            inside = [r for r in rows if exact_q(G, center, r) <= Fraction(R2)]
+            mirror = {tuple(int(t) for t in -np.array(r) - shift) for r in inside}
+            origin = {r for r in inside if r in mirror}
+            assert origin == ({tuple(int(-t) for t in center)} if not np.any(center % 1) else set())
+            assert set(inside) | mirror == want and len(set(inside)) == len(inside)
+            if origin:
+                assert rows[0] in origin  # the origin comes first
+            keys = [r[::-1] for r in rows]
+            assert keys == sorted(set(keys))
+            # the kept row of each pair has its last nonzero coordinate of x positive
+            for r in inside:
+                x = [Fraction(float(c)) + v for c, v in zip(center, r)]
+                last = next((t for t in reversed(x) if t), 0)
+                assert last > 0 or r in origin
+
+
+def test_lattice_blocks_half_space_needs_a_symmetric_center():
+    G = np.array([[2, 1], [1, 3]], dtype=np.int64)
+    with pytest.raises(ValueError, match="2 center"):
+        list(lattice_blocks(G, [0.5, 1 / 3], 4.0, half=True))
+    with pytest.raises(ValueError, match="2 center"):
+        list(lattice_blocks(G, [0.25, 0.0], 4.0, half=True))
+
+
+@pytest.mark.parametrize("center", [[0.0, 0.0], [0.5, 0.0], [0.5, -1.5]])
+def test_lattice_blocks_half_space_cap_counts_the_full_ellipsoid(center):
+    # the cap counts points of the full set, two per row emitted but the origin
+    G = np.array([[2, 1], [1, 3]], dtype=np.int64)
+    full = sum(b.shape[0] for b in lattice_blocks(G, center, 40.0))
+    half = sum(b.shape[0] for b in lattice_blocks(G, center, 40.0, half=True))
+    assert full == 2 * half - (not np.any(np.array(center) % 1))
+    assert sum(b.shape[0] for b in lattice_blocks(G, center, 40.0, point_cap=full, half=True)) == half
+    with pytest.raises(ResourceCapError):
+        list(lattice_blocks(G, center, 40.0, point_cap=full - 1, half=True))
+
+
 def test_lattice_blocks_point_cap():
     G = np.array([[2, 1], [1, 3]], dtype=np.int64)
     assert len(box_points(G, [0.0, 0.0], 40.0)) > 5
@@ -337,10 +385,14 @@ GRID_ELLIPSOIDS = (
 
 
 def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
-    """The (G, center, R2) that theta_eval hands to lattice_blocks."""
+    """The (G, center, R2) that theta_eval hands to lattice_blocks.
+
+    theta_eval pairs U with -U on these cosets (half=True); the digests
+    below pin the full enumeration of the same ellipsoid.
+    """
     seen = []
 
-    def record(G, center, R2, point_cap=None, block_size=8192):
+    def record(G, center, R2, point_cap=None, block_size=8192, half=False):
         seen.append((np.array(G), np.array(center), R2))
         return iter(())
 

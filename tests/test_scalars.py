@@ -71,6 +71,14 @@ def test_abs_norm_bounds_modulus():
     assert abs(c.to_complex()) <= c.abs_norm() + 1e-12
 
 
+@pytest.mark.parametrize("c", [PiScalar.from_parts(1, 0, 100000), PiScalar.from_parts(Fraction(10**400)),
+                               PiScalar.from_parts(1e300, 0, 600)], ids=["pi-power", "huge-rational", "product"])
+def test_abs_norm_outside_the_float_range_is_a_value_error(c):
+    # it used to raise a bare OverflowError (or return inf)
+    with pytest.raises(ValueError, match="float range"):
+        c.abs_norm()
+
+
 # ==== the multiplication fast paths against the textbook product ===========
 
 _RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
 import siegeltheta.polyalg as polyalg
@@ -318,6 +318,110 @@ def test_odd_coefficient_cancels_exactly():
     assert val.gross > 1.0
 
 
+# ==== the +-U pairing against the unpaired sum ==============================
+
+
+def unpaired_series(spec, Z, R2, dual=False):
+    """(value, terms, gross) of theta_eval (dual_theta_eval) over the ellipsoid of radius R2,
+    every U of it enumerated and summed on its own: f(U Y^(1/2)) e(tau(U)).
+
+    Needs a float-exact center H (A H for the dual lattice), as H = 0 or 1/2
+    gives.
+    """
+    m, n = spec.m, spec.n
+    A = spec.A.astype(float)
+    L = np.linalg.inv(A) if dual else np.eye(m)
+    H = spec.H_floats()
+    c = (A @ H if dual else H).T.reshape(-1)
+    G = np.kron(Z.Y, L.T @ spec.dec.M @ L)
+    Ysq = sqrt_posdef(Z.Y)
+    phase = theta.term_phase(spec, Z)
+    re, im, gross, terms = [], [], [], 0
+    for rows in lattice_blocks(G, c, R2):
+        U = np.einsum("ab,xbj->xaj", L, (rows + c).reshape(-1, n, m).transpose(0, 2, 1))
+        vals = eval_batch(spec.coeff.f, U @ Ysq) * phase(U)
+        re.append(float(np.sum(vals.real)))
+        im.append(float(np.sum(vals.imag)))
+        gross.append(float(np.sum(np.abs(vals))))
+        terms += rows.shape[0]
+    pref = float(np.linalg.det(Z.Y)) ** (-float(spec.lam) / 2.0)
+    return pref * complex(math.fsum(re), math.fsum(im)), terms, pref * math.fsum(gross)
+
+
+PAIRING_ROUNDING = 64  # the two sums differ by rounding: |diff| <= tail + 64 eps gross
+
+_PAIRING_FORMS = st.sampled_from([[[2]], [[-2]], [[2, 1], [1, 2]], "h2", "diag:2,-2",
+                                  [[2, 1, 0], [1, 2, 1], [0, 1, 4]], "diag:2,2,-2"])
+_SMALL_RATIONAL = st.integers(1, 4).flatmap(
+    lambda q: st.builds(Fraction, st.integers(-q, q), st.just(q)))
+
+
+# Forms with m <= 3 of every signature, genus 1 and 2, H in {0, 1/2}, rational
+# K and integer combinations of basis_homopol(m, n, alpha), alpha <= 2 (odd
+# degree in genus 1 with alpha = 1).  Time budget: 5 s for all 40 examples
+# (about 2 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form=_PAIRING_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 2),
+       weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       halves=st.lists(st.booleans(), min_size=6, max_size=6),
+       ks=st.lists(_SMALL_RATIONAL, min_size=6, max_size=6),
+       x=st.floats(-0.5, 0.5), y=st.floats(0.8, 1.4))
+def test_paired_series_equals_the_unpaired_sum(form, n, alpha, weights, halves, ks, x, y):
+    m = len(named_form(form)) if isinstance(form, str) else len(form)
+    basis = basis_homopol(m, n, alpha)
+    assume(basis)
+    P = MatPoly.zero(m, n)
+    for w, b in zip(weights, basis):
+        P = P + b * w
+    if P.is_zero():
+        P = basis[0]
+    H = [[Fraction(1, 2) if halves[a * n + j] else Fraction(0) for j in range(n)] for a in range(m)]
+    K = [[ks[a * n + j] for j in range(n)] for a in range(m)]
+    spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
+    assume(not spec.coeff.f.is_zero())  # P+ may vanish on the positive eigenspace
+    X = np.array([[x, 0.1], [0.1, -x]])[:n, :n]
+    Z = SiegelPoint(X + 1j * np.array([[y, 0.1], [0.1, 1.1]])[:n, :n])
+    for dual, evaluate in ((False, theta_eval), (True, theta.dual_theta_eval)):
+        val = evaluate(spec, Z, eps=1e-8)
+        ref, terms, gross = unpaired_series(spec, Z, val.radius2, dual)
+        assert val.terms == terms
+        assert abs(val.gross - gross) <= 1e-12 * gross
+        tol = val.tail_bound + PAIRING_ROUNDING * np.finfo(float).eps * gross
+        assert abs(val.value - ref) <= tol, (dual, val, ref)
+
+
+@pytest.mark.parametrize("H", [[[0], [0]], [[Fraction(1, 2)], [0]], [[0], [Fraction(1, 2)]]], ids=str)
+@pytest.mark.parametrize("form", ["diag:2,2", "diag:2,-2", "h2"])
+def test_odd_coefficient_pairs_to_zero_with_full_terms_and_gross(form, H):
+    # K = 0 and an odd P: each pair sums to exactly 0, yet terms counts every
+    # U and gross every |term|, as the unpaired sum does
+    spec = theta_spec(form, P_plus=MatPoly.variable(2, 1, 0, 0), H=H)
+    val = theta_eval(spec, Z_I, eps=1e-10)
+    ref, terms, gross = unpaired_series(spec, Z_I, val.radius2)
+    assert val.value == 0
+    assert abs(ref) <= PAIRING_ROUNDING * np.finfo(float).eps * gross
+    assert val.terms == terms and val.gross > 0
+    assert abs(val.gross - gross) <= 1e-12 * gross
+
+
+def test_pairing_follows_the_center(monkeypatch):
+    # 2H integral pairs, and so does the dual center A H for A = diag(2, 4)
+    # and H = 1/4; K = 1/3 in the dual center does not
+    halves = []
+
+    def record(G, center, R2, point_cap=None, block_size=8192, half=False):
+        halves.append(half)
+        return lattice_blocks(G, center, R2, point_cap, block_size, half)
+
+    monkeypatch.setattr(theta, "lattice_blocks", record)
+    quarter = [[Fraction(1, 4)], [Fraction(1, 4)]]
+    spec = theta_spec("diag:2,4", H=quarter, K=[[Fraction(1, 3)], [0]])
+    theta_eval(spec, Z_I)
+    theta.dual_theta_eval(spec, Z_I)
+    theta.dual_theta_eval(spec.with_characteristics(H=spec.K, K=spec.H), Z_I)
+    assert halves == [False, True, False]
+
+
 def test_genus_two_even_unimodular_at_scaled_identity():
     spec = theta_spec("e8", n=2)
     Z = SiegelPoint(3j * np.eye(2))
@@ -379,19 +483,27 @@ def test_spec_validation_rejects_wrong_form():
         ThetaSpec(dec4, coeff, [[0]], [[0]])
 
 
+def test_coefficient_outside_the_float_range_is_a_value_error():
+    # the irrational |A| validates within a float tolerance scaled by
+    # coeff_norm, which raised a bare OverflowError at pi^100000
+    huge = MatPoly.constant(2, 1, PiScalar.from_parts(1, 0, 100000))
+    with pytest.raises(ValueError, match="float range"):
+        theta_spec([[2, 1], [1, -3]], P_plus=huge)
+
+
 def test_build_coeff_rejects_minus_poly_on_definite_form():
     dec = decompose(named_form("e8"))
     with pytest.raises(ValueError):
         build_coeff(dec, MatPoly.one(8, 1), MatPoly.variable(8, 1, 0, 0))
 
 
-def test_build_f_posdef_requires_homogeneous():
+def test_build_coeff_requires_homogeneous_polynomials():
     bad = MatPoly.variable(2, 1, 0, 0) + MatPoly.one(2, 1)
     with pytest.raises(ValueError):
         build_coeff(decompose([[2, 0], [0, 2]]), bad)
 
 
-def test_build_g_indef_lambda_bookkeeping():
+def test_build_coeff_indefinite_lambda_bookkeeping():
     dec = decompose(named_form("h2"))
     g = build_coeff(dec, basis_homopol(2, 1, 2)[0], MatPoly.variable(2, 1, 0, 0))
     assert g.alpha == 2 and g.beta == 1

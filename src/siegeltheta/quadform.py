@@ -12,9 +12,12 @@ q(v + c) <= R^2 around a real center, pruning on the Cholesky factorization
 of the Gram matrix over a chunked numpy frontier of partial vectors (the
 level-by-level ellipsoid enumeration of Deconinck et al., "Computing Riemann
 theta functions", Math. Comp. 73 (2004), run depth first chunk by chunk so
-memory stays bounded), in a deterministic order; with half=True and 2 center
-integral it emits one point of each pair {x, -x}, which the series sum as one
-term pair; lattice_points() refilters its output exactly.
+memory stays bounded), in a deterministic order.  Each point comes with its
+q carried down the Cholesky recurrence and, given a complex quadratic form,
+that form's value carried the same way (the series' term phase); with
+half=True and 2 center integral it emits one point of each pair {x, -x},
+which the series sum as one term pair; lattice_points() refilters its output
+exactly.
 """
 
 from __future__ import annotations
@@ -278,37 +281,72 @@ def _cholesky_data(G: np.ndarray):
     return d, mu
 
 
+class Block:
+    """One block of lattice_blocks: rows, their carried q and tau.
+
+    rows is a (k, N) int64 array of integer vectors v, q the float q(v +
+    center) that the Cholesky recurrence carried down to each row, and tau
+    the carried phase form tau(v + center), complex, or None when the
+    enumeration carried none.  len(block) is k.
+    """
+
+    __slots__ = ("rows", "q", "tau")
+
+    def __init__(self, rows: np.ndarray, q: np.ndarray, tau):
+        self.rows = rows
+        self.q = q
+        self.tau = tau
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+
 # Interior rows expanded per frontier step.  The frontier holds at most one
-# chunk of this many rows per level, each row N int64 coordinates and at most
-# N float shifts: under 7 MB even for the 20-dimensional ellipsoids of h2+e8
-# in genus 2, and it stays allocated while the caller sums a block.  On the
-# grid benchmark (2-vCPU host, two runs each) 256 rows read wall_s 1.02-1.15 s
-# and peak RSS 53.0-53.8 MB, 1024 rows 0.72-0.76 s and 54.1-54.6 MB, and 8192
-# rows 0.64-0.65 s but 60.3-60.8 MB, 15% above the 52.8 MB of a depth-first
-# recursion: past 1024 rows memory grows faster than speed.
+# chunk of this many rows per level, each row N int64 coordinates, at most
+# N float shifts per carried form and its partial values: under 10 MB even
+# for the 20-dimensional ellipsoids of h2+e8 in genus 2, and it stays
+# allocated while the caller sums a block.  On the grid benchmark (2-vCPU
+# host, two runs each, before the phase was carried) 256 rows read wall_s
+# 1.02-1.15 s and peak RSS 53.0-53.8 MB, 1024 rows 0.72-0.76 s and
+# 54.1-54.6 MB, and 8192 rows 0.64-0.65 s but 60.3-60.8 MB, 15% above the
+# 52.8 MB of a depth-first recursion: past 1024 rows memory grows faster
+# than speed.
 _FRONTIER_ROWS = 1024
 
 
 def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
-                   half: bool = False):
-    """Yield (k, N) int64 arrays of all v in Z^N with q(v + center) <= R2.
+                   half: bool = False, phase=None):
+    """Yield all v in Z^N with q(v + center) <= R2 as Blocks, each row with its carried q.
 
     The search runs from the last coordinate down to the first over a
     frontier of partial vectors held in numpy arrays: a chunk of rows at one
     level is expanded at once into all children whose partial q stays within
-    the bound, at most _FRONTIER_ROWS children per step (more only when one
-    parent alone has more).  Unexpanded parents wait on a stack below their
+    the bound, at most _FRONTIER_ROWS children per step, or block_size if
+    that is more at the last level (more only when one parent alone has
+    more).  Unexpanded parents wait on a stack below their
     children, so the frontier holds at most one chunk per level and peak
     memory is O(N^2 _FRONTIER_ROWS + N block_size) whatever the number of
-    points.  Candidate rows pass a final filter through the quadratic form
-    itself with a small slack above R2, so boundary points are never lost to
-    rounding in the per-level interval bounds; a handful of just-outside
-    points may be admitted (harmless for tail-certified sums; lattice_points
-    refilters exactly).  Rows come in blocks of about block_size, in a
-    deterministic order: ascending in each coordinate, last coordinate
-    outermost.  Each interval is cast to int64 and allocated whole, so a
-    bound beyond 2^52 or one interval of more than point_cap candidates
-    raises ResourceCapError before that.
+    points.  Each row carries q(x), x = v + center, down the Cholesky
+    recurrence q = sum_l d_l (x_l + S_l)^2, the shift S_l = sum_{j>l}
+    mu[l, j] x_j updated as each outer coordinate is fixed.  Rows pass a
+    final filter on that carried q with a small slack above R2, so boundary
+    points are never lost to rounding; a handful of just-outside points may
+    be admitted (harmless for tail-certified sums; lattice_points refilters
+    exactly).  Rows come in blocks of about block_size, in a deterministic
+    order: ascending in each coordinate, last coordinate outermost.  Each
+    interval is cast to int64 and allocated whole, so a bound beyond 2^52 or
+    one interval of more than point_cap candidates raises ResourceCapError
+    before that.
+
+    phase = (B, ell), B a complex symmetric N x N matrix and ell an N-vector
+    or None (zero), makes every row carry tau(x) = x^T B x / 2 + ell^T x
+    the same way: level l adds x_l (B_ll x_l / 2 + T_l), the shift T_l =
+    ell_l + sum_{j>l} B[l, j] x_j.  Real and imaginary parts are carried as
+    separate float recurrences, so each row's tau is the same sum of the
+    same rounded products however the frontier and the blocks are cut: q
+    and tau of a row are bitwise independent of _FRONTIER_ROWS and
+    block_size.  tau is a sum of at most N(N + 3)/2 products, so it is
+    within a few N ulps of x^T |B| x / 2 + |ell|^T |x| of the exact value.
 
     With half, 2 center must be integral (ValueError otherwise), so that
     the ellipsoid is closed under x -> -x, x = v + center; then exactly one
@@ -330,6 +368,22 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
     if R2 < 0:
         return
     d, mu = _cholesky_data(G)
+    # coef[i, l] is what x_l adds to the shifts of level i < l: mu[i, l] to
+    # S and, with a phase, Re and Im B[i, l] to T; hdiag[l, 1:] holds Re and
+    # Im B_ll / 2
+    if phase is None:
+        coef = mu[:, :, None]
+        shift0 = np.zeros((1, N, 1))
+    else:
+        B, ell = phase
+        B = np.asarray(B, dtype=complex)
+        ell = np.zeros(N) if ell is None else np.asarray(ell, dtype=complex).reshape(-1)
+        if B.shape != (N, N) or ell.shape != (N,):
+            raise ValueError("phase form shape mismatch")
+        coef = np.stack([mu, B.real, B.imag], axis=-1)
+        shift0 = np.stack([np.zeros(N), ell.real, ell.imag], axis=-1)[None]
+    w = coef.shape[2]
+    hdiag = 0.5 * np.diagonal(coef).T
     # with half, an on-axis row at level l takes x_l = v_l + c_l >= 0
     axis_lo = np.ceil(-c).astype(np.int64)
     origin = int(half and not np.any(c % 1.0))
@@ -345,39 +399,33 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
     buffered = 0
     count = 0
 
-    def q_values(rows: np.ndarray) -> np.ndarray:
-        # two einsum passes: half the time of one three-operand einsum, and
-        # unlike x @ G no BLAS call, whose first use adds buffers to the RSS
-        x = rows + c
-        return np.einsum("ij,ij->i", np.einsum("ij,jk->ik", x, G), x)
-
     def flush():
         nonlocal buffer, buffered, count
         if not buffer:
             return None
-        rows = np.concatenate(buffer, axis=0)
+        rows = np.concatenate([part[0] for part in buffer], axis=0)
+        P = np.concatenate([part[1] for part in buffer], axis=1)
         buffer = []
         buffered = 0
-        keep = rows[q_values(rows) <= R2 + slack]
-        if keep.shape[0]:
-            count += keep.shape[0]
-            if point_cap is not None and (2 * count - origin if half else count) > point_cap:
-                raise ResourceCapError(
-                    "lattice enumeration exceeded the %d point cap" % point_cap
-                )
-            return keep
-        return None
+        keep = P[0] <= R2 + slack
+        kept = int(np.count_nonzero(keep))
+        if not kept:
+            return None
+        count += kept
+        if point_cap is not None and (2 * count - origin if half else count) > point_cap:
+            raise ResourceCapError("lattice enumeration exceeded the %d point cap" % point_cap)
+        if kept < keep.shape[0]:
+            rows, P = rows[keep], P[:, keep]
+        tau = None
+        if phase is not None:
+            tau = np.empty(kept, dtype=complex)
+            tau.real, tau.imag = P[1], P[2]
+        return Block(rows, P[0], tau)
 
-    # A chunk at level l: fixed coordinates V (entries below l are zero), the
-    # shifts S[:, i] = sum_{j>l} mu[i, j] (V[:, j] + c[j]) for i <= l,
-    # accumulated from the outermost level inwards, the partial q so far and
-    # the on-axis flags (all False without half).
-    stack = [(N - 1, np.zeros((1, N), dtype=np.int64), np.zeros((1, N)), np.zeros(1),
-              np.full(1, half))]
-    while stack:
-        level, V, S, used, axis = stack.pop()
-        width = np.sqrt(((R2 - used) + slack) / d[level])
-        mid = c[level] + S[:, level]
+    def chunk(level, V, F, P, axis):
+        """A frontier chunk with each row's interval of x_level: lo and the count."""
+        width = np.sqrt(((R2 - P[0]) + slack) / d[level])
+        mid = c[level] + F[:, level, 0]
         lo = np.ceil(-mid - width - 1e-12).astype(np.int64)
         hi = np.floor(-mid + width + 1e-12).astype(np.int64)
         if half:
@@ -386,32 +434,52 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
         if wide and counts.max() > point_cap:
             raise ResourceCapError("one enumeration interval holds %d candidates, above the %d point cap"
                                    % (counts.max(), point_cap))
+        return level, V, F, P, axis, lo, counts
+
+    # A chunk at level l: fixed coordinates V (entries below l are zero), the
+    # shifts F[:, i] for i <= l (F[:, i, 0] = S_i and, with a phase,
+    # F[:, i, 1:] = Re, Im T_i), accumulated from the outermost level inwards,
+    # the partial values P, one row each (P[0] = q and, with a phase,
+    # P[1:] = Re, Im tau), the on-axis flags (all False without half) and the
+    # intervals, computed once per row.
+    stack = [chunk(N - 1, np.zeros((1, N), dtype=np.int64), shift0, np.zeros((w, 1)), np.full(1, half))]
+    while stack:
+        level, V, F, P, axis, lo, counts = stack.pop()
         ends = np.cumsum(counts)
         # Expand the longest prefix of parents with at most _FRONTIER_ROWS
         # children (always at least one parent); the rest go back on the stack
-        # beneath the children so that the depth-first order is kept.
-        take = max(1, int(np.searchsorted(ends, _FRONTIER_ROWS, side="right")))
+        # beneath the children so that the depth-first order is kept.  Leaves
+        # are not stacked, so the last level takes up to a block of them.
+        limit = _FRONTIER_ROWS if level else max(_FRONTIER_ROWS, block_size)
+        take = max(1, int(np.searchsorted(ends, limit, side="right")))
         if take < V.shape[0]:
-            stack.append((level, V[take:], S[take:], used[take:], axis[take:]))
-            counts, ends = counts[:take], ends[:take]
+            stack.append((level, V[take:], F[take:], P[:, take:], axis[take:], lo[take:], counts[take:]))
+            lo, counts, ends = lo[:take], counts[:take], ends[:take]
         total = int(ends[-1])
         if total == 0:
             continue
-        parent = np.repeat(np.arange(take), counts)
-        vals = np.arange(total) + np.repeat(lo[:take] - (ends - counts), counts)
-        rows = V[parent]
-        rows[:, level] = vals
+        vals = np.arange(total) + np.repeat(lo - (ends - counts), counts)
+        x = vals + c[level]
+        # The children of a parent are consecutive, so np.repeat copies the
+        # parents' values to them: several times faster than fancy indexing.
+        y = x + np.repeat(F[:take, level, 0], counts)
+        P = np.repeat(P[:, :take], counts, axis=1)
+        P[0] += d[level] * y * y
+        for i in range(1, w):
+            P[i] += x * (hdiag[level, i] * x + np.repeat(F[:take, level, i], counts))
         if level > 0:
-            x = vals + c[level]
-            y = x + S[parent, level]
-            child_used = used[parent] + d[level] * y * y
-            child_S = S[parent, :level] + mu[:level, level] * x[:, None]
-            live = (R2 - child_used) + slack >= 0
-            if live.any():
-                child_axis = axis[parent] & (x == 0.0)
-                stack.append((level - 1, rows[live], child_S[live], child_used[live],
-                              child_axis[live]))
+            up = np.repeat(np.arange(take), counts)
+            live = (R2 - P[0]) + slack >= 0
+            if not live.all():
+                x, up, vals, P = x[live], up[live], vals[live], P[:, live]
+            if x.size:
+                rows = np.take(V[:take], up, axis=0)
+                rows[:, level] = vals
+                F = np.take(F[:take], up, axis=0)[:, :level] + coef[:level, level] * x[:, None, None]
+                stack.append(chunk(level - 1, rows, F, P, axis[up] & (x == 0.0)))
             continue
+        rows = np.repeat(V[:take], counts, axis=0)
+        rows[:, 0] = vals
         # Leaves: one run per parent.  A block is cut after the run that
         # brings the buffer to block_size.
         run_ends = ends[counts > 0]
@@ -419,7 +487,7 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
         while start < total:
             i = int(np.searchsorted(run_ends, start + max(block_size - buffered, 1)))
             stop = total if i == run_ends.shape[0] else int(run_ends[i])
-            buffer.append(rows[start:stop])
+            buffer.append((rows[start:stop], P[:, start:stop]))
             buffered += stop - start
             if i < run_ends.shape[0]:
                 out = flush()
@@ -446,7 +514,7 @@ def lattice_points(G, center, R2, point_cap=None):
     cf = [Fraction(x) for x in cvals]
     R2f = Fraction(R2)
     for block in lattice_blocks(Gmat, [float(x) for x in cf], float(R2f), point_cap=point_cap):
-        for row in block:
+        for row in block.rows:
             x = [cf[i] + int(row[i]) for i in range(N)]
             q = sum(Gf[i][j] * x[i] * x[j] for i in range(N) for j in range(N) if x[i] and x[j])
             if q <= R2f:

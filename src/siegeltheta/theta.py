@@ -56,6 +56,20 @@ and the point cap counts terms.  A centre with 2c not integral, such as
 K = 1/3 moved into the dual sum by the inversion law, is summed term by
 term.
 
+No term evaluates tau from U.  At U = L x, x = v + c the enumerated vector,
+tau is the quadratic form x^T B x / 2 + ell^T x with B = kron(X, L^T A L) +
+i kron(Y, L^T (A - 2 A-) L) and ell = vec(L^T A K) (_series_forms), and
+lattice_blocks carries it down the enumeration beside the Cholesky q, one
+shift vector and one partial value per level.  Each point arrives with q
+and tau, the final filter tests the carried q, and a term is exp(-2 pi
+Im tau + 2 pi i frac(Re tau)) poly(W), with no W at all for a constant
+poly.  Im B equals the Gram matrix kron(Y, L^T M L) but is built from the
+integer A and A-: the float M of the Cholesky recurrence would make the
+magnitudes an order of magnitude less accurate.  The carried tau is a sum
+of N(N + 3)/2 rounded products, within a few N ulps of their absolute sum
+of the exact value, and does not depend on how the enumeration is cut.
+term_phase is the same tau evaluated per term, for the quadrature checks.
+
 theta_eval_borcherds computes the same series in its unslashed normal form,
 with W = U and the polynomial taken under a Y^(-1)-weighted heat operator;
 the two agree after multiplying by det(Y)^(s/2 + beta).  That weight changes
@@ -111,7 +125,7 @@ class Coefficient:
     f is the heat-flowed MatPoly and source the polynomial the heat flow
     started from.  For a definite form g = f.  For an indefinite one g =
     f exp(2 pi tr(U^T A- U)), and the Gaussian is carried by the form's A-:
-    the series puts it in term_phase, and the validation passes A- to
+    the series put it in the term phase tau, and the validation passes A- to
     vigneras_residual.  plan is the HeatPlan of source under Delta_M, built
     by heat_plan on the first weighted flow and shared by every spec that
     shares the coefficient.
@@ -319,12 +333,15 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
 
 
 def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: float,
-                          summand, point_cap: int, paired: bool = False):
+                          summand, point_cap: int, paired: bool = False, phase=None):
     """Sum summand over the integer offsets of center with a certified tail.
 
-    summand maps an int64 array of shape (k, d) of integer parts to a pair
+    summand maps a lattice_blocks Block (int64 rows of shape (k, d), their
+    carried q and, given a phase form (B, ell), their carried tau) to a pair
     of float arrays: the complex values of the full summand at center + rows
-    and their magnitudes.  With paired, 2 center must be integral: the
+    and their magnitudes.  phase goes to lattice_blocks as it is, and every
+    kept row has q(center + row) <= R^2 + slack by its carried q, the
+    enumeration's own filter.  With paired, 2 center must be integral: the
     enumeration then emits one x = center + row of each pair {x, -x}
     (lattice_blocks with half), summand must return term(x) + term(-x) and
     |term(x)| + |term(-x)| for each row, and the origin, whose paired value
@@ -353,15 +370,15 @@ def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: floa
     im_parts = []
     abs_parts = []
     used = 0
-    for rows in lattice_blocks(G, center, R2, point_cap=point_cap, half=paired):
-        vals, mags = summand(rows)
+    for block in lattice_blocks(G, center, R2, point_cap=point_cap, half=paired, phase=phase):
+        vals, mags = summand(block)
         if origin and not used:
             vals[0] *= 0.5
             mags[0] *= 0.5
         re_parts.append(float(np.sum(vals.real)))
         im_parts.append(float(np.sum(vals.imag)))
         abs_parts.append(float(np.sum(mags)))
-        used += rows.shape[0]
+        used += len(block)
     terms = 2 * used - origin if paired else used
     total = complex(math.fsum(re_parts), math.fsum(im_parts))
     return total, tail, terms, R2, rho, math.fsum(abs_parts)
@@ -401,33 +418,6 @@ class ThetaValue:
         return "ThetaValue(%r, tail<=%.2e, terms=%d)" % (self.value, self.tail_bound, self.terms)
 
 
-def _phase_parts(spec: ThetaSpec, Z: SiegelPoint):
-    """The even and the odd part of tau, for a batch of real U.
-
-    quad(U) = (expo, turns) with e(Q(U)) = exp(expo + 2 pi i turns), where
-    Q(U) = tr(U^T A U Z)/2 - i tr(U^T A- U Y) is even in U; lin(U) =
-    tr(K^T A U), real and odd, or None when A K = 0.
-    """
-    Af = spec.A.astype(float)
-    AK = Af @ spec.K_floats()
-    aminus = spec.dec.aminus if spec.dec.s > 0 else None
-    Zmat, Y = Z.Z, Z.Y
-
-    def quad(U):
-        Ut = np.transpose(U, (0, 2, 1))
-        tau = 0.5 * np.einsum("xij,ji->x", np.matmul(Ut, np.matmul(Af, U)), Zmat)
-        expo = -2.0 * math.pi * tau.imag
-        if aminus is not None:
-            Qm = np.matmul(Ut, np.matmul(aminus, U))
-            expo = expo + 2.0 * math.pi * np.einsum("xij,ji->x", Qm, Y)
-        return expo, tau.real
-
-    def lin(U):
-        return np.einsum("aj,xaj->x", AK, U)
-
-    return quad, (lin if np.any(AK) else None)
-
-
 def term_phase(spec: ThetaSpec, Z: SiegelPoint):
     """U -> e(tau(U)) for a batch of real U, the phase of every series term:
 
@@ -435,14 +425,25 @@ def term_phase(spec: ThetaSpec, Z: SiegelPoint):
 
     with the A- part only for an indefinite form.  |e(tau(U))| =
     exp(-pi tr(U^T M U Y)), as M = A - 2 A-.  Re tau is reduced mod 1 before
-    the exponential.
+    the exponential.  The series carry the same tau through the enumeration
+    (_lattice_series); this per-term form serves the quadrature checks and
+    is their reference.
     """
-    quad, lin = _phase_parts(spec, Z)
+    Af = spec.A.astype(float)
+    AK = Af @ spec.K_floats()
+    aminus = spec.dec.aminus if spec.dec.s > 0 else None
+    Zmat, Y = Z.Z, Z.Y
 
     def phase(U):
-        expo, turns = quad(U)
-        if lin is not None:
-            turns = turns + lin(U)
+        Ut = np.transpose(U, (0, 2, 1))
+        tau = 0.5 * np.einsum("xij,ji->x", np.matmul(Ut, np.matmul(Af, U)), Zmat)
+        expo = -2.0 * math.pi * tau.imag
+        if aminus is not None:
+            Qm = np.matmul(Ut, np.matmul(aminus, U))
+            expo = expo + 2.0 * math.pi * np.einsum("xij,ji->x", Qm, Y)
+        turns = tau.real
+        if np.any(AK):
+            turns = turns + np.einsum("aj,xaj->x", AK, U)
         return np.exp(expo + 2j * math.pi * (turns - np.round(turns)))
 
     return phase
@@ -458,6 +459,39 @@ def _frac_center(spec: ThetaSpec, dual: bool):
     return H
 
 
+def _series_forms(spec: ThetaSpec, Z: SiegelPoint, dual: bool = False):
+    """(G, c, B, ell, L, paired): what the series of spec at Z enumerates and carries.
+
+    The series runs over the integer rows v of U = L(V + c), V the m x n
+    matrix of v column by column, c = L^-1 H taken exactly, with Gram matrix
+    G = kron(Y, L^T M L); L is A^-1 for the dual lattice and None (I)
+    otherwise.  At x = v + c the phase of term_phase is tau = x^T B x / 2 +
+    ell^T x with
+
+        B = kron(X, L^T A L) + i kron(Y, L^T (A - 2 A-) L),  ell = vec(L^T A K),
+
+    and L^T A L = A^-1, L^T A K = K for the dual lattice.  Im B is G, since
+    M = A - 2 A-, but it is built from the integer A and A- rather than the
+    float M, which keeps |e(tau)| as accurate as term_phase's.  paired says
+    whether 2c is integral, decided on the exact Fractions.
+    """
+    m, n = spec.m, spec.n
+    A = spec.A.astype(float)
+    aminus = spec.dec.aminus if spec.dec.s > 0 else np.zeros((m, m))
+    M, L, AL, LAK = spec.dec.M, None, A, A @ spec.K_floats()
+    if dual:
+        L = AL = np.linalg.inv(A)
+        M = L.T @ M @ L
+        aminus = L.T @ aminus @ L
+        LAK = spec.K_floats()
+    center = _frac_center(spec, dual)
+    paired = all((2 * x).denominator == 1 for row in center for x in row)
+    G = np.kron(Z.Y, M)
+    c = _float_mat(center).T.reshape(-1)
+    B = np.kron(Z.X, AL) + 1j * np.kron(Z.Y, AL - 2.0 * aminus)
+    return G, c, B, LAK.T.reshape(-1), L, paired
+
+
 def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borcherds: bool,
                     dual: bool = False) -> ThetaValue:
     """The plain or the Borcherds series of spec at Z, certified, over U in H + L Z^{m x n}.
@@ -465,22 +499,24 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
     Every term is poly(W) e(tau(U)), tau the term_phase: the plain series has
     poly = f, W = U Y^(1/2) and pref = det(Y)^(-lam/2), the Borcherds one the
     Borcherds polynomial, W = U and pref = 1.  L = A^-1 for the dual lattice
-    and I otherwise; the sum runs over the integer rows V of U = L(V + c),
-    c = L^-1 H taken exactly, with Gram matrix kron(Y, L^T M L).  The tail
+    and I otherwise (_series_forms).  The enumeration carries tau of every
+    row, so a term costs exp(-2 pi Im tau + 2 pi i frac(Re tau)) times
+    poly(W), and a constant poly is a number: no W is built.  The tail
     budget is the largest float b with pref * b <= eps, so the tail bound is
     at most eps.  A det(Y) outside the float range leaves pref 0 or inf
     (ValueError).
 
     When 2c is integral the coset is closed under U -> -U, and each pair is
-    summed once (certified_lattice_sum with paired): W is linear in U, Q(U)
-    is even and L(U) = tr(K^T A U) odd (_phase_parts), so with poly = p_even
-    + p_odd split by degree parity,
+    summed once (certified_lattice_sum with paired): W is linear in U, the
+    carried quadratic part Q(U) of tau is even and L(U) = tr(K^T A U) odd,
+    so with poly = p_even + p_odd split by degree parity,
 
         term(U) + term(-U) = e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi L(U)),
 
-    one polynomial and one phase evaluation for two terms.  Every coset with
-    2H integral (H = 0 or 1/2) pairs, for any K; a centre such as A K with
-    K = 1/3, which the inversion law moves into the dual sum, does not.
+    one polynomial and one phase evaluation for two terms; L(U) = ell^T x
+    then stays out of the carried form.  Every coset with 2H integral (H = 0
+    or 1/2) pairs, for any K; a centre such as A K with K = 1/3, which the
+    inversion law moves into the dual sum, does not.
     """
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
@@ -497,40 +533,35 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
         raise ValueError("series prefactor %r is not a positive finite float "
                          "(det(Y) outside the float range)" % pref)
     m, n = spec.m, spec.n
-    M, L = spec.dec.M, None
-    if dual:
-        L = np.linalg.inv(spec.A.astype(float))
-        M = L.T @ M @ L
-    center = _frac_center(spec, dual)
-    paired = all((2 * x).denominator == 1 for row in center for x in row)
-    G = np.kron(Y, M)
-    c = _float_mat(center).T.reshape(-1)
+    G, c, B, ell, L, paired = _series_forms(spec, Z, dual)
     compiled = compile_poly(poly)
-    if paired:
-        quad, lin = _phase_parts(spec, Z)
-        even, odd = compiled.parity_split()
-    else:
-        phase = term_phase(spec, Z)
+    parts = compiled.parity_split() if paired else (compiled,)
+    # an empty part is 0 and a constant one its value; None marks a part that needs W
+    consts = [0.0 if p is None else complex(np.sum(p.coef)) if p.degree() == 0 else None
+              for p in parts]
+    lin = paired and bool(np.any(ell))
 
-    def summand(rows):
-        U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
-        if L is not None:
-            U = np.einsum("ab,xbj->xaj", L, U)
-        W = U if Ysq is None else np.matmul(U, Ysq)
+    def summand(block):
+        tau = block.tau
+        eq = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real)))
+        vals = consts
+        if None in consts:
+            U = (block.rows + c).reshape(-1, n, m).transpose(0, 2, 1)
+            if L is not None:
+                U = np.einsum("ab,xbj->xaj", L, U)
+            W = U if Ysq is None else np.matmul(U, Ysq)
+            vals = [eval_batch(p, W) if v is None else v for p, v in zip(parts, consts)]
         if not paired:
-            vals = eval_batch(compiled, W) * phase(U)
+            vals = vals[0] * eq
             return vals, np.abs(vals)
-        expo, turns = quad(U)
-        eq = np.exp(expo + 2j * math.pi * (turns - np.round(turns)))
-        pe = 0.0 if even is None else eval_batch(even, W)
-        po = 0.0 if odd is None else eval_batch(odd, W)
-        if lin is None:  # sin 2 pi L(U) = 0
+        pe, po = vals
+        if not lin:  # sin 2 pi L(U) = 0
             both = 2.0 * pe
         else:
-            t = lin(U)
+            t = np.einsum("ij,j->i", block.rows + c, ell)
             t = 2.0 * math.pi * (t - np.round(t))
             both = 2.0 * (pe * np.cos(t) + 1j * po * np.sin(t))
-        if even is None or odd is None:
+        if None in parts:
             mags = 2.0 * np.abs(pe + po)
         else:
             mags = np.abs(pe + po) + np.abs(pe - po)
@@ -541,7 +572,7 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
         budget = math.nextafter(budget, 0.0)
     total, tail, used, R2, rho, gross = certified_lattice_sum(
         G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, point_cap_from_env(point_cap),
-        paired)
+        paired, (B, None if paired else ell))
     return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
 
 

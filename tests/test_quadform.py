@@ -294,8 +294,8 @@ def test_lattice_blocks_against_box_oracle(monkeypatch):
                 (1, 3, 8192), (1, 3, quadform._FRONTIER_ROWS)):
             monkeypatch.setattr(quadform, "_FRONTIER_ROWS", frontier_rows)
             blocks = list(lattice_blocks(G, center, R2, block_size=block_size))
-            assert all(b.dtype == np.int64 and b.shape[0] > 0 for b in blocks)
-            rows = [tuple(int(t) for t in row) for b in blocks for row in b]
+            assert all(b.rows.dtype == np.int64 and len(b) > 0 for b in blocks)
+            rows = [tuple(int(t) for t in row) for b in blocks for row in b.rows]
             # only the documented just-outside points may be added
             slack = Fraction(2e-9) * (1 + Fraction(R2))
             assert all(exact_q(G, center, r) <= Fraction(R2) + slack for r in rows)
@@ -317,7 +317,7 @@ def test_lattice_blocks_half_space_against_box_oracle(monkeypatch):
                 (1, 3, 8192), (1, 3, quadform._FRONTIER_ROWS)):
             monkeypatch.setattr(quadform, "_FRONTIER_ROWS", frontier_rows)
             blocks = list(lattice_blocks(G, center, R2, block_size=block_size, half=True))
-            rows = [tuple(int(t) for t in row) for b in blocks for row in b]
+            rows = [tuple(int(t) for t in row) for b in blocks for row in b.rows]
             inside = [r for r in rows if exact_q(G, center, r) <= Fraction(R2)]
             mirror = {tuple(int(t) for t in -np.array(r) - shift) for r in inside}
             origin = {r for r in inside if r in mirror}
@@ -346,10 +346,10 @@ def test_lattice_blocks_half_space_needs_a_symmetric_center():
 def test_lattice_blocks_half_space_cap_counts_the_full_ellipsoid(center):
     # the cap counts points of the full set, two per row emitted but the origin
     G = np.array([[2, 1], [1, 3]], dtype=np.int64)
-    full = sum(b.shape[0] for b in lattice_blocks(G, center, 40.0))
-    half = sum(b.shape[0] for b in lattice_blocks(G, center, 40.0, half=True))
+    full = sum(len(b) for b in lattice_blocks(G, center, 40.0))
+    half = sum(len(b) for b in lattice_blocks(G, center, 40.0, half=True))
     assert full == 2 * half - (not np.any(np.array(center) % 1))
-    assert sum(b.shape[0] for b in lattice_blocks(G, center, 40.0, point_cap=full, half=True)) == half
+    assert sum(len(b) for b in lattice_blocks(G, center, 40.0, point_cap=full, half=True)) == half
     with pytest.raises(ResourceCapError):
         list(lattice_blocks(G, center, 40.0, point_cap=full - 1, half=True))
 
@@ -392,7 +392,7 @@ def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
     """
     seen = []
 
-    def record(G, center, R2, point_cap=None, block_size=8192, half=False):
+    def record(G, center, R2, point_cap=None, block_size=8192, half=False, phase=None):
         seen.append((np.array(G), np.array(center), R2))
         return iter(())
 
@@ -414,6 +414,6 @@ def test_lattice_blocks_frozen_grid_order(monkeypatch, label, form, genus, half,
     h = hashlib.sha256()
     count = 0
     for block in lattice_blocks(G, center, R2):
-        h.update(np.ascontiguousarray(block, dtype="<i8").tobytes())
-        count += block.shape[0]
+        h.update(np.ascontiguousarray(block.rows, dtype="<i8").tobytes())
+        count += len(block)
     assert (count, h.hexdigest()) == (points, digest)

@@ -2,8 +2,10 @@
 
 import cmath
 import functools
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
 import siegeltheta.polyalg as polyalg
+import siegeltheta.quadform as quadform
 from siegeltheta.polyalg import (
     MatPoly,
     basis_homopol,
@@ -337,7 +340,8 @@ def unpaired_series(spec, Z, R2, dual=False):
     Ysq = sqrt_posdef(Z.Y)
     phase = theta.term_phase(spec, Z)
     re, im, gross, terms = [], [], [], 0
-    for rows in lattice_blocks(G, c, R2):
+    for block in lattice_blocks(G, c, R2):
+        rows = block.rows
         U = np.einsum("ab,xbj->xaj", L, (rows + c).reshape(-1, n, m).transpose(0, 2, 1))
         vals = eval_batch(spec.coeff.f, U @ Ysq) * phase(U)
         re.append(float(np.sum(vals.real)))
@@ -409,9 +413,9 @@ def test_pairing_follows_the_center(monkeypatch):
     # and H = 1/4; K = 1/3 in the dual center does not
     halves = []
 
-    def record(G, center, R2, point_cap=None, block_size=8192, half=False):
+    def record(G, center, R2, point_cap=None, block_size=8192, half=False, phase=None):
         halves.append(half)
-        return lattice_blocks(G, center, R2, point_cap, block_size, half)
+        return lattice_blocks(G, center, R2, point_cap, block_size, half, phase)
 
     monkeypatch.setattr(theta, "lattice_blocks", record)
     quarter = [[Fraction(1, 4)], [Fraction(1, 4)]]
@@ -420,6 +424,98 @@ def test_pairing_follows_the_center(monkeypatch):
     theta.dual_theta_eval(spec, Z_I)
     theta.dual_theta_eval(spec.with_characteristics(H=spec.K, K=spec.H), Z_I)
     assert halves == [False, True, False]
+
+
+# ==== the phase and q carried through the enumeration =======================
+
+CARRY_ROUNDING = 4  # |e(tau_carried) - term_phase| <= 4 (2 pi (N + 2) eps (1 + scale)) |term_phase|
+
+
+def _ellipsoid_radius(G, points):
+    """R^2 whose ellipsoid of Gram matrix G has about `points` lattice points."""
+    N = G.shape[0]
+    ball = math.pi ** (N / 2) / math.gamma(N / 2 + 1)
+    return (points * math.sqrt(np.linalg.det(G)) / ball) ** (2 / N)
+
+
+def _carried(G, c, R2, phase, frontier_rows, block_size):
+    with mock.patch.object(quadform, "_FRONTIER_ROWS", frontier_rows):
+        blocks = list(lattice_blocks(G, c, R2, block_size=block_size, phase=phase))
+    return tuple(np.concatenate([getattr(b, k) for b in blocks]) for k in ("rows", "q", "tau"))
+
+
+# Forms with m <= 3 of every signature, genus 1 and 2, the plain and the dual
+# lattice, H in {0, 1/2} and rational K, each over an ellipsoid of about 60
+# points.  The scale of a row is x^T |B| x / 2 + |ell|^T |x| with every
+# factor in absolute value (B, ell and L as in _series_forms), the size of
+# the largest product either computation of tau rounds; a sum of N(N + 3)/2
+# such products is off by at most (N + 2) eps scale in each part, and e()
+# turns an error delta in tau into a relative one of about 2 pi delta.  The
+# worst case seen is 0.4 of the bound without the factor 4.  Time budget:
+# 10 s for all 30 examples (about 1 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(form=_PAIRING_FORMS, n=st.integers(1, 2), dual=st.booleans(),
+       halves=st.lists(st.booleans(), min_size=6, max_size=6),
+       ks=st.lists(_SMALL_RATIONAL, min_size=6, max_size=6),
+       x=st.floats(-0.5, 0.5), y=st.floats(0.8, 1.4))
+def test_carried_phase_and_q_match_the_per_term_values(form, n, dual, halves, ks, x, y):
+    m = len(named_form(form)) if isinstance(form, str) else len(form)
+    H = [[Fraction(1, 2) if halves[a * n + j] else Fraction(0) for j in range(n)] for a in range(m)]
+    K = [[ks[a * n + j] for j in range(n)] for a in range(m)]
+    spec = theta_spec(form, H=H, K=K, n=n)
+    X = np.array([[x, 0.1], [0.1, -x]])[:n, :n]
+    Z = SiegelPoint(X + 1j * np.array([[y, 0.1], [0.1, 1.1]])[:n, :n])
+    G, c, B, ell, L, _ = theta._series_forms(spec, Z, dual)
+    R2 = _ellipsoid_radius(G, 60)
+    # bitwise the same however the frontier and the blocks are cut
+    runs = [_carried(G, c, R2, (B, ell), f, b) for f, b in itertools.product((1, 3, 1024), (1, 8192))]
+    rows, q, tau = runs[0]
+    for other in runs[1:]:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0], other))
+    assert rows.tobytes() == np.concatenate([b.rows for b in lattice_blocks(G, c, R2)]).tobytes()
+    # q against the exact rational q(x) of the float Gram matrix
+    N = G.shape[0]
+    Gf = [[Fraction(float(v)) for v in row] for row in G]
+    slack = 1e-9 * (1.0 + R2)
+    for row, qk in zip(rows, q):
+        xf = [Fraction(float(ci)) + int(v) for ci, v in zip(c, row)]
+        exact = sum(Gf[i][j] * xf[i] * xf[j] for i in range(N) for j in range(N))
+        assert abs(Fraction(float(qk)) - exact) <= slack
+    # tau against term_phase at U = L (V + c)
+    xs = rows + c
+    U = xs.reshape(-1, n, m).transpose(0, 2, 1)
+    absL = np.eye(m)
+    if L is not None:
+        U = np.einsum("ab,xbj->xaj", L, U)
+        absL = np.abs(L)
+    ref = theta.term_phase(spec, Z)(U)
+    got = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real)))
+    aminus = np.abs(spec.dec.aminus) if spec.dec.s else np.zeros((m, m))
+    Babs = np.kron(np.abs(Z.Z), absL.T @ (np.abs(spec.A) + 2.0 * aminus) @ absL)
+    ell_abs = (absL.T @ np.abs(spec.A) @ np.abs(spec.K_floats())).T.reshape(-1)
+    ax = np.abs(xs)
+    scale = 0.5 * np.einsum("ij,jk,ik->i", ax, Babs, ax) + ax @ ell_abs
+    bound = CARRY_ROUNDING * 2.0 * math.pi * (N + 2) * np.finfo(float).eps * (1.0 + scale)
+    assert np.all(np.abs(got - ref) <= bound * np.abs(ref))
+
+
+# E4 at z = 0.3 + 0.6i (the float point) from its q-series at 40 digits.
+E4_NEAR_CUSP = complex(-1.5706063592856028, 4.54369188628833)
+
+
+def test_e8_near_the_cusp_is_accurate_to_rounding():
+    # 1,113,841 terms at Im z = 0.6; the carried Im tau keeps the parent's
+    # 1.1e-14, where a magnitude exp(-pi q) from the Cholesky recurrence
+    # reads 1.2e-13
+    z = complex(0.3, 0.6)
+    with mpmath.workdps(40):
+        qm = mpmath.exp(2j * mpmath.pi * mpmath.mpc(z.real, z.imag))
+        e4 = 1 + 240 * mpmath.fsum(mpmath.fsum(d ** 3 for d in range(1, k + 1) if k % d == 0) * qm ** k
+                                   for k in range(1, 40))
+        assert abs(complex(e4) - E4_NEAR_CUSP) <= 1e-15
+    val = theta_eval(theta_spec("e8"), SiegelPoint(np.array([[z]])), eps=1e-10)
+    assert val.terms == 1113841
+    assert abs(val.value - E4_NEAR_CUSP) <= 3e-14
 
 
 def test_genus_two_even_unimodular_at_scaled_identity():

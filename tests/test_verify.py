@@ -216,6 +216,29 @@ def test_borcherds_form_on_generated_coefficients(form, n, alpha, weights, x, y)
     assert rep.residual <= rep.tolerance, rep
 
 
+# The translation law on forms with m <= 3 of every signature (the
+# irrational-majorant [[2, 1], [1, -3]] among them), genus 1 and 2, small
+# symmetric integer S, H in {0, 1/2} and rational K.  Time budget: 10 s for
+# all 40 examples (each two certified sums at eps = 1e-12; under 1 s on a
+# 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form=_LAW_FORMS, n=st.integers(1, 2),
+       s=st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+       halves=st.lists(st.booleans(), min_size=6, max_size=6),
+       ks=st.lists(_RATIONAL, min_size=6, max_size=6),
+       x=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       y=st.tuples(st.floats(0.7, 1.5), st.floats(-0.2, 0.2), st.floats(0.7, 1.5)))
+def test_translation_on_generated_forms(form, n, s, halves, ks, x, y):
+    m = len(named_form(form)) if isinstance(form, str) else len(form)
+    H = [[Fraction(1, 2) if halves[a * n + j] else Fraction(0) for j in range(n)] for a in range(m)]
+    K = [[ks[a * n + j] for j in range(n)] for a in range(m)]
+    S = np.array([[s[0], s[1]], [s[1], s[2]]])[:n, :n]
+    X = np.array([[x[0], x[1]], [x[1], x[2]]])[:n, :n]
+    Y = np.array([[y[0], y[1]], [y[1], y[2]]])[:n, :n]
+    rep = check_translation(theta_spec(form, H=H, K=K, n=n), SiegelPoint(X + 1j * Y), S)
+    assert rep.residual <= rep.tolerance, rep
+
+
 def test_zero_series_checks_stay_honest():
     # odd coefficient on a symmetric lattice: the series is identically zero,
     # and the checks must compare at the gross scale instead of 0/0

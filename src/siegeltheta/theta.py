@@ -31,12 +31,14 @@ with poly = f at W = U Y^(1/2) (A- = 0 for a definite form).  Since M = A -
 truncated to the ellipsoid tr(U^T M U Y) <= R^2 with a certified bound on
 the discarded tail:
 
-    tail <= C K(rho) exp(-pi rho R^2) prod_i theta1(pi (1-rho) d_i / 2),
+    tail <= C K(rho) exp(-pi rho R^2) prod_i theta1(b_t d_i),
 
 where C bounds the polynomial coefficient mass, K(rho) absorbs the
-polynomial growth, d_i are the Cholesky pivots of kron(Y, M), theta1 is the
-one-dimensional majorant theta1(x) = 1 + 2 sum exp(-x k^2), and rho in (0,1)
-is picked from a small grid to minimize the enumeration radius.
+polynomial growth at the rate b_p, b_t + b_p = pi (1 - rho) (b_t = pi (1 -
+rho) for a constant coefficient, b_t : b_p = N : deg otherwise), d_i are
+the N Cholesky pivots of kron(Y, M), theta1 is the closed-form majorant of
+1 + 2 sum exp(-x k^2), and rho in (0,1) minimizes the enumeration radius by
+a golden-section search (_tail_plan).
 
 The right sides of the inversion and Poisson laws are the same series with
 U over the dual lattice H + A^-1 Z^{m x n} (dual_theta_eval), one certified
@@ -105,7 +107,11 @@ from .scalars import PiScalar
 from .siegel import SiegelPoint, sqrt_posdef
 
 DEFAULT_POINT_CAP = 100_000_000
-RHO_GRID = (0.3, 0.5, 0.7, 0.85, 0.95)
+# the golden-section search of _tail_plan: its bracket and number of evaluations
+RHO_BRACKET = (0.5, 0.995)
+RHO_PROBES = 12
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAJORANT_ROUNDING = 1.0 + 2.0**-48
 
 _MINUS_EIGHTH_OVER_PI = PiScalar.from_parts(Fraction(-1, 8), 0, -1)
 
@@ -282,54 +288,105 @@ def theta_spec(A, P_plus=None, P_minus=None, H=None, K=None, n: int = 1) -> Thet
 
 
 def theta1_majorant(x: float) -> float:
-    """Upper bound of 1 + 2 sum_k exp(-x k^2); dominates every shifted 1-D sum.
+    """Upper bound of theta1(x) = 1 + 2 sum_{k >= 1} exp(-x k^2), in closed form.
 
-    For x >= 1e-4 it sums k = 1..K until a term is negligible (K < 600
-    there), then adds the integral bound of the rest, 2 sum_{k > K}
-    exp(-x k^2) <= sqrt(pi/x) erfc(K sqrt(x)).  The factor
-    1 + (K + 128) 2^-52 covers the rounding of the K additions and of each
-    term (the exponents stay below about 40).  Below 1e-4 Poisson summation
-    gives the value as sqrt(pi/x) (1 + 2 sum_n exp(-pi^2 n^2 / x)), whose
-    dual sum is below exp(-98,000); the factor 1 + 2^-49 covers it and the
-    rounding of sqrt(pi/x).
+    theta1(x) dominates every shifted sum sum_k exp(-x (k + s)^2).  For an
+    integer k >= 1, k^2 >= 3k - 2, as (k - 1)(k - 2) >= 0, so for any y > 0
+
+        sum_{k >= 1} exp(-y k^2) <= exp(-y) sum_{k >= 1} exp(-3y (k - 1)) = t / (1 - t^3),
+
+    t = exp(-y).  For x > pi this bounds theta1(x) by 1 + 2 t / (1 - t^3)
+    at y = x.  For x <= pi Poisson summation gives theta1(x) = sqrt(pi/x)
+    theta1(pi^2/x), and the same bound at y = pi^2/x >= pi applies.  The
+    two forms agree at x = pi, and each overshoots theta1 only by its terms
+    k >= 3: below 6e-10 relative over the whole range, largest at x = pi.
+    The few roundings (math.pi, the products and quotients, exp and sqrt,
+    each within an ulp; an error d in y moves exp(-y) by y d, and y t <= pi
+    exp(-pi) where the term matters) stay within a few ulps of the result,
+    and the factor 1 + 2^-48, 32 half-ulps, covers them, so the majorant is
+    never below the true sum.
     """
     if x <= 0:
         raise ValueError("need a positive exponent scale")
-    if x < 1e-4:
-        return math.sqrt(math.pi / x) * (1.0 + 2.0**-49)
-    acc = 1.0
-    K = 0
-    while K < 1000:
-        t = 2.0 * math.exp(-x * (K + 1) * (K + 1))
-        acc += t
-        K += 1
-        if t < 1e-17 * acc:
-            break
-    rest = math.sqrt(math.pi / x) * math.erfc(K * math.sqrt(x))
-    return (acc + rest) * (1.0 + (K + 128) * 2.0**-52)
+    if x > math.pi:
+        t = math.exp(-x)
+        return (1.0 + 2.0 * t / (1.0 - t * t * t)) * _MAJORANT_ROUNDING
+    t = math.exp(-math.pi * math.pi / x)
+    return math.sqrt(math.pi / x) * (1.0 + 2.0 * t / (1.0 - t * t * t)) * _MAJORANT_ROUNDING
 
 
 def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
-    """Pick rho and R^2 with tail(R^2, rho) <= eps; smallest R^2 wins."""
-    best = None
-    for rho in RHO_GRID:
-        b = math.pi * (1.0 - rho) / 2.0
+    """(rho, R^2, tail): the certified truncation of a sum of |poly(W)| exp(-pi q(x)).
+
+    The sum runs over x in c + Z^N, q(x) = x^T G x with Cholesky pivots d_i
+    of G, and |poly(W)| <= Cp max(1, sig2 q(x))^(deg/2): Cp is the sum of
+    the coefficient moduli of poly, each monomial has degree at most deg,
+    and every entry of W has square at most |W|_F^2 <= sig2 q(x).  For rho
+    in (0, 1) split the leftover Gaussian exp(-pi (1 - rho) q) as
+    exp(-b_p q) exp(-b_t q), with b_p + b_t = pi (1 - rho).  Everywhere,
+
+        exp(-pi rho q) <= exp(-pi rho R^2) on q > R^2,
+        max(1, sig2 q)^(deg/2) exp(-b_p q) <= K = max(1, (sig2 deg / (2 b_p e))^(deg/2)),
+
+    the second since s^(deg/2) exp(-b_p s / sig2), s = sig2 q, peaks at s =
+    sig2 deg / (2 b_p).  The sum of exp(-b_t q(x)) over all of c + Z^N is at most
+    prod_i theta1(b_t d_i): with G = R^T R, R upper triangular, q is
+    sum_i d_i (x_i + s_i)^2 with s_i a function of the x_j, j > i only, so
+    summing over x_1 first, then x_2 and so on, each sum is a shifted
+    one-dimensional one, below theta1_majorant(b_t d_i).  Hence
+
+        tail <= Cp K exp(-pi rho R^2) prod_i theta1_majorant(b_t d_i)
+
+    for every rho and every split.  A degree-0 poly has K = 1 for any b_p,
+    so b_t takes the whole pi (1 - rho).  Otherwise b_t / b_p = N / deg:
+    where theta1(x) ~ sqrt(pi/x) the bound goes as b_t^(-N/2) b_p^(-deg/2),
+    and that ratio minimises it for a fixed sum.  R^2(rho) = log(lead / eps)
+    / (pi rho), lead the bound at R^2 = 0, is minimised over rho by a
+    golden-section search of RHO_PROBES evaluations on RHO_BRACKET (log lead
+    is close to convex in rho, so R^2 is close to unimodal; any rho is
+    valid, so a probe off the true minimum only costs points).  The best
+    probe wins, the first of equals; R^2 then moves up by ulps until the
+    computed tail is at most eps, since the logarithm may round it short.
+    """
+    N = len(pivots)
+
+    def lead(rho):
+        b = math.pi * (1.0 - rho)
+        out = Cp
         if deg > 0:
-            Kpoly = max(1.0, (sig2 * deg / (2.0 * b * math.e)) ** (deg / 2.0))
-        else:
-            Kpoly = 1.0
-        Th = 1.0
+            b_p = b * deg / (N + deg)
+            out *= max(1.0, (sig2 * deg / (2.0 * b_p * math.e)) ** (deg / 2.0))
+        b_t = b * N / (N + deg)
         for d in pivots:
-            Th *= theta1_majorant(b * d)
-        lead = Cp * Kpoly * Th
-        R2 = max(0.0, math.log(lead / eps) / (math.pi * rho)) if lead > eps else 0.0
-        tail = lead * math.exp(-math.pi * rho * R2)
-        while tail > eps:  # the logarithm rounds R^2 a few ulps short
-            R2 = math.nextafter(R2, math.inf)
-            tail = lead * math.exp(-math.pi * rho * R2)
-        if best is None or R2 < best[1]:
-            best = (rho, R2, tail)
-    return best
+            out *= theta1_majorant(b_t * d)
+        return out
+
+    def radius2(rho):
+        a = lead(rho)
+        return max(0.0, math.log(a / eps) / (math.pi * rho)) if a > eps else 0.0
+
+    lo, hi = RHO_BRACKET
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = radius2(c), radius2(d)
+    probes = [(fc, c), (fd, d)]
+    for _ in range(RHO_PROBES - 2):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = radius2(c)
+            probes.append((fc, c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = radius2(d)
+            probes.append((fd, d))
+    R2, rho = min(probes, key=lambda p: p[0])
+    a = lead(rho)
+    tail = a * math.exp(-math.pi * rho * R2)
+    while tail > eps:  # the logarithm rounds R^2 a few ulps short
+        R2 = math.nextafter(R2, math.inf)
+        tail = a * math.exp(-math.pi * rho * R2)
+    return rho, R2, tail
 
 
 def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: float,
@@ -355,14 +412,17 @@ def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: floa
     and may move the result by a few ulps of gross.  The last returned entry
     is the gross magnitude sum |f| over all terms, the honest scale for
     relative comparisons when cancellation drives the net value to zero.
-    eps must be finite and positive (ValueError).
+    The return is (total, tail, terms, R^2, rho, gross), with R^2, rho and
+    the tail from _tail_plan.  Cp = 0, a zero polynomial, sums nothing: tail,
+    terms, R^2 and gross are 0 and rho reads RHO_BRACKET[1], as any rho
+    certifies a zero tail.  eps must be finite and positive (ValueError).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive, got %r" % eps)
     if Cp == 0.0:
-        return 0.0 + 0.0j, 0.0, 0, 0.0, RHO_GRID[0], 0.0
+        return 0.0 + 0.0j, 0.0, 0, 0.0, RHO_BRACKET[1], 0.0
     G = np.asarray(G, dtype=float)
-    pivots = np.diag(np.linalg.cholesky(G)) ** 2
+    pivots = (np.diag(np.linalg.cholesky(G)) ** 2).tolist()
     rho, R2, tail = _tail_plan(Cp, deg, sig2, pivots, eps)
     # with paired and an integral center the origin is the first row emitted
     origin = int(paired and not np.any(np.asarray(center) % 1.0))

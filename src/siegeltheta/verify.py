@@ -119,11 +119,36 @@ def _ones(rows, cols):
     return [[Fraction(1)] * cols for _ in range(rows)]
 
 
-def _relative_residual(lhs, pref, rhs):
-    """pref times rhs, and its distance to lhs over the larger gross mass (0 when both are 0)."""
-    rhs_val = pref * rhs.value
-    scale = max(lhs.gross, abs(pref) * rhs.gross)
-    return rhs_val, (abs(lhs.value - rhs_val) / scale if scale > 0 else 0.0)
+# the smallest factor by which a law check refines its eps: it raises R^2 by
+# at most log(10^6) / (pi rho) < 9, which bounds the work of the repeated
+# sums however small the gross mass
+_FINEST_STEP = 1e-6
+
+
+def _law_residual(sides, pref, eps: float, tol: float):
+    """The sides of a law lhs = pref rhs and their residual, summed finely enough to decide.
+
+    sides(eps) sums the two sides and returns (lhs, rhs, rhs_eps), the
+    right side summed with tail budget rhs_eps.  The residual is |lhs -
+    pref rhs| over scale, the larger gross mass (0 when both are 0), and
+    lies within budget / scale of the law's own defect, budget = eps +
+    |pref| rhs_eps.  A residual above tol with budget / scale above tol / 2
+    is then no verdict on the law, as the certified tails alone may explain
+    it, so both sides are summed once more at eps times tol scale / (2
+    budget) (a factor of at least _FINEST_STEP), where they no longer can.
+    Returns (lhs, rhs, pref rhs, residual, eps), eps the one of the
+    returned sums.
+    """
+    for final in (False, True):
+        lhs, rhs, rhs_eps = sides(eps)
+        rhs_val = pref * rhs.value
+        scale = max(lhs.gross, abs(pref) * rhs.gross)
+        residual = abs(lhs.value - rhs_val) / scale if scale > 0 else 0.0
+        budget = eps + abs(pref) * rhs_eps
+        if final or residual <= tol or 2.0 * budget <= tol * scale:
+            break
+        eps *= max(tol * scale / (2.0 * budget), _FINEST_STEP)
+    return lhs, rhs, rhs_val, residual, eps
 
 
 def translation_data(spec: ThetaSpec, S):
@@ -183,13 +208,20 @@ def check_inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
 
     The right side is one certified sum over U in K + A^-1 Z^{m x n}, with
     characteristics (K, -H), at Z.  Its tail budget is eps for each of its
-    |det A|^n cosets of Z^{m x n}, at most the largest float.
+    |det A|^n cosets of Z^{m x n}, at most the largest float.  A residual
+    that the tails could explain is summed again at a finer eps
+    (_law_residual); the metadata records the eps of the reported sums.
     """
-    lhs = theta_eval(spec, Z.inverse_point(), eps, point_cap)
     cosets = abs(int(spec.dec.form.det)) ** spec.n
     dual = spec.with_characteristics(H=spec.K, K=[[-x for x in row] for row in spec.H])
-    rhs = dual_theta_eval(dual, Z, min(eps * cosets, np.finfo(float).max), point_cap)
-    rhs_val, residual = _relative_residual(lhs, inversion_prefactor(spec, Z), rhs)
+    pref = inversion_prefactor(spec, Z)
+
+    def sides(eps):
+        rhs_eps = min(eps * cosets, float(np.finfo(float).max))
+        return (theta_eval(spec, Z.inverse_point(), eps, point_cap),
+                dual_theta_eval(dual, Z, rhs_eps, point_cap), rhs_eps)
+
+    lhs, rhs, rhs_val, residual, eps = _law_residual(sides, pref, eps, tol)
     return CheckReport(
         "inversion", residual, tol, lhs.value, rhs_val,
         {"eps": eps, "cosets": cosets, "terms": lhs.terms + rhs.terms,
@@ -203,7 +235,8 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
 
     A det(Y) whose power leaves the float range makes the prefactor 0 or inf
     and the right side meaningless (inf * 0 is nan): ValueError, before any
-    series is summed.
+    series is summed.  A residual that the tails could explain is summed
+    again at a finer eps (_law_residual), recorded in the metadata.
     """
     with np.errstate(all="ignore"):
         dety = float(np.linalg.det(Z.Y))
@@ -214,9 +247,11 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
     if not (math.isfinite(pref) and pref > 0):
         raise ValueError("Borcherds prefactor det(Y)^(s/2+beta) = %r is not a positive finite "
                          "float (det(Y) outside the float range)" % pref)
-    lhs = theta_eval(spec, Z, eps, point_cap)
-    rhs = theta_eval_borcherds(spec, Z, eps, point_cap)
-    rhs_val, residual = _relative_residual(lhs, pref, rhs)
+
+    def sides(eps):
+        return theta_eval(spec, Z, eps, point_cap), theta_eval_borcherds(spec, Z, eps, point_cap), eps
+
+    lhs, rhs, rhs_val, residual, eps = _law_residual(sides, pref, eps, tol)
     return CheckReport(
         "borcherds_form", residual, tol, lhs.value, rhs_val,
         {"eps": eps, "terms": lhs.terms + rhs.terms})
@@ -458,14 +493,19 @@ def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     The left side is the lattice sum of f_Z itself (the characteristics play
     no role here, so they are zeroed); the right side sums the closed-form
     transform over V in A^-1 Z^{m x n}, which is _fourier_prefactor times
-    the Borcherds series at W = -Z^-1 over the dual lattice.
+    the Borcherds series at W = -Z^-1 over the dual lattice.  A residual
+    that the tails could explain is summed again at a finer eps
+    (_law_residual), recorded in the metadata.
     """
     spec0 = _zero_characteristics(spec)
-    lhs = theta_eval_borcherds(spec0, Z, eps, point_cap)
     W = SiegelPoint(-np.linalg.inv(Z.Z))
-    rhs = dual_theta_eval(spec0, W, eps, point_cap, borcherds=True)
     pref = _fourier_prefactor(spec, Z, W)
-    rhs_val, residual = _relative_residual(lhs, pref, rhs)
+
+    def sides(eps):
+        return (theta_eval_borcherds(spec0, Z, eps, point_cap),
+                dual_theta_eval(spec0, W, eps, point_cap, borcherds=True), eps)
+
+    lhs, rhs, rhs_val, residual, eps = _law_residual(sides, pref, eps, tol)
     return CheckReport(
         "poisson", residual, tol, lhs.value, rhs_val,
         {"eps": eps, "terms_lhs": lhs.terms, "terms_rhs": rhs.terms,

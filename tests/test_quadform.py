@@ -362,25 +362,27 @@ def test_lattice_blocks_point_cap():
             list(lattice_blocks(G, [0.0, 0.0], 40.0, point_cap=5, block_size=block_size))
 
 
-# The certified ellipsoids theta_eval enumerates on the benchmark grid, with
+# The certified ellipsoids theta_eval enumerated on the benchmark grid, with
 # the point count and SHA-256 of the emitted rows (int64, in order) recorded
 # from the recursive depth-first enumerator that lattice_blocks replaced.
-# label, form, genus, H = 1/2 in the first row, Y, eps, points, digest
+# Their R^2 are those of the five-value rho grid that the golden-section tail
+# plan replaced, kept as literals so the digests go on pinning the order.
+# label, form, genus, H = 1/2 in the first row, Y, eps, R^2, points, digest
 GRID_ELLIPSOIDS = (
-    ("e8/g1", "e8", 1, False, [[1.3]], 1e-10, 26641,
+    ("e8/g1", "e8", 1, False, [[1.3]], 1e-10, 12.109804879043654, 26641,
      "58c53f936fdb61da95ea637e12d05a2b29081d76794af72fa7cb8dfa5af5da05"),
-    ("e8/g1/cusp", "e8", 1, False, [[0.6]], 1e-10, 1113841,
+    ("e8/g1/cusp", "e8", 1, False, [[0.6]], 1e-10, 13.267988188131653, 1113841,
      "434c414859346bf297892664d28c8ce47954c537b7f6045faa82c71494489c85"),
-    ("e8/g2/Hhalf", "e8", 2, True, [[3.0, 0.06], [0.06, 3.0]], 1e-9, 35348,
+    ("e8/g2/Hhalf", "e8", 2, True, [[3.0, 0.06], [0.06, 3.0]], 1e-9, 12.232792289363127, 35348,
      "8c49e12d9e6bb5b958204b987578b23f722bda801f339f21323a6647ab3d41a9"),
-    ("h2+e8/g2", "h2+e8", 2, False, [[3.0, 0.0], [0.0, 3.0]], 1e-6, 4385,
+    ("h2+e8/g2", "h2+e8", 2, False, [[3.0, 0.0], [0.0, 3.0]], 1e-6, 10.542018713670869, 4385,
      "45d662912cba6a61dcdbbc2a3163f4556822483ac2b29aa96411b93abb667d9c"),
-    ("h2+e8/g2/Hhalf", "h2+e8", 2, True, [[3.0, 0.0], [0.0, 3.0]], 1e-6, 9676,
+    ("h2+e8/g2/Hhalf", "h2+e8", 2, True, [[3.0, 0.0], [0.0, 3.0]], 1e-6, 10.542018713670869, 9676,
      "b2d82bbfed9f5d5c36d6c2e8fd6d913863875591548026f5554b38c2b009992c"),
-    ("diag:2,-2/g2", "diag:2,-2", 2, False, [[1.0, 0.02], [0.02, 1.0]], 1e-12, 137,
+    ("diag:2,-2/g2", "diag:2,-2", 2, False, [[1.0, 0.02], [0.02, 1.0]], 1e-12, 11.26571922034775, 137,
      "ffe871d63d78d6d9109e37545e74c07d0ecc56c23df4a8f9314a8b1bafbee4ea"),
-    ("diag:2,-2/g2/Hhalf", "diag:2,-2", 2, True, [[1.0, 0.02], [0.02, 1.0]], 1e-12, 176,
-     "f42c0d4a0da8fe3e81e2ef72e4d8ff9f569e80634b74c6bdb2506ca59244b9d6"),
+    ("diag:2,-2/g2/Hhalf", "diag:2,-2", 2, True, [[1.0, 0.02], [0.02, 1.0]], 1e-12, 11.26571922034775,
+     176, "f42c0d4a0da8fe3e81e2ef72e4d8ff9f569e80634b74c6bdb2506ca59244b9d6"),
 )
 
 
@@ -406,11 +408,16 @@ def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
     return out
 
 
-@pytest.mark.parametrize("label,form,genus,half,Y,eps,points,digest", GRID_ELLIPSOIDS,
+@pytest.mark.parametrize("label,form,genus,half,Y,eps,R2,points,digest", GRID_ELLIPSOIDS,
                          ids=[row[0] for row in GRID_ELLIPSOIDS])
-def test_lattice_blocks_frozen_grid_order(monkeypatch, label, form, genus, half, Y, eps,
+def test_lattice_blocks_frozen_grid_order(monkeypatch, label, form, genus, half, Y, eps, R2,
                                           points, digest):
-    G, center, R2 = grid_ellipsoid(monkeypatch, form, genus, half, Y, eps)
+    # theta_eval still hands over the recorded G = kron(Y, M) and centre;
+    # the enumeration runs at the recorded R^2
+    G, center, _ = grid_ellipsoid(monkeypatch, form, genus, half, Y, eps)
+    assert np.array_equal(G, np.kron(np.array(Y), decompose(named_form(form)).M))
+    m = named_form(form).shape[0]
+    assert center.tolist() == [0.5 if a == 0 and half else 0.0 for _ in range(genus) for a in range(m)]
     h = hashlib.sha256()
     count = 0
     for block in lattice_blocks(G, center, R2):

@@ -223,6 +223,17 @@ def test_theta1_majorant_is_above_the_gaussian_integral(x):
             assert mpmath.mpf(got) <= dual * (1 + mpmath.mpf(10) ** -6)
 
 
+def test_theta1_majorant_is_tight_over_the_whole_range():
+    # the closed form overshoots theta1 only by its terms k >= 3 (5.2e-10
+    # relative at x = pi, the worst case) and by its rounding margin
+    for x in np.append(np.logspace(-14, 2, 81), math.pi):
+        got = theta.theta1_majorant(float(x))
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(float(x))
+            exact = mpmath.sqrt(mpmath.pi / xm) * mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi ** 2 / xm))
+            assert exact <= mpmath.mpf(got) <= exact * (1 + mpmath.mpf(6e-10)), x
+
+
 _Z1 = SiegelPoint(np.array([[0.3 + 1.1j]]))
 _Z2 = SiegelPoint(np.array([[0.3 + 1.2j, -0.1 + 0.2j], [-0.1 + 0.2j, 0.2 + 0.9j]]))
 
@@ -426,6 +437,57 @@ def test_pairing_follows_the_center(monkeypatch):
     assert halves == [False, True, False]
 
 
+TAIL_ROUNDING = 64  # two certified sums differ by their tails plus 64 eps gross
+
+_TAIL_FORMS = st.sampled_from([[[2]], [[-2]], [[2, 1], [1, 2]], [[-2, 1], [1, -2]], "h2",
+                               [[2, 1], [1, -3]], [[2, 1, 0], [1, 2, 1], [0, 1, 4]],
+                               "diag:2,2,-2", "diag:2,-2,-2", "diag:-2,-2,-2", "e8"])
+
+
+# Forms with m <= 3 of every signature and e8, genus 1 and 2, H in {0, 1/2},
+# rational K, a constant or an integer combination of basis_homopol(m, n,
+# alpha) with alpha <= 2, plain and Borcherds series.  Time budget: 10 s for
+# all 40 examples (about 1 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form=_TAIL_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 2),
+       weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       halves=st.lists(st.booleans(), min_size=6, max_size=6),
+       ks=st.lists(_SMALL_RATIONAL, min_size=6, max_size=6),
+       x=st.floats(-0.5, 0.5), y=st.floats(0.8, 1.4), eps=st.sampled_from([1e-4, 1e-6, 1e-8]))
+def test_tail_bound_honesty_on_generated_series(form, n, alpha, weights, halves, ks, x, y, eps):
+    # the tail of the plan bounds what a finer sum adds: both the value moved
+    # and the mass summed between R^2(eps) and R^2(eps 1e-4)
+    m = len(named_form(form)) if isinstance(form, str) else len(form)
+    if m == 8:  # basis_homopol(8, 2, 2) alone takes seconds
+        alpha = min(alpha, 3 - n)
+    P = MatPoly.one(m, n)
+    if alpha:
+        basis = basis_homopol(m, n, alpha)
+        assume(basis)
+        P = MatPoly.zero(m, n)
+        for w, b in zip(weights, basis):
+            P = P + b * w
+        if P.is_zero():
+            P = basis[0]
+    # e8 has 8 or 16 entries: the six draws repeat
+    H = [[Fraction(1, 2) if halves[(a * n + j) % 6] else Fraction(0) for j in range(n)]
+         for a in range(m)]
+    K = [[ks[(a * n + j) % 6] for j in range(n)] for a in range(m)]
+    spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
+    assume(not spec.coeff.f.is_zero())  # P+ may vanish on the positive eigenspace
+    # e8 at Im Z = 2n y keeps the finer sum below 50,000 terms
+    Y = np.array([[y, 0.1], [0.1, 1.1]])[:n, :n] * (2.0 * n if m == 8 else 1.0)
+    Z = SiegelPoint(np.array([[x, 0.1], [0.1, -x]])[:n, :n] + 1j * Y)
+    for evaluate in (theta_eval, theta_eval_borcherds):
+        coarse = evaluate(spec, Z, eps=eps)
+        fine = evaluate(spec, Z, eps=eps * 1e-4)
+        assert coarse.tail_bound <= eps and fine.tail_bound <= eps * 1e-4
+        assert fine.radius2 >= coarse.radius2
+        rounding = TAIL_ROUNDING * np.finfo(float).eps * fine.gross
+        assert fine.gross - coarse.gross <= coarse.tail_bound + rounding
+        assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound + rounding
+
+
 # ==== the phase and q carried through the enumeration =======================
 
 CARRY_ROUNDING = 4  # |e(tau_carried) - term_phase| <= 4 (2 pi (N + 2) eps (1 + scale)) |term_phase|
@@ -504,16 +566,16 @@ E4_NEAR_CUSP = complex(-1.5706063592856028, 4.54369188628833)
 
 
 def test_e8_near_the_cusp_is_accurate_to_rounding():
-    # 1,113,841 terms at Im z = 0.6; the carried Im tau keeps the parent's
-    # 1.1e-14, where a magnitude exp(-pi q) from the Cholesky recurrence
-    # reads 1.2e-13
+    # 1,113,841 terms at Im z = 0.6 and eps = 1e-12 (the five-value rho grid
+    # took as many at 1e-10); the carried Im tau reads 1.1e-14 from E4, where
+    # a magnitude exp(-pi q) from the Cholesky recurrence reads 1.2e-13
     z = complex(0.3, 0.6)
     with mpmath.workdps(40):
         qm = mpmath.exp(2j * mpmath.pi * mpmath.mpc(z.real, z.imag))
         e4 = 1 + 240 * mpmath.fsum(mpmath.fsum(d ** 3 for d in range(1, k + 1) if k % d == 0) * qm ** k
                                    for k in range(1, 40))
         assert abs(complex(e4) - E4_NEAR_CUSP) <= 1e-15
-    val = theta_eval(theta_spec("e8"), SiegelPoint(np.array([[z]])), eps=1e-10)
+    val = theta_eval(theta_spec("e8"), SiegelPoint(np.array([[z]])), eps=1e-12)
     assert val.terms == 1113841
     assert abs(val.value - E4_NEAR_CUSP) <= 3e-14
 

@@ -145,19 +145,63 @@ _FORMS_2 = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-3, 3))
 
 
 # Invertible integer forms with m <= 2, every signature and off-diagonal
-# entries, genus 1, rational H and K.  Time budget: 5 s for all 50 examples
-# (each one inversion and one Poisson check; under 1 s on a 2-vCPU host).
-@settings(derandomize=True, deadline=None, max_examples=50)
-@given(form=st.one_of(_FORMS_1, _FORMS_2), hk=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=2, max_size=2),
-       x=st.floats(-0.5, 0.5), y=st.floats(0.7, 1.5))
-def test_inversion_and_poisson_on_generated_forms(form, hk, x, y):
+# entries, genus 1 and 2, rational H and K, and a constant or an integer
+# combination of basis_homopol(m, n, alpha), alpha <= 2, as coefficient.
+# Time budget: 10 s for all 60 examples (each one inversion and one Poisson
+# check; about 3 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(form=st.one_of(_FORMS_1, _FORMS_2), n=st.integers(1, 2), alpha=st.integers(0, 2),
+       weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       hk=st.lists(st.tuples(_RATIONAL, _RATIONAL), min_size=4, max_size=4),
+       x=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       y=st.tuples(st.floats(0.7, 1.5), st.floats(-0.2, 0.2), st.floats(0.7, 1.5)))
+def test_inversion_and_poisson_on_generated_forms(form, n, alpha, weights, hk, x, y):
     m = len(form)
-    spec = theta_spec(form, H=[[h] for h, _ in hk[:m]], K=[[k] for _, k in hk[:m]])
-    Z = SiegelPoint(np.array([[complex(x, y)]]))
+    P = None
+    if alpha:
+        basis = basis_homopol(m, n, alpha)
+        assume(basis)
+        P = MatPoly.zero(m, n)
+        for w, b in zip(weights, basis):
+            P = P + b * w
+        if P.is_zero():
+            P = basis[0]
+    H = [[hk[a * n + j][0] for j in range(n)] for a in range(m)]
+    K = [[hk[a * n + j][1] for j in range(n)] for a in range(m)]
+    spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
+    # P+ may vanish on the positive eigenspace, which a float split leaves
+    # as rounding noise (norm 1e-17 and below) rather than exactly zero
+    assume(spec.coeff.f.coeff_norm() > 1e-9)
+    X = np.array([[x[0], x[1]], [x[1], x[2]]])[:n, :n]
+    Y = np.array([[y[0], y[1]], [y[1], y[2]]])[:n, :n]
+    Z = SiegelPoint(X + 1j * Y)
     inv = check_inversion(spec, Z)
     assert inv.residual <= inv.tolerance, inv
     poi = check_poisson(spec, Z)
     assert poi.residual <= poi.tolerance, poi
+
+
+def test_law_check_resums_a_residual_the_tails_can_explain(monkeypatch):
+    # at eps = 1e-6 the two Poisson sides of e8 here differ by more than
+    # tol = 1e-8 through truncation alone: the check sums both again at a
+    # finer eps, where the law holds, and a wrong prefactor still fails
+    spec = theta_spec("e8")
+    Z = SiegelPoint(np.array([[0.07 + 0.85j]]))
+    W = SiegelPoint(-np.linalg.inv(Z.Z))
+    pref = verify._fourier_prefactor(spec, Z, W)
+    lhs = theta.theta_eval_borcherds(spec, Z, 1e-6)
+    rhs = dual_theta_eval(spec, W, 1e-6, borcherds=True)
+    scale = max(lhs.gross, abs(pref) * rhs.gross)
+    assert abs(lhs.value - pref * rhs.value) > 1e-8 * scale
+    rep = check_poisson(spec, Z, eps=1e-6)
+    assert rep.passed and rep.metadata["eps"] < 1e-6
+    assert rep.metadata["tail_budget"] <= 0.5e-8 * scale * (1 + 1e-6)
+    # a residual within tol is reported at the eps asked for
+    assert check_poisson(spec, Z, eps=1e-9).metadata["eps"] == 1e-9
+    fourier_prefactor = verify._fourier_prefactor
+    monkeypatch.setattr(verify, "_fourier_prefactor", lambda *a: (1 + 1e-6) * fourier_prefactor(*a))
+    rep = check_poisson(spec, Z, eps=1e-6)
+    assert not rep.passed and rep.metadata["eps"] < 1e-6
 
 
 @pytest.mark.parametrize("P_plus,H,K", [

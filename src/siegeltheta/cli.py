@@ -28,11 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .polyalg import MatPoly, basis_homopol, json_fraction, matpoly_from_json, matpoly_to_json
+from .polyalg import basis_homopol, json_fraction, matpoly_from_json, matpoly_to_json
 from .quadform import FIXTURES, as_form_array, coset_reps, decompose, named_form
 from .siegel import SiegelPoint
-from .theta import ThetaSpec, build_coeff, theta_eval
-from .verify import run_suite
+from .theta import theta_eval, theta_spec
+from .verify import SUITES, run_suite
 
 
 def _emit(obj) -> None:
@@ -143,19 +143,15 @@ def _parse_spec(data: dict, eps_flag) -> tuple:
         raise ValueError("posdef coefficients need a positive definite form")
     if kind == "indef" and dec.s == 0:
         raise ValueError("indef coefficients need an indefinite form")
-    P_alpha = coeff_d.get("P_alpha")
-    P_beta = coeff_d.get("P_beta")
-    P_plus = matpoly_from_json(P_alpha) if P_alpha else MatPoly.one(dec.m, n)
-    P_minus = matpoly_from_json(P_beta) if P_beta else None
-    if P_plus.m != dec.m or P_plus.n != n:
-        raise ValueError("P_alpha shape must match the form size and the point genus")
-    if P_minus is not None and (P_minus.m != dec.m or P_minus.n != n):
-        raise ValueError("P_beta shape must match the form size and the point genus")
-    coeff = build_coeff(dec, P_plus, P_minus)
-    zero = [[0] * n for _ in range(dec.m)]
-    H = _frac_mat_in(data["H"]) if "H" in data else zero
-    K = _frac_mat_in(data["K"]) if "K" in data else zero
-    spec = ThetaSpec(dec, coeff, H, K)
+    polys = {}
+    for key in ("P_alpha", "P_beta"):
+        if coeff_d.get(key):
+            polys[key] = matpoly_from_json(coeff_d[key])
+            if (polys[key].m, polys[key].n) != (dec.m, n):
+                raise ValueError("%s shape must match the form size and the point genus" % key)
+    H = _frac_mat_in(data["H"]) if "H" in data else None
+    K = _frac_mat_in(data["K"]) if "K" in data else None
+    spec = theta_spec(dec, polys.get("P_alpha"), polys.get("P_beta"), H, K, n=n)
     eps = float(eps_flag if eps_flag is not None else data.get("eps", 1e-10))
     return spec, Z, eps
 
@@ -196,8 +192,15 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is invalid input: a ValueError, which main reports with exit 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siegeltheta",
         description="Siegel theta series of integral quadratic forms: "
                     "construction, evaluation, and identity verification.")
@@ -227,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("verify", help="run an identity-check suite")
-    p.add_argument("--suite", required=True,
-                   choices=["operators", "translation", "inversion", "fourier",
-                            "poisson", "all"])
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--form", action="append",
                    help="fixture name; may be given more than once")
     p.add_argument("--genus", type=int, default=1)
@@ -245,9 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ResourceCapError as exc:
         return _fail(str(exc), 3)

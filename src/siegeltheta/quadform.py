@@ -424,7 +424,8 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
 
     def chunk(level, V, F, P, axis):
         """A frontier chunk with each row's interval of x_level: lo and the count."""
-        width = np.sqrt(((R2 - P[0]) + slack) / d[level])
+        # a row just past R2 + slack gets an empty or one-point interval, not a nan
+        width = np.sqrt(np.maximum((R2 - P[0]) + slack, 0.0) / d[level])
         mid = c[level] + F[:, level, 0]
         lo = np.ceil(-mid - width - 1e-12).astype(np.int64)
         hi = np.floor(-mid + width + 1e-12).astype(np.int64)
@@ -469,14 +470,10 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
             P[i] += x * (hdiag[level, i] * x + np.repeat(F[:take, level, i], counts))
         if level > 0:
             up = np.repeat(np.arange(take), counts)
-            live = (R2 - P[0]) + slack >= 0
-            if not live.all():
-                x, up, vals, P = x[live], up[live], vals[live], P[:, live]
-            if x.size:
-                rows = np.take(V[:take], up, axis=0)
-                rows[:, level] = vals
-                F = np.take(F[:take], up, axis=0)[:, :level] + coef[:level, level] * x[:, None, None]
-                stack.append(chunk(level - 1, rows, F, P, axis[up] & (x == 0.0)))
+            rows = np.take(V[:take], up, axis=0)
+            rows[:, level] = vals
+            F = np.take(F[:take], up, axis=0)[:, :level] + coef[:level, level] * x[:, None, None]
+            stack.append(chunk(level - 1, rows, F, P, axis[up] & (x == 0.0)))
             continue
         rows = np.repeat(V[:take], counts, axis=0)
         rows[:, 0] = vals

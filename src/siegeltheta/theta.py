@@ -114,6 +114,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAJORANT_ROUNDING = 1.0 + 2.0**-48
 
 _MINUS_EIGHTH_OVER_PI = PiScalar.from_parts(Fraction(-1, 8), 0, -1)
+# build_coeff: a source below this many unit roundoffs of its absolute
+# substitution is rounding noise
+_NOISE_ROUNDOFFS = 2.0**16
 
 
 def point_cap_from_env(explicit=None) -> int:
@@ -159,6 +162,14 @@ def _required_degree(p: MatPoly, what: str) -> int:
     return alpha
 
 
+def _abs_poly(p: MatPoly) -> MatPoly:
+    return MatPoly(p.m, p.n, {e: Fraction(c.abs_norm()) for e, c in p.terms.items()})
+
+
+def _abs_matrix(rows) -> list:
+    return [[abs(x) for x in row] for row in rows]
+
+
 def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = None) -> Coefficient:
     """exp(-tr Delta_M / 8 pi) of P+(Pi+ U) P-(Pi- U), the coefficient of the form dec.
 
@@ -169,6 +180,17 @@ def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = 
     matrix absolute value of A is rational; otherwise their floating images
     (M symmetrised) are embedded exactly and the construction is only
     approximately a solution.
+
+    Such a source can be rounding noise: det(U)^2 vanishes on the rank-1
+    positive eigenspace of [[0, 2], [2, 1]], yet its genus-2 source has norm
+    1e-33.  The float projectors (eigh, an inverse and a product, each
+    backward stable) are within a few m ulps of the exact ones, and each
+    source coefficient is a sum of products of up to deg of their entries,
+    so it is exact to about deg m unit roundoffs of the absolute
+    substitution: the same sums with every coefficient and entry replaced
+    by its absolute value.  A source norm below _NOISE_ROUNDOFFS = 2^16
+    unit roundoffs (7.3e-12) of that, room for deg m into the thousands,
+    cannot be told from zero: ValueError.
     """
     m, n = P_plus.m, P_plus.n
     if P_minus is None:
@@ -186,8 +208,15 @@ def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = 
         M = frac_matrix(dec.A.tolist())
     else:
         eye = identity_frac(n)
-        source = (substitute_linear(P_plus, dec.fraction_matrix("proj_plus"), eye)
-                  * substitute_linear(P_minus, dec.fraction_matrix("proj_minus"), eye))
+        plus, minus = dec.fraction_matrix("proj_plus"), dec.fraction_matrix("proj_minus")
+        source = substitute_linear(P_plus, plus, eye) * substitute_linear(P_minus, minus, eye)
+        if not dec.has_exact_split():
+            scale = (substitute_linear(_abs_poly(P_plus), _abs_matrix(plus), eye)
+                     * substitute_linear(_abs_poly(P_minus), _abs_matrix(minus), eye)).coeff_norm()
+            if source.coeff_norm() < _NOISE_ROUNDOFFS * 2.0**-53 * scale:
+                raise ValueError("the coefficient is rounding noise: norm %.3e against %.3e for the "
+                                 "absolute substitution (P+ or P- vanishes on an eigenspace of A)"
+                                 % (source.coeff_norm(), scale))
         M = dec.fraction_matrix("M")
     return Coefficient(exp_trace_laplace(source, M, _MINUS_EIGHTH_OVER_PI), source, alpha, beta, dec.s)
 
@@ -269,10 +298,10 @@ class ThetaSpec:
 
 
 def theta_spec(A, P_plus=None, P_minus=None, H=None, K=None, n: int = 1) -> ThetaSpec:
-    """Convenience constructor from a raw form matrix or a fixture name."""
+    """A spec from a form matrix, a fixture name or a QuadFormDecomposition; P+ = 1, H = K = 0."""
     if isinstance(A, str):
         A = named_form(A)
-    dec = decompose(A)
+    dec = A if isinstance(A, QuadFormDecomposition) else decompose(A)
     m = dec.m
     if P_plus is None:
         P_plus = MatPoly.one(m, n)

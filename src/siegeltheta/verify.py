@@ -21,6 +21,7 @@ Conventions, fixed throughout:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -44,7 +45,6 @@ from .siegel import SiegelPoint, det_power, random_siegel_point
 from .theta import (
     ThetaSpec,
     borcherds_poly,
-    build_coeff,
     dual_theta_eval,
     heat_plan,
     term_phase,
@@ -338,28 +338,45 @@ def check_commutator(m: int = 2, n: int = 2, degree: int = 4, kmax: int = 2,
 # ==== quadrature against closed forms =======================================
 
 
-def _tensor_quad(fn, dim: int, L: float, N: int) -> complex:
-    x, w = np.polynomial.legendre.leggauss(N)
+@functools.lru_cache(maxsize=None)
+def _leggauss(N: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per N and read-only."""
+    nodes = np.polynomial.legendre.leggauss(N)
+    for arr in nodes:
+        arr.setflags(write=False)
+    return nodes
+
+
+def _tensor_quad(fn, m: int, n: int, L: float, N: int) -> complex:
+    x, w = _leggauss(N)
     x = L * x
     w = L * w
-    if dim == 1:
-        return complex(np.sum(w * fn(x.reshape(-1, 1))))
+    if m * n == 1:
+        return complex(np.sum(w * fn(x.reshape(-1, 1, 1))))
     X1, X2 = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=1)
-    vals = fn(pts).reshape(N, N)
-    return complex(np.einsum("i,j,ij->", w, w, vals))
+    U = np.stack([X1.ravel(), X2.ravel()], axis=1).reshape(-1, n, m).transpose(0, 2, 1)
+    return complex(np.einsum("i,j,ij->", w, w, fn(U).reshape(N, N)))
 
 
-def _refined_quad(fn, dim: int, L: float, quad_eps: float):
+def _quad_report(name: str, fn, closed: complex, shape, Cp: float, deg: int, lam: float,
+                 tol: float, quad_eps: float) -> CheckReport:
+    """Quadrature of fn(U), U of the given m x n shape, against closed, in _gaussian_box's box.
+
+    N = 24 nodes per axis, doubled up to 768 until the value moves by less
+    than quad_eps, the drift (nan when it never does).
+    """
+    m, n = shape
+    L = _gaussian_box(Cp, deg, lam, m * n, quad_eps / 10.0)
     N = 24
-    prev = _tensor_quad(fn, dim, L, N)
-    while N < 512:
+    got = _tensor_quad(fn, m, n, L, N)
+    drift = math.nan
+    while N < 512 and math.isnan(drift):
         N *= 2
-        cur = _tensor_quad(fn, dim, L, N)
-        if abs(cur - prev) < quad_eps:
-            return cur, N, abs(cur - prev)
-        prev = cur
-    return prev, N, float("nan")
+        prev, got = got, _tensor_quad(fn, m, n, L, N)
+        if abs(got - prev) < quad_eps:
+            drift = abs(got - prev)
+    return CheckReport(name, abs(got - closed), tol, got, closed,
+                       {"box": L, "nodes": N, "drift": drift})
 
 
 def _gaussian_box(Cp: float, deg: int, lam: float, dim: int, eps: float) -> float:
@@ -384,8 +401,7 @@ def check_gauss_transform(p: MatPoly, V, tol: float = 1e-8,
                           quad_eps: float = 1e-10) -> CheckReport:
     """int p(U+V) exp(-pi tr(U^T U)) dU against the heat-flowed value at V."""
     m, n = p.m, p.n
-    dim = m * n
-    if dim > 2:
+    if m * n > 2:
         raise ValueError("quadrature checks are limited to two real dimensions")
     Vf = np.asarray(V, dtype=float).reshape(m, n)
     eye = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -393,16 +409,11 @@ def check_gauss_transform(p: MatPoly, V, tol: float = 1e-8,
     # exp(-pi tr(U^T U)) is the term phase of the form I at Z = i I
     gauss = term_phase(theta_spec(eye, n=n), SiegelPoint(1j * np.eye(n)))
 
-    def fn(pts):
-        U = pts.reshape(-1, n, m).transpose(0, 2, 1)
+    def fn(U):
         return eval_batch(p, U + Vf) * gauss(U)
 
     Cp = p.coeff_norm() * (1.0 + float(np.linalg.norm(Vf))) ** p.degree()
-    L = _gaussian_box(Cp, p.degree(), 1.0, dim, quad_eps / 10.0)
-    got, nodes, drift = _refined_quad(fn, dim, L, quad_eps)
-    residual = abs(got - closed)
-    return CheckReport("gauss_transform", residual, tol, got, closed,
-                       {"box": L, "nodes": nodes, "drift": drift})
+    return _quad_report("gauss_transform", fn, closed, (m, n), Cp, p.degree(), 1.0, tol, quad_eps)
 
 
 def _zero_characteristics(spec: ThetaSpec) -> ThetaSpec:
@@ -464,8 +475,7 @@ def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
                   tol: float = 1e-6, quad_eps: float = 1e-8) -> CheckReport:
     """Quadrature of the transform integral against its closed form."""
     m, n = spec.m, spec.n
-    dim = m * n
-    if dim > 2:
+    if m * n > 2:
         raise ValueError("quadrature checks are limited to two real dimensions")
     V = np.asarray(V, dtype=float).reshape(m, n)
     closed = fourier_closed_form(spec, Z, V, form)
@@ -473,17 +483,13 @@ def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
     poly = spec.coeff.f if form == "plain" else borcherds_poly(spec, Z.Y)
     phase = term_phase(_zero_characteristics(spec), Z)
 
-    def fn(pts):
-        U = pts.reshape(-1, n, m).transpose(0, 2, 1)
+    def fn(U):
         pair = np.einsum("aj,xaj->x", AV, U)
         return eval_batch(poly, U) * phase(U) * np.exp(2j * math.pi * pair)
 
     lam = float(np.min(np.linalg.eigvalsh(spec.dec.M)) * np.min(np.linalg.eigvalsh(Z.Y)))
-    L = _gaussian_box(poly.coeff_norm(), poly.degree(), lam, dim, quad_eps / 10.0)
-    got, nodes, drift = _refined_quad(fn, dim, L, quad_eps)
-    residual = abs(got - closed)
-    return CheckReport("fourier_" + form, residual, tol, got, closed,
-                       {"box": L, "nodes": nodes, "drift": drift})
+    return _quad_report("fourier_" + form, fn, closed, (m, n), poly.coeff_norm(), poly.degree(),
+                        lam, tol, quad_eps)
 
 
 def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
@@ -516,78 +522,72 @@ def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
 # ==== suites ================================================================
 
 
+SUITES = ("operators", "translation", "inversion", "fourier", "poisson", "all")
+
+
 def _suite_specs(forms, genus):
+    """(label, spec) per form: P+ = x_11 for an indefinite form in genus 1 and 1
+    otherwise, H = 1/2 in the first row, K = 1/3 in the last."""
     out = []
     for name in forms:
-        A = named_form(name) if isinstance(name, str) else np.asarray(name)
-        dec = decompose(A)
+        dec = decompose(named_form(name) if isinstance(name, str) else np.asarray(name))
         m = dec.m
         half = [[Fraction(1, 2) if a == 0 else Fraction(0) for _ in range(genus)] for a in range(m)]
         third = [[Fraction(1, 3) if a == m - 1 else Fraction(0) for _ in range(genus)] for a in range(m)]
+        P_plus = MatPoly.variable(m, 1, 0, 0) if dec.s and genus == 1 else None
         label = name if isinstance(name, str) else "custom"
-        if dec.s == 0 or genus > 1:
-            coeff = build_coeff(dec, MatPoly.one(m, genus),
-                                None if dec.s == 0 else MatPoly.one(m, genus))
-        else:
-            coeff = build_coeff(dec, MatPoly.variable(m, 1, 0, 0), MatPoly.one(m, 1))
-        out.append((label, ThetaSpec(dec, coeff, half, third)))
+        out.append((label, theta_spec(dec, P_plus, H=half, K=third, n=genus)))
     return out
 
 
 def run_suite(suite: str, forms=None, genus: int = 1, seed: int = 0,
               eps: float = 1e-10, point_cap=None) -> list:
-    """Run a named family of checks; returns a list of CheckReports."""
+    """Run a named family of checks, one of SUITES; returns a list of CheckReports.
+
+    The specs of the forms are built once and shared by every section.
+    """
     if genus < 1:
         raise ValueError("genus must be positive, got %d" % genus)
+    if suite not in SUITES:
+        raise ValueError("unknown suite %r" % suite)
     if forms is None:
         forms = ("diag:2", "diag:2,-2", "h2")
+    specs = _suite_specs(forms, genus)
     rng = np.random.default_rng(seed)
+    Z_i = SiegelPoint(np.eye(genus) * 1j)
     reports = []
 
+    def add(rep, label):
+        rep.metadata["form"] = label
+        reports.append(rep)
+
     if suite in ("operators", "all"):
-        for label, spec in _suite_specs(forms, genus):
-            rep = check_vigneras(spec)
-            rep.metadata["form"] = label
-            reports.append(rep)
+        for label, spec in specs:
+            add(check_vigneras(spec), label)
         reports.append(check_commutator(m=2, n=genus, degree=3, kmax=2, n_forms=2, seed=seed))
     if suite in ("translation", "all"):
-        for label, spec in _suite_specs(forms, genus):
+        for label, spec in specs:
             B = rng.integers(-2, 3, size=(genus, genus))
-            rep = check_translation(spec, random_siegel_point(genus, rng), B + B.T,
-                                    eps=min(eps, 1e-12), point_cap=point_cap)
-            rep.metadata["form"] = label
-            reports.append(rep)
+            add(check_translation(spec, random_siegel_point(genus, rng), B + B.T,
+                                  eps=min(eps, 1e-12), point_cap=point_cap), label)
     if suite in ("inversion", "all"):
-        for label, spec in _suite_specs(forms, genus):
-            rep = check_inversion(spec, SiegelPoint(np.eye(genus) * 1j), eps=eps,
-                                  point_cap=point_cap)
-            rep.metadata["form"] = label
-            reports.append(rep)
-            rep = check_borcherds_form(spec, random_siegel_point(genus, rng),
-                                       point_cap=point_cap)
-            rep.metadata["form"] = label
-            reports.append(rep)
+        for label, spec in specs:
+            add(check_inversion(spec, Z_i, eps=eps, point_cap=point_cap), label)
+            add(check_borcherds_form(spec, random_siegel_point(genus, rng), point_cap=point_cap), label)
     if suite in ("fourier", "all"):
         sp = theta_spec([[2]], P_plus=_random_matpoly(1, 1, 2, rng))
         Z1 = SiegelPoint(np.array([[(1 + 3j) / 5]]))
         reports.append(check_fourier(sp, Z1, [[0.5]], form="plain"))
         reports.append(check_fourier(sp, Z1, [[0.5]], form="eigen"))
         if genus == 1:
-            small = [f for f in forms if isinstance(f, str) and named_form(f).shape[0] <= 2]
-            for label, spec in _suite_specs(small, 1):
-                rep = check_fourier(spec, SiegelPoint(np.array([[0.3 + 1.1j]])),
-                                    [[0.5]] if spec.m == 1 else [[0.5], [0.25]])
-                rep.metadata["form"] = label
-                reports.append(rep)
+            # named forms only, small enough for the two-dimensional quadrature
+            for name, (label, spec) in zip(forms, specs):
+                if isinstance(name, str) and spec.m <= 2:
+                    add(check_fourier(spec, SiegelPoint(np.array([[0.3 + 1.1j]])),
+                                      [[0.5]] if spec.m == 1 else [[0.5], [0.25]]), label)
         reports.append(check_gauss_transform(_random_matpoly(1, 2, 3, rng), [[0.7, -0.3]]))
     if suite in ("poisson", "all"):
-        for label, spec in _suite_specs(forms, genus):
-            if spec.m * genus > 8:
-                continue
-            rep = check_poisson(spec, SiegelPoint(np.eye(genus) * 1j), eps=eps,
-                                point_cap=point_cap)
-            rep.metadata["form"] = label
-            reports.append(rep)
-    if not reports:
-        raise ValueError("unknown suite %r" % suite)
+        for label, spec in specs:
+            if spec.m * genus <= 8:
+                add(check_poisson(spec, Z_i, eps=eps, point_cap=point_cap), label)
     return reports

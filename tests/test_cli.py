@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegeltheta import cli
+from siegeltheta import cli, verify
 from siegeltheta.polyalg import basis_homopol, matpoly_from_json, matpoly_to_json
 from siegeltheta.quadform import named_form
 from siegeltheta.scalars import PiScalar
@@ -229,6 +229,29 @@ def test_non_positive_sizes_exit_one_naming_the_argument(args, name):
     error = json.loads(proc.stdout)["error"]
     assert error.startswith(name + " ") and "must be positive" in error
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", "nosuch"),
+    ("eval",),
+    ("verify", "--suite", "all", "--genus", "x"),
+], ids=["unknown-suite", "eval-without-spec", "genus-not-an-int"])
+def test_argument_errors_exit_one_with_a_json_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]
+    assert proc.stderr == ""
+
+
+def test_help_exits_zero():
+    proc = run_cli("verify", "--help")
+    assert proc.returncode == 0 and "--suite" in proc.stdout
+
+
+def test_verify_suite_choices_are_the_suite_list():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == verify.SUITES
 
 
 def test_eval_form_from_path(tmp_path):

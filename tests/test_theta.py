@@ -149,8 +149,16 @@ def _combination_spec(form, genus, alpha, seed):
 
 @pytest.mark.parametrize("alpha", [2, 3])
 @pytest.mark.parametrize("genus", [1, 2])
-@pytest.mark.parametrize("form", [A3, "diag:2,2,-2", [[2, 1], [1, -3]]], ids=str)
+@pytest.mark.parametrize("form", [A3, "diag:2,2,-2", [[2, 1], [1, -3]], [[2, 1, 0], [1, -3, 0], [0, 0, 2]]],
+                         ids=str)
 def test_borcherds_plan_matches_the_exact_flow(form, genus, alpha):
+    if form == [[2, 1], [1, -3]] and genus == 2:
+        # its eigenspaces have rank 1, which kills every genus-2 P+ of degree
+        # alpha > 0; the float split leaves rounding noise, which build_coeff
+        # refuses (the 3 x 3 irrational form takes this case)
+        with pytest.raises(ValueError, match="rounding noise"):
+            _combination_spec(form, genus, alpha, seed=10 * genus + alpha)
+        return
     spec = _combination_spec(form, genus, alpha, seed=10 * genus + alpha)
     Y, Yinv = DYADIC_Y[genus]
     assert np.array_equal(np.linalg.inv(Y), np.array(Yinv, dtype=float))
@@ -263,9 +271,11 @@ def test_term_modulus_is_the_certificate_gaussian(form, Z):
     m, n = A.shape[0], Z.n
     if n == 1:
         P = MatPoly.variable(m, 1, 0, 0)
-    else:  # the minor of U on rows 0 and 1
+    elif decompose(A).r >= 2:  # the minor of U on rows 0 and 1
         P = (MatPoly.variable(m, 2, 0, 0) * MatPoly.variable(m, 2, 1, 1)
              - MatPoly.variable(m, 2, 1, 0) * MatPoly.variable(m, 2, 0, 1))
+    else:  # a rank-1 positive eigenspace kills every minor: P+ = 1
+        P = None
     H = [[Fraction(1, 2) if a == 0 else 0] * n for a in range(m)]
     K = [[Fraction(1, 3) if a == m - 1 else 0] * n for a in range(m)]
     spec = theta_spec(A, P_plus=P, H=H, K=K, n=n)
@@ -473,8 +483,14 @@ def test_tail_bound_honesty_on_generated_series(form, n, alpha, weights, halves,
     H = [[Fraction(1, 2) if halves[(a * n + j) % 6] else Fraction(0) for j in range(n)]
          for a in range(m)]
     K = [[ks[(a * n + j) % 6] for j in range(n)] for a in range(m)]
-    spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
-    assume(not spec.coeff.f.is_zero())  # P+ may vanish on the positive eigenspace
+    try:
+        spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
+    except ValueError as exc:
+        # P+ may vanish on the positive eigenspace: a float split leaves
+        # rounding noise there, which build_coeff refuses
+        assume("rounding noise" not in str(exc))
+        raise
+    assume(not spec.coeff.f.is_zero())  # as an exact split leaves it
     # e8 at Im Z = 2n y keeps the finer sum below 50,000 terms
     Y = np.array([[y, 0.1], [0.1, 1.1]])[:n, :n] * (2.0 * n if m == 8 else 1.0)
     Z = SiegelPoint(np.array([[x, 0.1], [0.1, -x]])[:n, :n] + 1j * Y)
@@ -666,6 +682,34 @@ def test_build_coeff_indefinite_lambda_bookkeeping():
     g = build_coeff(dec, basis_homopol(2, 1, 2)[0], MatPoly.variable(2, 1, 0, 0))
     assert g.alpha == 2 and g.beta == 1
     assert g.lam == 2 - 1 - 1
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_build_coeff_refuses_rounding_noise(alpha):
+    # det(U)^alpha vanishes on the rank-1 positive eigenspace of [[0, 2], [2, 1]],
+    # whose split is irrational: the float projectors left a coefficient of norm
+    # 1e-33 (alpha = 2), on which check_inversion and check_poisson failed with
+    # residuals 0.72 and 0.81 at Z = 1.1i I + 0.1
+    dec = decompose([[0, 2], [2, 1]])
+    assert not dec.has_exact_split()
+    with pytest.raises(ValueError, match="rounding noise"):
+        build_coeff(dec, basis_homopol(2, 2, alpha)[0])
+    # a P+ that the projection keeps is built
+    assert build_coeff(dec, MatPoly.variable(2, 1, 0, 0) ** alpha).source.coeff_norm() > 0.1
+
+
+@pytest.mark.parametrize("form", ["e8", "h2", [[2, 1], [1, -3]]], ids=str)
+def test_theta_spec_accepts_a_decomposition(form):
+    A = named_form(form) if isinstance(form, str) else np.array(form)
+    m = A.shape[0]
+    P = MatPoly.variable(m, 1, 0, 0)
+    H = [[Fraction(1, 2) if a == 0 else 0] for a in range(m)]
+    K = [[Fraction(1, 3) if a == m - 1 else 0] for a in range(m)]
+    dec = decompose(A)
+    a, b = theta_spec(dec, P, H=H, K=K), theta_spec(A, P, H=H, K=K)
+    assert a.dec is dec
+    assert (a.coeff.f, a.coeff.source, a.lam) == (b.coeff.f, b.coeff.source, b.lam)
+    assert (a.H, a.K) == (b.H, b.K)
 
 
 @pytest.mark.parametrize("genus", [1, 2])

@@ -168,10 +168,14 @@ def test_inversion_and_poisson_on_generated_forms(form, n, alpha, weights, hk, x
             P = basis[0]
     H = [[hk[a * n + j][0] for j in range(n)] for a in range(m)]
     K = [[hk[a * n + j][1] for j in range(n)] for a in range(m)]
-    spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
-    # P+ may vanish on the positive eigenspace, which a float split leaves
-    # as rounding noise (norm 1e-17 and below) rather than exactly zero
-    assume(spec.coeff.f.coeff_norm() > 1e-9)
+    try:
+        spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
+    except ValueError as exc:
+        # P+ may vanish on the positive eigenspace: a float split leaves
+        # rounding noise there, which build_coeff refuses
+        assume("rounding noise" not in str(exc))
+        raise
+    assume(not spec.coeff.f.is_zero())  # as an exact split leaves it
     X = np.array([[x[0], x[1]], [x[1], x[2]]])[:n, :n]
     Y = np.array([[y[0], y[1]], [y[1], y[2]]])[:n, :n]
     Z = SiegelPoint(X + 1j * Y)
@@ -374,9 +378,20 @@ def test_run_suite_all_green_and_deterministic():
     assert [rep.name for rep in a] == [rep.name for rep in b]
 
 
-def test_run_suite_unknown():
-    with pytest.raises(ValueError):
+def test_run_suite_unknown(monkeypatch):
+    # refused before any spec is built
+    monkeypatch.setattr(verify, "_suite_specs", lambda *a: pytest.fail("built the specs"))
+    with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_run_suite_builds_its_specs_once(monkeypatch, genus):
+    calls = []
+    suite_specs = verify._suite_specs
+    monkeypatch.setattr(verify, "_suite_specs", lambda *a: calls.append(a) or suite_specs(*a))
+    assert all(rep.passed for rep in run_suite("all", genus=genus))
+    assert len(calls) == 1
 
 
 def test_report_dict_shape():

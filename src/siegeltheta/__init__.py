@@ -22,8 +22,10 @@ from .theta import (
     ThetaSpec,
     ThetaValue,
     build_coeff,
+    predicted_rows,
     theta_eval,
     theta_eval_borcherds,
+    theta_eval_direct,
     theta_spec,
 )
 from .verify import (
@@ -69,10 +71,12 @@ __all__ = [
     "det_power",
     "lattice_points",
     "named_form",
+    "predicted_rows",
     "random_siegel_point",
     "run_suite",
     "theta_eval",
     "theta_eval_borcherds",
+    "theta_eval_direct",
     "theta_spec",
     "vigneras_apply",
     "vigneras_residual",

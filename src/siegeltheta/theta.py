@@ -72,6 +72,18 @@ of N(N + 3)/2 rounded products, within a few N ulps of their absolute sum
 of the exact value, and does not depend on how the enumeration is cut.
 term_phase is the same tau evaluated per term, for the quadrature checks.
 
+theta_eval sums a definite series through the inversion law when that is
+predicted to be cheaper: theta(Z) = inversion_prefactor(spec, W) times the
+dual series of characteristics (K, -H) at W = -Z^-1.  Near a cusp, where
+det(Y) is small, the direct ellipsoid holds about det(Y)^(-m/2) times more
+points than at Y = I, and the dual one at Im W = Zbar^-1 Y Z^-1 few: e8 at
+z = 0.1 + 0.05i needs 241 terms instead of about 3e10.  The certificate is
+then the dual sum's tail, transported: the dual series is summed to a
+budget b with |pref| b <= eps, and tail_bound is |pref| times its tail, so
+it is at most eps as for a direct sum.  Every law check of verify sums the
+series directly (theta_eval_direct), so that each law compares two
+independent sums.
+
 theta_eval_borcherds computes the same series in its unslashed normal form,
 with W = U and the polynomial taken under a Y^(-1)-weighted heat operator;
 the two agree after multiplying by det(Y)^(s/2 + beta).  That weight changes
@@ -83,6 +95,7 @@ same terms with K = 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from fractions import Fraction
@@ -104,7 +117,7 @@ from .polyalg import (
 from .polyalg import exp_trace_laplace_weighted  # noqa: F401  (patched by perfbench tracing)
 from .quadform import QuadFormDecomposition, decompose, lattice_blocks, named_form
 from .scalars import PiScalar
-from .siegel import SiegelPoint, sqrt_posdef
+from .siegel import SiegelPoint, det_power, sqrt_posdef
 
 DEFAULT_POINT_CAP = 100_000_000
 # the golden-section search of _tail_plan: its bracket and number of evaluations
@@ -479,7 +492,8 @@ class ThetaValue:
     gross is the sum of the absolute values of the retained terms; relative
     residuals in the transformation checks are measured against it so that a
     series whose terms cancel exactly still compares at the scale of what
-    was summed.
+    was summed.  terms, radius2 and rho describe the lattice sum actually
+    taken: the dual one when theta_eval sums through the inversion law.
     """
 
     __slots__ = ("value", "tail_bound", "terms", "radius2", "rho", "gross")
@@ -543,7 +557,7 @@ def _frac_center(spec: ThetaSpec, dual: bool):
     H = [list(row) for row in spec.H]
     if dual:
         A = spec.A.tolist()
-        H = [[sum(A[a][b] * H[b][j] for b in range(spec.m)) for j in range(spec.n)]
+        H = [[sum(A[a][b] * H[b][j] for b in range(spec.m) if H[b][j]) for j in range(spec.n)]
              for a in range(spec.m)]
     return H
 
@@ -581,31 +595,23 @@ def _series_forms(spec: ThetaSpec, Z: SiegelPoint, dual: bool = False):
     return G, c, B, LAK.T.reshape(-1), L, paired
 
 
-def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borcherds: bool,
-                    dual: bool = False) -> ThetaValue:
-    """The plain or the Borcherds series of spec at Z, certified, over U in H + L Z^{m x n}.
+def _budget(scale: float, eps: float) -> float:
+    """The largest float b with scale * b <= eps: the tail budget of a sum that is scaled by scale."""
+    b = eps / scale
+    while scale * b > eps:
+        b = math.nextafter(b, 0.0)
+    return b
 
-    Every term is poly(W) e(tau(U)), tau the term_phase: the plain series has
-    poly = f, W = U Y^(1/2) and pref = det(Y)^(-lam/2), the Borcherds one the
-    Borcherds polynomial, W = U and pref = 1.  L = A^-1 for the dual lattice
-    and I otherwise (_series_forms).  The enumeration carries tau of every
-    row, so a term costs exp(-2 pi Im tau + 2 pi i frac(Re tau)) times
-    poly(W), and a constant poly is a number: no W is built.  The tail
-    budget is the largest float b with pref * b <= eps, so the tail bound is
-    at most eps.  A det(Y) outside the float range leaves pref 0 or inf
-    (ValueError).
 
-    When 2c is integral the coset is closed under U -> -U, and each pair is
-    summed once (certified_lattice_sum with paired): W is linear in U, the
-    carried quadratic part Q(U) of tau is even and L(U) = tr(K^T A U) odd,
-    so with poly = p_even + p_odd split by degree parity,
+def _series_setup(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool):
+    """(poly, Ysq, sig2, pref, budget) of the plain or the Borcherds series of spec at Z.
 
-        term(U) + term(-U) = e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi L(U)),
-
-    one polynomial and one phase evaluation for two terms; L(U) = ell^T x
-    then stays out of the carried form.  Every coset with 2H integral (H = 0
-    or 1/2) pairs, for any K; a centre such as A K with K = 1/3, which the
-    inversion law moves into the dual sum, does not.
+    The plain series has poly = f, W = U Ysq with Ysq = Y^(1/2) and pref =
+    det(Y)^(-lam/2), the Borcherds one the Borcherds polynomial, W = U (Ysq
+    None) and pref = 1; sig2 bounds |W|_F^2 / q (_tail_plan).  budget is the
+    tail budget of the lattice sum, _budget(pref, eps), so the tail bound of
+    the series is at most eps.  A det(Y) outside the float range leaves pref
+    0 or inf (ValueError).
     """
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
@@ -621,6 +627,32 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
     if not (math.isfinite(pref) and pref > 0):
         raise ValueError("series prefactor %r is not a positive finite float "
                          "(det(Y) outside the float range)" % pref)
+    return poly, Ysq, sig2, pref, _budget(pref, eps)
+
+
+def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borcherds: bool,
+                    dual: bool = False) -> ThetaValue:
+    """The plain or the Borcherds series of spec at Z, certified, over U in H + L Z^{m x n}.
+
+    Every term is poly(W) e(tau(U)), tau the term_phase, with poly, W and the
+    prefactor of _series_setup.  L = A^-1 for the dual lattice and I
+    otherwise (_series_forms).  The enumeration carries tau of every row, so
+    a term costs exp(-2 pi Im tau + 2 pi i frac(Re tau)) times poly(W), and
+    a constant poly is a number: no W is built.
+
+    When 2c is integral the coset is closed under U -> -U, and each pair is
+    summed once (certified_lattice_sum with paired): W is linear in U, the
+    carried quadratic part Q(U) of tau is even and L(U) = tr(K^T A U) odd,
+    so with poly = p_even + p_odd split by degree parity,
+
+        term(U) + term(-U) = e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi L(U)),
+
+    one polynomial and one phase evaluation for two terms; L(U) = ell^T x
+    then stays out of the carried form.  Every coset with 2H integral (H = 0
+    or 1/2) pairs, for any K; a centre such as A K with K = 1/3, which the
+    inversion law moves into the dual sum, does not.
+    """
+    poly, Ysq, sig2, pref, budget = _series_setup(spec, Z, eps, borcherds)
     m, n = spec.m, spec.n
     G, c, B, ell, L, paired = _series_forms(spec, Z, dual)
     compiled = compile_poly(poly)
@@ -656,19 +688,149 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
             mags = np.abs(pe + po) + np.abs(pe - po)
         return eq * both, np.abs(eq) * mags
 
-    budget = eps / pref
-    while pref * budget > eps:
-        budget = math.nextafter(budget, 0.0)
     total, tail, used, R2, rho, gross = certified_lattice_sum(
         G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, point_cap_from_env(point_cap),
         paired, (B, None if paired else ell))
     return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
 
 
+def predicted_rows(G, R2: float, paired: bool = False) -> float:
+    """The Gaussian heuristic for the rows of an enumeration of x^T G x <= R2 over c + Z^N.
+
+    vol(B_N) R^N / sqrt(det G): the volume of the ellipsoid in units of the
+    covolume of Z^N, for any centre c, halved when the sum is paired (one
+    row per pair {x, -x}).  A prediction, not a bound: it is close where
+    the ellipsoid is wide in every direction, and an ellipsoid thinner than
+    the lattice spacing along some axis holds a number of points that
+    depends on where its boundary cuts the shells.  0 for R2 <= 0, inf
+    beyond the float range.
+    """
+    if R2 <= 0:
+        return 0.0
+    G = np.asarray(G, dtype=float)
+    N = len(G)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(G)))))
+    log_rows = 0.5 * N * math.log(math.pi * R2) - math.lgamma(0.5 * N + 1.0) - 0.5 * logdet
+    if paired:
+        log_rows -= math.log(2.0)
+    return math.inf if log_rows > 709.0 else math.exp(log_rows)
+
+
+def _planned_rows(spec: ThetaSpec, Z: SiegelPoint, eps: float, dual: bool) -> float:
+    """predicted_rows of the plain series of spec at Z (over the dual lattice with dual), at R^2
+    from its own tail plan; inf when eps leaves the lattice sum no positive budget."""
+    poly, _, sig2, _, budget = _series_setup(spec, Z, eps, borcherds=False)
+    if not budget > 0:
+        return math.inf
+    G, _, _, _, _, paired = _series_forms(spec, Z, dual)
+    pivots = (np.diag(np.linalg.cholesky(G)) ** 2).tolist()
+    _, R2, _ = _tail_plan(poly.coeff_norm(), poly.degree(), sig2, pivots, budget)
+    return predicted_rows(G, R2, paired)
+
+
+def theta_eval_direct(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
+                      point_cap=None) -> ThetaValue:
+    """The plain series summed at Z itself, with total truncation error at most eps.
+
+    This is the series the transformation-law checks of verify compare, so
+    that each law sets two independent sums against each other.
+    """
+    return _lattice_series(spec, Z, eps, point_cap, borcherds=False)
+
+
+# ==== evaluation through the inversion law ===================================
+
+
+def e_of_fraction(x) -> complex:
+    """e(x) for rational x, reduced mod 1 before any float is formed."""
+    x = Fraction(x)
+    x -= math.floor(x)
+    return cmath.exp(2j * math.pi * float(x))
+
+
+def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
+    """pref with theta(-Z^-1; H, K) = pref dual_theta_eval(Z; K, -H), branch-locked (det_power)."""
+    m, n = spec.m, spec.n
+    dec = spec.dec
+    alpha, beta = spec.coeff.alpha, spec.coeff.beta
+    power = (dec.r - dec.s) / 2.0 + alpha - beta
+    pref = cmath.exp(-1j * math.pi * m * n / 4.0)
+    pref *= cmath.exp(1j * math.pi * ((dec.s / 2.0 + beta) * n + beta * dec.s))
+    pref *= abs(float(dec.form.det)) ** (-n / 2.0)
+    pref *= det_power(Z.Z, power)
+    A = spec.A.tolist()
+    hak = sum((h * A[a][b] * spec.K[b][j] for a, row in enumerate(spec.H) for j, h in enumerate(row)
+               if h for b in range(m)), Fraction(0))
+    return pref * e_of_fraction(hak)
+
+
+def dual_spec(spec: ThetaSpec) -> ThetaSpec:
+    """spec with characteristics (K, -H): the right side of the inversion law."""
+    return spec.with_characteristics(H=spec.K, K=[[-x for x in row] for row in spec.H])
+
+
+def _inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float):
+    """(dual, W, pref, budget) of the inverted sum of theta_eval when it is predicted cheaper, else None.
+
+    Only a definite form inverts.  The screen: Im W = Zbar^-1 Y Z^-1, so
+    the dual Gram matrix kron(Im W, A^-1) has determinant det(Y)^m /
+    (|det Z|^(2m) |det A|^n), against det(Y)^m |det A|^n for the direct
+    kron(Y, A), and at equal R^2 the dual ellipsoid holds |det A|^n
+    |det Z|^m times the direct one's volume.  At 1 or more the sum stays
+    direct, with nothing planned.  Otherwise each side is planned
+    (_planned_rows, R^2 from its own budget) and the dual wins below half
+    the direct rows.  A W or a prefactor outside the float range keeps the
+    direct sum.
+    """
+    if spec.dec.s:
+        return None
+    _, logdet = np.linalg.slogdet(Z.Z)
+    if spec.n * math.log(abs(float(spec.dec.form.det))) + spec.m * float(logdet) >= 0:
+        return None
+    try:
+        W = Z.inverse_point()
+        pref = inversion_prefactor(spec, W)
+    except (ValueError, OverflowError):
+        return None
+    scale = abs(pref)
+    if not (math.isfinite(scale) and scale > 0):
+        return None
+    dual, budget = dual_spec(spec), _budget(scale, eps)
+    direct = _planned_rows(spec, Z, eps, dual=False)
+    try:
+        inverted = _planned_rows(dual, W, budget, dual=True)
+    except ValueError:
+        return None
+    return (dual, W, pref, budget) if inverted < direct / 2 else None
+
+
+def _inverted_sum(dual: ThetaSpec, W: SiegelPoint, pref: complex, budget: float,
+                  point_cap) -> ThetaValue:
+    """pref dual_theta_eval(dual, W, budget): the series at -W^-1, its tail and gross scaled by |pref|."""
+    val = dual_theta_eval(dual, W, budget, point_cap)
+    scale = abs(pref)
+    return ThetaValue(pref * val.value, scale * val.tail_bound, val.terms, val.radius2, val.rho,
+                      scale * val.gross)
+
+
 def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
                point_cap=None) -> ThetaValue:
-    """Evaluate the series at Z with total truncation error at most eps."""
-    return _lattice_series(spec, Z, eps, point_cap, borcherds=False)
+    """Evaluate the series at Z with total truncation error at most eps.
+
+    For a definite form the value is summed one of two ways, whichever is
+    predicted to enumerate fewer rows (_inversion): directly at Z
+    (theta_eval_direct), or through the inversion law at W = -Z^-1 as
+    inversion_prefactor(spec, W) times the dual series of characteristics
+    (K, -H) at W, summed with the largest budget b that keeps |pref| b <= eps.
+    Both are certified: a summed-through-the-law value has tail_bound and
+    gross |pref| times the dual sum's, so tail_bound <= eps still, while
+    terms, radius2 and rho describe the dual sum.  An indefinite form is
+    always summed directly.
+    """
+    route = _inversion(spec, Z, eps)
+    if route is None:
+        return theta_eval_direct(spec, Z, eps, point_cap)
+    return _inverted_sum(*route, point_cap)
 
 
 def dual_theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10, point_cap=None,

@@ -45,11 +45,14 @@ from .siegel import SiegelPoint, det_power, random_siegel_point
 from .theta import (
     ThetaSpec,
     borcherds_poly,
+    dual_spec,
     dual_theta_eval,
+    e_of_fraction,
     heat_plan,
+    inversion_prefactor,
     term_phase,
-    theta_eval,
     theta_eval_borcherds,
+    theta_eval_direct,
     theta_spec,
 )
 from .theta import certified_lattice_sum  # noqa: F401  (patched by perfbench tracing)
@@ -101,13 +104,6 @@ def _transpose(M):
 
 def _trace(M) -> Fraction:
     return sum((M[i][i] for i in range(len(M))), Fraction(0))
-
-
-def e_of_fraction(x) -> complex:
-    """e(x) for rational x, reduced mod 1 before any float is formed."""
-    x = Fraction(x)
-    x -= math.floor(x)
-    return cmath.exp(2j * math.pi * float(x))
 
 
 def _diag_part(M):
@@ -177,29 +173,14 @@ def check_translation(spec: ThetaSpec, Z: SiegelPoint, S, eps: float = 1e-12,
         raise ValueError("S must be an integer symmetric matrix of the point's size")
     Sarr = Sarr.astype(np.int64)
     phase, Ktil = translation_data(spec, Sarr)
-    lhs = theta_eval(spec, Z.translate(Sarr), eps, point_cap)
-    rhs = theta_eval(spec.with_characteristics(K=Ktil), Z, eps, point_cap)
+    lhs = theta_eval_direct(spec, Z.translate(Sarr), eps, point_cap)
+    rhs = theta_eval_direct(spec.with_characteristics(K=Ktil), Z, eps, point_cap)
     rhs_val = e_of_fraction(phase) * rhs.value
     residual = abs(lhs.value - rhs_val)
     return CheckReport(
         "translation", residual, tol, lhs.value, rhs_val,
         {"eps": eps, "phase": str(phase), "terms": lhs.terms + rhs.terms,
          "tail_budget": lhs.tail_bound + rhs.tail_bound})
-
-
-def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
-    m, n = spec.m, spec.n
-    dec = spec.dec
-    alpha, beta = spec.coeff.alpha, spec.coeff.beta
-    power = (dec.r - dec.s) / 2.0 + alpha - beta
-    pref = cmath.exp(-1j * math.pi * m * n / 4.0)
-    pref *= cmath.exp(1j * math.pi * ((dec.s / 2.0 + beta) * n + beta * dec.s))
-    pref *= abs(float(dec.form.det)) ** (-n / 2.0)
-    pref *= det_power(Z.Z, power)
-    A = frac_matrix(spec.A.tolist())
-    hak = _trace(mat_mul(mat_mul(_transpose([list(r) for r in spec.H]), A),
-                         [list(r) for r in spec.K]))
-    return pref * e_of_fraction(hak)
 
 
 def check_inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
@@ -213,12 +194,12 @@ def check_inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     (_law_residual); the metadata records the eps of the reported sums.
     """
     cosets = abs(int(spec.dec.form.det)) ** spec.n
-    dual = spec.with_characteristics(H=spec.K, K=[[-x for x in row] for row in spec.H])
+    dual = dual_spec(spec)
     pref = inversion_prefactor(spec, Z)
 
     def sides(eps):
         rhs_eps = min(eps * cosets, float(np.finfo(float).max))
-        return (theta_eval(spec, Z.inverse_point(), eps, point_cap),
+        return (theta_eval_direct(spec, Z.inverse_point(), eps, point_cap),
                 dual_theta_eval(dual, Z, rhs_eps, point_cap), rhs_eps)
 
     lhs, rhs, rhs_val, residual, eps = _law_residual(sides, pref, eps, tol)
@@ -249,7 +230,8 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
                          "float (det(Y) outside the float range)" % pref)
 
     def sides(eps):
-        return theta_eval(spec, Z, eps, point_cap), theta_eval_borcherds(spec, Z, eps, point_cap), eps
+        return (theta_eval_direct(spec, Z, eps, point_cap),
+                theta_eval_borcherds(spec, Z, eps, point_cap), eps)
 
     lhs, rhs, rhs_val, residual, eps = _law_residual(sides, pref, eps, tol)
     return CheckReport(

@@ -362,7 +362,7 @@ def test_lattice_blocks_point_cap():
             list(lattice_blocks(G, [0.0, 0.0], 40.0, point_cap=5, block_size=block_size))
 
 
-# The certified ellipsoids theta_eval enumerated on the benchmark grid, with
+# The certified ellipsoids the direct series enumerated on the benchmark grid, with
 # the point count and SHA-256 of the emitted rows (int64, in order) recorded
 # from the recursive depth-first enumerator that lattice_blocks replaced.
 # Their R^2 are those of the five-value rho grid that the golden-section tail
@@ -387,10 +387,10 @@ GRID_ELLIPSOIDS = (
 
 
 def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
-    """The (G, center, R2) that theta_eval hands to lattice_blocks.
+    """The (G, center, R2) that the direct series (theta_eval_direct) hands to lattice_blocks.
 
-    theta_eval pairs U with -U on these cosets (half=True); the digests
-    below pin the full enumeration of the same ellipsoid.
+    It pairs U with -U on these cosets (half=True); the digests below pin
+    the full enumeration of the same ellipsoid.
     """
     seen = []
 
@@ -403,7 +403,7 @@ def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
     spec = theta.theta_spec(form, H=H, n=genus)
     with monkeypatch.context() as patch:
         patch.setattr(theta, "lattice_blocks", record)
-        theta.theta_eval(spec, SiegelPoint(1j * np.array(Y)), eps)
+        theta.theta_eval_direct(spec, SiegelPoint(1j * np.array(Y)), eps)
     (out,) = seen
     return out
 
@@ -412,7 +412,7 @@ def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
                          ids=[row[0] for row in GRID_ELLIPSOIDS])
 def test_lattice_blocks_frozen_grid_order(monkeypatch, label, form, genus, half, Y, eps, R2,
                                           points, digest):
-    # theta_eval still hands over the recorded G = kron(Y, M) and centre;
+    # the direct series still hands over the recorded G = kron(Y, M) and centre;
     # the enumeration runs at the recorded R^2
     G, center, _ = grid_ellipsoid(monkeypatch, form, genus, half, Y, eps)
     assert np.array_equal(G, np.kron(np.array(Y), decompose(named_form(form)).M))

@@ -4,13 +4,14 @@ import cmath
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
 import siegeltheta.polyalg as polyalg
@@ -33,6 +34,7 @@ from siegeltheta.theta import (
     build_coeff,
     theta_eval,
     theta_eval_borcherds,
+    theta_eval_direct,
     theta_spec,
 )
 
@@ -591,9 +593,121 @@ def test_e8_near_the_cusp_is_accurate_to_rounding():
         e4 = 1 + 240 * mpmath.fsum(mpmath.fsum(d ** 3 for d in range(1, k + 1) if k % d == 0) * qm ** k
                                    for k in range(1, 40))
         assert abs(complex(e4) - E4_NEAR_CUSP) <= 1e-15
-    val = theta_eval(theta_spec("e8"), SiegelPoint(np.array([[z]])), eps=1e-12)
+    val = theta_eval_direct(theta_spec("e8"), SiegelPoint(np.array([[z]])), eps=1e-12)
     assert val.terms == 1113841
     assert abs(val.value - E4_NEAR_CUSP) <= 3e-14
+
+
+def test_e8_near_the_cusp_sums_the_dual_series():
+    # |z|^8 = 0.04: theta_eval sums the dual series at -1/z = -2/3 + 4i/3
+    # (26,641 terms against 1,113,841 direct) and lands within its
+    # transported tail, plus rounding, of E4
+    val = theta_eval(theta_spec("e8"), SiegelPoint(np.array([[0.3 + 0.6j]])), eps=1e-12)
+    assert val.terms == 26641
+    assert val.tail_bound <= 1e-12
+    assert abs(val.value - E4_NEAR_CUSP) <= val.tail_bound + 64 * np.finfo(float).eps * val.gross
+
+
+def test_e8_deep_in_the_cusp_evaluates_through_the_inversion_law():
+    # Im z = 0.05: the direct ellipsoid holds about 3e10 points and once ran
+    # into the point cap after 32-76 s; -1/z = -8 + 4i needs 241 terms
+    z = complex(0.1, 0.05)
+    start = time.perf_counter()
+    val = theta_eval(theta_spec("e8"), SiegelPoint(np.array([[z]])))
+    assert time.perf_counter() - start < 1.0
+    assert val.terms == 241 and val.tail_bound <= 1e-10
+    # E4 from its q-series at 40 digits: |q| = 0.73, and 300 terms leave
+    # 240 sigma_3(300) |q|^300 = 9e-32
+    kmax = 300
+    sigma3 = [0] * (kmax + 1)
+    for d in range(1, kmax + 1):
+        for k in range(d, kmax + 1, d):
+            sigma3[k] += d ** 3
+    with mpmath.workdps(40):
+        qm = mpmath.exp(2j * mpmath.pi * mpmath.mpc(z.real, z.imag))
+        e4 = complex(1 + 240 * mpmath.fsum(sigma3[k] * qm ** k for k in range(1, kmax + 1)))
+    assert abs(val.value - e4) <= val.tail_bound  # 1.7e-11 on a 2-vCPU host
+
+
+def test_predicted_rows_band():
+    # predicted / enumerated rows on the frozen grid ellipsoids (at their
+    # recorded R^2) read 0.51-1.69, the thin h2+e8 and e8/g2 ones at the ends;
+    # the dual sums of the cusp points read 1.46 (13,321 rows) and 1.67 (121)
+    from test_quadform import GRID_ELLIPSOIDS
+
+    ratios = []
+    for _, form, _, _, Y, _, R2, points, _ in GRID_ELLIPSOIDS:
+        G = np.kron(np.array(Y), decompose(named_form(form)).M)
+        ratios.append(theta.predicted_rows(G, R2) / points)
+    spec = theta_spec("e8")
+    for z, eps in ((0.3 + 0.6j, 1e-12), (0.1 + 0.05j, 1e-10)):
+        Z = SiegelPoint(np.array([[z]]))
+        dual, W, _, budget = theta._inversion(spec, Z, eps)
+        G, *_ = theta._series_forms(dual, W, dual=True)
+        val = theta_eval(spec, Z, eps)
+        # a paired sum with the origin: one row for it and one per pair
+        ratios.append(theta._planned_rows(dual, W, budget, dual=True) / ((val.terms + 1) // 2))
+    assert 0.5 <= min(ratios) and max(ratios) <= 1.7, ratios
+    assert theta.predicted_rows(G, 0.0) == 0.0
+    assert theta.predicted_rows(G, 4.0, paired=True) == theta.predicted_rows(G, 4.0) / 2
+
+
+# Definite forms: m <= 3 in genus 1 and 2, and e8 in genus 1, whose direct
+# sums stay below about 1e6 terms.  Z = s (X + i Y0), X in [-1/2, 1/2] and
+# Y0 = [[1, t], [t, 1]], with s in a band per (m, n) that makes |det Z|
+# small, so that theta_eval sums the dual series at -Z^-1 in most examples
+# (41 of 42 on a 2-vCPU host).
+_INVERTING_FORMS = st.sampled_from([[[2]], [[4]], [[2, 1], [1, 2]], [[2, 1], [1, 4]],
+                                    [[2, 1, 0], [1, 2, 1], [0, 1, 4]], "e8"])
+_INVERTING_SCALE = {(1, 1): (0.05, 0.3), (2, 1): (0.1, 0.4), (3, 1): (0.1, 0.35), (8, 1): (0.55, 0.7),
+                    (1, 2): (0.05, 0.3), (2, 2): (0.1, 0.3), (3, 2): (0.15, 0.35)}
+
+
+def test_inverted_theta_eval_matches_the_direct_series():
+    # H in {0, 1/2}, rational K, P = 1 or an integer combination of
+    # basis_homopol(m, n, alpha) with alpha <= 2.  Budget: 10 s for the 40
+    # generated and 2 explicit e8 examples (about 3 s on a 2-vCPU host).
+    inverted = []
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(form=_INVERTING_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 2),
+           weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+           halves=st.lists(st.booleans(), min_size=6, max_size=6),
+           ks=st.lists(_SMALL_RATIONAL, min_size=6, max_size=6),
+           x=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+           y=st.floats(0.0, 1.0), t=st.floats(-0.2, 0.2))
+    @example(form="e8", n=1, alpha=0, weights=[0] * 4, halves=[False] * 6, ks=[Fraction(0)] * 6,
+             x=[0.3, 0.0, 0.0], y=0.0, t=0.0)
+    @example(form="e8", n=1, alpha=2, weights=[1, -2, 0, 0], halves=[True] * 6,
+             ks=[Fraction(1, 3)] * 6, x=[-0.45, 0.0, 0.0], y=0.5, t=0.0)
+    def check(form, n, alpha, weights, halves, ks, x, y, t):
+        m = len(named_form(form)) if isinstance(form, str) else len(form)
+        n = 1 if m == 8 else n
+        P = None
+        basis = basis_homopol(m, n, alpha) if alpha else []
+        if basis:
+            P = MatPoly.zero(m, n)
+            for w, b in zip(weights, basis):
+                P = P + b * w
+            if P.is_zero():
+                P = basis[0]
+        H = [[Fraction(1, 2) if halves[(a * n + j) % 6] else Fraction(0) for j in range(n)]
+             for a in range(m)]
+        K = [[ks[(a * n + j) % 6] for j in range(n)] for a in range(m)]
+        spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
+        lo, hi = _INVERTING_SCALE[(m, n)]
+        X = np.array([[x[0], x[1]], [x[1], x[2]]])[:n, :n]
+        Z = SiegelPoint((lo + (hi - lo) * y) * (X + 1j * np.array([[1.0, t], [t, 1.0]])[:n, :n]))
+        eps = 1e-9
+        inverted.append(theta._inversion(spec, Z, eps) is not None)
+        val = theta_eval(spec, Z, eps)
+        ref = theta_eval_direct(spec, Z, eps)
+        assert val.tail_bound <= eps
+        tol = val.tail_bound + ref.tail_bound + 64 * 2.0**-52 * (val.gross + ref.gross)
+        assert abs(val.value - ref.value) <= tol, (val, ref)
+
+    check()
+    assert sum(inverted) > len(inverted) / 2, inverted
 
 
 def test_genus_two_even_unimodular_at_scaled_identity():
@@ -616,8 +730,15 @@ def test_degenerate_point_fails_fast_instead_of_a_bogus_certificate(y):
     # the interval bounds at 1e-40j and 1e-100j do not fit in int64 (the
     # cast once gave 0.948 with terms=1, against a true value near 7e19);
     # at 1e-20j one interval alone holds about 5.6e10 points
+    spec, Z = theta_spec("diag:2"), SiegelPoint([[y * 1j]])
     with pytest.raises(ResourceCapError):
-        theta_eval(theta_spec("diag:2"), SiegelPoint([[y * 1j]]), point_cap=10**6)
+        theta_eval_direct(spec, Z, point_cap=10**6)
+    # theta_eval sums the dual series at i / y instead, whose tail beyond the
+    # origin is exp(-pi / (2 y)): the value is (2 y)^(-1/2) to rounding
+    val = theta_eval(spec, Z, point_cap=10**6)
+    assert val.terms == 1 and val.tail_bound <= 1e-10
+    want = (2.0 * y) ** -0.5
+    assert abs(val.value - want) <= val.tail_bound + 64 * np.finfo(float).eps * val.gross
 
 
 @pytest.mark.parametrize("y", [1e200, 1e-200])
@@ -640,6 +761,9 @@ def test_eps_must_be_finite_and_positive(eps):
     for evaluate in (theta_eval, theta_eval_borcherds):
         with pytest.raises(ValueError, match="eps"):
             evaluate(spec, Z_I, eps=eps)
+    # at 0.1i theta_eval plans both sums before it picks one, and still refuses
+    with pytest.raises(ValueError, match="eps"):
+        theta_eval(spec, SiegelPoint([[0.1j]]), eps=eps)
 
 
 def test_empty_characteristic_is_rejected():

@@ -14,7 +14,7 @@ from siegeltheta.polyalg import MatPoly, basis_homopol, exp_trace_laplace_weight
 from siegeltheta.quadform import coset_reps, named_form
 from siegeltheta.scalars import PiScalar
 from siegeltheta.siegel import SiegelPoint, det_power
-from siegeltheta.theta import dual_theta_eval, term_phase, theta_eval, theta_spec
+from siegeltheta.theta import dual_theta_eval, term_phase, theta_eval, theta_eval_direct, theta_spec
 from siegeltheta.verify import (
     check_borcherds_form,
     check_commutator,
@@ -87,7 +87,7 @@ def _coset_loop(spec, Z, eps):
     parts = []
     for rep in coset_reps(spec.A, spec.n):
         HJ = [[rep.J[a][j] + spec.K[a][j] for j in range(spec.n)] for a in range(spec.m)]
-        parts.append(theta_eval(spec.with_characteristics(H=HJ, K=negH), Z, eps))
+        parts.append(theta_eval_direct(spec.with_characteristics(H=HJ, K=negH), Z, eps))
     value = complex(math.fsum(p.value.real for p in parts), math.fsum(p.value.imag for p in parts))
     return (value, math.fsum(p.tail_bound for p in parts), math.fsum(p.gross for p in parts),
             sum(p.terms for p in parts))
@@ -114,6 +114,30 @@ def test_inversion_dual_sum_matches_the_coset_loop(form, genus):
     rep = check_inversion(spec, Z, eps=eps)
     assert rep.rhs == inversion_prefactor(spec, Z) * one.value
     assert rep.metadata["cosets"] == cosets
+
+
+def test_law_checks_never_sum_through_the_inversion_law(monkeypatch):
+    # at z = 0.3 + 0.65i theta_eval would sum e8 through the inversion law;
+    # every law check sums the series directly, so each still compares two
+    # independent sums, and passes with that path made to fail
+    m = 8
+    H = [[Fraction(1, 2) if a == 0 else Fraction(0)] for a in range(m)]
+    K = [[Fraction(1, 3) if a == m - 1 else Fraction(0)] for a in range(m)]
+    spec = theta_spec("e8", H=H, K=K)
+    Z = SiegelPoint(np.array([[0.3 + 0.65j]]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law check summed through the inversion law")
+
+    monkeypatch.setattr(theta, "_inverted_sum", refuse)
+    with pytest.raises(AssertionError, match="inversion law"):
+        theta_eval(spec, Z, eps=1e-10)
+    assert check_translation(spec, Z, [[1]]).passed
+    assert check_inversion(spec, Z).passed
+    assert check_inversion(spec, Z.inverse_point()).passed  # its left side sums at Z
+    assert check_borcherds_form(spec, Z).passed
+    assert check_poisson(spec, Z).passed
+    assert all(rep.passed for rep in run_suite("inversion", genus=2))
 
 
 def test_inversion_and_poisson_make_one_lattice_sum_per_side(monkeypatch):

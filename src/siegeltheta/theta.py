@@ -40,6 +40,11 @@ the N Cholesky pivots of kron(Y, M), theta1 is the closed-form majorant of
 1 + 2 sum exp(-x k^2), and rho in (0,1) minimizes the enumeration radius by
 a golden-section search (_tail_plan).
 
+Each series is planned once into a SeriesPlan (_series_plan): compiled
+polynomial, Gram matrix, centre, phase form, prefactor, tail budget, and
+rho, R^2, tail and predicted rows from one Cholesky factorisation and one
+_tail_plan.  certified_lattice_sum enumerates and sums a plan it is given.
+
 The right sides of the inversion and Poisson laws are the same series with
 U over the dual lattice H + A^-1 Z^{m x n} (dual_theta_eval), one certified
 sum with Gram matrix kron(Y, A^-1 M A^-1) rather than one per coset.
@@ -60,7 +65,7 @@ term.
 
 No term evaluates tau from U.  At U = L x, x = v + c the enumerated vector,
 tau is the quadratic form x^T B x / 2 + ell^T x with B = kron(X, L^T A L) +
-i kron(Y, L^T (A - 2 A-) L) and ell = vec(L^T A K) (_series_forms), and
+i kron(Y, L^T (A - 2 A-) L) and ell = vec(L^T A K) (_series_plan), and
 lattice_blocks carries it down the enumeration beside the Cholesky q, one
 shift vector and one partial value per level.  Each point arrives with q
 and tau, the final filter tests the carried q, and a term is exp(-2 pi
@@ -74,7 +79,9 @@ term_phase is the same tau evaluated per term, for the quadrature checks.
 
 theta_eval sums a definite series through the inversion law when that is
 predicted to be cheaper: theta(Z) = inversion_prefactor(spec, W) times the
-dual series of characteristics (K, -H) at W = -Z^-1.  Near a cusp, where
+dual series of characteristics (K, -H) at W = -Z^-1.  It plans the direct
+series and, unless a closed-form screen rules the dual one out, the dual
+series, and sums whichever plan predicts fewer rows.  Near a cusp, where
 det(Y) is small, the direct ellipsoid holds about det(Y)^(-m/2) times more
 points than at Y = I, and the dual one at Im W = Zbar^-1 Y Z^-1 few: e8 at
 z = 0.1 + 0.05i needs 241 terms instead of about 3e10.  The certificate is
@@ -98,6 +105,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -300,9 +308,6 @@ class ThetaSpec:
         new.n = self.n
         return new
 
-    def H_floats(self) -> np.ndarray:
-        return _float_mat(self.H)
-
     def K_floats(self) -> np.ndarray:
         return _float_mat(self.K)
 
@@ -431,48 +436,48 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
     return rho, R2, tail
 
 
-def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: float,
-                          summand, point_cap: int, paired: bool = False, phase=None):
-    """Sum summand over the integer offsets of center with a certified tail.
+def certified_lattice_sum(plan: SeriesPlan, eps: float, summand, point_cap: int):
+    """Sum summand over the integer offsets of plan.c in the ellipsoid of the plan (_series_plan).
 
+    The plan fixes G, c, the phase form, R^2, rho and the tail, so this only
+    enumerates and adds.  eps is the tail budget the sum certifies: it must
+    be finite and positive and at least the plan's tail (ValueError).
     summand maps a lattice_blocks Block (int64 rows of shape (k, d), their
-    carried q and, given a phase form (B, ell), their carried tau) to a pair
-    of float arrays: the complex values of the full summand at center + rows
-    and their magnitudes.  phase goes to lattice_blocks as it is, and every
-    kept row has q(center + row) <= R^2 + slack by its carried q, the
-    enumeration's own filter.  With paired, 2 center must be integral: the
-    enumeration then emits one x = center + row of each pair {x, -x}
-    (lattice_blocks with half), summand must return term(x) + term(-x) and
-    |term(x)| + |term(-x)| for each row, and the origin, whose paired value
-    is twice its term, is halved here.  terms counts the terms of the full
-    series either way, two per pair and one for the origin, and point_cap
-    caps that count.  Each block of the enumeration is summed in floating
-    point and the per-block sums are combined with exact float summation.
-    The result is deterministic for a fixed enumeration block size, because
-    the enumerator fixes both the order of the rows and where the blocks
-    are cut; a different block size rounds the per-block sums differently
-    and may move the result by a few ulps of gross.  The last returned entry
-    is the gross magnitude sum |f| over all terms, the honest scale for
+    carried q and tau) to a pair of float arrays: the complex values of the
+    full summand at c + rows and their magnitudes.  Every kept row has
+    q(c + row) <= R^2 + slack by its carried q, the enumeration's own
+    filter.  With plan.paired, 2c is integral: the enumeration then emits
+    one x = c + row of each pair {x, -x} (lattice_blocks with half),
+    summand must return term(x) + term(-x) and |term(x)| + |term(-x)| for
+    each row, and the origin, whose paired value is twice its term, is
+    halved here.  terms counts the terms of the full series either way, two
+    per pair and one for the origin, and point_cap caps that count.  Each
+    block is summed in floating point and the per-block sums are combined
+    with exact float summation.  The result is deterministic for a fixed
+    enumeration block size, because the enumerator fixes both the order of
+    the rows and where the blocks are cut; a different block size rounds
+    the per-block sums differently and may move the result by a few ulps of
+    gross, the gross magnitude sum |f| over all terms: the honest scale for
     relative comparisons when cancellation drives the net value to zero.
-    The return is (total, tail, terms, R^2, rho, gross), with R^2, rho and
-    the tail from _tail_plan.  Cp = 0, a zero polynomial, sums nothing: tail,
-    terms, R^2 and gross are 0 and rho reads RHO_BRACKET[1], as any rho
-    certifies a zero tail.  eps must be finite and positive (ValueError).
+    The return is (total, tail, terms, R^2, rho, gross), with the plan's
+    R^2, rho and tail.  A zero polynomial (Cp = 0) sums nothing: tail,
+    terms, R^2 and gross are 0 and rho reads RHO_BRACKET[1].
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive, got %r" % eps)
-    if Cp == 0.0:
-        return 0.0 + 0.0j, 0.0, 0, 0.0, RHO_BRACKET[1], 0.0
-    G = np.asarray(G, dtype=float)
-    pivots = (np.diag(np.linalg.cholesky(G)) ** 2).tolist()
-    rho, R2, tail = _tail_plan(Cp, deg, sig2, pivots, eps)
+    if not plan.tail <= eps:
+        raise ValueError("the plan's tail %r exceeds eps %r" % (plan.tail, eps))
+    paired = plan.paired
+    if plan.Cp == 0.0:
+        return 0.0 + 0.0j, 0.0, 0, 0.0, plan.rho, 0.0
     # with paired and an integral center the origin is the first row emitted
-    origin = int(paired and not np.any(np.asarray(center) % 1.0))
+    origin = int(paired and not np.any(plan.c % 1.0))
     re_parts = []
     im_parts = []
     abs_parts = []
     used = 0
-    for block in lattice_blocks(G, center, R2, point_cap=point_cap, half=paired, phase=phase):
+    for block in lattice_blocks(plan.G, plan.c, plan.R2, point_cap=point_cap, half=paired,
+                                phase=(plan.B, None if paired else plan.ell)):
         vals, mags = summand(block)
         if origin and not used:
             vals[0] *= 0.5
@@ -483,7 +488,7 @@ def certified_lattice_sum(G, center, eps: float, Cp: float, deg: int, sig2: floa
         used += len(block)
     terms = 2 * used - origin if paired else used
     total = complex(math.fsum(re_parts), math.fsum(im_parts))
-    return total, tail, terms, R2, rho, math.fsum(abs_parts)
+    return total, plan.tail, terms, plan.R2, plan.rho, math.fsum(abs_parts)
 
 
 class ThetaValue:
@@ -529,7 +534,7 @@ def term_phase(spec: ThetaSpec, Z: SiegelPoint):
     with the A- part only for an indefinite form.  |e(tau(U))| =
     exp(-pi tr(U^T M U Y)), as M = A - 2 A-.  Re tau is reduced mod 1 before
     the exponential.  The series carry the same tau through the enumeration
-    (_lattice_series); this per-term form serves the quadrature checks and
+    (_sum_series); this per-term form serves the quadrature checks and
     is their reference.
     """
     Af = spec.A.astype(float)
@@ -552,49 +557,6 @@ def term_phase(spec: ThetaSpec, Z: SiegelPoint):
     return phase
 
 
-def _frac_center(spec: ThetaSpec, dual: bool):
-    """The exact center of the series' integer rows: H, or A H for the dual lattice."""
-    H = [list(row) for row in spec.H]
-    if dual:
-        A = spec.A.tolist()
-        H = [[sum(A[a][b] * H[b][j] for b in range(spec.m) if H[b][j]) for j in range(spec.n)]
-             for a in range(spec.m)]
-    return H
-
-
-def _series_forms(spec: ThetaSpec, Z: SiegelPoint, dual: bool = False):
-    """(G, c, B, ell, L, paired): what the series of spec at Z enumerates and carries.
-
-    The series runs over the integer rows v of U = L(V + c), V the m x n
-    matrix of v column by column, c = L^-1 H taken exactly, with Gram matrix
-    G = kron(Y, L^T M L); L is A^-1 for the dual lattice and None (I)
-    otherwise.  At x = v + c the phase of term_phase is tau = x^T B x / 2 +
-    ell^T x with
-
-        B = kron(X, L^T A L) + i kron(Y, L^T (A - 2 A-) L),  ell = vec(L^T A K),
-
-    and L^T A L = A^-1, L^T A K = K for the dual lattice.  Im B is G, since
-    M = A - 2 A-, but it is built from the integer A and A- rather than the
-    float M, which keeps |e(tau)| as accurate as term_phase's.  paired says
-    whether 2c is integral, decided on the exact Fractions.
-    """
-    m, n = spec.m, spec.n
-    A = spec.A.astype(float)
-    aminus = spec.dec.aminus if spec.dec.s > 0 else np.zeros((m, m))
-    M, L, AL, LAK = spec.dec.M, None, A, A @ spec.K_floats()
-    if dual:
-        L = AL = np.linalg.inv(A)
-        M = L.T @ M @ L
-        aminus = L.T @ aminus @ L
-        LAK = spec.K_floats()
-    center = _frac_center(spec, dual)
-    paired = all((2 * x).denominator == 1 for row in center for x in row)
-    G = np.kron(Z.Y, M)
-    c = _float_mat(center).T.reshape(-1)
-    B = np.kron(Z.X, AL) + 1j * np.kron(Z.Y, AL - 2.0 * aminus)
-    return G, c, B, LAK.T.reshape(-1), L, paired
-
-
 def _budget(scale: float, eps: float) -> float:
     """The largest float b with scale * b <= eps: the tail budget of a sum that is scaled by scale."""
     b = eps / scale
@@ -603,15 +565,40 @@ def _budget(scale: float, eps: float) -> float:
     return b
 
 
-def _series_setup(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool):
-    """(poly, Ysq, sig2, pref, budget) of the plain or the Borcherds series of spec at Z.
+# What one certified series sum needs, built once by _series_plan: the route
+# choice of theta_eval compares plans and _sum_series sums one as it is.
+SeriesPlan = namedtuple("SeriesPlan", "poly parts Ysq L G c B ell paired pref budget "
+                                      "Cp deg sig2 rho R2 tail rows")
 
-    The plain series has poly = f, W = U Ysq with Ysq = Y^(1/2) and pref =
-    det(Y)^(-lam/2), the Borcherds one the Borcherds polynomial, W = U (Ysq
-    None) and pref = 1; sig2 bounds |W|_F^2 / q (_tail_plan).  budget is the
-    tail budget of the lattice sum, _budget(pref, eps), so the tail bound of
-    the series is at most eps.  A det(Y) outside the float range leaves pref
-    0 or inf (ValueError).
+
+def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = False,
+                 dual: bool = False) -> SeriesPlan:
+    """Everything the certified plain or Borcherds series of spec at Z needs, over U in H + L Z^{m x n}.
+
+    A term is poly(W) e(tau(U)).  The plain series has poly = f, W = U Ysq
+    with Ysq = Y^(1/2) and pref = det(Y)^(-lam/2), the Borcherds one the
+    Borcherds polynomial, W = U (Ysq None) and pref = 1; sig2 bounds |W|_F^2
+    / q (_tail_plan).  A det(Y) outside the float range leaves pref 0 or inf
+    (ValueError).  budget = _budget(pref, eps) is the tail budget of the
+    lattice sum.  parts splits the compiled poly by degree parity when the
+    sum is paired.
+
+    The series runs over the integer rows v of U = L(V + c), V the m x n
+    matrix of v column by column, c = L^-1 H taken exactly, with Gram matrix
+    G = kron(Y, L^T M L); L is A^-1 for the dual lattice and None (I)
+    otherwise.  paired says whether 2c is integral, decided on the exact
+    Fractions.  At x = v + c the phase of term_phase is tau = x^T B x / 2 +
+    ell^T x with
+
+        B = kron(X, L^T A L) + i kron(Y, L^T (A - 2 A-) L),  ell = vec(L^T A K),
+
+    and L^T A L = A^-1, L^T A K = K for the dual lattice.  Im B is G, built
+    from the integer A and A- rather than the float M (module docstring).
+
+    One Cholesky factorisation of G serves the one _tail_plan (rho, R2 and
+    tail) and predicted_rows (rows).  A budget that is not positive plans
+    nothing: tail and rows are inf, and certified_lattice_sum refuses it.
+    A zero poly (Cp = 0) gets R2, tail and rows 0 and rho RHO_BRACKET[1].
     """
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
@@ -627,36 +614,47 @@ def _series_setup(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool):
     if not (math.isfinite(pref) and pref > 0):
         raise ValueError("series prefactor %r is not a positive finite float "
                          "(det(Y) outside the float range)" % pref)
-    return poly, Ysq, sig2, pref, _budget(pref, eps)
-
-
-def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borcherds: bool,
-                    dual: bool = False) -> ThetaValue:
-    """The plain or the Borcherds series of spec at Z, certified, over U in H + L Z^{m x n}.
-
-    Every term is poly(W) e(tau(U)), tau the term_phase, with poly, W and the
-    prefactor of _series_setup.  L = A^-1 for the dual lattice and I
-    otherwise (_series_forms).  The enumeration carries tau of every row, so
-    a term costs exp(-2 pi Im tau + 2 pi i frac(Re tau)) times poly(W), and
-    a constant poly is a number: no W is built.
-
-    When 2c is integral the coset is closed under U -> -U, and each pair is
-    summed once (certified_lattice_sum with paired): W is linear in U, the
-    carried quadratic part Q(U) of tau is even and L(U) = tr(K^T A U) odd,
-    so with poly = p_even + p_odd split by degree parity,
-
-        term(U) + term(-U) = e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi L(U)),
-
-    one polynomial and one phase evaluation for two terms; L(U) = ell^T x
-    then stays out of the carried form.  Every coset with 2H integral (H = 0
-    or 1/2) pairs, for any K; a centre such as A K with K = 1/3, which the
-    inversion law moves into the dual sum, does not.
-    """
-    poly, Ysq, sig2, pref, budget = _series_setup(spec, Z, eps, borcherds)
-    m, n = spec.m, spec.n
-    G, c, B, ell, L, paired = _series_forms(spec, Z, dual)
+    budget = _budget(pref, eps)
+    A = spec.A.astype(float)
+    aminus = spec.dec.aminus if spec.dec.s > 0 else np.zeros((spec.m, spec.m))
+    M, L, AL, LAK = spec.dec.M, None, A, A @ spec.K_floats()
+    center = spec.H
+    if dual:
+        L = AL = np.linalg.inv(A)
+        M = L.T @ M @ L
+        aminus = L.T @ aminus @ L
+        LAK = spec.K_floats()
+        Ai, H = spec.A.tolist(), spec.H  # c = A H, exactly
+        center = [[sum(Ai[a][b] * H[b][j] for b in range(spec.m) if H[b][j]) for j in range(spec.n)]
+                  for a in range(spec.m)]
+    paired = all((2 * x).denominator == 1 for row in center for x in row)
+    G = np.kron(Y, M)
+    B = np.kron(Z.X, AL) + 1j * np.kron(Y, AL - 2.0 * aminus)
     compiled = compile_poly(poly)
-    parts = compiled.parity_split() if paired else (compiled,)
+    Cp, deg = poly.coeff_norm(), poly.degree()
+    rho, R2, tail, rows = RHO_BRACKET[1], 0.0, 0.0, 0.0
+    if not budget > 0:
+        tail = rows = math.inf
+    elif Cp != 0.0:
+        chol = np.diag(np.linalg.cholesky(G))
+        rho, R2, tail = _tail_plan(Cp, deg, sig2, (chol ** 2).tolist(), budget)
+        rows = _cholesky_rows(chol, R2, paired)
+    return SeriesPlan(compiled, compiled.parity_split() if paired else (compiled,), Ysq, L, G,
+                      _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1), paired, pref, budget,
+                      Cp, deg, sig2, rho, R2, tail, rows)
+
+
+def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:
+    """The series of a plan, certified: pref times its lattice sum, tail and gross.
+
+    A term is exp(-2 pi Im tau + 2 pi i frac(Re tau)) poly(W) from the
+    carried tau, with no W for a constant poly.  A paired sum adds each pair
+    {U, -U} at once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin
+    2 pi L(U)), with L(U) = ell^T x kept out of the carried form (see the
+    module docstring).
+    """
+    parts, Ysq, L, c, ell, paired = plan.parts, plan.Ysq, plan.L, plan.c, plan.ell, plan.paired
+    m, n = plan.poly.m, plan.poly.n
     # an empty part is 0 and a constant one its value; None marks a part that needs W
     consts = [0.0 if p is None else complex(np.sum(p.coef)) if p.degree() == 0 else None
               for p in parts]
@@ -689,8 +687,8 @@ def _lattice_series(spec: ThetaSpec, Z: SiegelPoint, eps: float, point_cap, borc
         return eq * both, np.abs(eq) * mags
 
     total, tail, used, R2, rho, gross = certified_lattice_sum(
-        G, c, budget, poly.coeff_norm(), poly.degree(), sig2, summand, point_cap_from_env(point_cap),
-        paired, (B, None if paired else ell))
+        plan, plan.budget, summand, point_cap_from_env(point_cap))
+    pref = plan.pref
     return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
 
 
@@ -705,27 +703,19 @@ def predicted_rows(G, R2: float, paired: bool = False) -> float:
     depends on where its boundary cuts the shells.  0 for R2 <= 0, inf
     beyond the float range.
     """
+    return _cholesky_rows(np.diag(np.linalg.cholesky(np.asarray(G, dtype=float))), R2, paired)
+
+
+def _cholesky_rows(chol, R2: float, paired: bool) -> float:
+    """predicted_rows of the G whose Cholesky factor has the diagonal chol."""
     if R2 <= 0:
         return 0.0
-    G = np.asarray(G, dtype=float)
-    N = len(G)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(G)))))
+    N = len(chol)
+    logdet = 2.0 * float(np.sum(np.log(chol)))
     log_rows = 0.5 * N * math.log(math.pi * R2) - math.lgamma(0.5 * N + 1.0) - 0.5 * logdet
     if paired:
         log_rows -= math.log(2.0)
     return math.inf if log_rows > 709.0 else math.exp(log_rows)
-
-
-def _planned_rows(spec: ThetaSpec, Z: SiegelPoint, eps: float, dual: bool) -> float:
-    """predicted_rows of the plain series of spec at Z (over the dual lattice with dual), at R^2
-    from its own tail plan; inf when eps leaves the lattice sum no positive budget."""
-    poly, _, sig2, _, budget = _series_setup(spec, Z, eps, borcherds=False)
-    if not budget > 0:
-        return math.inf
-    G, _, _, _, _, paired = _series_forms(spec, Z, dual)
-    pivots = (np.diag(np.linalg.cholesky(G)) ** 2).tolist()
-    _, R2, _ = _tail_plan(poly.coeff_norm(), poly.degree(), sig2, pivots, budget)
-    return predicted_rows(G, R2, paired)
 
 
 def theta_eval_direct(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
@@ -735,7 +725,7 @@ def theta_eval_direct(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     This is the series the transformation-law checks of verify compare, so
     that each law sets two independent sums against each other.
     """
-    return _lattice_series(spec, Z, eps, point_cap, borcherds=False)
+    return _sum_series(_series_plan(spec, Z, eps), point_cap)
 
 
 # ==== evaluation through the inversion law ===================================
@@ -748,6 +738,15 @@ def e_of_fraction(x) -> complex:
     return cmath.exp(2j * math.pi * float(x))
 
 
+def float_det(dec: QuadFormDecomposition) -> float:
+    """det A as a float; ValueError beyond the float range, where the law prefactors cannot be formed."""
+    try:
+        return float(dec.form.det)
+    except OverflowError:
+        raise ValueError("a %d-bit det A is beyond the float range"
+                         % abs(dec.form.det).bit_length()) from None
+
+
 def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
     """pref with theta(-Z^-1; H, K) = pref dual_theta_eval(Z; K, -H), branch-locked (det_power)."""
     m, n = spec.m, spec.n
@@ -756,7 +755,7 @@ def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
     power = (dec.r - dec.s) / 2.0 + alpha - beta
     pref = cmath.exp(-1j * math.pi * m * n / 4.0)
     pref *= cmath.exp(1j * math.pi * ((dec.s / 2.0 + beta) * n + beta * dec.s))
-    pref *= abs(float(dec.form.det)) ** (-n / 2.0)
+    pref *= abs(float_det(dec)) ** (-n / 2.0)
     pref *= det_power(Z.Z, power)
     A = spec.A.tolist()
     hak = sum((h * A[a][b] * spec.K[b][j] for a, row in enumerate(spec.H) for j, h in enumerate(row)
@@ -770,47 +769,35 @@ def dual_spec(spec: ThetaSpec) -> ThetaSpec:
 
 
 def _inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float):
-    """(dual, W, pref, budget) of the inverted sum of theta_eval when it is predicted cheaper, else None.
+    """(plan, pref): the plan theta_eval sums, with pref None for the direct one at Z.
 
-    Only a definite form inverts.  The screen: Im W = Zbar^-1 Y Z^-1, so
-    the dual Gram matrix kron(Im W, A^-1) has determinant det(Y)^m /
-    (|det Z|^(2m) |det A|^n), against det(Y)^m |det A|^n for the direct
-    kron(Y, A), and at equal R^2 the dual ellipsoid holds |det A|^n
-    |det Z|^m times the direct one's volume.  At 1 or more the sum stays
-    direct, with nothing planned.  Otherwise each side is planned
-    (_planned_rows, R^2 from its own budget) and the dual wins below half
-    the direct rows.  A W or a prefactor outside the float range keeps the
+    Only a definite form inverts.  The screen: Im W = Zbar^-1 Y Z^-1 at
+    W = -Z^-1, so the dual Gram matrix kron(Im W, A^-1) has determinant
+    det(Y)^m / (|det Z|^(2m) |det A|^n), against det(Y)^m |det A|^n for the
+    direct kron(Y, A), and at equal R^2 the dual ellipsoid holds |det A|^n
+    |det Z|^m times the direct one's volume (compared in logarithms, with
+    the exact det A).  At 1 or more only the direct series is planned.
+    Otherwise the dual one is too, at budget _budget(|pref|, eps), and wins
+    below half the direct rows (a plan without a positive budget predicts
+    inf).  A W, prefactor or dual plan outside the float range keeps the
     direct sum.
     """
+    direct = _series_plan(spec, Z, eps), None
     if spec.dec.s:
-        return None
+        return direct
     _, logdet = np.linalg.slogdet(Z.Z)
-    if spec.n * math.log(abs(float(spec.dec.form.det))) + spec.m * float(logdet) >= 0:
-        return None
+    if spec.n * math.log(abs(spec.dec.form.det)) + spec.m * float(logdet) >= 0:
+        return direct
     try:
         W = Z.inverse_point()
         pref = inversion_prefactor(spec, W)
+        scale = abs(pref)
+        if not (math.isfinite(scale) and scale > 0):
+            return direct
+        plan = _series_plan(dual_spec(spec), W, _budget(scale, eps), dual=True)
     except (ValueError, OverflowError):
-        return None
-    scale = abs(pref)
-    if not (math.isfinite(scale) and scale > 0):
-        return None
-    dual, budget = dual_spec(spec), _budget(scale, eps)
-    direct = _planned_rows(spec, Z, eps, dual=False)
-    try:
-        inverted = _planned_rows(dual, W, budget, dual=True)
-    except ValueError:
-        return None
-    return (dual, W, pref, budget) if inverted < direct / 2 else None
-
-
-def _inverted_sum(dual: ThetaSpec, W: SiegelPoint, pref: complex, budget: float,
-                  point_cap) -> ThetaValue:
-    """pref dual_theta_eval(dual, W, budget): the series at -W^-1, its tail and gross scaled by |pref|."""
-    val = dual_theta_eval(dual, W, budget, point_cap)
-    scale = abs(pref)
-    return ThetaValue(pref * val.value, scale * val.tail_bound, val.terms, val.radius2, val.rho,
-                      scale * val.gross)
+        return direct
+    return (plan, pref) if plan.rows < direct[0].rows / 2 else direct
 
 
 def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
@@ -822,15 +809,19 @@ def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     (theta_eval_direct), or through the inversion law at W = -Z^-1 as
     inversion_prefactor(spec, W) times the dual series of characteristics
     (K, -H) at W, summed with the largest budget b that keeps |pref| b <= eps.
-    Both are certified: a summed-through-the-law value has tail_bound and
-    gross |pref| times the dual sum's, so tail_bound <= eps still, while
-    terms, radius2 and rho describe the dual sum.  An indefinite form is
-    always summed directly.
+    Each side is planned once, into a SeriesPlan, and the winning plan is
+    the one summed.  Both are certified: a summed-through-the-law
+    value has tail_bound and gross |pref| times the dual sum's, so
+    tail_bound <= eps still, while terms, radius2 and rho describe the dual
+    sum.  An indefinite form is always summed directly.
     """
-    route = _inversion(spec, Z, eps)
-    if route is None:
-        return theta_eval_direct(spec, Z, eps, point_cap)
-    return _inverted_sum(*route, point_cap)
+    plan, pref = _inversion(spec, Z, eps)
+    val = _sum_series(plan, point_cap)
+    if pref is None:
+        return val
+    scale = abs(pref)
+    return ThetaValue(pref * val.value, scale * val.tail_bound, val.terms, val.radius2, val.rho,
+                      scale * val.gross)
 
 
 def dual_theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10, point_cap=None,
@@ -841,7 +832,7 @@ def dual_theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10, point_c
     J + H + Z^{m x n}, J in A^-1 Z^{m x n} / Z^{m x n}; the right side of
     the inversion and Poisson laws.
     """
-    return _lattice_series(spec, Z, eps, point_cap, borcherds, dual=True)
+    return _sum_series(_series_plan(spec, Z, eps, borcherds, dual=True), point_cap)
 
 
 def heat_plan(spec: ThetaSpec) -> HeatPlan:
@@ -867,4 +858,4 @@ def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
 
     Satisfies theta_eval(spec, Z) = det(Y)^(s/2 + beta) * this value.
     """
-    return _lattice_series(spec, Z, eps, point_cap, borcherds=True)
+    return _sum_series(_series_plan(spec, Z, eps, borcherds=True), point_cap)

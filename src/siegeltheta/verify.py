@@ -1,12 +1,12 @@
 """Executable checks for the operator identities and transformation laws.
 
 Every check returns a CheckReport rather than raising on a failed identity
-(an input it cannot evaluate, such as a det(Y) whose power leaves the float
-range, is a ValueError): the algebraic identities (eigenvalue equation,
-commutators) are tested in exact arithmetic and must come out identically
-zero, while the analytic laws (translation, inversion, Fourier, Poisson)
-compare certified truncated evaluations or quadratures against closed forms
-within an explicit tolerance.
+(an input it cannot evaluate, such as a det(Y) whose power or a det A that
+leaves the float range, is a ValueError): the algebraic identities
+(eigenvalue equation, commutators) are tested in exact arithmetic and must
+come out identically zero, while the analytic laws (translation, inversion,
+Fourier, Poisson) compare certified truncated evaluations or quadratures
+against closed forms within an explicit tolerance.
 
 Conventions, fixed throughout:
   * e(w) = exp(2 pi i w);
@@ -48,6 +48,7 @@ from .theta import (
     dual_spec,
     dual_theta_eval,
     e_of_fraction,
+    float_det,
     heat_plan,
     inversion_prefactor,
     term_phase,
@@ -189,16 +190,20 @@ def check_inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
 
     The right side is one certified sum over U in K + A^-1 Z^{m x n}, with
     characteristics (K, -H), at Z.  Its tail budget is eps for each of its
-    |det A|^n cosets of Z^{m x n}, at most the largest float.  A residual
-    that the tails could explain is summed again at a finer eps
-    (_law_residual); the metadata records the eps of the reported sums.
+    |det A|^n cosets of Z^{m x n}, at most the largest float; a det A or a
+    coset count beyond the float range is a ValueError.  A residual that
+    the tails could explain is summed again at a finer eps (_law_residual);
+    the metadata records the eps of the reported sums.
     """
     cosets = abs(int(spec.dec.form.det)) ** spec.n
+    fmax = float(np.finfo(float).max)
+    if cosets > fmax:
+        raise ValueError("%d-bit |det A|^n cosets are beyond the float range" % cosets.bit_length())
     dual = dual_spec(spec)
     pref = inversion_prefactor(spec, Z)
 
     def sides(eps):
-        rhs_eps = min(eps * cosets, float(np.finfo(float).max))
+        rhs_eps = min(eps * cosets, fmax)
         return (theta_eval_direct(spec, Z.inverse_point(), eps, point_cap),
                 dual_theta_eval(dual, Z, rhs_eps, point_cap), rhs_eps)
 
@@ -428,7 +433,7 @@ def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen")
         pB = borcherds_poly(spec, W.Y)
         return _fourier_prefactor(spec, Z, W) * complex(eval_batch(pB, V[None])[0] * phase)
     heat = heat_plan(spec).flow(Zinv * (1j / (4.0 * math.pi)) - np.eye(n) / (8.0 * math.pi))
-    return (float(spec.dec.form.det) ** (-n / 2.0) * det_power(-1j * Z.Z, -m / 2.0)
+    return (float_det(spec.dec) ** (-n / 2.0) * det_power(-1j * Z.Z, -m / 2.0)
             * phase * complex(eval_batch(heat, (-V @ Zinv)[None])[0]))
 
 
@@ -441,7 +446,7 @@ def _fourier_prefactor(spec: ThetaSpec, Z: SiegelPoint, W: SiegelPoint) -> compl
     m, n = spec.m, spec.n
     dec = spec.dec
     alpha, beta = spec.coeff.alpha, spec.coeff.beta
-    deta = float(dec.form.det)
+    deta = float_det(dec)
     pref = cmath.exp(-1j * math.pi * m * n / 4.0)
     if dec.s == 0:
         pref *= deta ** (-n / 2.0) * det_power(W.Z, m / 2.0 + alpha)

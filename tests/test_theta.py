@@ -282,7 +282,7 @@ def test_term_modulus_is_the_certificate_gaussian(form, Z):
     K = [[Fraction(1, 3) if a == m - 1 else 0] * n for a in range(m)]
     spec = theta_spec(A, P_plus=P, H=H, K=K, n=n)
     rng = np.random.default_rng(5)
-    U = spec.H_floats() + rng.integers(-1, 2, size=(300, m, n))
+    U = np.array(spec.H, dtype=float) + rng.integers(-1, 2, size=(300, m, n))
     q = np.einsum("xaj,ab,xbk,kj->x", U, spec.dec.M, U, Z.Y)
     U, q = U[q < 60], q[q < 60]
     assert len(U) >= 20
@@ -357,7 +357,7 @@ def unpaired_series(spec, Z, R2, dual=False):
     m, n = spec.m, spec.n
     A = spec.A.astype(float)
     L = np.linalg.inv(A) if dual else np.eye(m)
-    H = spec.H_floats()
+    H = np.array(spec.H, dtype=float)
     c = (A @ H if dual else H).T.reshape(-1)
     G = np.kron(Z.Y, L.T @ spec.dec.M @ L)
     Ysq = sqrt_posdef(Z.Y)
@@ -527,7 +527,7 @@ def _carried(G, c, R2, phase, frontier_rows, block_size):
 # Forms with m <= 3 of every signature, genus 1 and 2, the plain and the dual
 # lattice, H in {0, 1/2} and rational K, each over an ellipsoid of about 60
 # points.  The scale of a row is x^T |B| x / 2 + |ell|^T |x| with every
-# factor in absolute value (B, ell and L as in _series_forms), the size of
+# factor in absolute value (B, ell and L as in _series_plan), the size of
 # the largest product either computation of tau rounds; a sum of N(N + 3)/2
 # such products is off by at most (N + 2) eps scale in each part, and e()
 # turns an error delta in tau into a relative one of about 2 pi delta.  The
@@ -545,7 +545,8 @@ def test_carried_phase_and_q_match_the_per_term_values(form, n, dual, halves, ks
     spec = theta_spec(form, H=H, K=K, n=n)
     X = np.array([[x, 0.1], [0.1, -x]])[:n, :n]
     Z = SiegelPoint(X + 1j * np.array([[y, 0.1], [0.1, 1.1]])[:n, :n])
-    G, c, B, ell, L, _ = theta._series_forms(spec, Z, dual)
+    plan = theta._series_plan(spec, Z, 1e-10, dual=dual)
+    G, c, B, ell, L = plan.G, plan.c, plan.B, plan.ell, plan.L
     R2 = _ellipsoid_radius(G, 60)
     # bitwise the same however the frontier and the blocks are cut
     runs = [_carried(G, c, R2, (B, ell), f, b) for f, b in itertools.product((1, 3, 1024), (1, 8192))]
@@ -642,14 +643,40 @@ def test_predicted_rows_band():
     spec = theta_spec("e8")
     for z, eps in ((0.3 + 0.6j, 1e-12), (0.1 + 0.05j, 1e-10)):
         Z = SiegelPoint(np.array([[z]]))
-        dual, W, _, budget = theta._inversion(spec, Z, eps)
-        G, *_ = theta._series_forms(dual, W, dual=True)
+        plan, _ = theta._inversion(spec, Z, eps)
+        G = plan.G
         val = theta_eval(spec, Z, eps)
         # a paired sum with the origin: one row for it and one per pair
-        ratios.append(theta._planned_rows(dual, W, budget, dual=True) / ((val.terms + 1) // 2))
+        ratios.append(plan.rows / ((val.terms + 1) // 2))
     assert 0.5 <= min(ratios) and max(ratios) <= 1.7, ratios
     assert theta.predicted_rows(G, 0.0) == 0.0
     assert theta.predicted_rows(G, 4.0, paired=True) == theta.predicted_rows(G, 4.0) / 2
+
+
+def test_each_side_is_planned_once(monkeypatch):
+    # theta_eval plans the direct series and, past the screen, the dual one,
+    # each with one _tail_plan, and sums the chosen plan as it is
+    calls = []
+    tail_plan = theta._tail_plan
+    monkeypatch.setattr(theta, "_tail_plan", lambda *args: calls.append(args) or tail_plan(*args))
+    spec = theta_spec("e8")
+    # inverted, inverted, planned but direct, and screened out (|z|^8 > 1)
+    for z, sides, inverted in ((0.3 + 0.6j, 2, True), (0.1 + 0.05j, 2, True),
+                               (0.05 + 0.95j, 2, False), (0.3 + 1.1j, 1, False)):
+        Z = SiegelPoint(np.array([[z]]))
+        assert (theta._inversion(spec, Z, 1e-10)[1] is not None) == inverted
+        calls.clear()
+        theta_eval(spec, Z)
+        assert len(calls) == sides, z
+
+
+def test_a_determinant_beyond_the_float_range_sums_directly():
+    # |det A| = 10^320: the screen takes the logarithm of the exact integer,
+    # so theta_eval sums directly, as theta_eval_direct does: the origin alone
+    spec = theta_spec("diag:" + ",".join(["10000000000000000"] * 20))
+    Z = SiegelPoint(np.array([[1j]]))
+    for val in (theta_eval(spec, Z), theta_eval_direct(spec, Z)):
+        assert val.terms == 1 and abs(val.value - 1.0) <= val.tail_bound <= 1e-10
 
 
 # Definite forms: m <= 3 in genus 1 and 2, and e8 in genus 1, whose direct
@@ -699,7 +726,7 @@ def test_inverted_theta_eval_matches_the_direct_series():
         X = np.array([[x[0], x[1]], [x[1], x[2]]])[:n, :n]
         Z = SiegelPoint((lo + (hi - lo) * y) * (X + 1j * np.array([[1.0, t], [t, 1.0]])[:n, :n]))
         eps = 1e-9
-        inverted.append(theta._inversion(spec, Z, eps) is not None)
+        inverted.append(theta._inversion(spec, Z, eps)[1] is not None)
         val = theta_eval(spec, Z, eps)
         ref = theta_eval_direct(spec, Z, eps)
         assert val.tail_bound <= eps

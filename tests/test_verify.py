@@ -126,10 +126,15 @@ def test_law_checks_never_sum_through_the_inversion_law(monkeypatch):
     spec = theta_spec("e8", H=H, K=K)
     Z = SiegelPoint(np.array([[0.3 + 0.65j]]))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a law check summed through the inversion law")
+    choose = theta._inversion
 
-    monkeypatch.setattr(theta, "_inverted_sum", refuse)
+    def refuse(*args, **kwargs):
+        plan, pref = choose(*args, **kwargs)
+        if pref is not None:
+            raise AssertionError("a law check summed through the inversion law")
+        return plan, pref
+
+    monkeypatch.setattr(theta, "_inversion", refuse)
     with pytest.raises(AssertionError, match="inversion law"):
         theta_eval(spec, Z, eps=1e-10)
     assert check_translation(spec, Z, [[1]]).passed
@@ -145,7 +150,7 @@ def test_inversion_and_poisson_make_one_lattice_sum_per_side(monkeypatch):
     inner = theta.certified_lattice_sum
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(args[0].G.shape)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(theta, "certified_lattice_sum", counting)
@@ -158,6 +163,23 @@ def test_inversion_and_poisson_make_one_lattice_sum_per_side(monkeypatch):
     assert len(calls) == 2
     assert "coset_cap" not in inspect.signature(check_inversion).parameters
     assert "certified_lattice_sum(" not in inspect.getsource(verify)
+
+
+def test_law_prefactors_refuse_a_determinant_beyond_the_float_range():
+    # a ValueError, the contract for an input a check cannot evaluate, where
+    # float(det A) and eps * cosets raised a bare OverflowError
+    big = theta_spec("diag:" + ",".join(["10000000000000000"] * 20))
+    Z = SiegelPoint(np.array([[1j]]))
+    for call in (lambda: check_inversion(big, Z), lambda: inversion_prefactor(big, Z),
+                 lambda: verify._fourier_prefactor(big, Z, Z.inverse_point()),
+                 lambda: fourier_closed_form(big, Z, np.zeros((20, 1)), "plain"),
+                 lambda: fourier_closed_form(big, Z, np.zeros((20, 1)), "eigen")):
+        with pytest.raises(ValueError, match="float range"):
+            call()
+    # det A = 10^160 is a float, but not its 10^320 cosets in genus 2
+    spec = theta_spec("diag:" + ",".join(["10000000000000000"] * 10), n=2)
+    with pytest.raises(ValueError, match="cosets"):
+        check_inversion(spec, SiegelPoint(1j * np.eye(2)))
 
 
 _RATIONAL = st.integers(1, 4).flatmap(lambda q: st.builds(Fraction, st.integers(-q, q), st.just(q)))

@@ -599,38 +599,126 @@ def _mul_into(a, b):
         a[0] = re
 
 
+class ExponentTable:
+    """A T x mn exponent matrix and the index tables eval_batch reads, built once.
+
+    halves splits the mn variables in two: the first floor(mn/2) in
+    column-major order (U_00, U_10, ..., U_01, ...) and the rest, so an
+    m x 2 matrix gives one column each, less the variables of exponent 0
+    in every term.  Each nonempty half is (variables, rows, index): rows
+    holds its distinct half-monomials (n_h x k_h exponents, n_h <= T) and
+    term t is the product of row index[t] of each half.  A half of one
+    variable has rows None and index the variable's exponent: its
+    half-monomials are the rows of that variable's power table.  degrees
+    holds each term's total degree, degree their largest (0 without terms)
+    and top the largest single exponent.  The Bombieri weights and the
+    parity split are built on first use and kept here, so every polynomial
+    that shares the exponents (each flow of a HeatPlan) shares them too.
+    """
+
+    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "halves", "_weights", "_parity")
+
+    def __init__(self, m: int, n: int, exponents: np.ndarray):
+        self.m, self.n = m, n
+        self.exponents = exponents
+        self.degrees = exponents.sum(axis=1)
+        self.degree = int(self.degrees.max(initial=0))
+        self.top = int(exponents.max(initial=0))
+        order = [i * n + j for j in range(n) for i in range(m)]
+        cut = len(order) // 2
+        self.halves = []
+        for variables in (order[:cut], order[cut:]):
+            # a variable of exponent 0 in every term only multiplies by 1
+            variables = [v for v in variables if exponents[:, v].any()]
+            if len(variables) == 1:
+                self.halves.append((variables, None, exponents[:, variables[0]]))
+            elif variables:
+                rows, index = np.unique(exponents[:, variables], axis=0, return_inverse=True)
+                self.halves.append((variables, rows, index.reshape(-1)))
+        self._weights = self._parity = None
+
+    def weights(self) -> np.ndarray:
+        """alpha!/|alpha|! for each term, correctly rounded (an integer quotient)."""
+        if self._weights is None:
+            self._weights = np.array(
+                [math.prod(map(math.factorial, row)) / math.factorial(sum(row))
+                 for row in self.exponents.tolist()], dtype=float)
+        return self._weights
+
+    def parity(self):
+        """((table, keep) of the even-degree terms, the same of the odd ones), None for no terms."""
+        if self._parity is None:
+            odd = self.degrees % 2 == 1
+            self._parity = tuple((ExponentTable(self.m, self.n, self.exponents[keep]), keep)
+                                 if keep.any() else None for keep in (~odd, odd))
+        return self._parity
+
+
+# the relative rounding allowance of CompiledPoly.majorant, per term
+_BOMBIERI_ROUNDING = 2.0**-52
+
+
 class CompiledPoly:
     """A polynomial ready for numeric evaluation.
 
-    exponents is a T x mn int matrix, one row per term, and coef the T complex
+    table is the ExponentTable of its T terms and coef the T complex
     coefficients.  terms is the exponent matrix, so len(p.terms) counts the
     terms as it does for a MatPoly.
     """
 
-    __slots__ = ("m", "n", "exponents", "coef")
+    __slots__ = ("m", "n", "table", "coef", "_majorant")
 
-    def __init__(self, m: int, n: int, exponents: np.ndarray, coef: np.ndarray):
+    def __init__(self, m: int, n: int, table: ExponentTable, coef: np.ndarray):
         self.m = m
         self.n = n
-        self.exponents = exponents
+        self.table = table
         self.coef = coef
+        self._majorant = None
 
     @property
-    def terms(self) -> np.ndarray:
-        return self.exponents
+    def exponents(self) -> np.ndarray:
+        return self.table.exponents
+
+    terms = exponents
 
     def degree(self) -> int:
-        """Largest total degree of a row; the empty polynomial reports 0."""
-        return int(self.exponents.sum(axis=1).max(initial=0))
+        """Largest total degree of a term; the empty polynomial reports 0."""
+        return self.table.degree
 
-    def coeff_norm(self) -> float:
-        return math.fsum(np.abs(self.coef))
+    def majorant(self) -> float:
+        """C with |p(W)| <= C max(1, |W|_F)^deg for every real or complex m x n W, built once.
+
+        C is the sum over the homogeneous parts f_k of p of their Bombieri
+        norms B_k = (sum_{|alpha| = k} |c_alpha|^2 alpha!/k!)^(1/2)
+        (Beauzamy, Bombieri, Enflo and Montgomery, J. Number Theory 36
+        (1990)).  Writing c_alpha W^alpha = (c_alpha (alpha!/k!)^(1/2))
+        ((k!/alpha!)^(1/2) W^alpha), Cauchy-Schwarz and the multinomial
+        theorem give
+
+            |f_k(W)|^2 <= B_k^2 sum_{|alpha| = k} k!/alpha! |W^alpha|^2 = B_k^2 |W|_F^(2k),
+
+        and sum_k B_k |W|_F^k <= C max(1, |W|_F)^deg.  As alpha!/k! <= 1,
+        B_k is at most the sum of the |c_alpha| of f_k.  C is 0 only for
+        the zero polynomial and |c| exactly for a constant c.  Otherwise each
+        |c_alpha|^2 alpha!/k! is within 5 unit roundoffs u = 2^-53, a
+        degree's sum of at most T of them within (T - 1) u more, and the
+        square roots and the exact sum over degrees add 2 u: the factor 1 +
+        (T + 8) 2^-52 covers all of it with room.
+        """
+        if self._majorant is None:
+            table, mags = self.table, np.abs(self.coef)
+            if table.degree == 0:  # one term or none: |c| with no margin
+                self._majorant = abs(complex(self.coef[0])) if len(mags) else 0.0
+            else:
+                norms = np.sqrt(np.bincount(table.degrees, weights=mags * mags * table.weights()))
+                self._majorant = (math.fsum(norms.tolist())
+                                  * (1.0 + (len(mags) + 8) * _BOMBIERI_ROUNDING))
+        return self._majorant
 
     def parity_split(self):
         """(even, odd): the terms of even and of odd total degree, None for an empty part."""
-        odd = self.exponents.sum(axis=1) % 2 == 1
-        return tuple(CompiledPoly(self.m, self.n, self.exponents[keep], self.coef[keep])
-                     if keep.any() else None for keep in (~odd, odd))
+        return tuple(None if part is None else CompiledPoly(self.m, self.n, part[0], self.coef[part[1]])
+                     for part in self.table.parity())
 
 
 def compile_poly(p) -> CompiledPoly:
@@ -639,30 +727,41 @@ def compile_poly(p) -> CompiledPoly:
         return p
     E = np.array(list(p.terms), dtype=np.intp).reshape(len(p.terms), p.m * p.n)
     coef = np.array([c.to_complex() for c in p.terms.values()], dtype=complex)
-    return CompiledPoly(p.m, p.n, E, coef)
+    return CompiledPoly(p.m, p.n, ExponentTable(p.m, p.n, E), coef)
 
 
 def eval_batch(p, W: np.ndarray) -> np.ndarray:
     """Evaluate p (a MatPoly or CompiledPoly) at a batch of matrices, W of shape (batch, m, n).
 
-    A MatPoly is compiled first: its T terms become an exponent matrix E
-    (T x mn) and a coefficient vector.  Rows are taken in chunks of
-    max(64, 2^16 // T): per chunk, each variable gets a table of its powers
-    0..max(E) by repeated multiplication, the monomial table (T x chunk) is
-    the product of one gathered power row per variable, and two-operand
-    einsums contract it with the coefficients.  The working set stays near
-    512 KB (1 MB for complex W) whatever the batch size, and every row's
-    value comes from the same real operations in the same order, so it does
-    not depend on the batch it came in: eval_batch(p, W)[k] is bitwise
-    eval_batch(p, W[k:k+1])[0].
+    A MatPoly is compiled first (compile_poly): an ExponentTable of its T
+    terms and a coefficient vector.  Rows are taken in chunks of max(64,
+    2^16 // T).  Per chunk, each variable gets a table of its powers
+    0..top by repeated multiplication; each half of the variables
+    (ExponentTable.halves) gets the table of its distinct half-monomials,
+    one gathered power row per variable multiplied together; each term is
+    then the product of its two half-monomials, 2 gathers and 1 multiply;
+    and two-operand einsums contract the T x chunk table with the
+    coefficients.  The halves take n_h (k_h - 1) multiplies for k_h
+    variables and n_h <= T, so a chunk never takes more than the T (mn - 1)
+    multiplies of building each monomial from its own powers, and takes
+    far fewer when half-monomials repeat: a det-homogeneous genus-2
+    coefficient of degree 4 per column on a rank-3 form has 503 terms but
+    35 half-monomials per column.  The working set, two T x chunk tables,
+    stays near 1 MB (2 MB for complex W) whatever the batch size, and every
+    row's value comes from the same real operations in the same order, so
+    it does not depend on the batch it came in: eval_batch(p, W)[k] is
+    bitwise eval_batch(p, W[k:k+1])[0].  That is why a one-row chunk is
+    evaluated as two equal rows: einsum sums a T x r table term after term
+    in each column for every r >= 2, but a T x 1 table as a dot product, in
+    another order.
     """
     p = compile_poly(p)
-    E, coef = p.exponents, p.coef
+    table, coef = p.table, p.coef
     rows = W.shape[0]
     out = np.zeros(rows, dtype=complex)
-    if not len(E) or rows == 0:
+    if not len(coef) or rows == 0:
         return out
-    top = int(E.max())
+    top = table.top
     if top == 0:
         out[:] = coef[0]
         return out
@@ -670,18 +769,37 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
     # parts x variables x rows
     parts = np.stack([flat.real, flat.imag]) if np.iscomplexobj(flat) else flat[None]
     parts = parts.astype(float, copy=False).transpose(0, 2, 1)
-    chunk = max(64, 2**16 // len(E))
+    chunk = max(64, 2**16 // len(coef))
+    mono = None
     for lo in range(0, rows, chunk):
         x = parts[:, :, lo:lo + chunk]
-        powers = np.zeros((len(x), top + 1) + x.shape[1:])
-        powers[0, 0] = 1.0
-        powers[:, 1] = x
+        width = x.shape[2]
+        if width == 1:
+            x = np.concatenate([x, x], axis=2)
+        shape = (len(x), len(coef), x.shape[2])
+        if mono is None or mono.shape != shape:
+            # the two term tables, allocated once per chunk width: fresh
+            # arrays of this size in every chunk cost more in page faults
+            # than the arithmetic
+            mono, other = np.empty(shape), np.empty(shape)
+        # variables x parts x powers x rows: the powers of one variable are
+        # contiguous, and a one-variable half gathers from them directly
+        powers = np.zeros((x.shape[1], len(x), top + 1, x.shape[2]))
+        powers[:, 0, 0] = 1.0
+        powers[:, :, 1] = x.transpose(1, 0, 2)
         for k in range(2, top + 1):
-            powers[:, k] = powers[:, k - 1]
-            _mul_into(powers[:, k], x)
-        mono = powers[:, E[:, 0], 0]
-        for v in range(1, E.shape[1]):
-            _mul_into(mono, powers[:, E[:, v], v])
+            powers[:, :, k] = powers[:, :, k - 1]
+            _mul_into(powers[:, :, k].transpose(1, 0, 2), x)
+        for h, (variables, half_rows, index) in enumerate(table.halves):
+            half = powers[variables[0]]
+            if half_rows is not None:
+                half = half[:, half_rows[:, 0]]
+                for k in range(1, len(variables)):
+                    _mul_into(half, powers[variables[k]][:, half_rows[:, k]])
+            # the indices are in range; mode "raise" would gather through a buffer
+            np.take(half, index, axis=1, out=other if h else mono, mode="clip")
+            if h:
+                _mul_into(mono, other)
         # einsum, not a matrix product: the first BLAS call grows the
         # resident set by a few MB
         re = np.einsum("tr,t->r", mono[0], coef.real)
@@ -689,8 +807,8 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
         if len(mono) == 2:
             re -= np.einsum("tr,t->r", mono[1], coef.imag)
             im += np.einsum("tr,t->r", mono[1], coef.real)
-        out.real[lo:lo + chunk] = re
-        out.imag[lo:lo + chunk] = im
+        out.real[lo:lo + width] = re[:width]
+        out.imag[lo:lo + width] = im[:width]
     return out
 
 
@@ -706,12 +824,13 @@ class HeatPlan:
     where L^alpha applies entry e alpha_e times.  Every nonzero word
     L^alpha P / alpha! is computed exactly, once, as one laplace_entry of an
     earlier word; each entry lowers the degree by two, so there are finitely
-    many.  exponents is the union of their monomials (T x mn), coef their
-    pi-substituted coefficients (T x words) and alphas the multi-indices
-    (words x entries).  flow(W) is then one float matrix-vector product.
+    many.  table is the ExponentTable of the union of their monomials (T
+    x mn), built once and shared by every flow, coef their pi-substituted
+    coefficients (T x words) and alphas the multi-indices (words x
+    entries).  flow(W) is then one float matrix-vector product.
     """
 
-    __slots__ = ("m", "n", "entries", "alphas", "exponents", "coef")
+    __slots__ = ("m", "n", "entries", "alphas", "table", "coef")
 
     def __init__(self, P: MatPoly, A):
         self.m, self.n = P.m, P.n
@@ -732,7 +851,8 @@ class HeatPlan:
             frontier = grown
         monomials = sorted({e for _, word in words for e in word.terms})
         self.alphas = np.array([alpha for alpha, _ in words], dtype=np.intp)
-        self.exponents = np.array(monomials, dtype=np.intp).reshape(len(monomials), P.m * P.n)
+        self.table = ExponentTable(
+            P.m, P.n, np.array(monomials, dtype=np.intp).reshape(len(monomials), P.m * P.n))
         self.coef = np.array(
             [[word.terms[e].to_complex() if e in word.terms else 0j for _, word in words]
              for e in monomials], dtype=complex).reshape(len(monomials), len(words))
@@ -743,7 +863,7 @@ class HeatPlan:
         w = np.array([W[i, i] if i == j else W[j, i] + W[i, j] for i, j in self.entries])
         # einsum, not a matrix product (see eval_batch)
         coef = np.einsum("ta,a->t", self.coef, np.prod(w ** self.alphas, axis=1))
-        return CompiledPoly(self.m, self.n, self.exponents, coef)
+        return CompiledPoly(self.m, self.n, self.table, coef)
 
 
 # ==== JSON round trip ======================================================

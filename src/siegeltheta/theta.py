@@ -33,7 +33,8 @@ the discarded tail:
 
     tail <= C K(rho) exp(-pi rho R^2) prod_i theta1(b_t d_i),
 
-where C bounds the polynomial coefficient mass, K(rho) absorbs the
+where C, the sum of the Bombieri norms of the homogeneous parts of poly,
+bounds |poly(W)| / max(1, |W|_F)^deg (_tail_plan), K(rho) absorbs the
 polynomial growth at the rate b_p, b_t + b_p = pi (1 - rho) (b_t = pi (1 -
 rho) for a constant coefficient, b_t : b_p = N : deg otherwise), d_i are
 the N Cholesky pivots of kron(Y, M), theta1 is the closed-form majorant of
@@ -157,11 +158,12 @@ class Coefficient:
     f exp(2 pi tr(U^T A- U)), and the Gaussian is carried by the form's A-:
     the series put it in the term phase tau, and the validation passes A- to
     vigneras_residual.  plan is the HeatPlan of source under Delta_M, built
-    by heat_plan on the first weighted flow and shared by every spec that
-    shares the coefficient.
+    by heat_plan on the first weighted flow, and compiled() is f compiled,
+    with its majorant and tables, built on the first plain series; both are
+    shared by every spec that shares the coefficient.
     """
 
-    __slots__ = ("f", "source", "alpha", "beta", "s", "lam", "plan")
+    __slots__ = ("f", "source", "alpha", "beta", "s", "lam", "plan", "_compiled")
 
     def __init__(self, f, source: MatPoly, alpha: int, beta: int = 0, s: int = 0):
         self.f = f
@@ -171,6 +173,13 @@ class Coefficient:
         self.s = s
         self.lam = alpha - beta - s
         self.plan = None
+        self._compiled = None
+
+    def compiled(self) -> CompiledPoly:
+        """f as a CompiledPoly, built once."""
+        if self._compiled is None:
+            self._compiled = compile_poly(self.f)
+        return self._compiled
 
     def __repr__(self):
         return "Coefficient(alpha=%d, beta=%d, s=%d)" % (self.alpha, self.beta, self.s)
@@ -366,9 +375,15 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
     """(rho, R^2, tail): the certified truncation of a sum of |poly(W)| exp(-pi q(x)).
 
     The sum runs over x in c + Z^N, q(x) = x^T G x with Cholesky pivots d_i
-    of G, and |poly(W)| <= Cp max(1, sig2 q(x))^(deg/2): Cp is the sum of
-    the coefficient moduli of poly, each monomial has degree at most deg,
-    and every entry of W has square at most |W|_F^2 <= sig2 q(x).  For rho
+    of G, and |poly(W)| <= Cp max(1, sig2 q(x))^(deg/2), as |W|_F^2 <=
+    sig2 q(x) and Cp is CompiledPoly.majorant: the sum over the homogeneous
+    parts f_k of poly of their Bombieri norms B_k = (sum_{|alpha| = k}
+    |c_alpha|^2 alpha!/k!)^(1/2).  Cauchy-Schwarz on c_alpha W^alpha =
+    (c_alpha (alpha!/k!)^(1/2)) ((k!/alpha!)^(1/2) W^alpha), then the
+    multinomial theorem sum_{|alpha| = k} k!/alpha! |W^alpha|^2 =
+    |W|_F^(2k), give |f_k(W)| <= B_k |W|_F^k, so |poly(W)| <= (sum_k B_k)
+    max(1, |W|_F)^deg, for real and complex W.  B_k is at most the sum of
+    the |c_alpha| of f_k, and is |c| for a constant c.  For rho
     in (0, 1) split the leftover Gaussian exp(-pi (1 - rho) q) as
     exp(-b_p q) exp(-b_t q), with b_p + b_t = pi (1 - rho).  Everywhere,
 
@@ -567,7 +582,7 @@ def _budget(scale: float, eps: float) -> float:
 
 # What one certified series sum needs, built once by _series_plan: the route
 # choice of theta_eval compares plans and _sum_series sums one as it is.
-SeriesPlan = namedtuple("SeriesPlan", "poly parts Ysq L G c B ell paired pref budget "
+SeriesPlan = namedtuple("SeriesPlan", "poly parts Ysq L G c B ell paired pref eps budget "
                                       "Cp deg sig2 rho R2 tail rows")
 
 
@@ -575,13 +590,14 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
                  dual: bool = False) -> SeriesPlan:
     """Everything the certified plain or Borcherds series of spec at Z needs, over U in H + L Z^{m x n}.
 
-    A term is poly(W) e(tau(U)).  The plain series has poly = f, W = U Ysq
-    with Ysq = Y^(1/2) and pref = det(Y)^(-lam/2), the Borcherds one the
-    Borcherds polynomial, W = U (Ysq None) and pref = 1; sig2 bounds |W|_F^2
-    / q (_tail_plan).  A det(Y) outside the float range leaves pref 0 or inf
-    (ValueError).  budget = _budget(pref, eps) is the tail budget of the
-    lattice sum.  parts splits the compiled poly by degree parity when the
-    sum is paired.
+    A term is poly(W) e(tau(U)).  The plain series has poly = f, compiled
+    once on the coefficient, W = U Ysq with Ysq = Y^(1/2) and pref =
+    det(Y)^(-lam/2), the Borcherds one the Borcherds polynomial, W = U (Ysq
+    None) and pref = 1; sig2 bounds |W|_F^2 / q and Cp is poly.majorant()
+    (_tail_plan).  eps must be finite and positive, and a det(Y) outside
+    the float range leaves pref 0 or inf (ValueError either way).  budget =
+    _budget(pref, eps) is the tail budget of the lattice sum.  parts splits
+    the compiled poly by degree parity when the sum is paired.
 
     The series runs over the integer rows v of U = L(V + c), V the m x n
     matrix of v column by column, c = L^-1 H taken exactly, with Gram matrix
@@ -596,18 +612,20 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     from the integer A and A- rather than the float M (module docstring).
 
     One Cholesky factorisation of G serves the one _tail_plan (rho, R2 and
-    tail) and predicted_rows (rows).  A budget that is not positive plans
-    nothing: tail and rows are inf, and certified_lattice_sum refuses it.
+    tail) and predicted_rows (rows).  A budget that underflows to 0 plans
+    nothing: tail and rows are inf, and _sum_series refuses it.
     A zero poly (Cp = 0) gets R2, tail and rows 0 and rho RHO_BRACKET[1].
     """
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive, got %r" % eps)
     Y = Z.Y
     if borcherds:
         poly, Ysq, pref = borcherds_poly(spec, Y), None, 1.0
         sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
     else:
-        poly, Ysq = spec.coeff.f, sqrt_posdef(Y)
+        poly, Ysq = spec.coeff.compiled(), sqrt_posdef(Y)
         with np.errstate(all="ignore"):
             pref = float(np.linalg.det(Y) ** (-float(spec.coeff.lam) / 2.0))
         sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))
@@ -630,8 +648,7 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     paired = all((2 * x).denominator == 1 for row in center for x in row)
     G = np.kron(Y, M)
     B = np.kron(Z.X, AL) + 1j * np.kron(Y, AL - 2.0 * aminus)
-    compiled = compile_poly(poly)
-    Cp, deg = poly.coeff_norm(), poly.degree()
+    Cp, deg = poly.majorant(), poly.degree()
     rho, R2, tail, rows = RHO_BRACKET[1], 0.0, 0.0, 0.0
     if not budget > 0:
         tail = rows = math.inf
@@ -639,9 +656,9 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
         chol = np.diag(np.linalg.cholesky(G))
         rho, R2, tail = _tail_plan(Cp, deg, sig2, (chol ** 2).tolist(), budget)
         rows = _cholesky_rows(chol, R2, paired)
-    return SeriesPlan(compiled, compiled.parity_split() if paired else (compiled,), Ysq, L, G,
-                      _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1), paired, pref, budget,
-                      Cp, deg, sig2, rho, R2, tail, rows)
+    return SeriesPlan(poly, poly.parity_split() if paired else (poly,), Ysq, L, G,
+                      _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1), paired, pref, eps,
+                      budget, Cp, deg, sig2, rho, R2, tail, rows)
 
 
 def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:
@@ -651,8 +668,12 @@ def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:
     carried tau, with no W for a constant poly.  A paired sum adds each pair
     {U, -U} at once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin
     2 pi L(U)), with L(U) = ell^T x kept out of the carried form (see the
-    module docstring).
+    module docstring).  A plan whose budget underflowed to 0 (eps far below
+    the prefactor) is a ValueError naming both.
     """
+    if not plan.budget > 0:
+        raise ValueError("eps %r divided by the series prefactor %r leaves no positive float "
+                         "tail budget" % (plan.eps, plan.pref))
     parts, Ysq, L, c, ell, paired = plan.parts, plan.Ysq, plan.L, plan.c, plan.ell, plan.paired
     m, n = plan.poly.m, plan.poly.n
     # an empty part is 0 and a constant one its value; None marks a part that needs W
@@ -856,6 +877,9 @@ def theta_eval_borcherds(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
                          point_cap=None) -> ThetaValue:
     """The unslashed normal form: the Borcherds polynomial at U, the same phase.
 
-    Satisfies theta_eval(spec, Z) = det(Y)^(s/2 + beta) * this value.
+    Satisfies theta_eval(spec, Z) = det(Y)^(s/2 + beta) * this value.  It
+    always sums the series directly at Z: unlike theta_eval it never goes
+    through the inversion law, so near a cusp it costs what
+    theta_eval_direct costs.
     """
     return _sum_series(_series_plan(spec, Z, eps, borcherds=True), point_cap)

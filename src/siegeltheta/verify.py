@@ -467,7 +467,7 @@ def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
     V = np.asarray(V, dtype=float).reshape(m, n)
     closed = fourier_closed_form(spec, Z, V, form)
     AV = spec.A.astype(float) @ V
-    poly = spec.coeff.f if form == "plain" else borcherds_poly(spec, Z.Y)
+    poly = spec.coeff.compiled() if form == "plain" else borcherds_poly(spec, Z.Y)
     phase = term_phase(_zero_characteristics(spec), Z)
 
     def fn(U):
@@ -475,8 +475,8 @@ def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
         return eval_batch(poly, U) * phase(U) * np.exp(2j * math.pi * pair)
 
     lam = float(np.min(np.linalg.eigvalsh(spec.dec.M)) * np.min(np.linalg.eigvalsh(Z.Y)))
-    return _quad_report("fourier_" + form, fn, closed, (m, n), poly.coeff_norm(), poly.degree(),
-                        lam, tol, quad_eps)
+    return _quad_report("fourier_" + form, fn, closed, (m, n), math.fsum(np.abs(poly.coef)),
+                        poly.degree(), lam, tol, quad_eps)
 
 
 def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,

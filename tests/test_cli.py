@@ -213,6 +213,19 @@ def test_eval_prefactor_outside_the_float_range_exits_one(tmp_path):
     assert proc.stderr == ""
 
 
+def test_eval_underflowing_tail_budget_exits_one_naming_eps(tmp_path):
+    P = matpoly_to_json(basis_homopol(8, 1, 2)[0])
+    spec = {"A": "e8", "coeff": {"type": "posdef", "P_alpha": P},
+            "Z": {"X": [[0.0]], "Y": [[1e-24]]}, "eps": 1e-300}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("eval", "--spec", str(path))
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith("eps 1e-300 ") and "prefactor" in error
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("args, name", [
     (("basis", "--m", "-1", "--n", "1", "--alpha", "1"), "m"),
     (("basis", "--m", "0", "--n", "1", "--alpha", "1"), "m"),

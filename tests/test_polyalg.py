@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
 from siegeltheta.exactlinalg import rational_kernel
 from siegeltheta.polyalg import (
     MatPoly,
     basis_homopol,
+    compile_poly,
     euler_entry,
     eval_batch,
     exp_trace_laplace,
@@ -468,7 +469,7 @@ def _eval_batch_case(kind, m, n, rng):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(kind=st.sampled_from(["zero", "constant", "random", "big"]),
-       shape=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2)]),
+       shape=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (3, 1), (1, 3)]),
        batch=st.sampled_from(["empty", "one", "chunks"]),
        complex_w=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, seed):
@@ -499,6 +500,66 @@ def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, see
         assert abs(got[k] - want) <= 1e-13 * gross
         # a row's value does not depend on the batch it is evaluated in
         assert got[k] == eval_batch(p, W[k:k + 1])[0]
+
+
+def _random_mixed_poly(m, n, rng, max_degree=6):
+    """Up to 10 terms of degrees 0..max_degree, odd and even, complex PiScalar coefficients."""
+    terms = {}
+    for _ in range(int(rng.integers(1, 11))):
+        e = np.bincount(rng.integers(m * n, size=int(rng.integers(max_degree + 1))), minlength=m * n)
+        terms[tuple(e.tolist())] = _random_coeff(rng)
+    return MatPoly(m, n, terms)
+
+
+def _linear_form_power(m, n, k, rng):
+    """c (a . U)^k with integer a of at least two nonzero entries, and that a."""
+    a = rng.integers(-3, 4, size=m * n)
+    a[:2] = rng.choice([-2, -1, 1, 2], size=2)
+    rng.shuffle(a)
+    lin = MatPoly.zero(m, n)
+    for v, x in enumerate(a.tolist()):
+        lin = lin + MatPoly.variable(m, n, v // n, v % n) * x
+    return lin ** k * _random_coeff(rng), a.reshape(m, n).astype(float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["constant", "mixed", "power"]),
+       shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bombieri_majorant_bounds_the_polynomial(kind, shape, seed):
+    # |p(W)| <= C max(1, |W|_F)^deg for real and complex W, C <= the l1 norm,
+    # C = |c| for a constant; and C is attained by a power of a linear form,
+    # which the sum of coefficient moduli is not: a majorant without the
+    # alpha!/k! weights fails here
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    if kind == "constant":
+        poly = MatPoly.constant(m, n, _random_coeff(rng))
+    elif kind == "mixed":
+        poly = _random_mixed_poly(m, n, rng)
+    else:
+        assume(m * n >= 2)
+        poly, a = _linear_form_power(m, n, int(rng.integers(2, 5)), rng)
+    assert compile_poly(MatPoly.zero(m, n)).majorant() == 0.0
+    compiled = compile_poly(poly)
+    C, deg = compiled.majorant(), poly.degree()
+    slack = 1.0 + (len(poly.terms) + 8) * 2.0**-52
+    assert C <= poly.coeff_norm() * slack
+    if kind == "constant":
+        assert C == abs(next(iter(poly.terms.values())).to_complex())
+    gross_poly = MatPoly(m, n, {e: c.abs_norm() for e, c in poly.terms.items()})
+    for scale in (0.3, 1.0, 2.5):
+        for complex_w in (False, True):
+            W = scale * rng.normal(size=(m, n))
+            if complex_w:
+                W = W + 1j * scale * rng.normal(size=(m, n))
+            bound = C * max(1.0, float(np.linalg.norm(W))) ** deg
+            rounding = 1e-13 * gross_poly.eval(np.abs(W)).real
+            assert abs(poly.eval(W)) <= bound + rounding
+    if kind == "power":
+        # at W = a: |c| |a|^(2k) = C |a|^k up to the rounding allowance
+        norm = float(np.linalg.norm(a))
+        assert C <= abs(poly.eval(a)) / norm**deg * (1.0 + 1e-12)
 
 
 def test_json_round_trip():

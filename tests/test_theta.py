@@ -32,6 +32,7 @@ from siegeltheta.theta import (
     ThetaSpec,
     borcherds_poly,
     build_coeff,
+    dual_theta_eval,
     theta_eval,
     theta_eval_borcherds,
     theta_eval_direct,
@@ -195,6 +196,24 @@ def test_borcherds_plan_is_compiled_once(monkeypatch):
     theta_eval_borcherds(moved, SiegelPoint.from_xy(np.zeros((2, 2)), Y), eps=1e-6)
     assert not calls
     assert np.array_equal(first.coef, again.coef)
+
+
+def test_coefficient_is_compiled_once_and_flows_share_their_tables(monkeypatch):
+    spec = _combination_spec(A3, 2, 2, seed=1)
+    calls = []
+    compile_poly = theta.compile_poly
+    monkeypatch.setattr(theta, "compile_poly", lambda p: calls.append(p) or compile_poly(p))
+    Y = np.array([[0.7, 0.1], [0.1, 0.6]])
+    Z = SiegelPoint.from_xy(np.zeros((2, 2)), Y)
+    moved = spec.with_characteristics(H=[[Fraction(1, 2)] * 2, [0, 0], [0, 0]])
+    for s in (spec, moved):
+        theta_eval(s, Z, eps=1e-6)
+        theta_eval_borcherds(s, Z, eps=1e-6)
+    assert len(calls) == 1
+    assert theta._series_plan(moved, Z, 1e-6).parts[0].table is spec.coeff.compiled().table.parity()[0][0]
+    first, again = borcherds_poly(spec, Y), borcherds_poly(spec, 1.5 * Y)
+    assert first.table is again.table
+    assert first.parity_split()[0].table is again.parity_split()[0].table
 
 
 @pytest.mark.parametrize("complex_w", [False, True])
@@ -806,6 +825,25 @@ def test_spec_validation_rejects_wrong_form():
     dec4 = decompose(np.array([[4]], dtype=np.int64))
     with pytest.raises(ValueError):
         ThetaSpec(dec4, coeff, [[0]], [[0]])
+
+
+def test_an_underflowing_tail_budget_names_eps_and_the_prefactor():
+    # eps / det(Y)^(-lam/2) = 1e-300 / 1e24 underflows to 0: the error used to
+    # report "eps ... got 0.0", a budget the caller never passed
+    spec = theta_spec("e8", P_plus=basis_homopol(8, 1, 2)[0])
+    Z = SiegelPoint(np.array([[1e-24j]]))
+    for evaluate in (theta_eval, theta_eval_direct):
+        with pytest.raises(ValueError, match=r"^eps 1e-300 divided by the series prefactor 9\.9"):
+            evaluate(spec, Z, eps=1e-300)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("evaluate", [theta_eval, theta_eval_direct, theta_eval_borcherds,
+                                      dual_theta_eval])
+def test_entry_points_reject_an_eps_that_is_not_finite_and_positive(evaluate, eps):
+    spec = theta_spec("diag:2,2", n=1)
+    with pytest.raises(ValueError, match=r"^eps must be finite and positive, got %r$" % eps):
+        evaluate(spec, SiegelPoint(np.array([[1j]])), eps=eps)
 
 
 def test_coefficient_outside_the_float_range_is_a_value_error():

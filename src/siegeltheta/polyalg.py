@@ -607,9 +607,7 @@ class ExponentTable:
     m x 2 matrix gives one column each, less the variables of exponent 0
     in every term.  Each nonempty half is (variables, rows, index): rows
     holds its distinct half-monomials (n_h x k_h exponents, n_h <= T) and
-    term t is the product of row index[t] of each half.  A half of one
-    variable has rows None and index the variable's exponent: its
-    half-monomials are the rows of that variable's power table.  degrees
+    term t is the product of row index[t] of each half.  degrees
     holds each term's total degree, degree their largest (0 without terms)
     and top the largest single exponent.  The Bombieri weights and the
     parity split are built on first use and kept here, so every polynomial
@@ -630,9 +628,7 @@ class ExponentTable:
         for variables in (order[:cut], order[cut:]):
             # a variable of exponent 0 in every term only multiplies by 1
             variables = [v for v in variables if exponents[:, v].any()]
-            if len(variables) == 1:
-                self.halves.append((variables, None, exponents[:, variables[0]]))
-            elif variables:
+            if variables:
                 rows, index = np.unique(exponents[:, variables], axis=0, return_inverse=True)
                 self.halves.append((variables, rows, index.reshape(-1)))
         self._weights = self._parity = None
@@ -656,6 +652,8 @@ class ExponentTable:
 
 # the relative rounding allowance of CompiledPoly.majorant, per term
 _BOMBIERI_ROUNDING = 2.0**-52
+# below this alpha!/k! weight (degrees in the hundreds) majorant sums the moduli instead
+_SMALLEST_WEIGHT = 2.0**-960
 
 
 class CompiledPoly:
@@ -699,20 +697,38 @@ class CompiledPoly:
 
         and sum_k B_k |W|_F^k <= C max(1, |W|_F)^deg.  As alpha!/k! <= 1,
         B_k is at most the sum of the |c_alpha| of f_k.  C is 0 only for
-        the zero polynomial and |c| exactly for a constant c.  Otherwise each
-        |c_alpha|^2 alpha!/k! is within 5 unit roundoffs u = 2^-53, a
-        degree's sum of at most T of them within (T - 1) u more, and the
-        square roots and the exact sum over degrees add 2 u: the factor 1 +
-        (T + 8) 2^-52 covers all of it with room.
+        the zero polynomial and |c| exactly for a constant c.
+
+        Each B_k is computed as s_k (sum (|c_alpha|/s_k)^2 alpha!/k!)^(1/2)
+        with s_k the largest |c_alpha| of degree k, so no square overflows
+        and the sum holds the weight alpha!/k! >= 2^-960 of that term
+        exactly; terms that underflow (each off by under 2^-1072) then move
+        it by less than 2^-60 of itself for T < 2^50.  Otherwise each term
+        is within 9 unit roundoffs u = 2^-53 (|c_alpha| is within an ulp), a
+        degree's sum of at most T of them within (T - 1) u more, the square
+        root halves that, and the root, the product with s_k and the exact
+        sum over degrees add 3 u: the factor 1 + (T + 8) 2^-52 covers all of
+        it with room.  A polynomial with a smaller weight (a degree in the
+        hundreds) gets the sum of its |c_alpha| instead, which the same
+        factor covers.
         """
         if self._majorant is None:
             table, mags = self.table, np.abs(self.coef)
             if table.degree == 0:  # one term or none: |c| with no margin
                 self._majorant = abs(complex(self.coef[0])) if len(mags) else 0.0
+                return self._majorant
+            weights = table.weights()
+            if weights.min() < _SMALLEST_WEIGHT:
+                total = math.fsum(mags.tolist())
             else:
-                norms = np.sqrt(np.bincount(table.degrees, weights=mags * mags * table.weights()))
-                self._majorant = (math.fsum(norms.tolist())
-                                  * (1.0 + (len(mags) + 8) * _BOMBIERI_ROUNDING))
+                top = np.zeros(table.degree + 1)
+                np.maximum.at(top, table.degrees, mags)
+                scale = top[table.degrees]
+                ratio = np.divide(mags, scale, out=np.zeros_like(mags), where=scale > 0)
+                sums = np.bincount(table.degrees, weights=ratio * ratio * weights,
+                                   minlength=table.degree + 1)
+                total = math.fsum((top * np.sqrt(sums)).tolist())
+            self._majorant = total * (1.0 + (len(mags) + 8) * _BOMBIERI_ROUNDING)
         return self._majorant
 
     def parity_split(self):
@@ -782,8 +798,7 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
             # arrays of this size in every chunk cost more in page faults
             # than the arithmetic
             mono, other = np.empty(shape), np.empty(shape)
-        # variables x parts x powers x rows: the powers of one variable are
-        # contiguous, and a one-variable half gathers from them directly
+        # variables x parts x powers x rows: the powers of one variable are contiguous
         powers = np.zeros((x.shape[1], len(x), top + 1, x.shape[2]))
         powers[:, 0, 0] = 1.0
         powers[:, :, 1] = x.transpose(1, 0, 2)
@@ -791,11 +806,9 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
             powers[:, :, k] = powers[:, :, k - 1]
             _mul_into(powers[:, :, k].transpose(1, 0, 2), x)
         for h, (variables, half_rows, index) in enumerate(table.halves):
-            half = powers[variables[0]]
-            if half_rows is not None:
-                half = half[:, half_rows[:, 0]]
-                for k in range(1, len(variables)):
-                    _mul_into(half, powers[variables[k]][:, half_rows[:, k]])
+            half = powers[variables[0]][:, half_rows[:, 0]]
+            for k in range(1, len(variables)):
+                _mul_into(half, powers[variables[k]][:, half_rows[:, k]])
             # the indices are in range; mode "raise" would gather through a buffer
             np.take(half, index, axis=1, out=other if h else mono, mode="clip")
             if h:

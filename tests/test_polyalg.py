@@ -522,15 +522,17 @@ def _linear_form_power(m, n, k, rng):
     return lin ** k * _random_coeff(rng), a.reshape(m, n).astype(float)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(kind=st.sampled_from(["constant", "mixed", "power"]),
        shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2)]),
+       magnitude=st.sampled_from(["unit", "tiny", "huge", "spread"]),
        seed=st.integers(0, 2**32 - 1))
-def test_bombieri_majorant_bounds_the_polynomial(kind, shape, seed):
+def test_bombieri_majorant_bounds_the_polynomial(kind, shape, magnitude, seed):
     # |p(W)| <= C max(1, |W|_F)^deg for real and complex W, C <= the l1 norm,
     # C = |c| for a constant; and C is attained by a power of a linear form,
     # which the sum of coefficient moduli is not: a majorant without the
-    # alpha!/k! weights fails here
+    # alpha!/k! weights fails here.  Coefficients near 1e-200 and 1e200,
+    # alone or mixed, square outside the float range
     rng = np.random.default_rng(seed)
     m, n = shape
     if kind == "constant":
@@ -540,6 +542,11 @@ def test_bombieri_majorant_bounds_the_polynomial(kind, shape, seed):
     else:
         assume(m * n >= 2)
         poly, a = _linear_form_power(m, n, int(rng.integers(2, 5)), rng)
+    if magnitude == "spread":
+        poly = MatPoly(m, n, {e: c * Fraction(10) ** int(rng.choice([-200, 0, 200]))
+                              for e, c in poly.terms.items()})
+    else:
+        poly = poly * {"unit": 1, "tiny": Fraction(1, 10**200), "huge": 10**200}[magnitude]
     assert compile_poly(MatPoly.zero(m, n)).majorant() == 0.0
     compiled = compile_poly(poly)
     C, deg = compiled.majorant(), poly.degree()
@@ -556,10 +563,18 @@ def test_bombieri_majorant_bounds_the_polynomial(kind, shape, seed):
             bound = C * max(1.0, float(np.linalg.norm(W))) ** deg
             rounding = 1e-13 * gross_poly.eval(np.abs(W)).real
             assert abs(poly.eval(W)) <= bound + rounding
-    if kind == "power":
+    if kind == "power" and magnitude != "spread":
         # at W = a: |c| |a|^(2k) = C |a|^k up to the rounding allowance
         norm = float(np.linalg.norm(a))
         assert C <= abs(poly.eval(a)) / norm**deg * (1.0 + 1e-12)
+
+
+def test_majorant_of_a_degree_whose_weights_underflow():
+    # alpha!/k! = (100!)^6 / 600! is about 2^-1529 and rounds to 0: a Bombieri
+    # sum built from it would read 0 for this nonzero polynomial
+    poly = MatPoly(3, 2, {(100,) * 6: 3})
+    W = np.full((3, 2), 6 ** -0.5)  # |W|_F = 1
+    assert compile_poly(poly).majorant() >= abs(poly.eval(W)) > 0
 
 
 def test_json_round_trip():

@@ -837,6 +837,21 @@ def test_an_underflowing_tail_budget_names_eps_and_the_prefactor():
             evaluate(spec, Z, eps=1e-300)
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 10**170), Fraction(1, 10**200), Fraction(10**200)])
+def test_coefficients_outside_the_squared_float_range_keep_their_value(scale):
+    # |c|^2 underflows below about 1e-162 and overflows above 1e154: the tail
+    # constant once read 0 there, summing a nonzero series as 0 with tail 0,
+    # or inf, ending in a nan tail
+    P = basis_homopol(8, 1, 2)[0]
+    Z = SiegelPoint(np.array([[0.1 + 1.5j]]))
+    ref = theta_eval(theta_spec("e8", P_plus=P), Z, eps=1e-8)
+    got = theta_eval(theta_spec("e8", P_plus=P * scale), Z, eps=1e-8 * float(scale))
+    want = ref.value * float(scale)
+    assert got.value != 0 and 0 < got.tail_bound <= 1e-8 * float(scale)
+    assert got.terms == ref.terms
+    assert abs(got.value - want) <= got.tail_bound + float(scale) * (ref.tail_bound + 1e-12 * ref.gross)
+
+
 @pytest.mark.parametrize("eps", [0.0, -1e-10, math.nan, math.inf])
 @pytest.mark.parametrize("evaluate", [theta_eval, theta_eval_direct, theta_eval_borcherds,
                                       dual_theta_eval])

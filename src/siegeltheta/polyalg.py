@@ -751,25 +751,29 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
 
     A MatPoly is compiled first (compile_poly): an ExponentTable of its T
     terms and a coefficient vector.  Rows are taken in chunks of max(64,
-    2^16 // T).  Per chunk, each variable gets a table of its powers
-    0..top by repeated multiplication; each half of the variables
-    (ExponentTable.halves) gets the table of its distinct half-monomials,
-    one gathered power row per variable multiplied together; each term is
-    then the product of its two half-monomials, 2 gathers and 1 multiply;
-    and two-operand einsums contract the T x chunk table with the
-    coefficients.  The halves take n_h (k_h - 1) multiplies for k_h
-    variables and n_h <= T, so a chunk never takes more than the T (mn - 1)
-    multiplies of building each monomial from its own powers, and takes
-    far fewer when half-monomials repeat: a det-homogeneous genus-2
-    coefficient of degree 4 per column on a rank-3 form has 503 terms but
-    35 half-monomials per column.  The working set, two T x chunk tables,
-    stays near 1 MB (2 MB for complex W) whatever the batch size, and every
-    row's value comes from the same real operations in the same order, so
-    it does not depend on the batch it came in: eval_batch(p, W)[k] is
-    bitwise eval_batch(p, W[k:k+1])[0].  That is why a one-row chunk is
-    evaluated as two equal rows: einsum sums a T x r table term after term
-    in each column for every r >= 2, but a T x 1 table as a dot product, in
-    another order.
+    min(2^16 // T, 2^15 // (mn (top + 1)))): the chunk is bounded by the
+    rows of the power table, mn (top + 1) per row, as well as by T.  Per
+    chunk, each variable gets a table of its powers 0..top by repeated
+    multiplication; each half of the variables (ExponentTable.halves) gets
+    the table of its distinct half-monomials, one gathered power row per
+    variable multiplied together; each term is then the product of its two
+    half-monomials, 2 gathers and 1 multiply; and two-operand einsums
+    contract the T x chunk table with the coefficients.  The halves take
+    n_h (k_h - 1) multiplies for k_h variables and n_h <= T, so a chunk
+    never takes more than the T (mn - 1) multiplies of building each
+    monomial from its own powers, and takes far fewer when half-monomials
+    repeat: a det-homogeneous genus-2 coefficient of degree 4 per column on
+    a rank-3 form has 503 terms but 35 half-monomials per column.  The
+    working set, two T x chunk tables and the power table, stays near 1 MB
+    (2 MB for complex W) whatever the batch size.  Bounded by T alone, a
+    one- or two-term polynomial took 32,768 rows a chunk, and u1^2 + u0
+    ran 2-4 times slower on 20,000 rows than in chunks of a few thousand.
+    Every row's value comes from the same real operations in the same
+    order, so it does not depend on the batch it came in: eval_batch(p,
+    W)[k] is bitwise eval_batch(p, W[k:k+1])[0].  That is why a one-row
+    chunk is evaluated as two equal rows: einsum sums a T x r table term
+    after term in each column for every r >= 2, but a T x 1 table as a dot
+    product, in another order.
     """
     p = compile_poly(p)
     table, coef = p.table, p.coef
@@ -785,7 +789,7 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
     # parts x variables x rows
     parts = np.stack([flat.real, flat.imag]) if np.iscomplexobj(flat) else flat[None]
     parts = parts.astype(float, copy=False).transpose(0, 2, 1)
-    chunk = max(64, 2**16 // len(coef))
+    chunk = max(64, min(2**16 // len(coef), 2**15 // (p.m * p.n * (top + 1))))
     mono = None
     for lo in range(0, rows, chunk):
         x = parts[:, :, lo:lo + chunk]

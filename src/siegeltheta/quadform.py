@@ -13,11 +13,11 @@ of the Gram matrix over a chunked numpy frontier of partial vectors (the
 level-by-level ellipsoid enumeration of Deconinck et al., "Computing Riemann
 theta functions", Math. Comp. 73 (2004), run depth first chunk by chunk so
 memory stays bounded), in a deterministic order.  Each point comes with its
-q carried down the Cholesky recurrence and, given a complex quadratic form,
-that form's value carried the same way (the series' term phase); with
-half=True and 2 center integral it emits one point of each pair {x, -x},
-which the series sum as one term pair; lattice_points() refilters its output
-exactly.
+q carried down the Cholesky recurrence and, given one or a stack of complex
+quadratic forms, each form's value carried the same way (the series' term
+phase); with half=True and 2 center integral it emits one point of each
+pair {x, -x}, which the series sum as one term pair; lattice_points()
+refilters its output exactly.
 """
 
 from __future__ import annotations
@@ -266,16 +266,17 @@ def coset_reps(A, n: int, cap: int = 100_000):
 # ==== lattice enumeration ===================================================
 
 
-def _cholesky_data(G: np.ndarray):
-    """Pivots d_i and mixing coefficients mu from G = L L^T.
+def _cholesky_data(G: np.ndarray, L=None):
+    """Pivots d_i and mixing coefficients mu from G = L L^T, L factorised here when None.
 
     q(x) = sum_i d_i (x_i + sum_{j>i} mu[i][j] x_j)^2 with d_i = L[i,i]^2 and
     mu[i][j] = L[j,i] / L[i,i].
     """
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Gram matrix is not positive definite") from exc
+    if L is None:
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("Gram matrix is not positive definite") from exc
     d = np.diag(L) ** 2
     mu = (L / np.diag(L)).T  # mu[i, j] = L[j, i] / L[i, i], used for j > i
     return d, mu
@@ -287,7 +288,8 @@ class Block:
     rows is a (k, N) int64 array of integer vectors v, q the float q(v +
     center) that the Cholesky recurrence carried down to each row, and tau
     the carried phase form tau(v + center), complex, or None when the
-    enumeration carried none.  len(block) is k.
+    enumeration carried none: shape (k,) for one form, (forms, k) for a
+    stack of them.  len(block) is k.
     """
 
     __slots__ = ("rows", "q", "tau")
@@ -314,8 +316,13 @@ class Block:
 _FRONTIER_ROWS = 1024
 
 
+def enumeration_slack(R2: float) -> float:
+    """The slack above R2 of lattice_blocks: it keeps a row whose carried q is at most R2 + this."""
+    return 1e-9 * (1.0 + abs(R2))
+
+
 def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
-                   half: bool = False, phase=None):
+                   half: bool = False, phase=None, chol=None):
     """Yield all v in Z^N with q(v + center) <= R2 as Blocks, each row with its carried q.
 
     The search runs from the last coordinate down to the first over a
@@ -329,14 +336,14 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
     points.  Each row carries q(x), x = v + center, down the Cholesky
     recurrence q = sum_l d_l (x_l + S_l)^2, the shift S_l = sum_{j>l}
     mu[l, j] x_j updated as each outer coordinate is fixed.  Rows pass a
-    final filter on that carried q with a small slack above R2, so boundary
-    points are never lost to rounding; a handful of just-outside points may
-    be admitted (harmless for tail-certified sums; lattice_points refilters
-    exactly).  Rows come in blocks of about block_size, in a deterministic
-    order: ascending in each coordinate, last coordinate outermost.  Each
-    interval is cast to int64 and allocated whole, so a bound beyond 2^52 or
-    one interval of more than point_cap candidates raises ResourceCapError
-    before that.
+    final filter on that carried q with a small slack above R2
+    (enumeration_slack), so boundary points are never lost to rounding; a
+    handful of just-outside points may be admitted (harmless for
+    tail-certified sums; lattice_points refilters exactly).  Rows come in
+    blocks of about block_size, in a deterministic order: ascending in each
+    coordinate, last coordinate outermost.  Each interval is cast to int64
+    and allocated whole, so a bound beyond 2^52 or one interval of more than
+    point_cap candidates raises ResourceCapError before that.
 
     phase = (B, ell), B a complex symmetric N x N matrix and ell an N-vector
     or None (zero), makes every row carry tau(x) = x^T B x / 2 + ell^T x
@@ -347,6 +354,13 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
     and tau of a row are bitwise independent of _FRONTIER_ROWS and
     block_size.  tau is a sum of at most N(N + 3)/2 products, so it is
     within a few N ulps of x^T |B| x / 2 + |ell|^T |x| of the exact value.
+    B may also be a stack of k forms, shape (k, N, N), with ell (k, N) or
+    None: every row then carries k values of tau, each form through its own
+    pair of recurrences, so each is bitwise what a walk carrying that form
+    alone gives, and Block.tau has shape (k, rows).
+
+    chol, the lower Cholesky factor of G, spares the walk factorising G
+    itself; the caller vouches that it is one.
 
     With half, 2 center must be integral (ValueError otherwise), so that
     the ellipsoid is closed under x -> -x, x = v + center; then exactly one
@@ -367,27 +381,32 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
         raise ValueError("a half-space enumeration needs 2 center integral")
     if R2 < 0:
         return
-    d, mu = _cholesky_data(G)
+    d, mu = _cholesky_data(G, chol)
     # coef[i, l] is what x_l adds to the shifts of level i < l: mu[i, l] to
-    # S and, with a phase, Re and Im B[i, l] to T; hdiag[l, 1:] holds Re and
-    # Im B_ll / 2
+    # S and, with a phase, Re and Im B[i, l] of each form to its T;
+    # hdiag[l, 1:] holds Re and Im B_ll / 2 of each form
     if phase is None:
         coef = mu[:, :, None]
         shift0 = np.zeros((1, N, 1))
     else:
         B, ell = phase
         B = np.asarray(B, dtype=complex)
-        ell = np.zeros(N) if ell is None else np.asarray(ell, dtype=complex).reshape(-1)
-        if B.shape != (N, N) or ell.shape != (N,):
+        ell = np.zeros(B.shape[:-1]) if ell is None else np.asarray(ell, dtype=complex)
+        if B.ndim not in (2, 3) or B.shape[-2:] != (N, N) or ell.shape != B.shape[:-1]:
             raise ValueError("phase form shape mismatch")
-        coef = np.stack([mu, B.real, B.imag], axis=-1)
-        shift0 = np.stack([np.zeros(N), ell.real, ell.imag], axis=-1)[None]
+        stacked = B.ndim == 3
+        B, ell = B.reshape(-1, N, N), ell.reshape(-1, N)
+        # the recurrences in order: q, then Re and Im of each form
+        coef, shift0 = np.zeros((N, N, 1 + 2 * len(B))), np.zeros((1, N, 1 + 2 * len(B)))
+        coef[..., 0] = mu
+        coef[..., 1::2], coef[..., 2::2] = B.real.transpose(1, 2, 0), B.imag.transpose(1, 2, 0)
+        shift0[0, :, 1::2], shift0[0, :, 2::2] = ell.real.T, ell.imag.T
     w = coef.shape[2]
     hdiag = 0.5 * np.diagonal(coef).T
     # with half, an on-axis row at level l takes x_l = v_l + c_l >= 0
     axis_lo = np.ceil(-c).astype(np.int64)
     origin = int(half and not np.any(c % 1.0))
-    slack = 1e-9 * (1.0 + abs(R2))
+    slack = enumeration_slack(R2)
     # bounds at level l lie within the ellipsoid's projection |c_l| + sqrt((R2 + slack)
     # (G^-1)_ll), plus 1; an interval holds at most 2 sqrt((R2 + slack) / d_l) + 2 points
     reach = np.abs(c) + np.sqrt((R2 + slack) * np.diag(np.linalg.inv(G))) + 1.0
@@ -418,8 +437,10 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
             rows, P = rows[keep], P[:, keep]
         tau = None
         if phase is not None:
-            tau = np.empty(kept, dtype=complex)
-            tau.real, tau.imag = P[1], P[2]
+            tau = np.empty((w // 2, kept), dtype=complex)
+            tau.real, tau.imag = P[1::2], P[2::2]
+            if not stacked:
+                tau = tau[0]
         return Block(rows, P[0], tau)
 
     def chunk(level, V, F, P, axis):

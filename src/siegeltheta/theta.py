@@ -44,7 +44,15 @@ a golden-section search (_tail_plan).
 Each series is planned once into a SeriesPlan (_series_plan): compiled
 polynomial, Gram matrix, centre, phase form, prefactor, tail budget, and
 rho, R^2, tail and predicted rows from one Cholesky factorisation and one
-_tail_plan.  certified_lattice_sum enumerates and sums a plan it is given.
+_tail_plan; the factor is kept and handed to the enumeration.
+certified_lattice_sum enumerates and sums the plans it is given, several
+at once when they share G, centre and pairing (_sum_plans): the two sides
+of the translation law, or the plain and Borcherds series at one Z
+(theta_eval_shared).  One enumeration then runs at their largest R^2 and
+carries each distinct phase form, and each plan keeps the rows whose
+carried q is within its own R^2 plus the enumeration's slack, so its
+terms, tail and polynomial rows are those of its own sum; a single series
+is the one-plan case (_sum_series).
 
 The right sides of the inversion and Poisson laws are the same series with
 U over the dual lattice H + A^-1 Z^{m x n} (dual_theta_eval), one certified
@@ -124,7 +132,8 @@ from .polyalg import (
     vigneras_residual,
 )
 from .polyalg import exp_trace_laplace_weighted  # noqa: F401  (patched by perfbench tracing)
-from .quadform import QuadFormDecomposition, decompose, lattice_blocks, named_form
+from .quadform import Block, QuadFormDecomposition, decompose, enumeration_slack, lattice_blocks
+from .quadform import named_form
 from .scalars import PiScalar
 from .siegel import SiegelPoint, det_power, sqrt_posdef
 
@@ -451,59 +460,89 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
     return rho, R2, tail
 
 
-def certified_lattice_sum(plan: SeriesPlan, eps: float, summand, point_cap: int):
-    """Sum summand over the integer offsets of plan.c in the ellipsoid of the plan (_series_plan).
+def certified_lattice_sum(walk: Walk, eps: float, summand, point_cap: int):
+    """Sum summand over the integer offsets of walk.c in the ellipsoid of each plan of walk.
 
-    The plan fixes G, c, the phase form, R^2, rho and the tail, so this only
-    enumerates and adds.  eps is the tail budget the sum certifies: it must
-    be finite and positive and at least the plan's tail (ValueError).
-    summand maps a lattice_blocks Block (int64 rows of shape (k, d), their
-    carried q and tau) to a pair of float arrays: the complex values of the
-    full summand at c + rows and their magnitudes.  Every kept row has
-    q(c + row) <= R^2 + slack by its carried q, the enumeration's own
-    filter.  With plan.paired, 2c is integral: the enumeration then emits
-    one x = c + row of each pair {x, -x} (lattice_blocks with half),
-    summand must return term(x) + term(-x) and |term(x)| + |term(-x)| for
-    each row, and the origin, whose paired value is twice its term, is
-    halved here.  terms counts the terms of the full series either way, two
-    per pair and one for the origin, and point_cap caps that count.  Each
-    block is summed in floating point and the per-block sums are combined
-    with exact float summation.  The result is deterministic for a fixed
+    The plans (_series_plan) fix G, c, the pairing, their phase forms, R^2,
+    rho and tails, and share the first three (_sum_plans), so this only
+    enumerates, once, and adds.  The enumeration runs at the largest R^2 of
+    the plans with a nonzero polynomial and carries each distinct phase
+    form of theirs (lattice_blocks with a stack of forms), so a row's q and
+    tau are bitwise those of an enumeration for its plan alone.  Each plan
+    keeps the rows whose carried q is at most its own R^2 +
+    enumeration_slack(R^2), the filter the enumeration applies, so it sums
+    exactly the rows of an enumeration at its own R^2.  eps is the tail
+    budget the sum certifies: it must be finite and positive and at least
+    the sum of the plans' tails (ValueError).  summand(j, block) maps the
+    rows that plan j keeps of a lattice_blocks Block (int64 rows of shape
+    (k, d), their carried q and the tau of plan j's form) to a pair of
+    float arrays: the complex values of plan j's full summand at c + rows
+    and their magnitudes.  With walk.paired, 2c is integral: the
+    enumeration then emits one x = c + row of each pair {x, -x}
+    (lattice_blocks with half), summand must return term(x) + term(-x) and
+    |term(x)| + |term(-x)| for each row, and the origin, whose paired value
+    is twice its term, is halved here.  A plan's terms count the terms of
+    its full series either way, two per pair and one for the origin, and
+    point_cap caps that count for the enumeration, at its R^2.  Each block
+    is summed in floating point and the per-block sums are combined with
+    exact float summation.  The result is deterministic for a fixed
     enumeration block size, because the enumerator fixes both the order of
     the rows and where the blocks are cut; a different block size rounds
     the per-block sums differently and may move the result by a few ulps of
     gross, the gross magnitude sum |f| over all terms: the honest scale for
-    relative comparisons when cancellation drives the net value to zero.
-    The return is (total, tail, terms, R^2, rho, gross), with the plan's
-    R^2, rho and tail.  A zero polynomial (Cp = 0) sums nothing: tail,
-    terms, R^2 and gross are 0 and rho reads RHO_BRACKET[1].
+    relative comparisons when cancellation drives the net value to zero.  A
+    plan whose R^2 is below the enumeration's keeps part of each block, so
+    its sums may differ from those of its own enumeration by the same few
+    ulps of gross; a plan at the enumeration's R^2 gets the bits of its own.
+    The return is (sums, tail, terms): one (total, terms, gross) per plan,
+    the plans' tails summed and their terms summed.  A zero polynomial (Cp
+    = 0) sums nothing: its total, terms and gross are 0.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive, got %r" % eps)
-    if not plan.tail <= eps:
-        raise ValueError("the plan's tail %r exceeds eps %r" % (plan.tail, eps))
-    paired = plan.paired
-    if plan.Cp == 0.0:
-        return 0.0 + 0.0j, 0.0, 0, 0.0, plan.rho, 0.0
+    plans, paired = walk.plans, walk.paired
+    tail = math.fsum(plan.tail for plan in plans)
+    if not tail <= eps:
+        raise ValueError("the plans' tail %r exceeds eps %r" % (tail, eps))
+    live = [j for j, plan in enumerate(plans) if plan.Cp != 0.0]
+    sums = [(0.0 + 0.0j, 0, 0.0)] * len(plans)
+    if not live:
+        return sums, tail, 0
+    # each distinct phase form (B, ell) is carried once, numbered in order of
+    # its first plan; a paired sum keeps ell out of it
+    forms, form_of = {}, {}
+    for j in live:
+        key = plans[j].B.tobytes() + (b"" if paired else plans[j].ell.tobytes())
+        form_of[j] = forms.setdefault(key, (len(forms), j))[0]
+    firsts = [j for _, j in forms.values()]
+    phase = (np.array([plans[j].B for j in firsts]),
+             None if paired else np.array([plans[j].ell for j in firsts]))
+    R2 = max(plans[j].R2 for j in live)
+    bound = {j: plans[j].R2 + enumeration_slack(plans[j].R2) for j in live if plans[j].R2 < R2}
     # with paired and an integral center the origin is the first row emitted
-    origin = int(paired and not np.any(plan.c % 1.0))
-    re_parts = []
-    im_parts = []
-    abs_parts = []
-    used = 0
-    for block in lattice_blocks(plan.G, plan.c, plan.R2, point_cap=point_cap, half=paired,
-                                phase=(plan.B, None if paired else plan.ell)):
-        vals, mags = summand(block)
-        if origin and not used:
-            vals[0] *= 0.5
-            mags[0] *= 0.5
-        re_parts.append(float(np.sum(vals.real)))
-        im_parts.append(float(np.sum(vals.imag)))
-        abs_parts.append(float(np.sum(mags)))
-        used += len(block)
-    terms = 2 * used - origin if paired else used
-    total = complex(math.fsum(re_parts), math.fsum(im_parts))
-    return total, plan.tail, terms, plan.R2, plan.rho, math.fsum(abs_parts)
+    origin = int(paired and not np.any(walk.c % 1.0))
+    parts = {j: ([], [], []) for j in live}  # the block sums of Re, Im and magnitudes
+    used = dict.fromkeys(live, 0)
+    for block in lattice_blocks(walk.G, walk.c, R2, point_cap=point_cap, half=paired, phase=phase,
+                                chol=plans[live[0]].chol):
+        for j in live:
+            rows, q, tau = block.rows, block.q, block.tau[form_of[j]]
+            if j in bound:
+                keep = q <= bound[j]
+                rows, q, tau = rows[keep], q[keep], tau[keep]
+                if not len(rows):
+                    continue
+            vals, mags = summand(j, Block(rows, q, tau))
+            if origin and not used[j]:
+                vals[0] *= 0.5
+                mags[0] *= 0.5
+            for part, value in zip(parts[j], (vals.real, vals.imag, mags)):
+                part.append(float(np.sum(value)))
+            used[j] += len(rows)
+    for j, (re, im, mag) in parts.items():
+        terms = 2 * used[j] - origin if paired else used[j]
+        sums[j] = (complex(math.fsum(re), math.fsum(im)), terms, math.fsum(mag))
+    return sums, tail, sum(terms for _, terms, _ in sums)
 
 
 class ThetaValue:
@@ -582,8 +621,10 @@ def _budget(scale: float, eps: float) -> float:
 
 # What one certified series sum needs, built once by _series_plan: the route
 # choice of theta_eval compares plans and _sum_series sums one as it is.
-SeriesPlan = namedtuple("SeriesPlan", "poly parts Ysq L G c B ell paired pref eps budget "
+SeriesPlan = namedtuple("SeriesPlan", "poly parts Ysq L G chol c B ell paired pref eps budget "
                                       "Cp deg sig2 rho R2 tail rows")
+# Plans with the same G, centre and pairing, summed over one enumeration (_sum_plans).
+Walk = namedtuple("Walk", "G c paired plans")
 
 
 def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = False,
@@ -611,10 +652,11 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     and L^T A L = A^-1, L^T A K = K for the dual lattice.  Im B is G, built
     from the integer A and A- rather than the float M (module docstring).
 
-    One Cholesky factorisation of G serves the one _tail_plan (rho, R2 and
-    tail) and predicted_rows (rows).  A budget that underflows to 0 plans
-    nothing: tail and rows are inf, and _sum_series refuses it.
-    A zero poly (Cp = 0) gets R2, tail and rows 0 and rho RHO_BRACKET[1].
+    One Cholesky factorisation of G, kept as chol, serves the one
+    _tail_plan (rho, R2 and tail), predicted_rows (rows) and the
+    enumeration.  A budget that underflows to 0 plans nothing: tail and
+    rows are inf, and _sum_series refuses it.  A zero poly (Cp = 0) gets
+    R2, tail and rows 0, rho RHO_BRACKET[1] and no chol.
     """
     if Z.n != spec.n:
         raise ValueError("point genus does not match the characteristics")
@@ -649,31 +691,28 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     G = np.kron(Y, M)
     B = np.kron(Z.X, AL) + 1j * np.kron(Y, AL - 2.0 * aminus)
     Cp, deg = poly.majorant(), poly.degree()
-    rho, R2, tail, rows = RHO_BRACKET[1], 0.0, 0.0, 0.0
+    chol, rho, R2, tail, rows = None, RHO_BRACKET[1], 0.0, 0.0, 0.0
     if not budget > 0:
         tail = rows = math.inf
     elif Cp != 0.0:
-        chol = np.diag(np.linalg.cholesky(G))
-        rho, R2, tail = _tail_plan(Cp, deg, sig2, (chol ** 2).tolist(), budget)
-        rows = _cholesky_rows(chol, R2, paired)
-    return SeriesPlan(poly, poly.parity_split() if paired else (poly,), Ysq, L, G,
+        chol = np.linalg.cholesky(G)
+        pivots = np.diag(chol)
+        rho, R2, tail = _tail_plan(Cp, deg, sig2, (pivots ** 2).tolist(), budget)
+        rows = _cholesky_rows(pivots, R2, paired)
+    return SeriesPlan(poly, poly.parity_split() if paired else (poly,), Ysq, L, G, chol,
                       _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1), paired, pref, eps,
                       budget, Cp, deg, sig2, rho, R2, tail, rows)
 
 
-def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:
-    """The series of a plan, certified: pref times its lattice sum, tail and gross.
+def _summand(plan: SeriesPlan):
+    """The summand of certified_lattice_sum for one plan: a block's terms and their magnitudes.
 
     A term is exp(-2 pi Im tau + 2 pi i frac(Re tau)) poly(W) from the
     carried tau, with no W for a constant poly.  A paired sum adds each pair
     {U, -U} at once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin
     2 pi L(U)), with L(U) = ell^T x kept out of the carried form (see the
-    module docstring).  A plan whose budget underflowed to 0 (eps far below
-    the prefactor) is a ValueError naming both.
+    module docstring).
     """
-    if not plan.budget > 0:
-        raise ValueError("eps %r divided by the series prefactor %r leaves no positive float "
-                         "tail budget" % (plan.eps, plan.pref))
     parts, Ysq, L, c, ell, paired = plan.parts, plan.Ysq, plan.L, plan.c, plan.ell, plan.paired
     m, n = plan.poly.m, plan.poly.n
     # an empty part is 0 and a constant one its value; None marks a part that needs W
@@ -707,10 +746,37 @@ def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:
             mags = np.abs(pe + po) + np.abs(pe - po)
         return eq * both, np.abs(eq) * mags
 
-    total, tail, used, R2, rho, gross = certified_lattice_sum(
-        plan, plan.budget, summand, point_cap_from_env(point_cap))
-    pref = plan.pref
-    return ThetaValue(pref * total, pref * tail, used, R2, rho, pref * gross)
+    return summand
+
+
+def _sum_plans(plans, point_cap) -> list:
+    """The series of plans that share G, centre and pairing, certified, from one enumeration.
+
+    Plans that do not share them are a ValueError, and so is a plan whose
+    budget underflowed to 0 (eps far below the prefactor), naming both.
+    Each value is pref times its lattice sum, tail and gross, with the
+    plan's own terms, R^2 and rho (certified_lattice_sum).
+    """
+    for plan in plans:
+        if not plan.budget > 0:
+            raise ValueError("eps %r divided by the series prefactor %r leaves no positive float "
+                             "tail budget" % (plan.eps, plan.pref))
+    lead = plans[0]
+    if not all(plan.paired == lead.paired and np.array_equal(plan.G, lead.G)
+               and np.array_equal(plan.c, lead.c) for plan in plans[1:]):
+        raise ValueError("plans summed over one enumeration must share G, centre and pairing")
+    walk = Walk(lead.G, lead.c, lead.paired, tuple(plans))
+    summands = [_summand(plan) for plan in plans]
+    sums, _, _ = certified_lattice_sum(walk, math.fsum(plan.budget for plan in plans),
+                                       lambda j, block: summands[j](block),
+                                       point_cap_from_env(point_cap))
+    return [ThetaValue(plan.pref * total, plan.pref * plan.tail, terms, plan.R2, plan.rho,
+                       plan.pref * gross) for plan, (total, terms, gross) in zip(plans, sums)]
+
+
+def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:
+    """The series of one plan, certified: the one-plan case of _sum_plans."""
+    return _sum_plans([plan], point_cap)[0]
 
 
 def predicted_rows(G, R2: float, paired: bool = False) -> float:
@@ -747,6 +813,22 @@ def theta_eval_direct(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     that each law sets two independent sums against each other.
     """
     return _sum_series(_series_plan(spec, Z, eps), point_cap)
+
+
+def theta_eval_shared(sides, eps: float = 1e-10, point_cap=None) -> list:
+    """Several series summed directly from one enumeration, one ThetaValue per side.
+
+    Each side is (spec, Z, borcherds), planned as theta_eval_direct (or,
+    with borcherds, theta_eval_borcherds) plans it at eps.  The sides must
+    share G = kron(Y, M), the centre and the pairing (ValueError
+    otherwise), as the two sides of the translation law and of the
+    Borcherds normal form do: they run over the same U in H + Z^{m x n}.
+    Each value has the terms, tail, R^2, rho and polynomial rows of the
+    side's own sum; a side at the largest R^2 gets its bits, the others
+    may move by a few ulps of gross (certified_lattice_sum).
+    """
+    return _sum_plans([_series_plan(spec, Z, eps, borcherds) for spec, Z, borcherds in sides],
+                      point_cap)
 
 
 # ==== evaluation through the inversion law ===================================

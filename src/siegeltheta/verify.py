@@ -54,6 +54,7 @@ from .theta import (
     term_phase,
     theta_eval_borcherds,
     theta_eval_direct,
+    theta_eval_shared,
     theta_spec,
 )
 from .theta import certified_lattice_sum  # noqa: F401  (patched by perfbench tracing)
@@ -167,15 +168,23 @@ def translation_data(spec: ThetaSpec, S):
 
 def check_translation(spec: ThetaSpec, Z: SiegelPoint, S, eps: float = 1e-12,
                       tol: float = 1e-10, point_cap=None) -> CheckReport:
-    """theta(Z + S) against the exact phase times theta with shifted K."""
+    """theta(Z + S) against the exact phase times theta with shifted K.
+
+    Both sides run over the same U in H + Z^{m x n} with the same Gram
+    matrix kron(Y, M), so they are summed from one enumeration
+    (theta_eval_shared), at the same R^2.  That costs the law no
+    independence: each side still has its own phase form, carried through
+    its own recurrences, and its own terms, and the two separate
+    enumerations it replaces visited the same rows.
+    """
     Sarr = np.asarray(S, dtype=float)
     if Sarr.shape != (spec.n, spec.n) or not np.array_equal(Sarr, Sarr.T) \
             or not np.array_equal(Sarr, np.round(Sarr)):
         raise ValueError("S must be an integer symmetric matrix of the point's size")
     Sarr = Sarr.astype(np.int64)
     phase, Ktil = translation_data(spec, Sarr)
-    lhs = theta_eval_direct(spec, Z.translate(Sarr), eps, point_cap)
-    rhs = theta_eval_direct(spec.with_characteristics(K=Ktil), Z, eps, point_cap)
+    lhs, rhs = theta_eval_shared([(spec, Z.translate(Sarr), False),
+                                  (spec.with_characteristics(K=Ktil), Z, False)], eps, point_cap)
     rhs_val = e_of_fraction(phase) * rhs.value
     residual = abs(lhs.value - rhs_val)
     return CheckReport(
@@ -219,7 +228,14 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
                          tol: float = 1e-12, point_cap=None) -> CheckReport:
     """det(Y)^(s/2+beta) times the unslashed form against the definition.
 
-    A det(Y) whose power leaves the float range makes the prefactor 0 or inf
+    Both series run over the same U in H + Z^{m x n} with the same Gram
+    matrix and phase form, so each _law_residual round sums them from one
+    enumeration (theta_eval_shared), at the larger of their R^2; each keeps
+    the rows within its own R^2, so it sums exactly the terms of its own
+    enumeration.  That costs the law no independence: the polynomials, f at
+    U Y^(1/2) and the Borcherds polynomial at U, are evaluated apart, and
+    the two separate enumerations it replaces visited the same rows.  A
+    det(Y) whose power leaves the float range makes the prefactor 0 or inf
     and the right side meaningless (inf * 0 is nan): ValueError, before any
     series is summed.  A residual that the tails could explain is summed
     again at a finer eps (_law_residual), recorded in the metadata.
@@ -235,8 +251,7 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
                          "float (det(Y) outside the float range)" % pref)
 
     def sides(eps):
-        return (theta_eval_direct(spec, Z, eps, point_cap),
-                theta_eval_borcherds(spec, Z, eps, point_cap), eps)
+        return (*theta_eval_shared([(spec, Z, False), (spec, Z, True)], eps, point_cap), eps)
 
     lhs, rhs, rhs_val, residual, eps = _law_residual(sides, pref, eps, tol)
     return CheckReport(

@@ -477,7 +477,8 @@ def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, see
     m, n = (3, 2) if kind == "big" else shape
     poly = _eval_batch_case(kind, m, n, rng)
     p = poly
-    chunk = max(64, 2**16 // max(1, len(poly.terms)))
+    top = max((max(e) for e in poly.terms), default=0)
+    chunk = max(64, min(2**16 // max(1, len(poly.terms)), 2**15 // (m * n * (top + 1))))
     rows = {"empty": 0, "one": 1, "chunks": 2 * chunk + 7}[batch]
     W = rng.uniform(-1.5, 1.5, size=(rows, m, n))
     if complex_w:

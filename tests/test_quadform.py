@@ -394,7 +394,7 @@ def grid_ellipsoid(monkeypatch, form, genus, half, Y, eps):
     """
     seen = []
 
-    def record(G, center, R2, point_cap=None, block_size=8192, half=False, phase=None):
+    def record(G, center, R2, point_cap=None, block_size=8192, half=False, phase=None, chol=None):
         seen.append((np.array(G), np.array(center), R2))
         return iter(())
 

@@ -27,6 +27,7 @@ from siegeltheta.scalars import PiScalar
 import siegeltheta.theta as theta
 from siegeltheta.quadform import decompose, lattice_blocks, named_form
 from siegeltheta.siegel import SiegelPoint, sqrt_posdef
+from siegeltheta.verify import check_borcherds_form, translation_data
 from siegeltheta.theta import (
     Coefficient,
     ThetaSpec,
@@ -455,9 +456,9 @@ def test_pairing_follows_the_center(monkeypatch):
     # and H = 1/4; K = 1/3 in the dual center does not
     halves = []
 
-    def record(G, center, R2, point_cap=None, block_size=8192, half=False, phase=None):
+    def record(G, center, R2, point_cap=None, block_size=8192, half=False, phase=None, chol=None):
         halves.append(half)
-        return lattice_blocks(G, center, R2, point_cap, block_size, half, phase)
+        return lattice_blocks(G, center, R2, point_cap, block_size, half, phase, chol)
 
     monkeypatch.setattr(theta, "lattice_blocks", record)
     quarter = [[Fraction(1, 4)], [Fraction(1, 4)]]
@@ -475,19 +476,13 @@ _TAIL_FORMS = st.sampled_from([[[2]], [[-2]], [[2, 1], [1, 2]], [[-2, 1], [1, -2
                                "diag:2,2,-2", "diag:2,-2,-2", "diag:-2,-2,-2", "e8"])
 
 
-# Forms with m <= 3 of every signature and e8, genus 1 and 2, H in {0, 1/2},
-# rational K, a constant or an integer combination of basis_homopol(m, n,
-# alpha) with alpha <= 2, plain and Borcherds series.  Time budget: 10 s for
-# all 40 examples (about 1 s on a 2-vCPU host).
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(form=_TAIL_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 2),
-       weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-       halves=st.lists(st.booleans(), min_size=6, max_size=6),
-       ks=st.lists(_SMALL_RATIONAL, min_size=6, max_size=6),
-       x=st.floats(-0.5, 0.5), y=st.floats(0.8, 1.4), eps=st.sampled_from([1e-4, 1e-6, 1e-8]))
-def test_tail_bound_honesty_on_generated_series(form, n, alpha, weights, halves, ks, x, y, eps):
-    # the tail of the plan bounds what a finer sum adds: both the value moved
-    # and the mass summed between R^2(eps) and R^2(eps 1e-4)
+def _generated_series(form, n, alpha, weights, halves, ks, x, y):
+    """(spec, Z) from the draws of a generated-series test.
+
+    P is 1 or an integer combination of basis_homopol(m, n, alpha) (alpha
+    at most 3 - n for e8), H is 1/2 where halves says so and K reads ks,
+    the six draws repeated over the m n entries; Y is about I, 2n I for e8.
+    """
     m = len(named_form(form)) if isinstance(form, str) else len(form)
     if m == 8:  # basis_homopol(8, 2, 2) alone takes seconds
         alpha = min(alpha, 3 - n)
@@ -514,7 +509,23 @@ def test_tail_bound_honesty_on_generated_series(form, n, alpha, weights, halves,
     assume(not spec.coeff.f.is_zero())  # as an exact split leaves it
     # e8 at Im Z = 2n y keeps the finer sum below 50,000 terms
     Y = np.array([[y, 0.1], [0.1, 1.1]])[:n, :n] * (2.0 * n if m == 8 else 1.0)
-    Z = SiegelPoint(np.array([[x, 0.1], [0.1, -x]])[:n, :n] + 1j * Y)
+    return spec, SiegelPoint(np.array([[x, 0.1], [0.1, -x]])[:n, :n] + 1j * Y)
+
+
+# Forms with m <= 3 of every signature and e8, genus 1 and 2, H in {0, 1/2},
+# rational K, a constant or an integer combination of basis_homopol(m, n,
+# alpha) with alpha <= 2, plain and Borcherds series.  Time budget: 10 s for
+# all 40 examples (about 1 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form=_TAIL_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 2),
+       weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       halves=st.lists(st.booleans(), min_size=6, max_size=6),
+       ks=st.lists(_SMALL_RATIONAL, min_size=6, max_size=6),
+       x=st.floats(-0.5, 0.5), y=st.floats(0.8, 1.4), eps=st.sampled_from([1e-4, 1e-6, 1e-8]))
+def test_tail_bound_honesty_on_generated_series(form, n, alpha, weights, halves, ks, x, y, eps):
+    # the tail of the plan bounds what a finer sum adds: both the value moved
+    # and the mass summed between R^2(eps) and R^2(eps 1e-4)
+    spec, Z = _generated_series(form, n, alpha, weights, halves, ks, x, y)
     for evaluate in (theta_eval, theta_eval_borcherds):
         coarse = evaluate(spec, Z, eps=eps)
         fine = evaluate(spec, Z, eps=eps * 1e-4)
@@ -523,6 +534,56 @@ def test_tail_bound_honesty_on_generated_series(form, n, alpha, weights, halves,
         rounding = TAIL_ROUNDING * np.finfo(float).eps * fine.gross
         assert fine.gross - coarse.gross <= coarse.tail_bound + rounding
         assert abs(coarse.value - fine.value) <= coarse.tail_bound + fine.tail_bound + rounding
+
+
+SHARED_ROUNDING = 64  # a side below the walk's R^2 is within 64 eps gross of its own sum
+
+
+# The inputs of the tail honesty test, each summed as a pair of sides over one
+# enumeration (theta_eval_shared): the translation pair, at Z + S with K and
+# at Z with the law's shifted K, for a symmetric integer S, or the plain and
+# Borcherds series at Z.  Each side has the terms, tail, R^2, rho and
+# polynomial rows of its own sum (_sum_series); the side at the larger R^2
+# has its bits, the other its value and gross within 64 eps gross.  Time
+# budget: 10 s for all 40 examples (about 1.3 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form=_TAIL_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 2),
+       weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       halves=st.lists(st.booleans(), min_size=6, max_size=6),
+       ks=st.lists(_SMALL_RATIONAL, min_size=6, max_size=6),
+       x=st.floats(-0.5, 0.5), y=st.floats(0.8, 1.4), eps=st.sampled_from([1e-4, 1e-6, 1e-8]),
+       translation=st.booleans(), s=st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+def test_a_shared_walk_sums_each_side_as_its_own_sum(form, n, alpha, weights, halves, ks, x, y,
+                                                     eps, translation, s):
+    spec, Z = _generated_series(form, n, alpha, weights, halves, ks, x, y)
+    if translation:
+        S = np.array([[s[0], s[1]], [s[1], s[2]]])[:n, :n]
+        Ktil = translation_data(spec, S)[1]
+        sides = [(spec, Z.translate(S), False), (spec.with_characteristics(K=Ktil), Z, False)]
+    else:
+        sides = [(spec, Z, False), (spec, Z, True)]
+    rows = []
+
+    def counting(p, W):
+        rows.append(W.shape[0])
+        return eval_batch(p, W)
+
+    with mock.patch.object(theta, "eval_batch", counting):
+        shared = theta.theta_eval_shared(sides, eps)
+        shared_rows = sum(rows)
+        rows.clear()
+        alone = [theta._sum_series(theta._series_plan(sp, W, eps, b), None) for sp, W, b in sides]
+    assert shared_rows == sum(rows)
+    top = max(val.radius2 for val in alone)
+    for got, want in zip(shared, alone):
+        assert (got.terms, got.tail_bound, got.radius2, got.rho) == \
+            (want.terms, want.tail_bound, want.radius2, want.rho)
+        if want.radius2 == top:
+            assert (got.value, got.gross) == (want.value, want.gross)
+        else:
+            rounding = SHARED_ROUNDING * np.finfo(float).eps * want.gross
+            assert abs(got.value - want.value) <= rounding
+            assert abs(got.gross - want.gross) <= rounding
 
 
 # ==== the phase and q carried through the enumeration =======================
@@ -687,6 +748,24 @@ def test_each_side_is_planned_once(monkeypatch):
         calls.clear()
         theta_eval(spec, Z)
         assert len(calls) == sides, z
+
+
+def test_a_plan_factorises_its_gram_matrix_once(monkeypatch):
+    # the plan keeps its Cholesky factor and hands it to the enumeration,
+    # which no longer factorises G again; a shared walk takes one plan's
+    spec = theta_spec("diag:2,-2", n=2, H=[[Fraction(1, 2)] * 2, [0, 0]])
+    Z = SiegelPoint(np.array([[0.2 + 1.1j, 0.1], [0.1, -0.3 + 0.9j]]))
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(np.shape(a)) or cholesky(a))
+    theta_eval_direct(spec, Z)
+    assert shapes == [(4, 4)]
+    shapes.clear()
+    assert check_borcherds_form(spec, Z).passed
+    assert shapes == [(4, 4)] * 2
+    shapes.clear()
+    list(lattice_blocks(np.eye(2), [0.0, 0.0], 4.0))
+    assert shapes == [(2, 2)]
 
 
 def test_a_determinant_beyond_the_float_range_sums_directly():

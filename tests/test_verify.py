@@ -165,6 +165,55 @@ def test_inversion_and_poisson_make_one_lattice_sum_per_side(monkeypatch):
     assert "certified_lattice_sum(" not in inspect.getsource(verify)
 
 
+def test_translation_and_borcherds_make_one_enumeration_per_round(monkeypatch):
+    # both sides of each law come from one lattice_blocks walk, in every
+    # _law_residual round: a tolerance of 0 forces the re-sum round of the
+    # Borcherds check wherever the residual is not exactly 0
+    walks, rounds = [], []
+    blocks, residual = theta.lattice_blocks, verify._law_residual
+
+    def counting_blocks(*args, **kwargs):
+        walks.append(1)
+        return blocks(*args, **kwargs)
+
+    def counting_rounds(sides, *args):
+        return residual(lambda eps: rounds.append(1) or sides(eps), *args)
+
+    monkeypatch.setattr(theta, "lattice_blocks", counting_blocks)
+    monkeypatch.setattr(verify, "_law_residual", counting_rounds)
+    Z2 = SiegelPoint(np.array([[0.2 + 1.1j, 0.1], [0.1, -0.3 + 0.9j]]))
+    half = theta_spec("diag:2,-2", n=2, H=[[Fraction(1, 2)] * 2, [0, 0]])
+    for spec, Z in ((H2_SPEC, Z_GEN), (half, Z2)):
+        walks.clear()
+        assert check_translation(spec, Z, np.eye(spec.n, dtype=int)).passed
+        assert len(walks) == 1
+        for tol in (1e-12, 0.0):
+            walks.clear()
+            rounds.clear()
+            rep = check_borcherds_form(spec, Z, tol=tol)
+            assert rep.passed == (tol > 0) or rep.residual == 0.0
+            assert len(walks) == len(rounds) == (2 if rep.residual > tol else 1)
+
+
+@pytest.mark.parametrize("form", ["diag:2", "diag:2,-2", "h2"])
+def test_a_translation_walk_with_one_phase_for_both_sides_fails(monkeypatch, form):
+    # the shared walk carries each side's own phase form: handing the left
+    # side the right side's B (X in place of X + S) breaks the law
+    spec = verify._suite_specs([form], 2)[0][1]
+    Z = SiegelPoint(np.array([[0.2 + 1.1j, 0.1], [0.1, -0.3 + 0.9j]]))
+    S = np.eye(2, dtype=int)
+    assert check_translation(spec, Z, S).passed
+    blocks = theta.lattice_blocks
+
+    def one_phase(G, center, R2, point_cap=None, block_size=8192, half=False, phase=None, chol=None):
+        B, ell = phase
+        assert B.shape[0] == 2 and not np.array_equal(B[0], B[1])
+        return blocks(G, center, R2, point_cap, block_size, half, (B[[1, 1]], ell), chol)
+
+    monkeypatch.setattr(theta, "lattice_blocks", one_phase)
+    assert not check_translation(spec, Z, S).passed
+
+
 def test_law_prefactors_refuse_a_determinant_beyond_the_float_range():
     # a ValueError, the contract for an input a check cannot evaluate, where
     # float(det A) and eps * cosets raised a bare OverflowError

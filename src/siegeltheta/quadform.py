@@ -135,13 +135,11 @@ def decompose(A) -> QuadFormDecomposition:
     abs(eigenvalue)^(-1/2).
     """
     form = A if isinstance(A, QuadForm) else QuadForm(A)
-    a = form.A.astype(float)
-    eigvals, eigvecs = np.linalg.eigh(a)
-    if np.any(np.abs(eigvals) < 1e-9):
+    vals, vecs = np.linalg.eigh(form.A.astype(float))
+    if np.any(np.abs(vals) < 1e-9):
         raise ValueError("form is numerically singular")
-    order = np.argsort(-eigvals)  # positives first, descending
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
+    order = np.argsort(-vals)  # positives first, descending
+    eigvals, eigvecs = vals[order], vecs[:, order]
     r, s = form.r, form.s
     S = eigvecs / np.sqrt(np.abs(eigvals))
     Sinv = np.linalg.inv(S)
@@ -149,19 +147,18 @@ def decompose(A) -> QuadFormDecomposition:
     aminus = eigvecs[:, r:] @ np.diag(eigvals[r:]) @ eigvecs[:, r:].T
     M = Sinv.T @ Sinv
 
-    exact = _try_exact_split(form)
+    exact = _try_exact_split(form, vals, vecs)
     return QuadFormDecomposition(form, r, s, aplus, aminus, M, exact)
 
 
-def _try_exact_split(form: QuadForm):
+def _try_exact_split(form: QuadForm, eigvals, eigvecs):
     """Exact A = A+ + A- split whenever the matrix absolute value is rational.
 
     The candidate for M = (A^2)^(1/2) is obtained by rationalizing the float
-    result and then verified exactly: M^2 == A^2, M symmetric, M positive
-    definite.  All fixture forms used by the exact-mode checks pass this.
+    result from decompose's eigenpairs and then verified exactly: M^2 == A^2,
+    M symmetric, M positive definite.  All fixture forms used by the
+    exact-mode checks pass this.
     """
-    a = form.A.astype(float)
-    eigvals, eigvecs = np.linalg.eigh(a)
     Mf = eigvecs @ np.diag(np.abs(eigvals)) @ eigvecs.T
     Mf = (Mf + Mf.T) / 2
     Mrat = _rationalize_matrix(Mf)

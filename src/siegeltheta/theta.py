@@ -619,6 +619,16 @@ def _budget(scale: float, eps: float) -> float:
     return b
 
 
+def det_y_weight(Y, power: float, what: str) -> float:
+    """det(Y)^power, the one det(Y) weight; ValueError naming what unless a positive finite float."""
+    with np.errstate(all="ignore"):
+        weight = float(np.linalg.det(Y) ** power)
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError("%s = %r is not a positive finite float (det(Y) outside the float range)"
+                         % (what, weight))
+    return weight
+
+
 # What one certified series sum needs, built once by _series_plan: the route
 # choice of theta_eval compares plans and _sum_series sums one as it is.
 SeriesPlan = namedtuple("SeriesPlan", "poly parts Ysq L G chol c B ell paired pref eps budget "
@@ -635,8 +645,8 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     once on the coefficient, W = U Ysq with Ysq = Y^(1/2) and pref =
     det(Y)^(-lam/2), the Borcherds one the Borcherds polynomial, W = U (Ysq
     None) and pref = 1; sig2 bounds |W|_F^2 / q and Cp is poly.majorant()
-    (_tail_plan).  eps must be finite and positive, and a det(Y) outside
-    the float range leaves pref 0 or inf (ValueError either way).  budget =
+    (_tail_plan).  eps must be finite and positive, and pref a positive
+    finite float (det_y_weight; ValueError otherwise).  budget =
     _budget(pref, eps) is the tail budget of the lattice sum.  parts splits
     the compiled poly by degree parity when the sum is paired.
 
@@ -668,12 +678,8 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
         sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
     else:
         poly, Ysq = spec.coeff.compiled(), sqrt_posdef(Y)
-        with np.errstate(all="ignore"):
-            pref = float(np.linalg.det(Y) ** (-float(spec.coeff.lam) / 2.0))
+        pref = det_y_weight(Y, -float(spec.coeff.lam) / 2.0, "series prefactor det(Y)^(-lam/2)")
         sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))
-    if not (math.isfinite(pref) and pref > 0):
-        raise ValueError("series prefactor %r is not a positive finite float "
-                         "(det(Y) outside the float range)" % pref)
     budget = _budget(pref, eps)
     A = spec.A.astype(float)
     aminus = spec.dec.aminus if spec.dec.s > 0 else np.zeros((spec.m, spec.m))
@@ -851,13 +857,20 @@ def float_det(dec: QuadFormDecomposition) -> float:
 
 
 def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
-    """pref with theta(-Z^-1; H, K) = pref dual_theta_eval(Z; K, -H), branch-locked (det_power)."""
+    """pref with theta(-Z^-1; H, K) = pref dual_theta_eval(Z; K, -H), branch-locked (det_power).
+
+    The one law factor, exp(-i pi n (r - s)/4) |det A|^(-n/2)
+    det(Z)^((r - s)/2 + alpha - beta) e(tr(H^T A K)).  At -Z^-1 the positive
+    part of the form gives exp(-i pi n r/4) det(Z)^(r/2), the negative part,
+    whose phase carries Zbar, exp(i pi n s/4) and a power of det(Zbar); the
+    det(Y)^(-lam/2) weights (det Im(-Z^-1) = det(Y)/|det Z|^2) and P+- turn
+    these into the power of det(Z), adding no phase.
+    """
     m, n = spec.m, spec.n
     dec = spec.dec
     alpha, beta = spec.coeff.alpha, spec.coeff.beta
     power = (dec.r - dec.s) / 2.0 + alpha - beta
-    pref = cmath.exp(-1j * math.pi * m * n / 4.0)
-    pref *= cmath.exp(1j * math.pi * ((dec.s / 2.0 + beta) * n + beta * dec.s))
+    pref = cmath.exp(-1j * math.pi * (dec.r - dec.s) * n / 4.0)
     pref *= abs(float_det(dec)) ** (-n / 2.0)
     pref *= det_power(Z.Z, power)
     A = spec.A.tolist()

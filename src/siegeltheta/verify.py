@@ -15,12 +15,16 @@ Conventions, fixed throughout:
     sum_{U in Z^{m x n}} f(U) = sum_{V in A^{-1} Z^{m x n}} fhat(V);
   * fractional powers of determinants go through the principal branch of the
     eigenvalue logarithms (see siegel.det_power), and half-integral powers of
-    i and -1 are written as exp of the exponent times the principal logarithm.
+    i and -1 are written as exp of the exponent times the principal logarithm;
+  * one law factor, theta.inversion_prefactor: under Z -> -Z^-1 a series of
+    signature (r, s) picks up exp(-i pi n (r - s)/4) |det A|^(-n/2)
+    det(Z)^((r - s)/2 + alpha - beta) e(tr(H^T A K)).  The Fourier and
+    Poisson factor (_fourier_prefactor) is derived from it; the plain Fourier
+    closed form keeps its own, its alpha entering through the heat flow.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from fractions import Fraction
@@ -45,6 +49,7 @@ from .siegel import SiegelPoint, det_power, random_siegel_point
 from .theta import (
     ThetaSpec,
     borcherds_poly,
+    det_y_weight,
     dual_spec,
     dual_theta_eval,
     e_of_fraction,
@@ -202,7 +207,8 @@ def check_inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     |det A|^n cosets of Z^{m x n}, at most the largest float; a det A or a
     coset count beyond the float range is a ValueError.  A residual that
     the tails could explain is summed again at a finer eps (_law_residual);
-    the metadata records the eps of the reported sums.
+    the metadata records the eps of the reported sums and the tail_budget
+    lhs tail + |pref| rhs tail.
     """
     cosets = abs(int(spec.dec.form.det)) ** spec.n
     fmax = float(np.finfo(float).max)
@@ -220,7 +226,7 @@ def check_inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     return CheckReport(
         "inversion", residual, tol, lhs.value, rhs_val,
         {"eps": eps, "cosets": cosets, "terms": lhs.terms + rhs.terms,
-         "tail_budget": lhs.tail_bound + rhs.tail_bound,
+         "tail_budget": lhs.tail_bound + abs(pref) * rhs.tail_bound,
          "absolute_residual": abs(lhs.value - rhs_val)})
 
 
@@ -235,20 +241,12 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
     enumeration.  That costs the law no independence: the polynomials, f at
     U Y^(1/2) and the Borcherds polynomial at U, are evaluated apart, and
     the two separate enumerations it replaces visited the same rows.  A
-    det(Y) whose power leaves the float range makes the prefactor 0 or inf
-    and the right side meaningless (inf * 0 is nan): ValueError, before any
-    series is summed.  A residual that the tails could explain is summed
+    prefactor outside the float range is a ValueError (det_y_weight) before
+    any series is summed.  A residual that the tails could explain is summed
     again at a finer eps (_law_residual), recorded in the metadata.
     """
-    with np.errstate(all="ignore"):
-        dety = float(np.linalg.det(Z.Y))
-    try:
-        pref = dety ** (spec.dec.s / 2.0 + spec.coeff.beta) if dety > 0 else math.nan
-    except OverflowError:
-        pref = math.inf
-    if not (math.isfinite(pref) and pref > 0):
-        raise ValueError("Borcherds prefactor det(Y)^(s/2+beta) = %r is not a positive finite "
-                         "float (det(Y) outside the float range)" % pref)
+    pref = det_y_weight(Z.Y, spec.dec.s / 2.0 + spec.coeff.beta,
+                        "Borcherds prefactor det(Y)^(s/2+beta)")
 
     def sides(eps):
         return (*theta_eval_shared([(spec, Z, False), (spec, Z, True)], eps, point_cap), eps)
@@ -453,24 +451,15 @@ def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen")
 
 
 def _fourier_prefactor(spec: ThetaSpec, Z: SiegelPoint, W: SiegelPoint) -> complex:
-    """The factor between f_W and the transform of f_Z, with W = -Z^-1.
+    """The factor between f_W and the transform of f_Z, with W = -Z^-1, from the law factor.
 
-    The definite and indefinite branches multiply in different orders; each
-    order fixes the last bits of the eigen-Fourier and Poisson outputs.
+    f_Z is a Borcherds term and theta = det(Y)^(s/2 + beta) theta_B, so the
+    law theta(Z) = inversion_prefactor(spec0, W) theta_dual(W), spec0 with
+    zero characteristics, holds for theta_B times (det Im W / det Y)^(s/2 +
+    beta) = |det Z|^(-(s + 2 beta)), taken as one power.
     """
-    m, n = spec.m, spec.n
-    dec = spec.dec
-    alpha, beta = spec.coeff.alpha, spec.coeff.beta
-    deta = float_det(dec)
-    pref = cmath.exp(-1j * math.pi * m * n / 4.0)
-    if dec.s == 0:
-        pref *= deta ** (-n / 2.0) * det_power(W.Z, m / 2.0 + alpha)
-    else:
-        pref *= cmath.exp(1j * math.pi * beta * dec.s)
-        pref *= abs(deta) ** (-n / 2.0)
-        pref *= det_power(W.Z, dec.r / 2.0 + alpha)
-        pref *= det_power(np.conj(Z.Z), -(dec.s / 2.0 + beta))
-    return pref
+    power = spec.dec.s + 2 * spec.coeff.beta
+    return inversion_prefactor(_zero_characteristics(spec), W) * abs(np.linalg.det(Z.Z)) ** -power
 
 
 def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",

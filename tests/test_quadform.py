@@ -115,6 +115,20 @@ def test_decompose_signature():
     assert (d.r, d.s) == (2, 1)
 
 
+@pytest.mark.parametrize("form", ["h2", "diag:2,2,-2", [[2, 1], [1, -3]]],
+                         ids=["h2", "diag:2,2,-2", "irrational"])
+def test_decompose_computes_one_eigendecomposition(monkeypatch, form):
+    # the exact split is rationalised from decompose's own eigenpairs and
+    # still verified exactly, so a rational |A| splits and an irrational one
+    # does not
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    dec = decompose(named_form(form) if isinstance(form, str) else np.array(form))
+    assert len(calls) == 1
+    assert dec.has_exact_split() == isinstance(form, str)
+
+
 def test_decompose_random_floats_still_valid():
     rng = np.random.default_rng(0)
     B = rng.integers(-2, 3, size=(3, 3))

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import siegeltheta.theta as theta
 import siegeltheta.verify as verify
 from siegeltheta.polyalg import MatPoly, basis_homopol, exp_trace_laplace_weighted
-from siegeltheta.quadform import coset_reps, named_form
+from siegeltheta.quadform import coset_reps, decompose, named_form
 from siegeltheta.scalars import PiScalar
 from siegeltheta.siegel import SiegelPoint, det_power
 from siegeltheta.theta import dual_theta_eval, term_phase, theta_eval, theta_eval_direct, theta_spec
@@ -79,6 +79,20 @@ def test_inversion_records_coset_count():
     # the one-sum budget eps * 4 overflows here; it is capped, not refused
     rep = check_inversion(theta_spec("diag:2,-2"), Z_I, eps=1e308)
     assert rep.metadata["absolute_residual"] <= rep.metadata["tail_budget"] < math.inf
+
+
+def test_inversion_tail_budget_weighs_the_right_side_by_the_prefactor():
+    # |pref| = |det A|^(-3/2) = 1/8 here, so the truncation of pref rhs is at
+    # most (1/8) 64 eps: the budget is 9 eps, not lhs.tail + rhs.tail = 65 eps
+    spec = theta_spec("diag:2,-2", n=3)
+    Z = SiegelPoint(1j * np.eye(3))
+    rep = check_inversion(spec, Z)
+    assert rep.metadata["eps"] == 1e-10 and rep.metadata["cosets"] == 64
+    lhs = theta_eval_direct(spec, Z.inverse_point(), 1e-10)
+    rhs = dual_theta_eval(verify.dual_spec(spec), Z, 1e-10 * 64)
+    budget = lhs.tail_bound + abs(inversion_prefactor(spec, Z)) * rhs.tail_bound
+    assert rep.metadata["tail_budget"] == budget == pytest.approx(9e-10, rel=1e-12)
+    assert rep.metadata["absolute_residual"] <= budget
 
 
 def _coset_loop(spec, Z, eps):
@@ -231,6 +245,66 @@ def test_law_prefactors_refuse_a_determinant_beyond_the_float_range():
         check_inversion(spec, SiegelPoint(1j * np.eye(2)))
 
 
+def _minor(m, a, b):
+    """U_a1 U_b2 - U_a2 U_b1 on m x 2 matrices, homogeneous of degree 1 (det)."""
+    v = MatPoly.variable
+    return v(m, 2, a, 0) * v(m, 2, b, 1) - v(m, 2, a, 1) * v(m, 2, b, 0)
+
+
+def _row_fraction(m, n, row, x):
+    return [[Fraction(x) if a == row else Fraction(0) for _ in range(n)] for a in range(m)]
+
+
+_Z1 = SiegelPoint(np.array([[0.13 + 1.05j]]))
+_Z2 = SiegelPoint(np.array([[0.13 + 1.05j, 0.1], [0.1, -0.2 + 0.9j]]))
+_NEG = [[-2, 1], [1, -2]]
+
+
+# A nonconstant P- (beta = 1) on forms with s >= n.  A law factor with an
+# extra exp(i pi beta (s + n)), a sign whenever beta (s - n) is odd, reads
+# lhs / rhs = -1 there and fails at the residual quoted; the eigen Fourier
+# check below fails with it on the negative definite form.  Odd s with
+# n = 1 and s = n = 2 pass with that sign too, as controls.  The
+# characteristics keep every value nonzero (|lhs| > 1e-3).
+@pytest.mark.parametrize("A, P_minus, H, K, Z", [
+    # s = 2, n = 1: residual 1.6e-2
+    ("diag:2,-2,-2", MatPoly.variable(3, 1, 2, 0), _row_fraction(3, 1, 0, "1/2"),
+     _row_fraction(3, 1, 2, "1/3"), _Z1),
+    # s = 3, n = 2: residual 4.7e-2
+    ([[2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]], _minor(4, 1, 2),
+     [[Fraction(1, 3), 0], [Fraction(1, 5), Fraction(1, 2)], [0, 0], [0, Fraction(1, 4)]],
+     [[0, Fraction(1, 3)], [0, 0], [Fraction(1, 4), 0], [Fraction(1, 2), 0]], _Z2),
+    # s = 4, n = 1: residual 1.6e-2
+    ("diag:2,-2,-2,-2,-2", MatPoly.variable(5, 1, 4, 0), _row_fraction(5, 1, 0, "1/2"),
+     _row_fraction(5, 1, 4, "1/3"), _Z1),
+    # negative definite, s = 2, n = 1: residual 9.8e-2
+    (_NEG, MatPoly.variable(2, 1, 1, 0), _row_fraction(2, 1, 0, "1/3"), _row_fraction(2, 1, 1, "1/4"),
+     _Z1),
+    # controls: s = n = 1 and s = n = 2
+    ("diag:2,-2", MatPoly.variable(2, 1, 1, 0), _row_fraction(2, 1, 0, "1/2"),
+     _row_fraction(2, 1, 1, "1/3"), _Z1),
+    ("diag:2,-2,-2", _minor(3, 1, 2),
+     [[Fraction(1, 3), 0], [Fraction(1, 5), Fraction(1, 2)], [0, Fraction(1, 4)]],
+     [[0, Fraction(1, 3)], [Fraction(1, 4), 0], [Fraction(1, 2), 0]], _Z2),
+], ids=["s2n1", "s3n2", "s4n1", "negdef", "control-s1n1", "control-s2n2"])
+def test_inversion_with_a_negative_part_polynomial(A, P_minus, H, K, Z):
+    spec = theta_spec(A, P_minus=P_minus, H=H, K=K, n=Z.n)
+    assert spec.coeff.beta == 1
+    rep = check_inversion(spec, Z)
+    assert abs(rep.lhs) > 1e-3
+    assert rep.passed, rep
+
+
+@pytest.mark.parametrize("A", [_NEG, "diag:2,-2"], ids=["negdef", "control-s1"])
+def test_eigen_fourier_with_a_negative_part_polynomial(A):
+    # [[-2, 1], [1, -2]] (s = 2, n = 1) fails at 8.2e-2 with the closed
+    # form off by the sign exp(i pi beta (s + n))
+    rep = check_fourier(theta_spec(A, P_minus=MatPoly.variable(2, 1, 1, 0)),
+                        SiegelPoint(np.array([[0.3 + 1.1j]])), [[0.5], [0.25]])
+    assert abs(rep.lhs) > 1e-2
+    assert rep.passed, rep
+
+
 _RATIONAL = st.integers(1, 4).flatmap(lambda q: st.builds(Fraction, st.integers(-q, q), st.just(q)))
 
 
@@ -278,6 +352,73 @@ def test_inversion_and_poisson_on_generated_forms(form, n, alpha, weights, hk, x
     assert inv.residual <= inv.tolerance, inv
     poi = check_poisson(spec, Z)
     assert poi.residual <= poi.tolerance, poi
+
+
+# (form, genus) with s >= n, so that a P- of degree beta in every column need
+# not vanish on the negative eigenspace: every signature with s >= 1, the
+# irrational-majorant [[2, 1], [1, -3]] and negative definite forms among
+# them.  The first three have s - n odd, where an odd beta tells the law
+# factor from one with an extra sign; Hypothesis draws the first entries most
+# often.
+_NEGATIVE_PART_FORMS = st.sampled_from([
+    (_NEG, 1), ("diag:2,-2,-2", 1), ([[-2, 1, 0], [1, -2, 1], [0, 1, -4]], 2),
+    ([[-2]], 1), ([[-3]], 1), ("diag:2,-2", 1), ("h2", 1), ([[2, 1], [1, -3]], 1),
+    (_NEG, 2), ("diag:2,-2,-2", 2), ([[2, 1, 1], [1, -2, 0], [1, 0, -2]], 2)])
+# H with no entry in (1/2) Z, so that no pair {U, -U} cancels an odd coefficient
+_THIRDS = st.sampled_from([Fraction(k, q) for q in (3, 4, 5) for k in (-2, -1, 1, 2) if 2 * k % q])
+
+
+# A nonconstant P- (beta in {1, 2}, an integer combination of the
+# basis_homopol(m, n, beta) elements) times P+ = 1 or, where r >= n, a
+# degree-1 P+, on the forms above in genus 1 and 2, rational H and K.  The
+# inversion law is asserted on every example, which is kept only where its
+# value lies well above the certified tails; then Poisson (0 = 0 for an odd
+# total degree, its characteristics being zero) and, where m n <= 2, the
+# eigen Fourier check, pointwise and so never zero by symmetry.  Time
+# budget: 15 s for all 40 examples (each one inversion, one Poisson and at
+# most one quadrature check; about 3-6 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form_n=_NEGATIVE_PART_FORMS, alpha=st.integers(0, 1), beta=st.integers(1, 2),
+       weights=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       hk=st.lists(st.tuples(_THIRDS, _RATIONAL), min_size=6, max_size=6),
+       x=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       y=st.tuples(st.floats(0.7, 1.5), st.floats(-0.2, 0.2), st.floats(0.7, 1.5)),
+       v=st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2))
+def test_laws_with_a_negative_part_polynomial_on_generated_forms(form_n, alpha, beta, weights, hk, x, y, v):
+    form, n = form_n
+    dec = decompose(named_form(form) if isinstance(form, str) else form)
+    m = dec.m
+    P_minus = MatPoly.zero(m, n)
+    for w, b in zip(weights, basis_homopol(m, n, beta)):
+        P_minus = P_minus + b * w
+    if P_minus.is_zero():
+        P_minus = basis_homopol(m, n, beta)[0]
+    # a degree-1 P+ vanishes on a positive eigenspace of rank r < n; the sum
+    # of the basis elements vanishes on none of these with r >= n
+    P_plus = sum(basis_homopol(m, n, 1), MatPoly.zero(m, n)) if alpha and dec.r >= n else None
+    H = [[hk[a * n + j][0] for j in range(n)] for a in range(m)]
+    K = [[hk[a * n + j][1] for j in range(n)] for a in range(m)]
+    try:
+        spec = theta_spec(dec, P_plus=P_plus, P_minus=P_minus, H=H, K=K, n=n)
+    except ValueError as exc:
+        # P- may vanish on the negative eigenspace: a float split leaves
+        # rounding noise there, which build_coeff refuses
+        assume("rounding noise" not in str(exc))
+        raise
+    assume(not spec.coeff.f.is_zero())  # as an exact split leaves it
+    X = np.array([[x[0], x[1]], [x[1], x[2]]])[:n, :n]
+    Y = np.array([[y[0], y[1]], [y[1], y[2]]])[:n, :n]
+    Z = SiegelPoint(X + 1j * Y)
+    inv = check_inversion(spec, Z)
+    assert inv.residual <= inv.tolerance, inv
+    # a symmetry of the coset that P+ P- changes the sign of (h2 swaps its
+    # coordinates) sums the series to 0 = 0, which no factor can get wrong
+    assume(abs(inv.lhs) > 1e3 * inv.metadata["tail_budget"])
+    poi = check_poisson(spec, Z)
+    assert poi.residual <= poi.tolerance, poi
+    if m * n <= 2:
+        four = check_fourier(spec, Z, np.array(v[:m]).reshape(m, 1))
+        assert four.residual <= four.tolerance, four
 
 
 def test_law_check_resums_a_residual_the_tails_can_explain(monkeypatch):

@@ -582,8 +582,14 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
 # ==== numeric batch evaluation =============================================
 
 
-def _mul_into(a, b):
-    """a *= b for values stored as real arrays with a leading axis of parts.
+def _half(exponents, variables):
+    """(variables, rows, index): the distinct exponent rows of the variables and each term's row."""
+    rows, index = np.unique(exponents[:, variables], axis=0, return_inverse=True)
+    return variables, rows, index.reshape(-1)
+
+
+def _mul_into(a, b, out=None):
+    """out = a * b (a *= b without out) for real arrays with a leading axis of parts.
 
     One part is a real value, two are (real, imaginary).  The complex product
     is spelled out in real operations, each rounded on its own: numpy's
@@ -591,30 +597,48 @@ def _mul_into(a, b):
     without fused multiply-add), and which loop runs depends on the shapes
     and strides of the operands.
     """
+    out = a if out is None else out
     if len(a) == 1:
-        a *= b
+        np.multiply(a, b, out=out)
     else:
         re = a[0] * b[0] - a[1] * b[1]
-        a[1] = a[0] * b[1] + a[1] * b[0]
-        a[0] = re
+        out[1] = a[0] * b[1] + a[1] * b[0]
+        out[0] = re
 
 
 class ExponentTable:
     """A T x mn exponent matrix and the index tables eval_batch reads, built once.
 
-    halves splits the mn variables in two: the first floor(mn/2) in
+    inner and outer split the mn variables in two: the first floor(mn/2) in
     column-major order (U_00, U_10, ..., U_01, ...) and the rest, so an
     m x 2 matrix gives one column each, less the variables of exponent 0
-    in every term.  Each nonempty half is (variables, rows, index): rows
-    holds its distinct half-monomials (n_h x k_h exponents, n_h <= T) and
-    term t is the product of row index[t] of each half.  degrees
-    holds each term's total degree, degree their largest (0 without terms)
-    and top the largest single exponent.  The Bombieri weights and the
-    parity split are built on first use and kept here, so every polynomial
-    that shares the exponents (each flow of a HeatPlan) shares them too.
+    in every term.  Each is (variables, rows, index): rows holds its n_h
+    distinct half-monomials (exponents, n_h <= T) and term t is the product
+    of row index[t] of each half.  The split is kept when it at least halves
+    the per-row work, n_0 <= T/2; otherwise, or when only one half has a
+    variable, inner holds every variable and outer is None (both None
+    without variables).
+
+    With an outer half the terms are grouped by inner row, the groups
+    (inner's rows) ordered by size, largest first, and cut into blocks:
+    block (a, b, o, K) holds groups a..b-1 in a K x (b - a) table of slots
+    o, o + 1, ..., row k holding the k-th term of each group, K its first
+    group's size.  The cuts minimise the slots plus max(16, T/16) per
+    block, an einsum call's worth, so the padding stays small when the
+    group sizes vary.  slots[t] is term t's slot and pad the outer index of
+    each slot; a pad slot reads the sentinel, an extra last row of outer's
+    rows of exponent top + 1, a power that eval_batch leaves 0.  Without an
+    outer half slots[t] is term t's inner row.
+
+    degrees holds each term's total degree, degree their largest (0 without
+    terms) and top the largest single exponent.  The Bombieri weights and
+    the parity split are built on first use and kept here, so every
+    polynomial that shares the exponents (each flow of a HeatPlan) shares
+    them too.
     """
 
-    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "halves", "_weights", "_parity")
+    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "inner", "outer", "slots", "pad",
+                 "blocks", "_weights", "_parity")
 
     def __init__(self, m: int, n: int, exponents: np.ndarray):
         self.m, self.n = m, n
@@ -624,14 +648,63 @@ class ExponentTable:
         self.top = int(exponents.max(initial=0))
         order = [i * n + j for j in range(n) for i in range(m)]
         cut = len(order) // 2
-        self.halves = []
-        for variables in (order[:cut], order[cut:]):
-            # a variable of exponent 0 in every term only multiplies by 1
-            variables = [v for v in variables if exponents[:, v].any()]
-            if variables:
-                rows, index = np.unique(exponents[:, variables], axis=0, return_inverse=True)
-                self.halves.append((variables, rows, index.reshape(-1)))
+        # a variable of exponent 0 in every term only multiplies by 1
+        halves = [[v for v in variables if exponents[:, v].any()]
+                  for variables in (order[:cut], order[cut:])]
+        halves = [_half(exponents, variables) for variables in halves if variables]
+        if len(halves) == 2 and 2 * len(halves[0][1]) > len(exponents):
+            halves = [_half(exponents, halves[0][0] + halves[1][0])]
+        self.inner, self.outer = halves + [None] * (2 - len(halves))
+        self.slots = self.pad = self.blocks = None
+        if self.outer is None:
+            if self.inner is not None:
+                self.slots = self.inner[2]
+        else:
+            self._group(max(16, len(exponents) // 16))
         self._weights = self._parity = None
+
+    def _group(self, penalty: int):
+        """The blocks, slots and pad of the docstring, each block costing penalty slots."""
+        (variables, rows, group), (outer_vars, outer_rows, outer_index) = self.inner, self.outer
+        sizes = np.bincount(group)
+        by_size = np.argsort(-sizes, kind="stable")
+        rank = np.empty_like(by_size)
+        rank[by_size] = np.arange(len(sizes))
+        rows, group, sizes = rows[by_size], rank[group], sizes[by_size].tolist()
+        self.inner = (variables, rows, group)
+        # blocks start where the sizes drop: a cut between equal sizes saves no slot.
+        # best[e]: the fewest slots plus penalties that hold the groups before
+        # edges[e], the last block starting at edges[cut[e]]
+        edges = [0] + [j for j in range(1, len(sizes)) if sizes[j] < sizes[j - 1]] + [len(sizes)]
+        best, cut = [0], [0]
+        for e in range(1, len(edges)):
+            cost, a = min((best[a] + sizes[edges[a]] * (edges[e] - edges[a]) + penalty, a)
+                          for a in range(e))
+            best.append(cost)
+            cut.append(a)
+        bounds, e = [], len(edges) - 1
+        while e:
+            bounds.append((edges[cut[e]], edges[e]))
+            e = cut[e]
+        self.blocks, offset = [], 0
+        for a, b in reversed(bounds):
+            self.blocks.append((a, b, offset, sizes[a]))
+            offset += sizes[a] * (b - a)
+        # the position of each term in its group
+        within = np.empty_like(group)
+        within[np.argsort(group, kind="stable")] = (np.arange(len(group))
+                                                    - np.repeat(np.cumsum(sizes) - sizes, sizes))
+        first = np.empty(len(sizes), dtype=np.intp)
+        width = np.empty(len(sizes), dtype=np.intp)
+        for a, b, o, _ in self.blocks:
+            first[a:b] = o - a
+            width[a:b] = b - a
+        self.slots = first[group] + within * width[group] + group
+        sentinel = np.zeros((1, len(outer_vars)), dtype=outer_rows.dtype)
+        sentinel[0, 0] = self.top + 1
+        self.outer = (outer_vars, np.concatenate([outer_rows, sentinel]), outer_index)
+        self.pad = np.full(offset, len(outer_rows), dtype=np.intp)
+        self.pad[self.slots] = outer_index
 
     def weights(self) -> np.ndarray:
         """alpha!/|alpha|! for each term, correctly rounded (an integer quotient)."""
@@ -664,14 +737,14 @@ class CompiledPoly:
     terms as it does for a MatPoly.
     """
 
-    __slots__ = ("m", "n", "table", "coef", "_majorant")
+    __slots__ = ("m", "n", "table", "coef", "_majorant", "_grouped")
 
     def __init__(self, m: int, n: int, table: ExponentTable, coef: np.ndarray):
         self.m = m
         self.n = n
         self.table = table
         self.coef = coef
-        self._majorant = None
+        self._majorant = self._grouped = None
 
     @property
     def exponents(self) -> np.ndarray:
@@ -736,6 +809,16 @@ class CompiledPoly:
         return tuple(None if part is None else CompiledPoly(self.m, self.n, part[0], self.coef[part[1]])
                      for part in self.table.parity())
 
+    def grouped(self) -> np.ndarray:
+        """2 x 2 x slots: the coefficients c in the slots of the ExponentTable (0 in a pad) as
+        (Re c, Im c) and (-Im c, Re c), the factors of the real and the imaginary part of a value."""
+        if self._grouped is None:
+            table = self.table
+            slots = np.zeros(len(table.inner[1]) if table.pad is None else len(table.pad), dtype=complex)
+            slots[table.slots] = self.coef
+            self._grouped = np.stack([slots.real, slots.imag, -slots.imag, slots.real]).reshape(2, 2, -1)
+        return self._grouped
+
 
 def compile_poly(p) -> CompiledPoly:
     """p as a CompiledPoly, pi substituted; a CompiledPoly is returned as it is."""
@@ -746,34 +829,77 @@ def compile_poly(p) -> CompiledPoly:
     return CompiledPoly(p.m, p.n, ExponentTable(p.m, p.n, E), coef)
 
 
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """variables x parts x (top + 2) x r: the powers 0..top of each variable of x, then 0.
+
+    x holds parts x variables x r values; the powers come by repeated
+    multiplication, and the last entry, top + 1, stays 0 for the sentinel
+    row of ExponentTable.outer.  The powers of one variable are contiguous.
+    """
+    powers = np.zeros((x.shape[1], len(x), top + 2, x.shape[2]))
+    powers[:, 0, 0] = 1.0
+    powers[:, :, 1] = x.transpose(1, 0, 2)
+    for k in range(2, top + 1):
+        _mul_into(powers[:, :, k - 1].transpose(1, 0, 2), x, powers[:, :, k].transpose(1, 0, 2))
+    return powers
+
+
+def _monomials(powers: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """parts x n_h x r: per row of rows (n_h x k exponents), the product of one power row per variable."""
+    half = powers[0][:, rows[:, 0]]
+    for k in range(1, rows.shape[1]):
+        _mul_into(half, powers[k][:, rows[:, k]])
+    return half
+
+
+def _twice_if_one(x: np.ndarray) -> np.ndarray:
+    """x with its one column (last axis) repeated, else x."""
+    return np.concatenate([x, x], axis=-1) if x.shape[-1] == 1 else x
+
+
 def eval_batch(p, W: np.ndarray) -> np.ndarray:
     """Evaluate p (a MatPoly or CompiledPoly) at a batch of matrices, W of shape (batch, m, n).
 
     A MatPoly is compiled first (compile_poly): an ExponentTable of its T
-    terms and a coefficient vector.  Rows are taken in chunks of max(64,
-    min(2^16 // T, 2^15 // (mn (top + 1)))): the chunk is bounded by the
-    rows of the power table, mn (top + 1) per row, as well as by T.  Per
-    chunk, each variable gets a table of its powers 0..top by repeated
-    multiplication; each half of the variables (ExponentTable.halves) gets
-    the table of its distinct half-monomials, one gathered power row per
-    variable multiplied together; each term is then the product of its two
-    half-monomials, 2 gathers and 1 multiply; and two-operand einsums
-    contract the T x chunk table with the coefficients.  The halves take
-    n_h (k_h - 1) multiplies for k_h variables and n_h <= T, so a chunk
-    never takes more than the T (mn - 1) multiplies of building each
-    monomial from its own powers, and takes far fewer when half-monomials
-    repeat: a det-homogeneous genus-2 coefficient of degree 4 per column on
-    a rank-3 form has 503 terms but 35 half-monomials per column.  The
-    working set, two T x chunk tables and the power table, stays near 1 MB
-    (2 MB for complex W) whatever the batch size.  Bounded by T alone, a
-    one- or two-term polynomial took 32,768 rows a chunk, and u1^2 + u0
-    ran 2-4 times slower on 20,000 rows than in chunks of a few thousand.
-    Every row's value comes from the same real operations in the same
-    order, so it does not depend on the batch it came in: eval_batch(p,
-    W)[k] is bitwise eval_batch(p, W[k:k+1])[0].  That is why a one-row
-    chunk is evaluated as two equal rows: einsum sums a T x r table term
-    after term in each column for every r >= 2, but a T x 1 table as a dot
-    product, in another order.
+    terms and a coefficient vector.  The table splits the variables into an
+    inner and an outer half and groups the terms by their inner
+    half-monomial h_0,i, so that
+
+        p(W) = sum_i h_0,i(W) V_i(W),  V_i = sum_{t : inner(t) = i} c_t h_1,outer(t)(W),
+
+    and V depends on the outer variables alone.  The rows whose outer
+    values are bitwise those of the row before form a run with it, found
+    from the values themselves, and V is formed once per run: the outer
+    half-monomials are gathered into the slots of the table's blocks (a pad
+    slot reads 0) and contracted with the coefficients in the same slots.
+    Each row then takes its n_0 inner half-monomials and their n_0-term
+    contraction with its run's V.  A half-monomial costs k_h - 1 multiplies
+    for k_h variables, after the powers of each variable.
+
+    The cost model: S >= T slots per distinct outer value plus n_0 per row,
+    S the slots of the blocks (ExponentTable).  A lattice walk emits the
+    rows of one outer prefix together, and the plain series keeps the outer
+    columns of W = U C apart (theta._series_plan): the degree-4 genus-2
+    Borcherds polynomial of the coeff benchmark on a rank-3 form has T =
+    503 terms, n_0 = 35 and S = 594, and its walks repeat an outer value
+    about 45 times.  A chunk in which every row is its own run builds one
+    power table for both halves and contracts V row by row, without the
+    gather: the same operations on the same values, so the same bits.  A
+    table without the split (ExponentTable: n_0 > T/2, or one half only)
+    has V the coefficient vector, for every row.
+
+    Chunks hold at most max(64, 2^16 // S) runs and max(64, min(2^14 //
+    n_0, 2^16 // (k_0 (top + 2)))) rows, k_0 the inner variables and top
+    the largest exponent, so that the slot table, the row tables and the
+    power table stay near 1 MB (2 MB for complex W) whatever the batch
+    size.  Every row's value comes from the same real operations in the
+    same order, so it does not depend on the batch it came in: eval_batch(p,
+    W)[k] is bitwise eval_batch(p, W[k:k+1])[0].  That is why a chunk of
+    one row or of one run is evaluated as two equal columns: einsum sums a
+    table column after column for every width >= 2, but a single column as
+    a dot product, in another order.  The contractions are einsums, not
+    matrix products: the first BLAS call grows the resident set by a few
+    MB.
     """
     p = compile_poly(p)
     table, coef = p.table, p.coef
@@ -781,51 +907,72 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
     out = np.zeros(rows, dtype=complex)
     if not len(coef) or rows == 0:
         return out
-    top = table.top
-    if top == 0:
+    if table.top == 0:
         out[:] = coef[0]
         return out
     flat = W.reshape(rows, p.m * p.n)
     # parts x variables x rows
     parts = np.stack([flat.real, flat.imag]) if np.iscomplexobj(flat) else flat[None]
     parts = parts.astype(float, copy=False).transpose(0, 2, 1)
-    chunk = max(64, min(2**16 // len(coef), 2**15 // (p.m * p.n * (top + 1))))
-    mono = None
-    for lo in range(0, rows, chunk):
-        x = parts[:, :, lo:lo + chunk]
-        width = x.shape[2]
-        if width == 1:
-            x = np.concatenate([x, x], axis=2)
-        shape = (len(x), len(coef), x.shape[2])
-        if mono is None or mono.shape != shape:
-            # the two term tables, allocated once per chunk width: fresh
-            # arrays of this size in every chunk cost more in page faults
-            # than the arithmetic
-            mono, other = np.empty(shape), np.empty(shape)
-        # variables x parts x powers x rows: the powers of one variable are contiguous
-        powers = np.zeros((x.shape[1], len(x), top + 1, x.shape[2]))
-        powers[:, 0, 0] = 1.0
-        powers[:, :, 1] = x.transpose(1, 0, 2)
-        for k in range(2, top + 1):
-            powers[:, :, k] = powers[:, :, k - 1]
-            _mul_into(powers[:, :, k].transpose(1, 0, 2), x)
-        for h, (variables, half_rows, index) in enumerate(table.halves):
-            half = powers[variables[0]][:, half_rows[:, 0]]
-            for k in range(1, len(variables)):
-                _mul_into(half, powers[variables[k]][:, half_rows[:, k]])
-            # the indices are in range; mode "raise" would gather through a buffer
-            np.take(half, index, axis=1, out=other if h else mono, mode="clip")
-            if h:
-                _mul_into(mono, other)
-        # einsum, not a matrix product: the first BLAS call grows the
-        # resident set by a few MB
-        re = np.einsum("tr,t->r", mono[0], coef.real)
-        im = np.einsum("tr,t->r", mono[0], coef.imag)
-        if len(mono) == 2:
-            re -= np.einsum("tr,t->r", mono[1], coef.imag)
-            im += np.einsum("tr,t->r", mono[1], coef.real)
-        out.real[lo:lo + width] = re[:width]
-        out.imag[lo:lo + width] = im[:width]
+    grouped = p.grouped()
+    inner_vars, inner_rows, _ = table.inner
+    n0 = len(inner_rows)
+    row_cap = max(64, min(2**14 // n0, 2**16 // (len(inner_vars) * (table.top + 2))))
+    if table.outer is not None:
+        outer_vars, outer_rows, _ = table.outer
+        x1 = parts[:, outer_vars]
+        # compared bitwise, so that every row of a run gets its first row's V
+        bits = x1.view(np.int64)
+        changed = bits[:, :, 1:] != bits[:, :, :-1]
+        starts = np.flatnonzero(changed.reshape(len(x1) * len(outer_vars), -1).any(axis=0)) + 1
+        starts = np.concatenate([[0], starts])
+        ends = np.append(starts[1:], rows)
+        run_of = np.repeat(np.arange(len(starts)), ends - starts)
+        run_cap = max(64, 2**16 // len(table.pad))
+    # rows x (real, imaginary)
+    values = out.view(float).reshape(rows, 2)
+    lo = 0
+    while lo < rows:
+        hi = min(rows, lo + row_cap)
+        if table.outer is None:
+            h0 = _monomials(_powers(_twice_if_one(parts[:, inner_vars, lo:hi]), table.top), inner_rows)
+            V, spec = grouped[0], "ir,ci->cr"
+        else:
+            first = run_of[lo]
+            if first + run_cap < len(starts):
+                hi = min(hi, starts[first + run_cap])
+            last = run_of[hi - 1] + 1
+            if last - first == hi - lo:
+                # every row its own run: one power table, and V row by row
+                powers = _powers(_twice_if_one(parts[:, inner_vars + outer_vars, lo:hi]), table.top)
+                h0 = _monomials(powers[:len(inner_vars)], inner_rows)
+                h1 = _monomials(powers[len(inner_vars):], outer_rows)
+            else:
+                h0 = _monomials(_powers(_twice_if_one(parts[:, inner_vars, lo:hi]), table.top),
+                                inner_rows)
+                h1 = _monomials(_powers(_twice_if_one(x1[:, :, starts[first:last]]), table.top),
+                                outer_rows)
+            # parts x slots x runs; the indices are in range, and mode "raise"
+            # would gather through a buffer
+            g = np.take(h1, table.pad, axis=1, mode="clip")
+            V = np.empty((2, n0, g.shape[2]))
+            for a, b, o, K in table.blocks:
+                gb = g[:, o:o + K * (b - a)].reshape(len(g), K, b - a, -1)
+                cb = grouped[:, :, o:o + K * (b - a)].reshape(2, 2, K, b - a)
+                for c in range(2):
+                    np.einsum("kir,ki->ir", gb[0], cb[0, c], out=V[c, a:b])
+                    if len(g) == 2:
+                        V[c, a:b] += np.einsum("kir,ki->ir", gb[1], cb[1, c])
+            if last - first != hi - lo:
+                V = np.take(V, _twice_if_one(run_of[lo:hi] - first), axis=2, mode="clip")
+            spec = "ir,cir->cr"
+        value = np.einsum(spec, h0[0], V)
+        if len(h0) == 2:
+            imag = np.einsum(spec, h0[1], V)
+            value[0] -= imag[1]
+            value[1] += imag[0]
+        values[lo:hi] = value[:, :hi - lo].T
+        lo = hi
     return out
 
 

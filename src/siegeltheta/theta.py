@@ -18,15 +18,21 @@ The series attached to characteristics H, K (rational m x n matrices) at a
 point Z = X + iY of the genus-n Siegel upper half-space is
 
     theta(Z) = det(Y)^(-lam/2) sum_{U in H + Z^{m x n}}
-               f(U Y^(1/2)) e(tr(U^T A U Z)/2 + tr(K^T A U)),
+               f(U C) e(tr(U^T A U Z)/2 + tr(K^T A U)),
 
-with e(w) = exp(2 pi i w) and g in place of f for an indefinite form.  The
-Gaussian factor of g is a phase too, so every term of every series here is
-one formula,
+with e(w) = exp(2 pi i w), C C^T = Y and g in place of f for an indefinite
+form.  Any such C gives the same series: P+- have P(U N) = det(N)^alpha
+P(U) for every n x n N (homogeneity_degree), the projectors act on the
+left and tr Delta_M is invariant under U -> U O for orthogonal O, so f(U O)
+= f(U) for O in SO(n), and two factors of Y differ by such an O on the
+right once their determinants are both positive.  Y^(1/2) and the
+lower-triangular Cholesky factor are two such factors; the series use the
+latter, whose last column reads U's last column only.  The Gaussian factor
+of g is a phase too, so every term of every series here is one formula,
 
     poly(W) e(tau(U)),  tau(U) = tr(U^T A U Z)/2 + tr(K^T A U) - i tr(U^T A- U Y),
 
-with poly = f at W = U Y^(1/2) (A- = 0 for a definite form).  Since M = A -
+with poly = f at W = U C (A- = 0 for a definite form).  Since M = A -
 2 A-, its absolute value is |poly(W)| exp(-pi tr(U^T M U Y)), so the sum is
 truncated to the ellipsoid tr(U^T M U Y) <= R^2 with a certified bound on
 the discarded tail:
@@ -135,7 +141,7 @@ from .polyalg import exp_trace_laplace_weighted  # noqa: F401  (patched by perfb
 from .quadform import Block, QuadFormDecomposition, decompose, enumeration_slack, lattice_blocks
 from .quadform import named_form
 from .scalars import PiScalar
-from .siegel import SiegelPoint, det_power, sqrt_posdef
+from .siegel import SiegelPoint, det_power
 
 DEFAULT_POINT_CAP = 100_000_000
 # the golden-section search of _tail_plan: its bracket and number of evaluations
@@ -473,17 +479,21 @@ def certified_lattice_sum(walk: Walk, eps: float, summand, point_cap: int):
     enumeration_slack(R^2), the filter the enumeration applies, so it sums
     exactly the rows of an enumeration at its own R^2.  eps is the tail
     budget the sum certifies: it must be finite and positive and at least
-    the sum of the plans' tails (ValueError).  summand(j, block) maps the
-    rows that plan j keeps of a lattice_blocks Block (int64 rows of shape
-    (k, d), their carried q and the tau of plan j's form) to a pair of
-    float arrays: the complex values of plan j's full summand at c + rows
-    and their magnitudes.  With walk.paired, 2c is integral: the
-    enumeration then emits one x = c + row of each pair {x, -x}
-    (lattice_blocks with half), summand must return term(x) + term(-x) and
-    |term(x)| + |term(-x)| for each row, and the origin, whose paired value
-    is twice its term, is halved here.  A plan's terms count the terms of
-    its full series either way, two per pair and one for the origin, and
-    point_cap caps that count for the enumeration, at its R^2.  Each block
+    the sum of the plans' tails (ValueError).  summand(j, block, eq) maps
+    the rows that plan j keeps of a lattice_blocks Block (int64 rows of
+    shape (k, d), their carried q and the tau of plan j's form) and their
+    phases eq = e(tau) = exp(-2 pi Im tau + 2 pi i frac(Re tau)) to a pair
+    of float arrays: the complex values of plan j's full summand at c +
+    rows and their magnitudes.  eq is computed once per block for each
+    distinct form, on the rows of its plan of largest R^2, and each plan
+    gets its subset: the two plans of a Borcherds pair share their form.
+    With walk.paired, 2c is integral: the enumeration then emits one x = c
+    + row of each pair {x, -x} (lattice_blocks with half), summand must
+    return term(x) + term(-x) and |term(x)| + |term(-x)| for each row, and
+    the origin, whose paired value is twice its term, is halved here.  A
+    plan's terms count the terms of its full series either way, two per
+    pair and one for the origin, and point_cap caps that count for the
+    enumeration, at its R^2.  Each block
     is summed in floating point and the per-block sums are combined with
     exact float summation.  The result is deterministic for a fixed
     enumeration block size, because the enumerator fixes both the order of
@@ -518,21 +528,34 @@ def certified_lattice_sum(walk: Walk, eps: float, summand, point_cap: int):
     phase = (np.array([plans[j].B for j in firsts]),
              None if paired else np.array([plans[j].ell for j in firsts]))
     R2 = max(plans[j].R2 for j in live)
-    bound = {j: plans[j].R2 + enumeration_slack(plans[j].R2) for j in live if plans[j].R2 < R2}
+    bound = {j: plans[j].R2 + enumeration_slack(plans[j].R2) if plans[j].R2 < R2 else math.inf
+             for j in live}
+    # a form's e(tau) is needed on the rows of its plan of largest R^2
+    reach = {}
+    for j in live:
+        reach[form_of[j]] = max(reach.get(form_of[j], 0.0), bound[j])
     # with paired and an integral center the origin is the first row emitted
     origin = int(paired and not np.any(walk.c % 1.0))
     parts = {j: ([], [], []) for j in live}  # the block sums of Re, Im and magnitudes
     used = dict.fromkeys(live, 0)
     for block in lattice_blocks(walk.G, walk.c, R2, point_cap=point_cap, half=paired, phase=phase,
                                 chol=plans[live[0]].chol):
-        for j in live:
-            rows, q, tau = block.rows, block.q, block.tau[form_of[j]]
-            if j in bound:
-                keep = q <= bound[j]
+        kept = {}
+        for f, lim in reach.items():
+            rows, q, tau = block.rows, block.q, block.tau[f]
+            if lim < math.inf:
+                keep = q <= lim
                 rows, q, tau = rows[keep], q[keep], tau[keep]
-                if not len(rows):
-                    continue
-            vals, mags = summand(j, Block(rows, q, tau))
+            eq = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real)))
+            kept[f] = (rows, q, tau, eq)
+        for j in live:
+            rows, q, tau, eq = kept[form_of[j]]
+            if bound[j] < reach[form_of[j]]:
+                keep = q <= bound[j]
+                rows, q, tau, eq = rows[keep], q[keep], tau[keep], eq[keep]
+            if not len(rows):
+                continue
+            vals, mags = summand(j, Block(rows, q, tau), eq)
             if origin and not used[j]:
                 vals[0] *= 0.5
                 mags[0] *= 0.5
@@ -620,9 +643,19 @@ def _budget(scale: float, eps: float) -> float:
 
 
 def det_y_weight(Y, power: float, what: str) -> float:
-    """det(Y)^power, the one det(Y) weight; ValueError naming what unless a positive finite float."""
+    """det(Y)^power, the one det(Y) weight; ValueError naming what unless a positive finite float.
+
+    A det(Y) that underflows to 0 (or rounds below it) is a ValueError
+    naming det(Y), Y and what, whatever the power: a weight of power 0
+    would read 1 and leave the series to plan a nan tail.
+    """
     with np.errstate(all="ignore"):
-        weight = float(np.linalg.det(Y) ** power)
+        det = np.linalg.det(Y)
+        weight = float(det ** power)
+    if not det > 0:
+        raise ValueError("det(Y) = %r at the point's Y = %r is not a positive float (det(Y) "
+                         "underflows), so %s cannot be formed"
+                         % (float(det), np.asarray(Y).tolist(), what))
     if not (math.isfinite(weight) and weight > 0):
         raise ValueError("%s = %r is not a positive finite float (det(Y) outside the float range)"
                          % (what, weight))
@@ -631,7 +664,7 @@ def det_y_weight(Y, power: float, what: str) -> float:
 
 # What one certified series sum needs, built once by _series_plan: the route
 # choice of theta_eval compares plans and _sum_series sums one as it is.
-SeriesPlan = namedtuple("SeriesPlan", "poly parts Ysq L G chol c B ell paired pref eps budget "
+SeriesPlan = namedtuple("SeriesPlan", "poly parts Yfac L G chol c B ell paired pref eps budget "
                                       "Cp deg sig2 rho R2 tail rows")
 # Plans with the same G, centre and pairing, summed over one enumeration (_sum_plans).
 Walk = namedtuple("Walk", "G c paired plans")
@@ -642,13 +675,27 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     """Everything the certified plain or Borcherds series of spec at Z needs, over U in H + L Z^{m x n}.
 
     A term is poly(W) e(tau(U)).  The plain series has poly = f, compiled
-    once on the coefficient, W = U Ysq with Ysq = Y^(1/2) and pref =
-    det(Y)^(-lam/2), the Borcherds one the Borcherds polynomial, W = U (Ysq
-    None) and pref = 1; sig2 bounds |W|_F^2 / q and Cp is poly.majorant()
-    (_tail_plan).  eps must be finite and positive, and pref a positive
-    finite float (det_y_weight; ValueError otherwise).  budget =
-    _budget(pref, eps) is the tail budget of the lattice sum.  parts splits
-    the compiled poly by degree parity when the sum is paired.
+    once on the coefficient, W = U Yfac and pref = det(Y)^(-lam/2), the
+    Borcherds one the Borcherds polynomial, W = U (Yfac None) and pref = 1;
+    sig2 bounds |W|_F^2 / q and Cp is poly.majorant() (_tail_plan).
+
+    Yfac is C, the lower-triangular factor of Y = C C^T, read off chol
+    below.  f(U C) = f(U Y^(1/2)): P+- are det-homogeneous in the columns,
+    the projectors act on the left and tr Delta_M is invariant under U -> U
+    O for orthogonal O, so f(U O) = f(U) for O = C^-1 Y^(1/2), which is
+    orthogonal of determinant 1.  |U C|_F^2 = tr(U^T U Y) either way, so
+    sig2, the tails and the term counts are those of Y^(1/2), and L acts on
+    the left, so the same holds for the dual lattice.  Column j of U C
+    reads U's columns j, ..., n - 1 only: the last column of W is a
+    function of the enumeration's outermost coordinates, and eval_batch
+    forms the outer half of f once per run of rows that repeat it.  Yfac is
+    None when nothing is summed (no chol).
+
+    eps must be finite and positive, and pref a positive finite float
+    (det_y_weight; ValueError otherwise, one naming det(Y) and the point
+    when det(Y) underflows, for either series).  budget = _budget(pref,
+    eps) is the tail budget of the lattice sum.  parts splits the compiled
+    poly by degree parity when the sum is paired.
 
     The series runs over the integer rows v of U = L(V + c), V the m x n
     matrix of v column by column, c = L^-1 H taken exactly, with Gram matrix
@@ -674,10 +721,11 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
         raise ValueError("eps must be finite and positive, got %r" % eps)
     Y = Z.Y
     if borcherds:
-        poly, Ysq, pref = borcherds_poly(spec, Y), None, 1.0
+        # a weight of power 0 is 1.0, once det(Y) is a positive float
+        poly, pref = borcherds_poly(spec, Y), det_y_weight(Y, 0.0, "Borcherds series prefactor")
         sig2 = 1.0 / (float(np.min(np.linalg.eigvalsh(spec.dec.M))) * float(np.min(np.linalg.eigvalsh(Y))))
     else:
-        poly, Ysq = spec.coeff.compiled(), sqrt_posdef(Y)
+        poly = spec.coeff.compiled()
         pref = det_y_weight(Y, -float(spec.coeff.lam) / 2.0, "series prefactor det(Y)^(-lam/2)")
         sig2 = 1.0 / float(np.min(np.linalg.eigvalsh(spec.dec.M)))
     budget = _budget(pref, eps)
@@ -697,7 +745,7 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     G = np.kron(Y, M)
     B = np.kron(Z.X, AL) + 1j * np.kron(Y, AL - 2.0 * aminus)
     Cp, deg = poly.majorant(), poly.degree()
-    chol, rho, R2, tail, rows = None, RHO_BRACKET[1], 0.0, 0.0, 0.0
+    chol, Yfac, rho, R2, tail, rows = None, None, RHO_BRACKET[1], 0.0, 0.0, 0.0
     if not budget > 0:
         tail = rows = math.inf
     elif Cp != 0.0:
@@ -705,7 +753,11 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
         pivots = np.diag(chol)
         rho, R2, tail = _tail_plan(Cp, deg, sig2, (pivots ** 2).tolist(), budget)
         rows = _cholesky_rows(pivots, R2, paired)
-    return SeriesPlan(poly, poly.parity_split() if paired else (poly,), Ysq, L, G, chol,
+        if not borcherds:
+            # chol(kron(Y, M)) = kron(chol(Y), chol(M)): every m-th row and
+            # column is chol(Y) times sqrt(M_00)
+            Yfac = chol[::spec.m, ::spec.m] / math.sqrt(M[0, 0])
+    return SeriesPlan(poly, poly.parity_split() if paired else (poly,), Yfac, L, G, chol,
                       _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1), paired, pref, eps,
                       budget, Cp, deg, sig2, rho, R2, tail, rows)
 
@@ -713,28 +765,31 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
 def _summand(plan: SeriesPlan):
     """The summand of certified_lattice_sum for one plan: a block's terms and their magnitudes.
 
-    A term is exp(-2 pi Im tau + 2 pi i frac(Re tau)) poly(W) from the
-    carried tau, with no W for a constant poly.  A paired sum adds each pair
-    {U, -U} at once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin
-    2 pi L(U)), with L(U) = ell^T x kept out of the carried form (see the
-    module docstring).
+    A term is eq poly(W), eq = exp(-2 pi Im tau + 2 pi i frac(Re tau)) of
+    the carried tau as certified_lattice_sum hands it over, with no W for a
+    constant poly and W = U Yfac otherwise (U for the Borcherds series).
+    Yfac is lower triangular, so column j of W reads U's columns j, ...,
+    n - 1 only, and the last ones, which the enumeration varies slowest,
+    stay equal over long runs of rows: eval_batch forms the outer half of
+    each polynomial once per run.  A paired sum adds each pair {U, -U} at
+    once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi
+    L(U)), with L(U) = ell^T x kept out of the carried form (see the module
+    docstring).
     """
-    parts, Ysq, L, c, ell, paired = plan.parts, plan.Ysq, plan.L, plan.c, plan.ell, plan.paired
+    parts, Yfac, L, c, ell, paired = plan.parts, plan.Yfac, plan.L, plan.c, plan.ell, plan.paired
     m, n = plan.poly.m, plan.poly.n
     # an empty part is 0 and a constant one its value; None marks a part that needs W
     consts = [0.0 if p is None else complex(np.sum(p.coef)) if p.degree() == 0 else None
               for p in parts]
     lin = paired and bool(np.any(ell))
 
-    def summand(block):
-        tau = block.tau
-        eq = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real)))
+    def summand(block, eq):
         vals = consts
         if None in consts:
             U = (block.rows + c).reshape(-1, n, m).transpose(0, 2, 1)
             if L is not None:
                 U = np.einsum("ab,xbj->xaj", L, U)
-            W = U if Ysq is None else np.matmul(U, Ysq)
+            W = U if Yfac is None else np.matmul(U, Yfac)
             vals = [eval_batch(p, W) if v is None else v for p, v in zip(parts, consts)]
         if not paired:
             vals = vals[0] * eq
@@ -774,7 +829,7 @@ def _sum_plans(plans, point_cap) -> list:
     walk = Walk(lead.G, lead.c, lead.paired, tuple(plans))
     summands = [_summand(plan) for plan in plans]
     sums, _, _ = certified_lattice_sum(walk, math.fsum(plan.budget for plan in plans),
-                                       lambda j, block: summands[j](block),
+                                       lambda j, block, eq: summands[j](block, eq),
                                        point_cap_from_env(point_cap))
     return [ThetaValue(plan.pref * total, plan.pref * plan.tail, terms, plan.R2, plan.rho,
                        plan.pref * gross) for plan, (total, terms, gross) in zip(plans, sums)]

@@ -239,8 +239,9 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
     enumeration (theta_eval_shared), at the larger of their R^2; each keeps
     the rows within its own R^2, so it sums exactly the terms of its own
     enumeration.  That costs the law no independence: the polynomials, f at
-    U Y^(1/2) and the Borcherds polynomial at U, are evaluated apart, and
-    the two separate enumerations it replaces visited the same rows.  A
+    U C (C C^T = Y, theta._series_plan) and the Borcherds polynomial at U,
+    are evaluated apart, and the two separate enumerations it replaces
+    visited the same rows.  A
     prefactor outside the float range is a ValueError (det_y_weight) before
     any series is summed.  A residual that the tails could explain is summed
     again at a finer eps (_law_residual), recorded in the metadata.
@@ -353,7 +354,9 @@ def _tensor_quad(fn, m: int, n: int, L: float, N: int) -> complex:
     w = L * w
     if m * n == 1:
         return complex(np.sum(w * fn(x.reshape(-1, 1, 1))))
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    # the second variable, the outer half of eval_batch, is the slow one: its
+    # runs of N equal values are evaluated once each
+    X1, X2 = np.meshgrid(x, x, indexing="xy")
     U = np.stack([X1.ravel(), X2.ravel()], axis=1).reshape(-1, n, m).transpose(0, 2, 1)
     return complex(np.einsum("i,j,ij->", w, w, fn(U).reshape(N, N)))
 

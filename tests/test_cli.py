@@ -213,6 +213,16 @@ def test_eval_prefactor_outside_the_float_range_exits_one(tmp_path):
     assert proc.stderr == ""
 
 
+def test_eval_underflowing_det_y_exits_one_naming_it(tmp_path):
+    spec = {"A": "diag:2,2", "Z": {"X": [[0.0, 0.0], [0.0, 0.0]], "Y": [[1e-200, 0.0], [0.0, 1e-200]]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("eval", "--spec", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"].startswith("det(Y) = 0.0 ")
+    assert proc.stderr == ""
+
+
 def test_eval_underflowing_tail_budget_exits_one_naming_eps(tmp_path):
     P = matpoly_to_json(basis_homopol(8, 1, 2)[0])
     spec = {"A": "e8", "coeff": {"type": "posdef", "P_alpha": P},

@@ -467,22 +467,66 @@ def _eval_batch_case(kind, m, n, rng):
     return MatPoly(m, n, terms)
 
 
+def _chunk_caps(table):
+    """eval_batch's largest rows and runs per chunk (its docstring), None for no run cap."""
+    variables, inner_rows, _ = table.inner
+    row_cap = max(64, min(2**14 // len(inner_rows), 2**16 // (len(variables) * (table.top + 2))))
+    return row_cap, None if table.pad is None else max(64, 2**16 // len(table.pad))
+
+
+def _chunk_edges(table, rows, starts):
+    """The first rows of eval_batch's chunks over rows whose runs begin at starts."""
+    row_cap, run_cap = _chunk_caps(table)
+    run_of = np.searchsorted(starts, np.arange(rows), side="right") - 1
+    edges, lo = [], 0
+    while lo < rows:
+        edges.append(lo)
+        hi = min(rows, lo + row_cap)
+        if run_cap is not None and run_of[lo] + run_cap < len(starts):
+            hi = min(hi, starts[run_of[lo] + run_cap])
+        lo = hi
+    return edges
+
+
+# "runs" repeats the outer variables of the polynomial's table (the last
+# columns, when eval_batch splits the terms) over runs of 1 to 3 chunks,
+# which cross the chunk edges, as a lattice walk repeats its outer prefixes;
+# two runs in a row differ in one real or imaginary part of one variable.
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(kind=st.sampled_from(["zero", "constant", "random", "big"]),
        shape=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (3, 1), (1, 3)]),
-       batch=st.sampled_from(["empty", "one", "chunks"]),
+       batch=st.sampled_from(["empty", "one", "chunks", "runs"]),
        complex_w=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, seed):
     rng = np.random.default_rng(seed)
     m, n = (3, 2) if kind == "big" else shape
     poly = _eval_batch_case(kind, m, n, rng)
     p = poly
-    top = max((max(e) for e in poly.terms), default=0)
-    chunk = max(64, min(2**16 // max(1, len(poly.terms)), 2**15 // (m * n * (top + 1))))
-    rows = {"empty": 0, "one": 1, "chunks": 2 * chunk + 7}[batch]
+    table = compile_poly(poly).table
+    runs = table.pad is not None and batch == "runs"
+    # the chunk of rows that repeat nothing; a constant has no table to chunk
+    chunk = min(c for c in _chunk_caps(table) if c) if table.top else 64
+    rows = {"empty": 0, "one": 1, "chunks": 2 * chunk + 7, "runs": 6 * chunk + 7}[batch]
     W = rng.uniform(-1.5, 1.5, size=(rows, m, n))
     if complex_w:
         W = W + 1j * rng.uniform(-1.5, 1.5, size=(rows, m, n))
+    starts = np.arange(rows)
+    if batch == "runs":
+        # outer variables as eval_batch reads them, or the last column without a split
+        outer = table.outer[0] if runs else [i * n + n - 1 for i in range(m)]
+        starts = np.cumsum([0] + rng.integers(1, 3 * chunk, size=rows).tolist())
+        starts = starts[starts < rows]
+        flat = W.reshape(rows, m * n)
+        value = flat[0, outer]
+        for a, b in zip(starts, list(starts[1:]) + [rows]):
+            # a run differs from the one before in one real or imaginary part
+            value = value.copy()
+            j = rng.integers(len(outer))
+            if complex_w and rng.integers(2):
+                value[j] = value[j].real + 1j * rng.uniform(-1.5, 1.5)
+            else:
+                value[j] = rng.uniform(-1.5, 1.5) + (1j * value[j].imag if complex_w else 0.0)
+            flat[a:b, outer] = value
     got = eval_batch(p, W)
     assert got.shape == (rows,) and got.dtype == complex
     if rows == 0:
@@ -492,7 +536,8 @@ def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, see
     if kind == "constant":
         assert np.all(got == next(iter(poly.terms.values())).to_complex())
     # the scalar oracle on the chunk edges and on a few rows in between
-    picks = sorted({0, rows - 1, *range(chunk - 1, rows, chunk), *range(chunk, rows, chunk),
+    edges = _chunk_edges(table, rows, starts) if table.top else [0]
+    picks = sorted({0, rows - 1, *edges, *(e - 1 for e in edges if e),
                     *rng.integers(rows, size=min(rows, 12)).tolist()})
     gross_poly = MatPoly(m, n, {e: c.abs_norm() for e, c in poly.terms.items()})
     for k in picks:

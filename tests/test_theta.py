@@ -768,6 +768,69 @@ def test_a_plan_factorises_its_gram_matrix_once(monkeypatch):
     assert shapes == [(2, 2)]
 
 
+# (form, genus, beta): every signature, genus 1-3, with a P- of degree beta
+# in every column where s >= n; P+ has degree alpha where r >= n.
+_FACTOR_FORMS = st.sampled_from([
+    ([[2, 1], [1, 2]], 1, 0), ([[2, 1], [1, 2]], 2, 0), ([[2, 1, 0], [1, 2, 1], [0, 1, 4]], 3, 0),
+    ("diag:2,-2", 1, 1), ("h2", 1, 2), ("diag:2,-2,-2", 2, 1), ("diag:2,2,-2", 2, 0),
+    ("diag:2,-2,-2,-2", 3, 1), ([[-2, 1], [1, -2]], 2, 1), ("diag:-2,-2,-2", 3, 1), ([[-3]], 1, 2)])
+
+
+# The plain series evaluates f at W = U Yfac, Yfac the lower-triangular
+# factor of Y read off the plan's Cholesky factor, where the series is
+# defined with U Y^(1/2): f(U O) = f(U) for O in SO(n), since P+- are
+# det-homogeneous in the columns.  Generated P+- (odd alpha, P- nonconstant
+# where s >= n) on every signature in genus 1-3, direct and dual lattice,
+# at a Y whose square root is not triangular: both evaluations agree within
+# 64 ulps of the absolute evaluation, which sums |c_t| |U| |B| per term.
+# Time budget: 10 s for all 30 examples (about 2 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(form_n_beta=_FACTOR_FORMS, alpha=st.integers(0, 1), dual=st.booleans(),
+       weights=st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+       y=st.tuples(st.floats(0.6, 1.6), st.floats(-0.3, 0.3), st.floats(0.6, 1.6),
+                   st.floats(-0.3, 0.3), st.floats(0.6, 1.6)),
+       seed=st.integers(0, 2**16))
+def test_triangular_factor_of_y_evaluates_the_coefficient_as_the_square_root(
+        form_n_beta, alpha, dual, weights, y, seed):
+    form, n, beta = form_n_beta
+    dec = decompose(named_form(form) if isinstance(form, str) else form)
+    m = dec.m
+
+    def combination(degree):
+        basis = basis_homopol(m, n, degree)
+        P = sum((b * w for w, b in zip(weights, basis)), MatPoly.zero(m, n))
+        return basis[0] if P.is_zero() else P
+
+    P_plus = combination(alpha) if alpha and dec.r >= n else None
+    P_minus = combination(beta) if beta else None
+    try:
+        spec = theta_spec(dec, P_plus=P_plus, P_minus=P_minus, n=n)
+    except ValueError as exc:
+        assume("rounding noise" not in str(exc))
+        raise
+    assume(spec.coeff.f.degree() > 0)
+    L = np.eye(3)
+    L[1, 0], L[2, 0], L[2, 1] = y[1], y[3], -y[3]
+    Y = (L @ np.diag([y[0], y[2], y[4]]) @ L.T)[:n, :n]
+    Z = SiegelPoint(0.1 * np.eye(n) + 1j * Y)
+    plan = theta._series_plan(spec, Z, 1e-8, dual=dual)
+    B = plan.Yfac
+    assert np.array_equal(B, np.tril(B))
+    assert np.allclose(B @ B.T, Y, rtol=0, atol=1e-14)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-3, 4, size=(20, m * n))
+    U = (rows + plan.c).reshape(-1, n, m).transpose(0, 2, 1)
+    if plan.L is not None:
+        U = np.einsum("ab,xbj->xaj", plan.L, U)
+    f = plan.poly
+    gross = polyalg.CompiledPoly(m, n, f.table, np.abs(f.coef))
+    values, scale = [], 0.0
+    for factor in (B, sqrt_posdef(Y)):
+        values.append(eval_batch(f, U @ factor))
+        scale = np.maximum(scale, eval_batch(gross, np.abs(U) @ np.abs(factor)).real)
+    assert np.all(np.abs(values[0] - values[1]) <= 64 * np.finfo(float).eps * scale)
+
+
 def test_a_determinant_beyond_the_float_range_sums_directly():
     # |det A| = 10^320: the screen takes the logarithm of the exact integer,
     # so theta_eval sums directly, as theta_eval_direct does: the origin alone
@@ -938,6 +1001,16 @@ def test_entry_points_reject_an_eps_that_is_not_finite_and_positive(evaluate, ep
     spec = theta_spec("diag:2,2", n=1)
     with pytest.raises(ValueError, match=r"^eps must be finite and positive, got %r$" % eps):
         evaluate(spec, SiegelPoint(np.array([[1j]])), eps=eps)
+
+
+def test_an_underflowing_det_y_is_a_value_error_naming_it():
+    # a weight of power 0 read 1 at det(Y) = 0, and the plans' tail came out
+    # nan: "the plans' tail nan exceeds eps", naming neither det(Y) nor Z
+    spec = theta_spec("diag:2,2", n=2)
+    Z = SiegelPoint(1e-200j * np.eye(2))
+    for call in (theta_eval_direct, check_borcherds_form):
+        with pytest.raises(ValueError, match=r"^det\(Y\) = 0\.0 .*1e-200.*underflows"):
+            call(spec, Z)
 
 
 def test_coefficient_outside_the_float_range_is_a_value_error():

@@ -606,6 +606,12 @@ def _mul_into(a, b, out=None):
         out[0] = re
 
 
+# eval_batch forms V = C h_1, an n_0 x n_1 matrix product, once per run of
+# rows: a table keeps its outer half only while C has at most this many
+# entries per term
+_MATRIX_PER_TERM = 3
+
+
 class ExponentTable:
     """A T x mn exponent matrix and the index tables eval_batch reads, built once.
 
@@ -615,20 +621,11 @@ class ExponentTable:
     in every term.  Each is (variables, rows, index): rows holds its n_h
     distinct half-monomials (exponents, n_h <= T) and term t is the product
     of row index[t] of each half.  The split is kept when it at least halves
-    the per-row work, n_0 <= T/2; otherwise, or when only one half has a
-    variable, inner holds every variable and outer is None (both None
-    without variables).
-
-    With an outer half the terms are grouped by inner row, the groups
-    (inner's rows) ordered by size, largest first, and cut into blocks:
-    block (a, b, o, K) holds groups a..b-1 in a K x (b - a) table of slots
-    o, o + 1, ..., row k holding the k-th term of each group, K its first
-    group's size.  The cuts minimise the slots plus max(16, T/16) per
-    block, an einsum call's worth, so the padding stays small when the
-    group sizes vary.  slots[t] is term t's slot and pad the outer index of
-    each slot; a pad slot reads the sentinel, an extra last row of outer's
-    rows of exponent top + 1, a power that eval_batch leaves 0.  Without an
-    outer half slots[t] is term t's inner row.
+    the per-row work and its coefficient matrix (CompiledPoly.matrix) holds
+    at most _MATRIX_PER_TERM entries per term: 2 n_0 <= T and n_0 n_1 <=
+    _MATRIX_PER_TERM T.  Otherwise, or when only one half has a variable,
+    inner holds every variable and outer is None (both None without
+    variables).
 
     degrees holds each term's total degree, degree their largest (0 without
     terms) and top the largest single exponent.  The Bombieri weights and
@@ -637,8 +634,8 @@ class ExponentTable:
     them too.
     """
 
-    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "inner", "outer", "slots", "pad",
-                 "blocks", "_weights", "_parity")
+    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "inner", "outer",
+                 "_weights", "_parity")
 
     def __init__(self, m: int, n: int, exponents: np.ndarray):
         self.m, self.n = m, n
@@ -652,59 +649,12 @@ class ExponentTable:
         halves = [[v for v in variables if exponents[:, v].any()]
                   for variables in (order[:cut], order[cut:])]
         halves = [_half(exponents, variables) for variables in halves if variables]
-        if len(halves) == 2 and 2 * len(halves[0][1]) > len(exponents):
-            halves = [_half(exponents, halves[0][0] + halves[1][0])]
+        if len(halves) == 2:
+            n0, n1, terms = len(halves[0][1]), len(halves[1][1]), len(exponents)
+            if 2 * n0 > terms or n0 * n1 > _MATRIX_PER_TERM * terms:
+                halves = [_half(exponents, halves[0][0] + halves[1][0])]
         self.inner, self.outer = halves + [None] * (2 - len(halves))
-        self.slots = self.pad = self.blocks = None
-        if self.outer is None:
-            if self.inner is not None:
-                self.slots = self.inner[2]
-        else:
-            self._group(max(16, len(exponents) // 16))
         self._weights = self._parity = None
-
-    def _group(self, penalty: int):
-        """The blocks, slots and pad of the docstring, each block costing penalty slots."""
-        (variables, rows, group), (outer_vars, outer_rows, outer_index) = self.inner, self.outer
-        sizes = np.bincount(group)
-        by_size = np.argsort(-sizes, kind="stable")
-        rank = np.empty_like(by_size)
-        rank[by_size] = np.arange(len(sizes))
-        rows, group, sizes = rows[by_size], rank[group], sizes[by_size].tolist()
-        self.inner = (variables, rows, group)
-        # blocks start where the sizes drop: a cut between equal sizes saves no slot.
-        # best[e]: the fewest slots plus penalties that hold the groups before
-        # edges[e], the last block starting at edges[cut[e]]
-        edges = [0] + [j for j in range(1, len(sizes)) if sizes[j] < sizes[j - 1]] + [len(sizes)]
-        best, cut = [0], [0]
-        for e in range(1, len(edges)):
-            cost, a = min((best[a] + sizes[edges[a]] * (edges[e] - edges[a]) + penalty, a)
-                          for a in range(e))
-            best.append(cost)
-            cut.append(a)
-        bounds, e = [], len(edges) - 1
-        while e:
-            bounds.append((edges[cut[e]], edges[e]))
-            e = cut[e]
-        self.blocks, offset = [], 0
-        for a, b in reversed(bounds):
-            self.blocks.append((a, b, offset, sizes[a]))
-            offset += sizes[a] * (b - a)
-        # the position of each term in its group
-        within = np.empty_like(group)
-        within[np.argsort(group, kind="stable")] = (np.arange(len(group))
-                                                    - np.repeat(np.cumsum(sizes) - sizes, sizes))
-        first = np.empty(len(sizes), dtype=np.intp)
-        width = np.empty(len(sizes), dtype=np.intp)
-        for a, b, o, _ in self.blocks:
-            first[a:b] = o - a
-            width[a:b] = b - a
-        self.slots = first[group] + within * width[group] + group
-        sentinel = np.zeros((1, len(outer_vars)), dtype=outer_rows.dtype)
-        sentinel[0, 0] = self.top + 1
-        self.outer = (outer_vars, np.concatenate([outer_rows, sentinel]), outer_index)
-        self.pad = np.full(offset, len(outer_rows), dtype=np.intp)
-        self.pad[self.slots] = outer_index
 
     def weights(self) -> np.ndarray:
         """alpha!/|alpha|! for each term, correctly rounded (an integer quotient)."""
@@ -733,18 +683,19 @@ class CompiledPoly:
     """A polynomial ready for numeric evaluation.
 
     table is the ExponentTable of its T terms and coef the T complex
-    coefficients.  terms is the exponent matrix, so len(p.terms) counts the
-    terms as it does for a MatPoly.
+    coefficients; matrix() lays them out as eval_batch reads them, built
+    once.  terms is the exponent matrix, so len(p.terms) counts the terms
+    as it does for a MatPoly.
     """
 
-    __slots__ = ("m", "n", "table", "coef", "_majorant", "_grouped")
+    __slots__ = ("m", "n", "table", "coef", "_majorant", "_matrix")
 
     def __init__(self, m: int, n: int, table: ExponentTable, coef: np.ndarray):
         self.m = m
         self.n = n
         self.table = table
         self.coef = coef
-        self._majorant = self._grouped = None
+        self._majorant = self._matrix = None
 
     @property
     def exponents(self) -> np.ndarray:
@@ -809,15 +760,17 @@ class CompiledPoly:
         return tuple(None if part is None else CompiledPoly(self.m, self.n, part[0], self.coef[part[1]])
                      for part in self.table.parity())
 
-    def grouped(self) -> np.ndarray:
-        """2 x 2 x slots: the coefficients c in the slots of the ExponentTable (0 in a pad) as
-        (Re c, Im c) and (-Im c, Re c), the factors of the real and the imaginary part of a value."""
-        if self._grouped is None:
+    def matrix(self) -> np.ndarray:
+        """2 x 2 x n_1 x n_0: C^T, C[inner(t), outer(t)] = c_t, as (Re C^T, Im C^T) and (-Im C^T,
+        Re C^T), the factors of the real and the imaginary part of a value; n_1 = 1 without an
+        outer half."""
+        if self._matrix is None:
             table = self.table
-            slots = np.zeros(len(table.inner[1]) if table.pad is None else len(table.pad), dtype=complex)
-            slots[table.slots] = self.coef
-            self._grouped = np.stack([slots.real, slots.imag, -slots.imag, slots.real]).reshape(2, 2, -1)
-        return self._grouped
+            outer, n1 = (0, 1) if table.outer is None else (table.outer[2], len(table.outer[1]))
+            CT = np.zeros((n1, len(table.inner[1])), dtype=complex)
+            CT[outer, table.inner[2]] = self.coef
+            self._matrix = np.stack([CT.real, CT.imag, -CT.imag, CT.real]).reshape(2, 2, *CT.shape)
+        return self._matrix
 
 
 def compile_poly(p) -> CompiledPoly:
@@ -830,13 +783,12 @@ def compile_poly(p) -> CompiledPoly:
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
-    """variables x parts x (top + 2) x r: the powers 0..top of each variable of x, then 0.
+    """variables x parts x (top + 1) x r: the powers 0..top of each variable of x.
 
     x holds parts x variables x r values; the powers come by repeated
-    multiplication, and the last entry, top + 1, stays 0 for the sentinel
-    row of ExponentTable.outer.  The powers of one variable are contiguous.
+    multiplication.  The powers of one variable are contiguous.
     """
-    powers = np.zeros((x.shape[1], len(x), top + 2, x.shape[2]))
+    powers = np.zeros((x.shape[1], len(x), top + 1, x.shape[2]))
     powers[:, 0, 0] = 1.0
     powers[:, :, 1] = x.transpose(1, 0, 2)
     for k in range(2, top + 1):
@@ -862,44 +814,44 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
 
     A MatPoly is compiled first (compile_poly): an ExponentTable of its T
     terms and a coefficient vector.  The table splits the variables into an
-    inner and an outer half and groups the terms by their inner
-    half-monomial h_0,i, so that
+    inner and an outer half, with n_0 and n_1 distinct half-monomials h_0
+    and h_1, and the coefficients form the n_0 x n_1 matrix C[inner(t),
+    outer(t)] = c_t (CompiledPoly.matrix), so that
 
-        p(W) = sum_i h_0,i(W) V_i(W),  V_i = sum_{t : inner(t) = i} c_t h_1,outer(t)(W),
+        p(W) = sum_i h_0,i(W) V_i(W),  V = C h_1(W),
 
     and V depends on the outer variables alone.  The rows whose outer
     values are bitwise those of the row before form a run with it, found
-    from the values themselves, and V is formed once per run: the outer
-    half-monomials are gathered into the slots of the table's blocks (a pad
-    slot reads 0) and contracted with the coefficients in the same slots.
-    Each row then takes its n_0 inner half-monomials and their n_0-term
-    contraction with its run's V.  A half-monomial costs k_h - 1 multiplies
-    for k_h variables, after the powers of each variable.
+    from the values themselves, and V is formed once per run, by one
+    einsum per part for a chunk of runs.  Each row then takes its n_0 inner
+    half-monomials and their n_0-term contraction with its run's V.  A
+    half-monomial costs k_h - 1 multiplies for k_h variables, after the
+    powers of each variable.
 
-    The cost model: S >= T slots per distinct outer value plus n_0 per row,
-    S the slots of the blocks (ExponentTable).  A lattice walk emits the
-    rows of one outer prefix together, and the plain series keeps the outer
-    columns of W = U C apart (theta._series_plan): the degree-4 genus-2
-    Borcherds polynomial of the coeff benchmark on a rank-3 form has T =
-    503 terms, n_0 = 35 and S = 594, and its walks repeat an outer value
-    about 45 times.  A chunk in which every row is its own run builds one
-    power table for both halves and contracts V row by row, without the
-    gather: the same operations on the same values, so the same bits.  A
-    table without the split (ExponentTable: n_0 > T/2, or one half only)
-    has V the coefficient vector, for every row.
+    The cost model: n_0 n_1 <= _MATRIX_PER_TERM T multiply-adds per
+    distinct outer value (ExponentTable keeps no split with more) plus n_0
+    per row.  A lattice walk emits the rows of one outer prefix together,
+    and the plain series keeps the outer columns of W = U C apart
+    (theta._series_plan): the degree-4 genus-2 Borcherds polynomial of the
+    coeff benchmark on a rank-3 form has T = 503 terms and n_0 = n_1 = 35,
+    and its walks repeat an outer value about 45 times.  A table without
+    the split (n_0 > T/2, C too large, or one half only) has V the
+    coefficient vector, for every row: T multiply-adds per row and no run
+    search, the cheaper path for the one- and two-term polynomials of many
+    small calls.
 
-    Chunks hold at most max(64, 2^16 // S) runs and max(64, min(2^14 //
-    n_0, 2^16 // (k_0 (top + 2)))) rows, k_0 the inner variables and top
-    the largest exponent, so that the slot table, the row tables and the
-    power table stay near 1 MB (2 MB for complex W) whatever the batch
-    size.  Every row's value comes from the same real operations in the
-    same order, so it does not depend on the batch it came in: eval_batch(p,
-    W)[k] is bitwise eval_batch(p, W[k:k+1])[0].  That is why a chunk of
-    one row or of one run is evaluated as two equal columns: einsum sums a
-    table column after column for every width >= 2, but a single column as
-    a dot product, in another order.  The contractions are einsums, not
-    matrix products: the first BLAS call grows the resident set by a few
-    MB.
+    Chunks hold at most max(64, 2^16 // (n_0 n_1)) runs and max(64,
+    min(2^14 // n_0, 2^16 // (k_0 (top + 1)))) rows, k_0 the inner
+    variables and top the largest exponent, so that the run tables, the
+    row tables and the power table stay near 1 MB (2 MB for complex W)
+    whatever the batch size.  Every row's value comes from the same real
+    operations in the same order, so it does not depend on the batch it
+    came in: eval_batch(p, W)[k] is bitwise eval_batch(p, W[k:k+1])[0].
+    That is why a chunk of one row or of one run is evaluated as two equal
+    columns: einsum sums a table column after column for every width >= 2,
+    but a single column as a dot product, in another order.  The
+    contractions are einsums, not matrix products: the first BLAS call
+    grows the resident set by a few MB.
     """
     p = compile_poly(p)
     table, coef = p.table, p.coef
@@ -914,10 +866,10 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
     # parts x variables x rows
     parts = np.stack([flat.real, flat.imag]) if np.iscomplexobj(flat) else flat[None]
     parts = parts.astype(float, copy=False).transpose(0, 2, 1)
-    grouped = p.grouped()
+    C = p.matrix()
     inner_vars, inner_rows, _ = table.inner
     n0 = len(inner_rows)
-    row_cap = max(64, min(2**14 // n0, 2**16 // (len(inner_vars) * (table.top + 2))))
+    row_cap = max(64, min(2**14 // n0, 2**16 // (len(inner_vars) * (table.top + 1))))
     if table.outer is not None:
         outer_vars, outer_rows, _ = table.outer
         x1 = parts[:, outer_vars]
@@ -928,44 +880,29 @@ def eval_batch(p, W: np.ndarray) -> np.ndarray:
         starts = np.concatenate([[0], starts])
         ends = np.append(starts[1:], rows)
         run_of = np.repeat(np.arange(len(starts)), ends - starts)
-        run_cap = max(64, 2**16 // len(table.pad))
+        run_cap = max(64, 2**16 // (n0 * len(outer_rows)))
     # rows x (real, imaginary)
     values = out.view(float).reshape(rows, 2)
     lo = 0
     while lo < rows:
         hi = min(rows, lo + row_cap)
         if table.outer is None:
-            h0 = _monomials(_powers(_twice_if_one(parts[:, inner_vars, lo:hi]), table.top), inner_rows)
-            V, spec = grouped[0], "ir,ci->cr"
+            V, spec = C[0, :, 0], "ir,ci->cr"
         else:
             first = run_of[lo]
             if first + run_cap < len(starts):
                 hi = min(hi, starts[first + run_cap])
             last = run_of[hi - 1] + 1
-            if last - first == hi - lo:
-                # every row its own run: one power table, and V row by row
-                powers = _powers(_twice_if_one(parts[:, inner_vars + outer_vars, lo:hi]), table.top)
-                h0 = _monomials(powers[:len(inner_vars)], inner_rows)
-                h1 = _monomials(powers[len(inner_vars):], outer_rows)
-            else:
-                h0 = _monomials(_powers(_twice_if_one(parts[:, inner_vars, lo:hi]), table.top),
-                                inner_rows)
-                h1 = _monomials(_powers(_twice_if_one(x1[:, :, starts[first:last]]), table.top),
-                                outer_rows)
-            # parts x slots x runs; the indices are in range, and mode "raise"
-            # would gather through a buffer
-            g = np.take(h1, table.pad, axis=1, mode="clip")
-            V = np.empty((2, n0, g.shape[2]))
-            for a, b, o, K in table.blocks:
-                gb = g[:, o:o + K * (b - a)].reshape(len(g), K, b - a, -1)
-                cb = grouped[:, :, o:o + K * (b - a)].reshape(2, 2, K, b - a)
-                for c in range(2):
-                    np.einsum("kir,ki->ir", gb[0], cb[0, c], out=V[c, a:b])
-                    if len(g) == 2:
-                        V[c, a:b] += np.einsum("kir,ki->ir", gb[1], cb[1, c])
-            if last - first != hi - lo:
-                V = np.take(V, _twice_if_one(run_of[lo:hi] - first), axis=2, mode="clip")
+            h1 = _monomials(_powers(_twice_if_one(x1[:, :, starts[first:last]]), table.top), outer_rows)
+            V = np.empty((2, n0, h1.shape[2]))
+            for c in range(2):
+                np.einsum("jr,ji->ir", h1[0], C[0, c], out=V[c])
+                if len(h1) == 2:
+                    V[c] += np.einsum("jr,ji->ir", h1[1], C[1, c])
+            # the indices are in range, and mode "raise" would take through a buffer
+            V = np.take(V, _twice_if_one(run_of[lo:hi] - first), axis=2, mode="clip")
             spec = "ir,cir->cr"
+        h0 = _monomials(_powers(_twice_if_one(parts[:, inner_vars, lo:hi]), table.top), inner_rows)
         value = np.einsum(spec, h0[0], V)
         if len(h0) == 2:
             imag = np.einsum(spec, h0[1], V)

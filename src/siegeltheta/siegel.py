@@ -146,16 +146,6 @@ def act(M: SymplecticMatrix, Z: SiegelPoint) -> SiegelPoint:
     return out
 
 
-def sqrt_posdef(Y) -> np.ndarray:
-    """Symmetric positive definite square root via the eigendecomposition."""
-    Y = np.asarray(Y, dtype=float)
-    _sym_check(Y, "Y")
-    vals, vecs = np.linalg.eigh(Y)
-    if np.any(vals <= 0):
-        raise ValueError("matrix is not positive definite")
-    return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-
-
 def det_power(W, rho: float) -> complex:
     """exp(rho * sum of principal logs of the eigenvalues of W).
 

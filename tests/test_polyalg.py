@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from siegeltheta.errors import ResourceCapError
 from siegeltheta.exactlinalg import rational_kernel
+import siegeltheta.polyalg as polyalg
 from siegeltheta.polyalg import (
+    HeatPlan,
     MatPoly,
     basis_homopol,
     compile_poly,
@@ -470,8 +472,10 @@ def _eval_batch_case(kind, m, n, rng):
 def _chunk_caps(table):
     """eval_batch's largest rows and runs per chunk (its docstring), None for no run cap."""
     variables, inner_rows, _ = table.inner
-    row_cap = max(64, min(2**14 // len(inner_rows), 2**16 // (len(variables) * (table.top + 2))))
-    return row_cap, None if table.pad is None else max(64, 2**16 // len(table.pad))
+    row_cap = max(64, min(2**14 // len(inner_rows), 2**16 // (len(variables) * (table.top + 1))))
+    if table.outer is None:
+        return row_cap, None
+    return row_cap, max(64, 2**16 // (len(inner_rows) * len(table.outer[1])))
 
 
 def _chunk_edges(table, rows, starts):
@@ -503,7 +507,7 @@ def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, see
     poly = _eval_batch_case(kind, m, n, rng)
     p = poly
     table = compile_poly(poly).table
-    runs = table.pad is not None and batch == "runs"
+    runs = table.outer is not None and batch == "runs"
     # the chunk of rows that repeat nothing; a constant has no table to chunk
     chunk = min(c for c in _chunk_caps(table) if c) if table.top else 64
     rows = {"empty": 0, "one": 1, "chunks": 2 * chunk + 7, "runs": 6 * chunk + 7}[batch]
@@ -546,6 +550,40 @@ def test_eval_batch_matches_the_scalar_oracle(kind, shape, batch, complex_w, see
         assert abs(got[k] - want) <= 1e-13 * gross
         # a row's value does not depend on the batch it is evaluated in
         assert got[k] == eval_batch(p, W[k:k + 1])[0]
+
+
+def _split_within_bound(table):
+    """Whether table keeps an outer half, asserting 2 n_0 <= T and n_0 n_1 <= c T when it does."""
+    if table.outer is None:
+        return False
+    T, n0, n1 = len(table.exponents), len(table.inner[1]), len(table.outer[1])
+    assert 2 * n0 <= T and n0 * n1 <= polyalg._MATRIX_PER_TERM * T, (T, n0, n1)
+    return True
+
+
+def test_exponent_tables_split_only_within_the_matrix_bound():
+    # eval_batch forms V = C h_1 at n_0 n_1 multiply-adds per run: a sparse
+    # table of scattered exponents would fill C with zeros (300 terms of
+    # degree 8-10 reach n_0 n_1 of 6,000 to 11,000), so it keeps no outer half,
+    # while the heat-flow tables of the basis polynomials, which the coeff
+    # series evaluates along lattice walks, keep theirs
+    rng = np.random.default_rng(21)
+    for shape in ((2, 1), (2, 2), (3, 2), (3, 1), (1, 3)):
+        for _ in range(10):
+            _split_within_bound(compile_poly(_eval_batch_case("random", *shape, rng)).table)
+    for _ in range(10):
+        _split_within_bound(compile_poly(_eval_batch_case("big", 3, 2, rng)).table)
+    A = [[2, 1, 0], [1, 2, 1], [0, 1, 4]]
+    for alpha in (1, 2, 3, 4):
+        P = MatPoly.zero(3, 2)
+        for b in basis_homopol(3, 2, alpha):
+            P = P + b * int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        table = HeatPlan(P, A).table
+        assert _split_within_bound(table)
+        assert _split_within_bound(compile_poly(P).table)
+        for part in table.parity():
+            if part is not None:
+                _split_within_bound(part[0])
 
 
 def _random_mixed_poly(m, n, rng, max_degree=6):

@@ -11,8 +11,9 @@ from siegeltheta.siegel import (
     act,
     det_power,
     random_siegel_point,
-    sqrt_posdef,
 )
+
+from reference import sqrt_posdef
 
 
 def test_point_validation():

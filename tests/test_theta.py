@@ -26,7 +26,7 @@ from siegeltheta.polyalg import (
 from siegeltheta.scalars import PiScalar
 import siegeltheta.theta as theta
 from siegeltheta.quadform import decompose, lattice_blocks, named_form
-from siegeltheta.siegel import SiegelPoint, sqrt_posdef
+from siegeltheta.siegel import SiegelPoint
 from siegeltheta.verify import check_borcherds_form, translation_data
 from siegeltheta.theta import (
     Coefficient,
@@ -39,6 +39,8 @@ from siegeltheta.theta import (
     theta_eval_direct,
     theta_spec,
 )
+
+from reference import sqrt_posdef
 
 
 # ==== oracles: direct truncated sums ========================================

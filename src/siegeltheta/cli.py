@@ -53,7 +53,8 @@ def _fail(message: str, code: int) -> int:
 def _load_form(form) -> np.ndarray:
     """A fixture name, a path to a JSON file holding a matrix, or the matrix itself.
 
-    The raw data goes to as_form_array, which rejects non-integer entries.
+    The raw data goes to as_form_array, which refuses an entry that is not
+    an integer both int64 and float64 hold exactly.
     """
     if isinstance(form, str):
         if not os.path.exists(form):

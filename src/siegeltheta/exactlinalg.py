@@ -1,19 +1,19 @@
 """Exact linear algebra over Q and Z.
 
-Every exact rational system (matrix inverses, Sylvester's test, and the
-homogeneity constraints basis_homopol solves as one kernel over all monomials
-of the degree) goes through gauss_jordan, which works on sparse rows, one
-{column: Fraction} dict per row.  The constraint systems have hundreds of
-columns but at most three nonzeros per row, so dict rows skip nearly all the
-work a dense row would do, and every intermediate value stays exact.
-Determinants of integer matrices use fraction-free Bareiss elimination.
+Every exact elimination (matrix inverses, determinants, Sylvester's test
+with its solve, and the homogeneity constraints basis_homopol solves as one
+kernel over all monomials of the degree) goes through gauss_jordan, which
+works on sparse rows, one {column: Fraction} dict per row.  The constraint
+systems have hundreds of columns but at most three nonzeros per row, so dict
+rows skip nearly all the work a dense row would do, and every intermediate
+value stays exact.  A determinant is the signed product of the pivots.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 def frac_matrix(rows):
@@ -103,62 +103,44 @@ def gauss_jordan(rows, ncols):
     return pivots, swaps
 
 
-def _sparse_rows(m):
-    """The rows of a dense matrix as {column: Fraction} dicts without zeros."""
-    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m]
+def _solve(m, b):
+    """gauss_jordan on [m | b], m square: its (pivots, swaps) and the block right of m after."""
+    n, k = len(m), len(b[0]) if b else 0
+    aug = [{j: Fraction(x) for j, x in enumerate((*row, *brow)) if x} for row, brow in zip(m, b)]
+    pivots, swaps = gauss_jordan(aug, n)
+    zero = Fraction(0)
+    return pivots, swaps, [[row.get(j, zero) for j in range(n, n + k)] for row in aug]
 
 
 def mat_inverse(m):
-    """Exact inverse of a square rational matrix via Gauss-Jordan.
-
-    Raises ValueError if the matrix is singular.
-    """
+    """Exact inverse of a square rational matrix; ValueError if it is singular."""
     n = len(m)
-    aug = _sparse_rows(m)
-    for i, row in enumerate(aug):
-        row[n + i] = Fraction(1)
-    if len(gauss_jordan(aug, n)[0]) < n:
+    pivots, _, inv = _solve(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    if len(pivots) < n:
         raise ValueError("matrix is singular over Q")
-    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in aug]
+    return inv
 
 
-def is_positive_definite(m) -> bool:
-    """Sylvester's criterion for a symmetric rational matrix, from one elimination.
+def posdef_solve(m, b):
+    """M^-1 B for a symmetric rational M that is positive definite, None when it is not.
 
-    Without row exchanges the k-th pivot is the ratio of the k-th and
-    (k-1)-th leading principal minors, so every minor is positive exactly
-    when the elimination needs no exchange and every pivot is positive.
+    One elimination of [M | B] is also Sylvester's criterion: without row
+    exchanges the k-th pivot is the ratio of the k-th and (k-1)-th leading
+    principal minors, so every minor is positive exactly when the elimination
+    needs no exchange and every pivot is positive.
     """
-    rows = _sparse_rows(m)
-    pivots, swaps = gauss_jordan(rows, len(rows))
-    return swaps == 0 and len(pivots) == len(rows) and all(v > 0 for _, v in pivots)
+    pivots, swaps, x = _solve(m, b)
+    if swaps or len(pivots) < len(m) or any(v <= 0 for _, v in pivots):
+        return None
+    return x
 
 
-def det_bareiss(m) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [[int(x) for x in row] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    swap = r
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def mat_det(m) -> Fraction:
+    """Exact determinant of a square rational matrix: the signed product of its pivots."""
+    pivots, swaps, _ = _solve(m, [()] * len(m))
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return prod((v for _, v in pivots), start=Fraction((-1) ** swaps))
 
 
 def rational_kernel(rows, ncols):

@@ -28,39 +28,42 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactlinalg import det_bareiss, frac_matrix, identity_frac, is_positive_definite, mat_inverse, mat_mul
+from .exactlinalg import frac_matrix, mat_det, mat_inverse, mat_mul, posdef_solve
 
 # ==== form basics ===========================================================
 
 
 def as_form_array(A) -> np.ndarray:
-    a = np.asarray(A)
+    """A as a symmetric int64 matrix; an entry that int64 or float64 would change is refused."""
+    a = np.asarray(A, dtype=object)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("a quadratic form must be a square matrix")
-    ai = np.rint(np.asarray(a, dtype=float)).astype(np.int64)
-    if not np.array_equal(np.asarray(a, dtype=float), ai.astype(float)):
-        raise ValueError("a quadratic form must have integer entries")
+    for x in a.flat:
+        try:
+            held = int(x) == x and -2**63 <= x < 2**63 and float(x) == x
+        except (TypeError, ValueError, OverflowError):
+            held = False
+        if not held:
+            raise ValueError("a quadratic form must have integer entries that int64 and float64 "
+                             "hold exactly, got %r" % (x,))
+    ai = a.astype(np.int64)
     if not np.array_equal(ai, ai.T):
         raise ValueError("a quadratic form must be symmetric")
     return ai
 
 
-def form_det(A) -> int:
-    return det_bareiss(as_form_array(A).tolist())
-
-
 class QuadForm:
-    """A symmetric invertible integer matrix with cached invariants."""
+    """A symmetric invertible integer matrix with cached invariants, its one eigh among them."""
 
     def __init__(self, A):
         self.A = as_form_array(A)
         self.m = self.A.shape[0]
-        self.det = int(det_bareiss(self.A.tolist()))
+        self.det = int(mat_det(self.A.tolist()))
         if self.det == 0:
             raise ValueError("form is degenerate")
-        eigs = np.linalg.eigvalsh(self.A.astype(float))
-        self.r = int(np.sum(eigs > 0))
-        self.s = int(np.sum(eigs < 0))
+        self.eigvals, self.eigvecs = np.linalg.eigh(self.A.astype(float))
+        self.r = int(np.sum(self.eigvals > 0))
+        self.s = int(np.sum(self.eigvals < 0))
 
 
 # ==== eigen decomposition ===================================================
@@ -122,76 +125,52 @@ class QuadFormDecomposition:
         return frac_matrix(((mat + mat.T) / 2.0).tolist())
 
 
-def _rationalize_matrix(Mf: np.ndarray):
-    return [[Fraction(x).limit_denominator(10**6) for x in row] for row in Mf.tolist()]
-
-
 def decompose(A) -> QuadFormDecomposition:
     """Eigen-normalized decomposition of a symmetric invertible integer form.
 
     A+ (A-) restricts the form to the positive (negative) eigenspace; the
     majorant M = A+ - A- is positive definite and is computed as
     (S^-1)^T S^-1, where the columns of S are the eigenvectors scaled by
-    abs(eigenvalue)^(-1/2).
+    abs(eigenvalue)^(-1/2).  The eigenpairs are the form's own; the exact
+    split, when there is one, is rationalised from this M.
     """
     form = A if isinstance(A, QuadForm) else QuadForm(A)
-    vals, vecs = np.linalg.eigh(form.A.astype(float))
-    if np.any(np.abs(vals) < 1e-9):
+    if np.any(np.abs(form.eigvals) < 1e-9):
         raise ValueError("form is numerically singular")
-    order = np.argsort(-vals)  # positives first, descending
-    eigvals, eigvecs = vals[order], vecs[:, order]
+    order = np.argsort(-form.eigvals)  # positives first, descending
+    eigvals, eigvecs = form.eigvals[order], form.eigvecs[:, order]
     r, s = form.r, form.s
     S = eigvecs / np.sqrt(np.abs(eigvals))
     Sinv = np.linalg.inv(S)
     aplus = eigvecs[:, :r] @ np.diag(eigvals[:r]) @ eigvecs[:, :r].T
     aminus = eigvecs[:, r:] @ np.diag(eigvals[r:]) @ eigvecs[:, r:].T
     M = Sinv.T @ Sinv
-
-    exact = _try_exact_split(form, vals, vecs)
-    return QuadFormDecomposition(form, r, s, aplus, aminus, M, exact)
+    return QuadFormDecomposition(form, r, s, aplus, aminus, M, _try_exact_split(form, M))
 
 
-def _try_exact_split(form: QuadForm, eigvals, eigvecs):
+def _try_exact_split(form: QuadForm, M: np.ndarray):
     """Exact A = A+ + A- split whenever the matrix absolute value is rational.
 
-    The candidate for M = (A^2)^(1/2) is obtained by rationalizing the float
-    result from decompose's eigenpairs and then verified exactly: M^2 == A^2,
-    M symmetric, M positive definite.  All fixture forms used by the
-    exact-mode checks pass this.
+    The candidate for |A| is decompose's float M, symmetrised and rationalised.
+    It is |A| exactly when M^2 == A^2 and M is positive definite: one
+    elimination of [M | A] is Sylvester's test and leaves the sign S = M^-1 A,
+    so A+- = (A +- M)/2 and the projectors are (I +- S)/2.  All fixture forms
+    used by the exact-mode checks pass this.
     """
-    Mf = eigvecs @ np.diag(np.abs(eigvals)) @ eigvecs.T
-    Mf = (Mf + Mf.T) / 2
-    Mrat = _rationalize_matrix(Mf)
-    m = form.m
-    for i in range(m):
-        for j in range(i):
-            if Mrat[i][j] != Mrat[j][i]:
-                return None
-    A2 = (form.A @ form.A).tolist()
-    M2 = mat_mul(Mrat, Mrat)
-    for i in range(m):
-        for j in range(m):
-            if M2[i][j] != A2[i][j]:
-                return None
-    if not is_positive_definite(Mrat):
+    Mrat = [[Fraction(x).limit_denominator(10**6) for x in row] for row in ((M + M.T) / 2).tolist()]
+    a = form.A.astype(object)  # Python ints: A^2 stays exact past the int64 range
+    if mat_mul(Mrat, Mrat) != (a @ a).tolist():
         return None
-    arat = frac_matrix(form.A.tolist())
-    aplus = [[(arat[i][j] + Mrat[i][j]) / 2 for j in range(m)] for i in range(m)]
-    aminus = [[(arat[i][j] - Mrat[i][j]) / 2 for j in range(m)] for i in range(m)]
-    minv = mat_inverse(Mrat)
-    proj_plus = mat_mul(minv, aplus)
-    proj_minus = [[-x for x in row] for row in mat_mul(minv, aminus)]
-    # projector sanity, exact
-    ident = identity_frac(m)
-    psum = [[proj_plus[i][j] + proj_minus[i][j] for j in range(m)] for i in range(m)]
-    if psum != ident:
+    a = a.tolist()
+    sign = posdef_solve(Mrat, a)
+    if sign is None:
         return None
     return {
         "M": Mrat,
-        "aplus": aplus,
-        "aminus": aminus,
-        "proj_plus": proj_plus,
-        "proj_minus": proj_minus,
+        "aplus": [[(x + y) / 2 for x, y in zip(ra, rm)] for ra, rm in zip(a, Mrat)],
+        "aminus": [[(x - y) / 2 for x, y in zip(ra, rm)] for ra, rm in zip(a, Mrat)],
+        "proj_plus": [[(int(i == j) + x) / 2 for j, x in enumerate(row)] for i, row in enumerate(sign)],
+        "proj_minus": [[(int(i == j) - x) / 2 for j, x in enumerate(row)] for i, row in enumerate(sign)],
     }
 
 
@@ -245,17 +224,14 @@ def coset_reps(A, n: int, cap: int = 100_000):
     """All m x n matrices J with columns in A^-1 Z^m / Z^m, abs(det A)^n of them."""
     if n < 1:
         raise ValueError("genus n must be positive, got %d" % n)
-    a = as_form_array(A)
-    det = form_det(a)
-    if det == 0:
-        raise ValueError("form is degenerate")
-    count = abs(det) ** n
+    form = QuadForm(A)
+    count = abs(form.det) ** n
     if count > cap:
         raise ResourceCapError("coset count %d exceeds the cap %d" % (count, cap))
-    cols = coset_column_reps(a)
+    cols = coset_column_reps(form.A)
     reps = []
     for combo in itertools.product(cols, repeat=n):
-        J = [[combo[j][i] for j in range(n)] for i in range(a.shape[0])]
+        J = [[combo[j][i] for j in range(n)] for i in range(form.m)]
         reps.append(CosetRep(J))
     return reps
 
@@ -575,5 +551,5 @@ def named_form(name: str) -> np.ndarray:
             raise ValueError("bad diagonal fixture %r" % name) from exc
         if not entries or any(x == 0 for x in entries):
             raise ValueError("diagonal fixture needs nonzero entries")
-        return np.diag(np.array(entries, dtype=np.int64))
+        return as_form_array(np.diag(np.array(entries, dtype=object)))
     raise ValueError("unknown form fixture %r (known: %s, diag:a,b,...)" % (name, ", ".join(FIXTURES[:3])))

@@ -297,6 +297,22 @@ def test_non_integer_form_file_exits_one(tmp_path, command):
     assert "integer" in json.loads(proc.stdout)["error"]
 
 
+@pytest.mark.parametrize("A, entry", [
+    ([[9007199254740993]], "9007199254740993"),
+    ("diag:9007199254740993", "9007199254740993"),
+    ([[2**70]], str(2**70)),
+    ("diag:10000000000000000000000", "10000000000000000000000"),
+], ids=["json-2^53+1", "diag-2^53+1", "json-2^70", "diag-1e22"])
+def test_eval_form_entry_a_float_cannot_hold_exits_one_naming_it(tmp_path, A, entry):
+    # such an entry used to be rounded to 2^53 and summed on the wrong form
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(_PLAIN, A=A)))
+    proc = run_cli("eval", "--spec", str(path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert entry in json.loads(proc.stdout)["error"]
+    assert proc.stderr == ""
+
+
 def test_missing_file_exits_one():
     proc = run_cli("decompose", "--form", "no_such_file_or_fixture")
     assert proc.returncode == 1

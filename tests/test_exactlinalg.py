@@ -8,13 +8,13 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from siegeltheta.exactlinalg import (
-    det_bareiss,
     frac_matrix,
     gauss_jordan,
     identity_frac,
-    is_positive_definite,
+    mat_det,
     mat_inverse,
     mat_mul,
+    posdef_solve,
     rational_kernel,
 )
 
@@ -42,12 +42,6 @@ def _square(draw):
     return draw(_matrices(n, n))
 
 
-def _integral(m):
-    """m scaled by the lcm of its denominators: the same rank and determinant sign."""
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    return [[int(x * den) for x in row] for row in m]
-
-
 def _sympy(m):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
 
@@ -58,7 +52,7 @@ def _sympy(m):
 @example(m=frac_matrix([[1, 2], [2, 4]]))
 @example(m=frac_matrix([[1, 2, 3], [0, 0, 0], [4, 5, 6]]))
 def test_mat_inverse_is_exact_or_singular(m):
-    if det_bareiss(_integral(m)) == 0:
+    if _sympy(m).det() == 0:
         with pytest.raises(ValueError, match="singular"):
             mat_inverse(m)
     else:
@@ -84,9 +78,32 @@ def _symmetric(draw):
 @example(s=frac_matrix([[0, 1], [1, 0]]))
 @example(s=frac_matrix([[1, 1], [1, 1]]))
 @example(s=frac_matrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
-def test_is_positive_definite_is_sylvester(s):
+def test_posdef_solve_is_sylvester(s):
+    # None iff some leading minor is <= 0; otherwise M X = B exactly, for a
+    # rational right-hand side with one column more than M
     minors = [_sympy(s)[:k, :k].det() for k in range(1, len(s) + 1)]
-    assert is_positive_definite(s) == all(d > 0 for d in minors)
+    b = [[Fraction(i - j, 1 + i) for j in range(len(s) + 1)] for i in range(len(s))]
+    x = posdef_solve(s, b)
+    assert (x is None) == (not all(d > 0 for d in minors))
+    if x is not None:
+        assert mat_mul(s, x) == b
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(m=_square())
+@example(m=frac_matrix([[0, 1], [1, 0]]))
+@example(m=frac_matrix([[1, 2], [2, 4]]))
+@example(m=frac_matrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]]))
+def test_mat_det_is_sympys(m):
+    assert mat_det(m) == _sympy(m).det()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(m=st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_mat_det_of_an_integer_matrix_is_sympys(m):
+    det = mat_det(m)
+    assert det.denominator == 1 and det == sympy.Matrix(m).det()
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -3,14 +3,15 @@
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from siegeltheta.exactlinalg import det_bareiss
+from siegeltheta.exactlinalg import frac_matrix, mat_inverse, mat_mul
 import siegeltheta.quadform as quadform
 import siegeltheta.theta as theta
 from siegeltheta.quadform import (
@@ -20,6 +21,7 @@ from siegeltheta.quadform import (
     decompose,
     lattice_blocks,
     lattice_points,
+    as_form_array,
     named_form,
 )
 from siegeltheta.errors import ResourceCapError
@@ -61,7 +63,7 @@ def test_named_form_registry():
     assert e8.shape == (8, 8)
     assert np.array_equal(e8, e8.T)
     assert all(x % 2 == 0 for x in np.diag(e8))
-    assert det_bareiss([[int(x) for x in row] for row in e8.tolist()]) == 1
+    assert QuadForm(e8).det == 1
     assert min(np.linalg.eigvalsh(e8.astype(float))) > 0
 
     h2 = named_form("h2")
@@ -86,6 +88,27 @@ def test_quadform_rejects_bad_input():
         QuadForm([[0, 0], [0, 0]])  # degenerate
     with pytest.raises(ValueError):
         QuadForm([[1.5, 0], [0, 1]])  # not integral
+
+
+@pytest.mark.parametrize("entry", [2**53 + 1, 2**70, -2**63 - 1, 10**22, 10**400, float("inf"),
+                                   float("nan"), "2"],
+                         ids=["2^53+1", "2^70", "-2^63-1", "1e22", "1e400", "inf", "nan", "str"])
+def test_form_entries_a_float_or_int64_cannot_hold_are_refused(entry):
+    # refused with the entry named, neither rounded nor cast with a warning
+    with pytest.raises(ValueError, match="integer entries.*got %s" % re.escape(repr(entry))):
+        QuadForm([[entry]])
+
+
+@pytest.mark.parametrize("name", ["diag:9007199254740993", "diag:10000000000000000000000"])
+def test_diagonal_fixtures_a_float_or_int64_cannot_hold_are_refused(name):
+    with pytest.raises(ValueError, match="got %s" % name[5:]):
+        named_form(name)
+
+
+@pytest.mark.parametrize("entry", [2**53, -2**53 - 2, 10**16, 2**62, -2**63])
+def test_form_entries_both_hold_exactly_are_kept(entry):
+    assert as_form_array([[entry, 1], [1, entry]]).tolist() == [[entry, 1], [1, entry]]
+    assert named_form("diag:%d" % entry).tolist() == [[entry]]
 
 
 # ==== decomposition =========================================================
@@ -118,15 +141,73 @@ def test_decompose_signature():
 @pytest.mark.parametrize("form", ["h2", "diag:2,2,-2", [[2, 1], [1, -3]]],
                          ids=["h2", "diag:2,2,-2", "irrational"])
 def test_decompose_computes_one_eigendecomposition(monkeypatch, form):
-    # the exact split is rationalised from decompose's own eigenpairs and
-    # still verified exactly, so a rational |A| splits and an irrational one
-    # does not
+    # the signature and the split share one eigendecomposition, and the exact
+    # split is rationalised from its majorant and still verified exactly, so
+    # a rational |A| splits and an irrational one does not
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, fn=fn: calls.append(a) or fn(a))
     dec = decompose(named_form(form) if isinstance(form, str) else np.array(form))
     assert len(calls) == 1
     assert dec.has_exact_split() == isinstance(form, str)
+
+
+@st.composite
+def _rational_abs_forms(draw):
+    """Signed permutations of orthogonal sums of diagonal entries and scaled
+    h2 blocks, with |A| from the blocks: |d| for d, |c| I for c h2."""
+    blocks = draw(st.lists(st.one_of(
+        st.builds(lambda d: [[d]], st.integers(-4, 4).filter(bool)),
+        st.builds(lambda c: [[0, c], [c, 0]], st.integers(-3, 3).filter(bool))), min_size=1, max_size=4))
+    m = sum(len(b) for b in blocks)
+    A = np.zeros((m, m), dtype=np.int64)
+    M = np.zeros((m, m), dtype=np.int64)
+    o = 0
+    for b in blocks:
+        k = len(b)
+        A[o:o + k, o:o + k] = b
+        M[o:o + k, o:o + k] = np.eye(k, dtype=np.int64) * max(abs(x) for row in b for x in row)
+        o += k
+    perm = draw(st.permutations(range(m)))
+    P = np.eye(m, dtype=np.int64)[list(perm)] * np.array(draw(st.lists(
+        st.sampled_from([-1, 1]), min_size=m, max_size=m)))
+    return P @ A @ P.T, P @ M @ P.T
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(forms=_rational_abs_forms())
+@example(forms=(np.array([[2, 1], [1, -3]]), None))
+@example(forms=(np.array([[0, 2], [2, 1]]), None))
+def test_exact_split_matches_the_inverse_reference(forms):
+    # the reference keeps the formulas of an exact inverse: P+ = M^-1 A+ and
+    # P- = -M^-1 A-, with A+- = (A +- M) / 2; an irrational |A| has no split
+    A, M = forms
+    dec = decompose(A)
+    if M is None:
+        assert dec.exact is None
+        return
+    a, M = frac_matrix(A.tolist()), frac_matrix(M.tolist())
+    m = len(a)
+    aplus = [[(a[i][j] + M[i][j]) / 2 for j in range(m)] for i in range(m)]
+    aminus = [[(a[i][j] - M[i][j]) / 2 for j in range(m)] for i in range(m)]
+    minv = mat_inverse(M)
+    assert dec.exact == {
+        "M": M,
+        "aplus": aplus,
+        "aminus": aminus,
+        "proj_plus": mat_mul(minv, aplus),
+        "proj_minus": [[-x for x in row] for row in mat_mul(minv, aminus)],
+    }
+
+
+def test_exact_split_past_the_int64_square():
+    # A^2 holds 3037000500^2 > 2^63: the check squares in Python ints, so the
+    # split is exact instead of lost to a wrapped int64 product
+    c = 3037000500
+    dec = decompose(np.array([[c, 0], [0, -c]]))
+    assert dec.exact["M"] == [[c, 0], [0, c]]
+    assert dec.exact["proj_minus"] == [[0, 0], [0, 1]]
 
 
 def test_decompose_random_floats_still_valid():
@@ -153,14 +234,14 @@ def _forms(draw):
     for i in range(m):
         for j in range(i, m):
             A[i][j] = A[j][i] = next(it)
-    assume(0 < abs(det_bareiss(A)) <= 12)
+    assume(0 < abs(sympy.Matrix(A).det()) <= 12)
     return A
 
 
 def brute_force_columns(A):
     """{A^-1 v mod 1 : v in {0..|det A|-1}^m}, the whole dual quotient, since
     det(A) Z^m lies in A Z^m; A^-1 is the adjugate over det, from sympy."""
-    det = det_bareiss(A)
+    det = int(sympy.Matrix(A).det())
     adj = [[int(x) for x in row] for row in sympy.Matrix(A).adjugate().tolist()]
     m = len(A)
     return {tuple(Fraction(sum(adj[i][j] * v[j] for j in range(m)), det) % 1 for i in range(m))
@@ -171,7 +252,7 @@ def brute_force_columns(A):
 @given(A=_forms(), n=st.integers(1, 2))
 def test_cosets_are_the_dual_quotient(A, n):
     reps = coset_reps(np.array(A), n)
-    m, det = len(A), abs(det_bareiss(A))
+    m, det = len(A), abs(int(sympy.Matrix(A).det()))
     assert len(reps) == len(set(reps)) == det ** n
     for rep in reps:
         assert all(0 <= x < 1 for row in rep.J for x in row)

@@ -628,14 +628,12 @@ class ExponentTable:
     variables).
 
     degrees holds each term's total degree, degree their largest (0 without
-    terms) and top the largest single exponent.  The Bombieri weights and
-    the parity split are built on first use and kept here, so every
-    polynomial that shares the exponents (each flow of a HeatPlan) shares
-    them too.
+    terms) and top the largest single exponent.  The Bombieri weights are
+    built on first use and kept here, so every polynomial that shares the
+    exponents (each flow of a HeatPlan) shares them too.
     """
 
-    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "inner", "outer",
-                 "_weights", "_parity")
+    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "inner", "outer", "_weights")
 
     def __init__(self, m: int, n: int, exponents: np.ndarray):
         self.m, self.n = m, n
@@ -654,7 +652,7 @@ class ExponentTable:
             if 2 * n0 > terms or n0 * n1 > _MATRIX_PER_TERM * terms:
                 halves = [_half(exponents, halves[0][0] + halves[1][0])]
         self.inner, self.outer = halves + [None] * (2 - len(halves))
-        self._weights = self._parity = None
+        self._weights = None
 
     def weights(self) -> np.ndarray:
         """alpha!/|alpha|! for each term, correctly rounded (an integer quotient)."""
@@ -663,14 +661,6 @@ class ExponentTable:
                 [math.prod(map(math.factorial, row)) / math.factorial(sum(row))
                  for row in self.exponents.tolist()], dtype=float)
         return self._weights
-
-    def parity(self):
-        """((table, keep) of the even-degree terms, the same of the odd ones), None for no terms."""
-        if self._parity is None:
-            odd = self.degrees % 2 == 1
-            self._parity = tuple((ExponentTable(self.m, self.n, self.exponents[keep]), keep)
-                                 if keep.any() else None for keep in (~odd, odd))
-        return self._parity
 
 
 # the relative rounding allowance of CompiledPoly.majorant, per term
@@ -754,11 +744,6 @@ class CompiledPoly:
                 total = math.fsum((top * np.sqrt(sums)).tolist())
             self._majorant = total * (1.0 + (len(mags) + 8) * _BOMBIERI_ROUNDING)
         return self._majorant
-
-    def parity_split(self):
-        """(even, odd): the terms of even and of odd total degree, None for an empty part."""
-        return tuple(None if part is None else CompiledPoly(self.m, self.n, part[0], self.coef[part[1]])
-                     for part in self.table.parity())
 
     def matrix(self) -> np.ndarray:
         """2 x 2 x n_1 x n_0: C^T, C[inner(t), outer(t)] = c_t, as (Re C^T, Im C^T) and (-Im C^T,

@@ -13,7 +13,7 @@ of the Gram matrix over a chunked numpy frontier of partial vectors (the
 level-by-level ellipsoid enumeration of Deconinck et al., "Computing Riemann
 theta functions", Math. Comp. 73 (2004), run depth first chunk by chunk so
 memory stays bounded), in a deterministic order.  Each point comes with its
-q carried down the Cholesky recurrence and, given one or a stack of complex
+q carried down the Cholesky recurrence and, given a stack of complex
 quadratic forms, each form's value carried the same way (the series' term
 phase); with half=True and 2 center integral it emits one point of each
 pair {x, -x}, which the series sum as one term pair; lattice_points()
@@ -260,9 +260,8 @@ class Block:
 
     rows is a (k, N) int64 array of integer vectors v, q the float q(v +
     center) that the Cholesky recurrence carried down to each row, and tau
-    the carried phase form tau(v + center), complex, or None when the
-    enumeration carried none: shape (k,) for one form, (forms, k) for a
-    stack of them.  len(block) is k.
+    the carried value tau(v + center) of each phase form, complex of shape
+    (forms, k), or None when the enumeration carried none.  len(block) is k.
     """
 
     __slots__ = ("rows", "q", "tau")
@@ -318,19 +317,18 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
     and allocated whole, so a bound beyond 2^52 or one interval of more than
     point_cap candidates raises ResourceCapError before that.
 
-    phase = (B, ell), B a complex symmetric N x N matrix and ell an N-vector
-    or None (zero), makes every row carry tau(x) = x^T B x / 2 + ell^T x
-    the same way: level l adds x_l (B_ll x_l / 2 + T_l), the shift T_l =
-    ell_l + sum_{j>l} B[l, j] x_j.  Real and imaginary parts are carried as
-    separate float recurrences, so each row's tau is the same sum of the
-    same rounded products however the frontier and the blocks are cut: q
-    and tau of a row are bitwise independent of _FRONTIER_ROWS and
-    block_size.  tau is a sum of at most N(N + 3)/2 products, so it is
-    within a few N ulps of x^T |B| x / 2 + |ell|^T |x| of the exact value.
-    B may also be a stack of k forms, shape (k, N, N), with ell (k, N) or
-    None: every row then carries k values of tau, each form through its own
-    pair of recurrences, so each is bitwise what a walk carrying that form
-    alone gives, and Block.tau has shape (k, rows).
+    phase = (B, ell), B a stack of k complex symmetric N x N matrices,
+    shape (k, N, N), and ell their k N-vectors, shape (k, N), or None
+    (zero), makes every row carry each tau(x) = x^T B x / 2 + ell^T x the
+    same way: level l adds x_l (B_ll x_l / 2 + T_l), the shift T_l = ell_l
+    + sum_{j>l} B[l, j] x_j.  Real and imaginary parts of each form are
+    carried as separate float recurrences, so each row's tau is the same
+    sum of the same rounded products however the frontier and the blocks
+    are cut and whichever other forms ride along: q and tau of a row are
+    bitwise independent of _FRONTIER_ROWS, block_size and the stack.  tau
+    is a sum of at most N(N + 3)/2 products, so it is within a few N ulps
+    of x^T |B| x / 2 + |ell|^T |x| of the exact value.  Block.tau has
+    shape (k, rows).
 
     chol, the lower Cholesky factor of G, spares the walk factorising G
     itself; the caller vouches that it is one.
@@ -365,10 +363,8 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
         B, ell = phase
         B = np.asarray(B, dtype=complex)
         ell = np.zeros(B.shape[:-1]) if ell is None else np.asarray(ell, dtype=complex)
-        if B.ndim not in (2, 3) or B.shape[-2:] != (N, N) or ell.shape != B.shape[:-1]:
-            raise ValueError("phase form shape mismatch")
-        stacked = B.ndim == 3
-        B, ell = B.reshape(-1, N, N), ell.reshape(-1, N)
+        if B.ndim != 3 or B.shape[1:] != (N, N) or ell.shape != B.shape[:-1]:
+            raise ValueError("phase form shape mismatch: need a (k, N, N) stack")
         # the recurrences in order: q, then Re and Im of each form
         coef, shift0 = np.zeros((N, N, 1 + 2 * len(B))), np.zeros((1, N, 1 + 2 * len(B)))
         coef[..., 0] = mu
@@ -412,8 +408,6 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
         if phase is not None:
             tau = np.empty((w // 2, kept), dtype=complex)
             tau.real, tau.imag = P[1::2], P[2::2]
-            if not stacked:
-                tau = tau[0]
         return Block(rows, P[0], tau)
 
     def chunk(level, V, F, P, axis):

@@ -68,13 +68,16 @@ Every series sums each pair {U, -U} once when its coset is closed under
 U -> -U, that is when 2H is integral (2 A H for the dual lattice), decided
 on the exact Fractions: H = 0 or 1/2 with any K.  The quadratic part Q(U)
 of tau is even, L(U) = tr(K^T A U) is odd and W is linear in U, so with
-poly = p_even + p_odd split by degree parity once, a pair sums to
+poly = p_even + p_odd its parts of even and odd degree, a pair sums to
 
     e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi L(U)),
 
-and lattice_blocks(..., half=True) enumerates one U of each pair.  The
-reported terms still count every U in the ellipsoid, gross every |term|,
-and the point cap counts terms.  A centre with 2c not integral, such as
+and lattice_blocks(..., half=True) enumerates one U of each pair.  A
+coefficient is the heat flow of P+ P- of degree n (alpha + beta), and the
+flow lowers degrees two at a time, so its terms, and those of a Borcherds
+polynomial, share one parity: one of p_even, p_odd is poly, the other 0.
+The reported terms still count every U in the ellipsoid, gross every
+|term|, and the point cap counts terms.  A centre with 2c not integral, such as
 K = 1/3 moved into the dual sum by the inversion law, is summed term by
 term.
 
@@ -92,14 +95,15 @@ of N(N + 3)/2 rounded products, within a few N ulps of their absolute sum
 of the exact value, and does not depend on how the enumeration is cut.
 term_phase is the same tau evaluated per term, for the quadrature checks.
 
-theta_eval sums a definite series through the inversion law when that is
-predicted to be cheaper: theta(Z) = inversion_prefactor(spec, W) times the
-dual series of characteristics (K, -H) at W = -Z^-1.  It plans the direct
+theta_eval sums a series of any signature through the inversion law when
+that is predicted to be cheaper: theta(Z) = inversion_prefactor(spec, W)
+times the dual series of characteristics (K, -H) at W = -Z^-1.  It plans the direct
 series and, unless a closed-form screen rules the dual one out, the dual
 series, and sums whichever plan predicts fewer rows.  Near a cusp, where
 det(Y) is small, the direct ellipsoid holds about det(Y)^(-m/2) times more
 points than at Y = I, and the dual one at Im W = Zbar^-1 Y Z^-1 few: e8 at
-z = 0.1 + 0.05i needs 241 terms instead of about 3e10.  The certificate is
+z = 0.1 + 0.05i needs 241 terms instead of about 3e10, and h2+e8 at z =
+0.1 + 0.15i 249 instead of a predicted 1.4e10.  The certificate is
 then the dual sum's tail, transported: the dual series is summed to a
 budget b with |pref| b <= eps, and tail_bound is |pref| times its tail, so
 it is at most eps as for a direct sum.  Every law check of verify sums the
@@ -664,7 +668,7 @@ def det_y_weight(Y, power: float, what: str) -> float:
 
 # What one certified series sum needs, built once by _series_plan: the route
 # choice of theta_eval compares plans and _sum_series sums one as it is.
-SeriesPlan = namedtuple("SeriesPlan", "poly parts Yfac L G chol c B ell paired pref eps budget "
+SeriesPlan = namedtuple("SeriesPlan", "poly Yfac L G chol c B ell paired pref eps budget "
                                       "Cp deg sig2 rho R2 tail rows")
 # Plans with the same G, centre and pairing, summed over one enumeration (_sum_plans).
 Walk = namedtuple("Walk", "G c paired plans")
@@ -694,8 +698,7 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     eps must be finite and positive, and pref a positive finite float
     (det_y_weight; ValueError otherwise, one naming det(Y) and the point
     when det(Y) underflows, for either series).  budget = _budget(pref,
-    eps) is the tail budget of the lattice sum.  parts splits the compiled
-    poly by degree parity when the sum is paired.
+    eps) is the tail budget of the lattice sum.
 
     The series runs over the integer rows v of U = L(V + c), V the m x n
     matrix of v column by column, c = L^-1 H taken exactly, with Gram matrix
@@ -757,9 +760,8 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
             # chol(kron(Y, M)) = kron(chol(Y), chol(M)): every m-th row and
             # column is chol(Y) times sqrt(M_00)
             Yfac = chol[::spec.m, ::spec.m] / math.sqrt(M[0, 0])
-    return SeriesPlan(poly, poly.parity_split() if paired else (poly,), Yfac, L, G, chol,
-                      _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1), paired, pref, eps,
-                      budget, Cp, deg, sig2, rho, R2, tail, rows)
+    return SeriesPlan(poly, Yfac, L, G, chol, _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1),
+                      paired, pref, eps, budget, Cp, deg, sig2, rho, R2, tail, rows)
 
 
 def _summand(plan: SeriesPlan):
@@ -774,38 +776,40 @@ def _summand(plan: SeriesPlan):
     each polynomial once per run.  A paired sum adds each pair {U, -U} at
     once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi
     L(U)), with L(U) = ell^T x kept out of the carried form (see the module
-    docstring).
+    docstring), and magnitudes |e(Q(U))| (|p_even + p_odd| + |p_even -
+    p_odd|).  The parity is read off the degrees once: p_even = poly and
+    p_odd = 0, or the other way round.  A polynomial of both parities (a
+    hand-made Coefficient) takes poly(-W) from a second evaluation.
     """
-    parts, Yfac, L, c, ell, paired = plan.parts, plan.Yfac, plan.L, plan.c, plan.ell, plan.paired
-    m, n = plan.poly.m, plan.poly.n
-    # an empty part is 0 and a constant one its value; None marks a part that needs W
-    consts = [0.0 if p is None else complex(np.sum(p.coef)) if p.degree() == 0 else None
-              for p in parts]
+    poly, Yfac, L, c, ell, paired = plan.poly, plan.Yfac, plan.L, plan.c, plan.ell, plan.paired
+    m, n = poly.m, poly.n
+    parities = set((poly.table.degrees % 2).tolist())  # {0} or {1}, {0, 1} for both
+    const = complex(np.sum(poly.coef)) if poly.degree() == 0 else None
     lin = paired and bool(np.any(ell))
 
     def summand(block, eq):
-        vals = consts
-        if None in consts:
+        p = const
+        if const is None:
             U = (block.rows + c).reshape(-1, n, m).transpose(0, 2, 1)
             if L is not None:
                 U = np.einsum("ab,xbj->xaj", L, U)
             W = U if Yfac is None else np.matmul(U, Yfac)
-            vals = [eval_batch(p, W) if v is None else v for p, v in zip(parts, consts)]
+            p = eval_batch(poly, W)
         if not paired:
-            vals = vals[0] * eq
+            vals = p * eq
             return vals, np.abs(vals)
-        pe, po = vals
+        if len(parities) == 2:
+            p_minus = eval_batch(poly, -W)
+            pe, po = 0.5 * (p + p_minus), 0.5 * (p - p_minus)
+        else:
+            pe, po = (0.0, p) if 1 in parities else (p, 0.0)
         if not lin:  # sin 2 pi L(U) = 0
             both = 2.0 * pe
         else:
             t = np.einsum("ij,j->i", block.rows + c, ell)
             t = 2.0 * math.pi * (t - np.round(t))
             both = 2.0 * (pe * np.cos(t) + 1j * po * np.sin(t))
-        if None in parts:
-            mags = 2.0 * np.abs(pe + po)
-        else:
-            mags = np.abs(pe + po) + np.abs(pe - po)
-        return eq * both, np.abs(eq) * mags
+        return eq * both, np.abs(eq) * (np.abs(pe + po) + np.abs(pe - po))
 
     return summand
 
@@ -942,20 +946,18 @@ def dual_spec(spec: ThetaSpec) -> ThetaSpec:
 def _inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float):
     """(plan, pref): the plan theta_eval sums, with pref None for the direct one at Z.
 
-    Only a definite form inverts.  The screen: Im W = Zbar^-1 Y Z^-1 at
-    W = -Z^-1, so the dual Gram matrix kron(Im W, A^-1) has determinant
-    det(Y)^m / (|det Z|^(2m) |det A|^n), against det(Y)^m |det A|^n for the
-    direct kron(Y, A), and at equal R^2 the dual ellipsoid holds |det A|^n
-    |det Z|^m times the direct one's volume (compared in logarithms, with
-    the exact det A).  At 1 or more only the direct series is planned.
-    Otherwise the dual one is too, at budget _budget(|pref|, eps), and wins
-    below half the direct rows (a plan without a positive budget predicts
-    inf).  A W, prefactor or dual plan outside the float range keeps the
-    direct sum.
+    One rule for every signature.  The screen: Im W = Zbar^-1 Y Z^-1 at W
+    = -Z^-1, so the dual Gram matrix kron(Im W, A^-1 M A^-1) has
+    determinant det(Y)^m / (|det Z|^(2m) |det A|^n), against det(Y)^m
+    |det A|^n for the direct kron(Y, M), as det M = |det A|; at equal R^2
+    the dual ellipsoid holds |det A|^n |det Z|^m times the direct one's
+    volume (compared in logarithms, with the exact det A).  At 1 or more
+    only the direct series is planned.  Otherwise the dual one is too, at
+    budget _budget(|pref|, eps), and wins below half the direct rows (a
+    plan without a positive budget predicts inf).  A W, prefactor or dual
+    plan outside the float range keeps the direct sum.
     """
     direct = _series_plan(spec, Z, eps), None
-    if spec.dec.s:
-        return direct
     _, logdet = np.linalg.slogdet(Z.Z)
     if spec.n * math.log(abs(spec.dec.form.det)) + spec.m * float(logdet) >= 0:
         return direct
@@ -975,8 +977,8 @@ def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
                point_cap=None) -> ThetaValue:
     """Evaluate the series at Z with total truncation error at most eps.
 
-    For a definite form the value is summed one of two ways, whichever is
-    predicted to enumerate fewer rows (_inversion): directly at Z
+    The value is summed one of two ways, whichever is predicted to
+    enumerate fewer rows (_inversion): directly at Z
     (theta_eval_direct), or through the inversion law at W = -Z^-1 as
     inversion_prefactor(spec, W) times the dual series of characteristics
     (K, -H) at W, summed with the largest budget b that keeps |pref| b <= eps.
@@ -984,7 +986,8 @@ def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     the one summed.  Both are certified: a summed-through-the-law
     value has tail_bound and gross |pref| times the dual sum's, so
     tail_bound <= eps still, while terms, radius2 and rho describe the dual
-    sum.  An indefinite form is always summed directly.
+    sum.  Both routes serve every signature: inversion_prefactor is the law
+    factor of definite and indefinite forms alike.
     """
     plan, pref = _inversion(spec, Z, eps)
     val = _sum_series(plan, point_cap)

@@ -581,9 +581,6 @@ def test_exponent_tables_split_only_within_the_matrix_bound():
         table = HeatPlan(P, A).table
         assert _split_within_bound(table)
         assert _split_within_bound(compile_poly(P).table)
-        for part in table.parity():
-            if part is not None:
-                _split_within_bound(part[0])
 
 
 def _random_mixed_poly(m, n, rng, max_degree=6):

@@ -213,10 +213,9 @@ def test_coefficient_is_compiled_once_and_flows_share_their_tables(monkeypatch):
         theta_eval(s, Z, eps=1e-6)
         theta_eval_borcherds(s, Z, eps=1e-6)
     assert len(calls) == 1
-    assert theta._series_plan(moved, Z, 1e-6).parts[0].table is spec.coeff.compiled().table.parity()[0][0]
+    assert theta._series_plan(moved, Z, 1e-6).poly is spec.coeff.compiled()
     first, again = borcherds_poly(spec, Y), borcherds_poly(spec, 1.5 * Y)
     assert first.table is again.table
-    assert first.parity_split()[0].table is again.parity_split()[0].table
 
 
 @pytest.mark.parametrize("complex_w", [False, True])
@@ -602,8 +601,8 @@ def _ellipsoid_radius(G, points):
 
 def _carried(G, c, R2, phase, frontier_rows, block_size):
     with mock.patch.object(quadform, "_FRONTIER_ROWS", frontier_rows):
-        blocks = list(lattice_blocks(G, c, R2, block_size=block_size, phase=phase))
-    return tuple(np.concatenate([getattr(b, k) for b in blocks]) for k in ("rows", "q", "tau"))
+        blocks = list(lattice_blocks(G, c, R2, block_size=block_size, phase=(phase[0][None], phase[1][None])))
+    return tuple(np.concatenate(parts) for parts in zip(*((b.rows, b.q, b.tau[0]) for b in blocks)))
 
 
 # Forms with m <= 3 of every signature, genus 1 and 2, the plain and the dual

@@ -36,8 +36,8 @@ from .exactlinalg import frac_matrix, mat_det, mat_inverse, mat_mul, posdef_solv
 def as_form_array(A) -> np.ndarray:
     """A as a symmetric int64 matrix; an entry that int64 or float64 would change is refused."""
     a = np.asarray(A, dtype=object)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("a quadratic form must be a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError("a quadratic form must be a nonempty square matrix")
     for x in a.flat:
         try:
             held = int(x) == x and -2**63 <= x < 2**63 and float(x) == x
@@ -372,15 +372,15 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
         shift0[0, :, 1::2], shift0[0, :, 2::2] = ell.real.T, ell.imag.T
     w = coef.shape[2]
     hdiag = 0.5 * np.diagonal(coef).T
-    # with half, an on-axis row at level l takes x_l = v_l + c_l >= 0
-    axis_lo = np.ceil(-c).astype(np.int64)
-    origin = int(half and not np.any(c % 1.0))
     slack = enumeration_slack(R2)
     # bounds at level l lie within the ellipsoid's projection |c_l| + sqrt((R2 + slack)
     # (G^-1)_ll), plus 1; an interval holds at most 2 sqrt((R2 + slack) / d_l) + 2 points
     reach = np.abs(c) + np.sqrt((R2 + slack) * np.diag(np.linalg.inv(G))) + 1.0
     if not np.all(reach < 2.0**52):
         raise ResourceCapError("an enumeration bound of %.3g is beyond 2^52" % float(np.max(reach)))
+    # with half, an on-axis row at level l takes x_l = v_l + c_l >= 0
+    axis_lo = np.ceil(-c).astype(np.int64)
+    origin = int(half and not np.any(c % 1.0))
     wide = point_cap is not None and bool(np.any(2.0 * np.sqrt((R2 + slack) / d) + 2.0 > point_cap))
 
     buffer = []

@@ -181,25 +181,25 @@ class PiScalar:
         """Sorted (pi_pow, re, im) triples, lowest pi power first."""
         return [(k, re, im) for k, (re, im) in sorted(self._c.items())]
 
-    def to_complex(self, pi_value: float = math.pi) -> complex:
-        """The value at pi = pi_value; ValueError when it is not a finite complex float."""
+    def to_complex(self) -> complex:
+        """The value at pi = math.pi; ValueError when it is not a finite complex float."""
         try:
             z = 0j
             for k, (re, im) in self._c.items():
-                z += complex(re, im) * pi_value**k
+                z += complex(re, im) * math.pi**k
         except OverflowError:
             z = complex(math.inf)
         if not cmath.isfinite(z):
             raise ValueError("an exact coefficient is outside the float range")
         return z
 
-    def abs_norm(self, pi_value: float = math.pi) -> float:
+    def abs_norm(self) -> float:
         """Sum of term magnitudes; an upper bound for abs(to_complex()).
 
         ValueError when it is not a finite float, as for to_complex.
         """
         try:
-            norm = math.fsum(abs(complex(re, im)) * pi_value**k for k, (re, im) in self._c.items())
+            norm = math.fsum(abs(complex(re, im)) * math.pi**k for k, (re, im) in self._c.items())
         except OverflowError:
             norm = math.inf
         if not math.isfinite(norm):

@@ -129,7 +129,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlinalg import frac_matrix, identity_frac
+from .exactlinalg import frac_matrix, identity_frac, mat_mul
 from .polyalg import (
     CompiledPoly,
     HeatPlan,
@@ -274,9 +274,16 @@ def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = 
 
 
 def _frac_mat(data, m, n, what):
-    rows = frac_matrix(data)
+    """data as m rows of n Fractions; ValueError naming what and any entry that is not a finite rational."""
+    rows = [list(row) for row in data]
     if len(rows) != m or any(len(r) != n for r in rows):
         raise ValueError("%s must be %d x %d" % (what, m, n))
+    for a, row in enumerate(rows):
+        for j, x in enumerate(row):
+            try:
+                row[j] = Fraction(x)
+            except (ArithmeticError, TypeError, ValueError):
+                raise ValueError("%s[%d][%d] = %r is not a finite rational number" % (what, a, j, x)) from None
     return tuple(tuple(r) for r in rows)
 
 
@@ -668,7 +675,7 @@ def det_y_weight(Y, power: float, what: str) -> float:
 
 # What one certified series sum needs, built once by _series_plan: the route
 # choice of theta_eval compares plans and _sum_series sums one as it is.
-SeriesPlan = namedtuple("SeriesPlan", "poly Yfac L G chol c B ell paired pref eps budget "
+SeriesPlan = namedtuple("SeriesPlan", "poly Yfac L G chol c B ell unit paired pref eps budget "
                                       "Cp deg sig2 rho R2 tail rows")
 # Plans with the same G, centre and pairing, summed over one enumeration (_sum_plans).
 Walk = namedtuple("Walk", "G c paired plans")
@@ -701,16 +708,22 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     eps) is the tail budget of the lattice sum.
 
     The series runs over the integer rows v of U = L(V + c), V the m x n
-    matrix of v column by column, c = L^-1 H taken exactly, with Gram matrix
-    G = kron(Y, L^T M L); L is A^-1 for the dual lattice and None (I)
-    otherwise.  paired says whether 2c is integral, decided on the exact
-    Fractions.  At x = v + c the phase of term_phase is tau = x^T B x / 2 +
-    ell^T x with
+    matrix of v column by column, c the fractional part of L^-1 H, with
+    Gram matrix G = kron(Y, L^T M L); L is A^-1 for the dual lattice and
+    None (I) otherwise.  paired says whether 2c is integral.  At x = v + c
+    the phase of term_phase is tau = x^T B x / 2 + ell^T x + int(ell)^T c
+    with
 
-        B = kron(X, L^T A L) + i kron(Y, L^T (A - 2 A-) L),  ell = vec(L^T A K),
+        B = kron(X, L^T A L) + i kron(Y, L^T (A - 2 A-) L),  ell + int(ell) = vec(L^T A K),
 
     and L^T A L = A^-1, L^T A K = K for the dual lattice.  Im B is G, built
     from the integer A and A- rather than the float M (module docstring).
+    The integer parts int(), truncated toward zero, are split off exactly
+    in Fractions, so that no float holds a characteristic's integer part:
+    c's leaves the set of U as it is, and ell's gives every term the same
+    factor unit = e(int(ell)^T c) (e_of_fraction; 1.0 when int(ell)^T c is
+    an integer), since int(ell)^T v is an integer.  Only the value is
+    multiplied by unit (_sum_plans).
 
     One Cholesky factorisation of G, kept as chol, serves the one
     _tail_plan (rho, R2 and tail), predicted_rows (rows) and the
@@ -734,16 +747,17 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     budget = _budget(pref, eps)
     A = spec.A.astype(float)
     aminus = spec.dec.aminus if spec.dec.s > 0 else np.zeros((spec.m, spec.m))
-    M, L, AL, LAK = spec.dec.M, None, A, A @ spec.K_floats()
-    center = spec.H
+    M, L, AL = spec.dec.M, None, A
+    center, ell = spec.H, mat_mul(spec.A.tolist(), spec.K)
     if dual:
         L = AL = np.linalg.inv(A)
         M = L.T @ M @ L
         aminus = L.T @ aminus @ L
-        LAK = spec.K_floats()
-        Ai, H = spec.A.tolist(), spec.H  # c = A H, exactly
-        center = [[sum(Ai[a][b] * H[b][j] for b in range(spec.m) if H[b][j]) for j in range(spec.n)]
-                  for a in range(spec.m)]
+        center, ell = mat_mul(spec.A.tolist(), spec.H), spec.K
+    center = [[x - int(x) for x in row] for row in center]
+    turn = sum(int(l) * x for lrow, crow in zip(ell, center) for l, x in zip(lrow, crow))
+    ell = [[l - int(l) for l in row] for row in ell]
+    unit = 1.0 if Fraction(turn).denominator == 1 else e_of_fraction(turn)
     paired = all((2 * x).denominator == 1 for row in center for x in row)
     G = np.kron(Y, M)
     B = np.kron(Z.X, AL) + 1j * np.kron(Y, AL - 2.0 * aminus)
@@ -760,8 +774,9 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
             # chol(kron(Y, M)) = kron(chol(Y), chol(M)): every m-th row and
             # column is chol(Y) times sqrt(M_00)
             Yfac = chol[::spec.m, ::spec.m] / math.sqrt(M[0, 0])
-    return SeriesPlan(poly, Yfac, L, G, chol, _float_mat(center).T.reshape(-1), B, LAK.T.reshape(-1),
-                      paired, pref, eps, budget, Cp, deg, sig2, rho, R2, tail, rows)
+    return SeriesPlan(poly, Yfac, L, G, chol, _float_mat(center).T.reshape(-1), B,
+                      _float_mat(ell).T.reshape(-1), unit, paired, pref, eps, budget, Cp, deg, sig2,
+                      rho, R2, tail, rows)
 
 
 def _summand(plan: SeriesPlan):
@@ -820,7 +835,8 @@ def _sum_plans(plans, point_cap) -> list:
     Plans that do not share them are a ValueError, and so is a plan whose
     budget underflowed to 0 (eps far below the prefactor), naming both.
     Each value is pref times its lattice sum, tail and gross, with the
-    plan's own terms, R^2 and rho (certified_lattice_sum).
+    plan's own terms, R^2 and rho (certified_lattice_sum); the value is
+    multiplied by the plan's unit too unless that is 1.
     """
     for plan in plans:
         if not plan.budget > 0:
@@ -835,8 +851,12 @@ def _sum_plans(plans, point_cap) -> list:
     sums, _, _ = certified_lattice_sum(walk, math.fsum(plan.budget for plan in plans),
                                        lambda j, block, eq: summands[j](block, eq),
                                        point_cap_from_env(point_cap))
-    return [ThetaValue(plan.pref * total, plan.pref * plan.tail, terms, plan.R2, plan.rho,
-                       plan.pref * gross) for plan, (total, terms, gross) in zip(plans, sums)]
+    values = []
+    for plan, (total, terms, gross) in zip(plans, sums):
+        value = plan.pref * total
+        values.append(ThetaValue(value if plan.unit == 1 else value * plan.unit, plan.pref * plan.tail,
+                                 terms, plan.R2, plan.rho, plan.pref * gross))
+    return values
 
 
 def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:

@@ -124,6 +124,20 @@ def test_eval_indefinite_with_poly(tmp_path):
     assert abs(data["value"][1]) > 0.1  # known purely imaginary nonzero value
 
 
+def test_eval_characteristic_with_a_large_integer_part_is_the_reduced_one(tmp_path):
+    # H = 10^20 + 1/2 used to raise ResourceCapError, with a numpy cast
+    # warning on stderr; the integer part leaves the set of U as it is
+    outs = []
+    for h in ("1/2", "200000000000000000001/2"):
+        spec = {"A": "h2", "H": [[h], ["0"]], "K": [["0"], ["1/3"]], "Z": {"X": [[0.1]], "Y": [[1.0]]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("eval", "--spec", str(path))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_eval_invalid_spec_exits_one(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"A": [[2]], "Z": {"X": [[0.0]]}}))

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,14 @@ def test_form_entries_a_float_or_int64_cannot_hold_are_refused(entry):
 def test_diagonal_fixtures_a_float_or_int64_cannot_hold_are_refused(name):
     with pytest.raises(ValueError, match="got %s" % name[5:]):
         named_form(name)
+
+
+@pytest.mark.parametrize("empty", [np.zeros((0, 0)), [], [[]]], ids=["0x0", "no rows", "no entries"])
+def test_an_empty_form_is_refused(empty):
+    # decompose(np.zeros((0, 0))) raised an IndexError in mat_mul
+    for build in (QuadForm, decompose):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            build(empty)
 
 
 @pytest.mark.parametrize("entry", [2**53, -2**53 - 2, 10**16, 2**62, -2**63])
@@ -455,6 +464,15 @@ def test_lattice_blocks_point_cap():
     for block_size in (1, 8192):
         with pytest.raises(ResourceCapError):
             list(lattice_blocks(G, [0.0, 0.0], 40.0, point_cap=5, block_size=block_size))
+
+
+def test_lattice_points_refuse_a_far_centre_before_any_cast():
+    # a centre of 1e30 used to reach the int64 cast of the on-axis bounds
+    # first: RuntimeWarning (invalid value encountered in cast), then the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceCapError, match="beyond 2\\^52"):
+            list(lattice_points(np.eye(2), [1e30, 0.0], 4.0))
 
 
 # The certified ellipsoids the direct series enumerated on the benchmark grid, with

@@ -4,6 +4,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -452,6 +453,74 @@ def test_odd_coefficient_pairs_to_zero_with_full_terms_and_gross(form, H):
     assert abs(val.gross - gross) <= 1e-12 * gross
 
 
+_PARITY_FORMS = st.sampled_from([[[2]], [[2, 1], [1, 2]], [[2, 1, 0], [1, 2, 1], [0, 1, 4]], [[-2]], "h2",
+                                 "diag:2,-2", [[2, 1], [1, -3]], [[0, 2], [2, 1]], "diag:2,2,-2",
+                                 "diag:2,-2,-2"])
+
+
+def _degree_parities(poly):
+    return set((poly.table.degrees % 2).tolist())
+
+
+# Forms of every signature, irrational |A| among them, genus 1 and 2,
+# integer combinations of basis_homopol(m, n, alpha) for P+ (alpha <= 3 in
+# genus 1, <= 2 in genus 2) and, on an indefinite form, a basis polynomial
+# of degree beta <= 1 for P-.  The paired series read their pair sum off
+# this one parity (_summand).  Time budget: 10 s for the 40 examples (about
+# 2 s on a 2-vCPU host).
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(form=_PARITY_FORMS, n=st.integers(1, 2), alpha=st.integers(0, 3), beta=st.integers(0, 1),
+       weights=st.lists(st.integers(-3, 3), min_size=4, max_size=4), y=st.floats(0.5, 2.0))
+def test_every_coefficient_and_borcherds_polynomial_has_one_degree_parity(form, n, alpha, beta, weights, y):
+    dec = decompose(named_form(form) if isinstance(form, str) else form)
+    m = dec.m
+    alpha = min(alpha, 4 - n)
+    P_plus = P_minus = None
+    if alpha:
+        basis = basis_homopol(m, n, alpha)
+        assume(basis)
+        P_plus = MatPoly.zero(m, n)
+        for w, b in zip(weights, basis):
+            P_plus = P_plus + b * w
+        if P_plus.is_zero():
+            P_plus = basis[0]
+    if beta and dec.s:
+        basis = basis_homopol(m, n, beta)
+        assume(basis)
+        P_minus = basis[-1]
+    try:
+        spec = theta_spec(dec, P_plus=P_plus, P_minus=P_minus, n=n)
+    except ValueError as exc:  # P+ or P- vanishes on an eigenspace
+        assume("rounding noise" not in str(exc))
+        raise
+    assume(not spec.coeff.f.is_zero())
+    degree = n * (spec.coeff.alpha + spec.coeff.beta)
+    Y = np.array([[y, 0.1], [0.1, 1.3]])[:n, :n]
+    for poly in (spec.coeff.compiled(), borcherds_poly(spec, Y)):
+        assert _degree_parities(poly) == {degree % 2}, (degree, poly.table.degrees)
+
+
+def test_a_coefficient_of_both_parities_pairs_with_its_value_at_minus_w():
+    # 1 + 1e-12 U_00 passes the float tolerance of the irrational split of
+    # [[2, 1], [1, -3]] as a hand-made Coefficient.  The paired sum takes
+    # p(-W) from a second evaluation: with p(-W) = p(W) it loses the odd
+    # part, 1.0e-13 here against a tolerance of 1.3e-14, and with p(-W) =
+    # -p(W) the constant
+    dec = decompose([[2, 1], [1, -3]])
+    assert not dec.has_exact_split()
+    f = MatPoly.one(2, 1) + MatPoly.variable(2, 1, 0, 0) * 1e-12
+    coeff = Coefficient(f, f, 0, 0, dec.s)
+    spec = ThetaSpec(dec, coeff, [[0], [0]], [[0], [Fraction(1, 3)]])
+    assert _degree_parities(coeff.compiled()) == {0, 1}
+    Z = SiegelPoint(np.array([[0.1 + 0.2j]]))
+    val = theta_eval_direct(spec, Z, eps=1e-15)
+    ref, terms, gross = unpaired_series(spec, Z, val.radius2)
+    assert val.terms == terms
+    assert abs(val.gross - gross) <= 1e-12 * gross
+    tol = val.tail_bound + PAIRING_ROUNDING * np.finfo(float).eps * gross
+    assert abs(val.value - ref) <= tol, (val, ref)
+
+
 def test_pairing_follows_the_center(monkeypatch):
     # 2H integral pairs, and so does the dual center A H for A = diag(2, 4)
     # and H = 1/4; K = 1/3 in the dual center does not
@@ -651,7 +720,8 @@ def test_carried_phase_and_q_match_the_per_term_values(form, n, dual, halves, ks
         U = np.einsum("ab,xbj->xaj", L, U)
         absL = np.abs(L)
     ref = theta.term_phase(spec, Z)(U)
-    got = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real)))
+    # the plan carries ell less its integer part, which turns every term by plan.unit
+    got = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real))) * plan.unit
     aminus = np.abs(spec.dec.aminus) if spec.dec.s else np.zeros((m, m))
     Babs = np.kron(np.abs(Z.Z), absL.T @ (np.abs(spec.A) + 2.0 * aminus) @ absL)
     ell_abs = (absL.T @ np.abs(spec.A) @ np.abs(spec.K_floats())).T.reshape(-1)
@@ -899,6 +969,108 @@ def test_inverted_theta_eval_matches_the_direct_series():
     assert sum(inverted) > len(inverted) / 2, inverted
 
 
+# Indefinite forms with m <= 3, among them the irrational split of
+# [[2, 1], [1, -3]], in genus 1 at Im z in [0.1, 0.4]: theta_eval takes the
+# inversion route whenever the plans predict it cheaper, as for a definite
+# form, and lands within both tails of the direct sum.
+_INDEFINITE_FORMS = st.sampled_from([[[-2]], "h2", "diag:2,-2", [[2, 1], [1, -3]], [[-2, 1], [1, -2]],
+                                     "diag:2,2,-2", "diag:2,-2,-2"])
+
+
+def test_inverted_theta_eval_matches_the_direct_series_on_indefinite_forms():
+    # P in {1, x_11} as P+ or P-, H in {0, 1/2}, K in {0, 1/3}.  Budget: 10 s
+    # for the 40 examples (about 1 s on a 2-vCPU host).
+    inverted = []
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(form=_INDEFINITE_FORMS, poly=st.sampled_from(["one", "plus", "minus"]),
+           half=st.booleans(), third=st.booleans(), x=st.floats(-0.5, 0.5), y=st.floats(0.1, 0.4))
+    def check(form, poly, half, third, x, y):
+        dec = decompose(named_form(form) if isinstance(form, str) else form)
+        m = dec.m
+        x11 = MatPoly.variable(m, 1, 0, 0)
+        try:
+            spec = theta_spec(dec, P_plus=x11 if poly == "plus" else None,
+                              P_minus=x11 if poly == "minus" else None,
+                              H=[[Fraction(1, 2) if half and a == 0 else 0] for a in range(m)],
+                              K=[[Fraction(1, 3) if third and a == m - 1 else 0] for a in range(m)])
+        except ValueError as exc:  # x_11 vanishes on that eigenspace
+            assume("rounding noise" not in str(exc) and "definite" not in str(exc))
+            raise
+        assume(not spec.coeff.f.is_zero())
+        Z = SiegelPoint(np.array([[complex(x, y)]]))
+        eps = 1e-10
+        inverted.append(theta._inversion(spec, Z, eps)[1] is not None)
+        val = theta_eval(spec, Z, eps)
+        ref = theta_eval_direct(spec, Z, eps)
+        assert val.tail_bound <= eps
+        tol = val.tail_bound + ref.tail_bound + 1e-13 * (val.gross + ref.gross)
+        assert abs(val.value - ref.value) <= tol, (val, ref)
+
+    check()
+    assert any(inverted) and not all(inverted), inverted
+
+
+def test_indefinite_h2_e8_in_the_cusp_evaluates_through_the_inversion_law():
+    # 1.4e10 direct rows predicted, which ran into the point cap; -1/z needs
+    # 249 terms.  h2+e8 is block diagonal: its series is the h2 series, a box
+    # sum of sqrt(y) e(x a b) exp(-pi y (a^2 + b^2)), times E4
+    z = complex(0.1, 0.15)
+    start = time.perf_counter()
+    val = theta_eval(theta_spec("h2+e8"), SiegelPoint(np.array([[z]])))
+    assert time.perf_counter() - start < 1.0
+    assert val.terms == 249 and val.tail_bound <= 1e-10
+    # |q| = 0.39 and exp(-pi y 40^2) = 2e-328: both truncations are below 1e-30
+    kmax = 150
+    sigma3 = [0] * (kmax + 1)
+    for d in range(1, kmax + 1):
+        for k in range(d, kmax + 1, d):
+            sigma3[k] += d ** 3
+    with mpmath.workdps(40):
+        xm, ym = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+        qm = mpmath.exp(2j * mpmath.pi * mpmath.mpc(xm, ym))
+        e4 = 1 + 240 * mpmath.fsum(sigma3[k] * qm ** k for k in range(1, kmax + 1))
+        h2 = mpmath.sqrt(ym) * mpmath.fsum(mpmath.exp(2j * mpmath.pi * xm * a * b - mpmath.pi * ym * (a * a + b * b))
+                                           for a in range(-40, 41) for b in range(-40, 41))
+        ref = complex(h2 * e4)
+    assert abs(val.value - ref) <= val.tail_bound  # 4.9e-12 on a 2-vCPU host
+
+
+# The integer part of a characteristic never enters a float: H + D leaves
+# the set of U as it is, and K + D turns every term by e(tr(D^T A U)) =
+# e(tr(D^T A H)), D integral.  Each case sums through the route it names.
+# A direct sum keeps its bits.  Through the inversion law the exact phase
+# e(tr(H^T A K)) of the law factor turns too: bitwise for H + D when K = 0,
+# within a few ulps of gross otherwise.
+_BIG = 10**20
+
+
+@pytest.mark.parametrize("form, H, K, z, route", [
+    ("diag:2", [[Fraction(1, 2)]], [[Fraction(1, 3)]], 0.2 + 1.1j, "direct"),
+    ("diag:2", [[Fraction(1, 4)]], [[Fraction(1, 3)]], 0.2 + 1.1j, "direct"),
+    ("h2", [[Fraction(1, 2)], [0]], [[0], [Fraction(1, 3)]], 0.2 + 1.1j, "direct"),
+    ("e8", [[Fraction(1, 2)]] + [[0]] * 7, [[0]] * 8, 0.3 + 0.2j, "inverted"),
+    ("e8", [[Fraction(1, 3)]] + [[0]] * 7, [[0]] * 7 + [[Fraction(1, 3)]], 0.3 + 0.6j, "inverted"),
+    ("h2+e8", [[Fraction(1, 2)]] + [[0]] * 9, [[0]] * 10, 0.1 + 0.15j, "inverted"),
+], ids=lambda v: str(v) if isinstance(v, str) else None)
+def test_characteristics_with_a_large_integer_part(form, H, K, z, route):
+    spec = theta_spec(form, H=H, K=K)
+    Z = SiegelPoint(np.array([[z]]))
+    assert (theta._inversion(spec, Z, 1e-10)[1] is not None) == (route == "inverted")
+    want = theta_eval(spec, Z)
+    A = named_form(form)
+    turn = sum(_BIG * int(A[a][b]) * H[b][0] for a in range(len(A)) for b in range(len(A)))
+    moved_H = theta_eval(spec.with_characteristics(H=[[h + _BIG for h in row] for row in H]), Z)
+    moved_K = theta_eval(spec.with_characteristics(K=[[k + _BIG for k in row] for row in K]), Z)
+    for got, phase, exact in ((moved_H, 1.0, route == "direct" or not any(k for (k,) in K)),
+                              (moved_K, theta.e_of_fraction(turn), route == "direct")):
+        assert (got.tail_bound, got.terms, got.gross) == (want.tail_bound, want.terms, want.gross)
+        if exact:
+            assert got.value == phase * want.value
+        else:
+            assert abs(got.value - phase * want.value) <= 8 * 2.0**-52 * want.gross
+
+
 def test_genus_two_even_unimodular_at_scaled_identity():
     spec = theta_spec("e8", n=2)
     Z = SiegelPoint(3j * np.eye(2))
@@ -958,6 +1130,16 @@ def test_eps_must_be_finite_and_positive(eps):
 def test_empty_characteristic_is_rejected():
     with pytest.raises(ValueError):
         theta_spec([[2]], H=[])
+
+
+@pytest.mark.parametrize("entry", [float("inf"), float("-inf"), float("nan"), "1/0", "x", None],
+                         ids=["inf", "-inf", "nan", "1/0", "x", "None"])
+def test_a_characteristic_entry_that_is_no_finite_rational_is_named(entry):
+    # inf raised a bare OverflowError and nan Fraction's own message
+    with pytest.raises(ValueError, match=r"K\[1\]\[0\] = %s is not a finite rational" % re.escape(repr(entry))):
+        theta_spec("h2", K=[[0], [entry]])
+    with pytest.raises(ValueError, match=r"H\[0\]\[0\] = "):
+        theta_spec([[2]], H=[[entry]])
 
 
 def test_spec_validation_rejects_wrong_form():

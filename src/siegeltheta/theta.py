@@ -94,6 +94,11 @@ magnitudes an order of magnitude less accurate.  The carried tau is a sum
 of N(N + 3)/2 rounded products, within a few N ulps of their absolute sum
 of the exact value, and does not depend on how the enumeration is cut.
 term_phase is the same tau evaluated per term, for the quadrature checks.
+No float holds the integer part of a characteristic: _series_plan drops
+it, truncated toward zero, from the centre (H, or A H for the dual
+lattice) and from ell exactly in Fractions.  The centre's leaves the set
+of U as it is, and ell's turns every term by one phase e(int(ell)^T c),
+which multiplies the value only, so H = 10^20 + 1/2 sums as H = 1/2.
 
 theta_eval sums a series of any signature through the inversion law when
 that is predicted to be cheaper: theta(Z) = inversion_prefactor(spec, W)
@@ -708,22 +713,18 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     eps) is the tail budget of the lattice sum.
 
     The series runs over the integer rows v of U = L(V + c), V the m x n
-    matrix of v column by column, c the fractional part of L^-1 H, with
+    matrix of v column by column, c = L^-1 H - int(L^-1 H), with
     Gram matrix G = kron(Y, L^T M L); L is A^-1 for the dual lattice and
     None (I) otherwise.  paired says whether 2c is integral.  At x = v + c
-    the phase of term_phase is tau = x^T B x / 2 + ell^T x + int(ell)^T c
-    with
+    the phase of term_phase is, mod 1, tau = x^T B x / 2 + ell^T x +
+    int(ell)^T c with
 
         B = kron(X, L^T A L) + i kron(Y, L^T (A - 2 A-) L),  ell + int(ell) = vec(L^T A K),
 
     and L^T A L = A^-1, L^T A K = K for the dual lattice.  Im B is G, built
     from the integer A and A- rather than the float M (module docstring).
-    The integer parts int(), truncated toward zero, are split off exactly
-    in Fractions, so that no float holds a characteristic's integer part:
-    c's leaves the set of U as it is, and ell's gives every term the same
-    factor unit = e(int(ell)^T c) (e_of_fraction; 1.0 when int(ell)^T c is
-    an integer), since int(ell)^T v is an integer.  Only the value is
-    multiplied by unit (_sum_plans).
+    int() truncates toward zero, in Fractions; ell's integer part gives
+    every term one factor unit = e(int(ell)^T c), 1.0 if that is e(integer).
 
     One Cholesky factorisation of G, kept as chol, serves the one
     _tail_plan (rho, R2 and tail), predicted_rows (rows) and the
@@ -792,9 +793,8 @@ def _summand(plan: SeriesPlan):
     once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi
     L(U)), with L(U) = ell^T x kept out of the carried form (see the module
     docstring), and magnitudes |e(Q(U))| (|p_even + p_odd| + |p_even -
-    p_odd|).  The parity is read off the degrees once: p_even = poly and
-    p_odd = 0, or the other way round.  A polynomial of both parities (a
-    hand-made Coefficient) takes poly(-W) from a second evaluation.
+    p_odd|), with p_even or p_odd poly and the other 0 by its degree
+    parity, or from poly(-W) for a (hand-made) poly of both parities.
     """
     poly, Yfac, L, c, ell, paired = plan.poly, plan.Yfac, plan.L, plan.c, plan.ell, plan.paired
     m, n = poly.m, poly.n
@@ -835,8 +835,8 @@ def _sum_plans(plans, point_cap) -> list:
     Plans that do not share them are a ValueError, and so is a plan whose
     budget underflowed to 0 (eps far below the prefactor), naming both.
     Each value is pref times its lattice sum, tail and gross, with the
-    plan's own terms, R^2 and rho (certified_lattice_sum); the value is
-    multiplied by the plan's unit too unless that is 1.
+    plan's own terms, R^2 and rho (certified_lattice_sum), and the value
+    times the plan's unit unless that is 1.
     """
     for plan in plans:
         if not plan.budget > 0:
@@ -851,12 +851,9 @@ def _sum_plans(plans, point_cap) -> list:
     sums, _, _ = certified_lattice_sum(walk, math.fsum(plan.budget for plan in plans),
                                        lambda j, block, eq: summands[j](block, eq),
                                        point_cap_from_env(point_cap))
-    values = []
-    for plan, (total, terms, gross) in zip(plans, sums):
-        value = plan.pref * total
-        values.append(ThetaValue(value if plan.unit == 1 else value * plan.unit, plan.pref * plan.tail,
-                                 terms, plan.R2, plan.rho, plan.pref * gross))
-    return values
+    return [ThetaValue(plan.pref * total if plan.unit == 1 else plan.pref * total * plan.unit,
+                       plan.pref * plan.tail, terms, plan.R2, plan.rho, plan.pref * gross)
+            for plan, (total, terms, gross) in zip(plans, sums)]
 
 
 def _sum_series(plan: SeriesPlan, point_cap) -> ThetaValue:
@@ -1006,8 +1003,7 @@ def theta_eval(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     the one summed.  Both are certified: a summed-through-the-law
     value has tail_bound and gross |pref| times the dual sum's, so
     tail_bound <= eps still, while terms, radius2 and rho describe the dual
-    sum.  Both routes serve every signature: inversion_prefactor is the law
-    factor of definite and indefinite forms alike.
+    sum.  Both routes serve every signature.
     """
     plan, pref = _inversion(spec, Z, eps)
     val = _sum_series(plan, point_cap)

@@ -134,7 +134,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlinalg import frac_matrix, identity_frac, mat_mul
+from .exactlinalg import frac_matrix, identity_frac
 from .polyalg import (
     CompiledPoly,
     HeatPlan,
@@ -749,16 +749,17 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     A = spec.A.astype(float)
     aminus = spec.dec.aminus if spec.dec.s > 0 else np.zeros((spec.m, spec.m))
     M, L, AL = spec.dec.M, None, A
-    center, ell = spec.H, mat_mul(spec.A.tolist(), spec.K)
+    center, ell = spec.H, _times_form(spec, spec.K)
     if dual:
         L = AL = np.linalg.inv(A)
         M = L.T @ M @ L
         aminus = L.T @ aminus @ L
-        center, ell = mat_mul(spec.A.tolist(), spec.H), spec.K
-    center = [[x - int(x) for x in row] for row in center]
-    turn = sum(int(l) * x for lrow, crow in zip(ell, center) for l, x in zip(lrow, crow))
-    ell = [[l - int(l) for l in row] for row in ell]
-    unit = 1.0 if Fraction(turn).denominator == 1 else e_of_fraction(turn)
+        center, ell = _times_form(spec, spec.H), spec.K
+    center = [[x - int(x) if x else x for x in row] for row in center]
+    whole = [[int(x) if x else 0 for x in row] for row in ell]
+    turn = sum(w * x for wrow, crow in zip(whole, center) for w, x in zip(wrow, crow) if w)
+    ell = [[x - w if w else x for x, w in zip(row, wrow)] for row, wrow in zip(ell, whole)]
+    unit = 1.0 if turn.denominator == 1 else e_of_fraction(turn)
     paired = all((2 * x).denominator == 1 for row in center for x in row)
     G = np.kron(Y, M)
     B = np.kron(Z.X, AL) + 1j * np.kron(Y, AL - 2.0 * aminus)
@@ -778,6 +779,17 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     return SeriesPlan(poly, Yfac, L, G, chol, _float_mat(center).T.reshape(-1), B,
                       _float_mat(ell).T.reshape(-1), unit, paired, pref, eps, budget, Cp, deg, sig2,
                       rho, R2, tail, rows)
+
+
+def _times_form(spec: ThetaSpec, X) -> list:
+    """A X for the form A of spec and a rational m x n X, exactly, from the nonzero entries of X."""
+    A, out = spec.A.tolist(), [[0] * spec.n for _ in range(spec.m)]
+    for b, row in enumerate(X):
+        for j, x in enumerate(row):
+            if x:
+                for a in range(spec.m):
+                    out[a][j] += A[a][b] * x
+    return out
 
 
 def _summand(plan: SeriesPlan):

@@ -317,18 +317,15 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
     and allocated whole, so a bound beyond 2^52 or one interval of more than
     point_cap candidates raises ResourceCapError before that.
 
-    phase = (B, ell), B a stack of k complex symmetric N x N matrices,
-    shape (k, N, N), and ell their k N-vectors, shape (k, N), or None
-    (zero), makes every row carry each tau(x) = x^T B x / 2 + ell^T x the
-    same way: level l adds x_l (B_ll x_l / 2 + T_l), the shift T_l = ell_l
-    + sum_{j>l} B[l, j] x_j.  Real and imaginary parts of each form are
-    carried as separate float recurrences, so each row's tau is the same
-    sum of the same rounded products however the frontier and the blocks
-    are cut and whichever other forms ride along: q and tau of a row are
-    bitwise independent of _FRONTIER_ROWS, block_size and the stack.  tau
-    is a sum of at most N(N + 3)/2 products, so it is within a few N ulps
-    of x^T |B| x / 2 + |ell|^T |x| of the exact value.  Block.tau has
-    shape (k, rows).
+    phase = (B, ell), k complex symmetric forms B of shape (k, N, N) and ell
+    of shape (k, N) or None (zero), makes every row carry each tau(x) = x^T
+    B x / 2 + ell^T x the same way, into Block.tau of shape (k, rows):
+    level l adds x_l (B_ll x_l / 2 + T_l), the shift T_l = ell_l +
+    sum_{j>l} B[l, j] x_j.  The real and imaginary parts of each form are
+    separate float recurrences, so q and tau of a row are bitwise
+    independent of _FRONTIER_ROWS, block_size and the other forms.  tau is
+    a sum of at most N(N + 3)/2 products, so it is within a few N ulps of
+    x^T |B| x / 2 + |ell|^T |x| of the exact value.
 
     chol, the lower Cholesky factor of G, spares the walk factorising G
     itself; the caller vouches that it is one.

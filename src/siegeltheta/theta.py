@@ -95,10 +95,9 @@ of N(N + 3)/2 rounded products, within a few N ulps of their absolute sum
 of the exact value, and does not depend on how the enumeration is cut.
 term_phase is the same tau evaluated per term, for the quadrature checks.
 No float holds the integer part of a characteristic: _series_plan drops
-it, truncated toward zero, from the centre (H, or A H for the dual
-lattice) and from ell exactly in Fractions.  The centre's leaves the set
-of U as it is, and ell's turns every term by one phase e(int(ell)^T c),
-which multiplies the value only, so H = 10^20 + 1/2 sums as H = 1/2.
+it exactly from the centre (H, or A H for the dual lattice), which leaves
+the set of U as it is, and from ell, which turns every term by one phase
+e(int(ell)^T c) that multiplies the value: H = 10^20 + 1/2 sums as 1/2.
 
 theta_eval sums a series of any signature through the inversion law when
 that is predicted to be cheaper: theta(Z) = inversion_prefactor(spec, W)
@@ -279,7 +278,7 @@ def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = 
 
 
 def _frac_mat(data, m, n, what):
-    """data as m rows of n Fractions; ValueError naming what and any entry that is not a finite rational."""
+    """data as m rows of n Fractions; a ValueError names what and an entry that is no finite rational."""
     rows = [list(row) for row in data]
     if len(rows) != m or any(len(r) != n for r in rows):
         raise ValueError("%s must be %d x %d" % (what, m, n))
@@ -782,14 +781,10 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
 
 
 def _times_form(spec: ThetaSpec, X) -> list:
-    """A X for the form A of spec and a rational m x n X, exactly, from the nonzero entries of X."""
-    A, out = spec.A.tolist(), [[0] * spec.n for _ in range(spec.m)]
-    for b, row in enumerate(X):
-        for j, x in enumerate(row):
-            if x:
-                for a in range(spec.m):
-                    out[a][j] += A[a][b] * x
-    return out
+    """A X for the form A of spec and a rational m x n X, exactly, from the nonzero entries only."""
+    A, nonzero = spec.A.tolist(), [(b, j, x) for b, row in enumerate(X) for j, x in enumerate(row) if x]
+    return [[sum(A[a][b] * x for b, k, x in nonzero if k == j and A[a][b]) for j in range(spec.n)]
+            for a in range(spec.m)]
 
 
 def _summand(plan: SeriesPlan):
@@ -954,16 +949,13 @@ def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
     det(Y)^(-lam/2) weights (det Im(-Z^-1) = det(Y)/|det Z|^2) and P+- turn
     these into the power of det(Z), adding no phase.
     """
-    m, n = spec.m, spec.n
-    dec = spec.dec
+    n, dec = spec.n, spec.dec
     alpha, beta = spec.coeff.alpha, spec.coeff.beta
     power = (dec.r - dec.s) / 2.0 + alpha - beta
     pref = cmath.exp(-1j * math.pi * (dec.r - dec.s) * n / 4.0)
     pref *= abs(float_det(dec)) ** (-n / 2.0)
     pref *= det_power(Z.Z, power)
-    A = spec.A.tolist()
-    hak = sum((h * A[a][b] * spec.K[b][j] for a, row in enumerate(spec.H) for j, h in enumerate(row)
-               if h for b in range(m)), Fraction(0))
+    hak = sum(h * x for hrow, xrow in zip(spec.H, _times_form(spec, spec.K)) for h, x in zip(hrow, xrow) if h)
     return pref * e_of_fraction(hak)
 
 

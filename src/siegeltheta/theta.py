@@ -287,7 +287,7 @@ def _frac_mat(data, m, n, what):
             try:
                 row[j] = Fraction(x)
             except (ArithmeticError, TypeError, ValueError):
-                raise ValueError("%s[%d][%d] = %r is not a finite rational number" % (what, a, j, x)) from None
+                raise ValueError("%s[%d][%d] = %r is not a finite rational" % (what, a, j, x)) from None
     return tuple(tuple(r) for r in rows)
 
 
@@ -680,7 +680,7 @@ def det_y_weight(Y, power: float, what: str) -> float:
 # What one certified series sum needs, built once by _series_plan: the route
 # choice of theta_eval compares plans and _sum_series sums one as it is.
 SeriesPlan = namedtuple("SeriesPlan", "poly Yfac L G chol c B ell unit paired pref eps budget "
-                                      "Cp deg sig2 rho R2 tail rows")
+                                      "Cp rho R2 tail rows")
 # Plans with the same G, centre and pairing, summed over one enumeration (_sum_plans).
 Walk = namedtuple("Walk", "G c paired plans")
 
@@ -776,8 +776,7 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
             # column is chol(Y) times sqrt(M_00)
             Yfac = chol[::spec.m, ::spec.m] / math.sqrt(M[0, 0])
     return SeriesPlan(poly, Yfac, L, G, chol, _float_mat(center).T.reshape(-1), B,
-                      _float_mat(ell).T.reshape(-1), unit, paired, pref, eps, budget, Cp, deg, sig2,
-                      rho, R2, tail, rows)
+                      _float_mat(ell).T.reshape(-1), unit, paired, pref, eps, budget, Cp, rho, R2, tail, rows)
 
 
 def _times_form(spec: ThetaSpec, X) -> list:
@@ -799,9 +798,9 @@ def _summand(plan: SeriesPlan):
     each polynomial once per run.  A paired sum adds each pair {U, -U} at
     once as e(Q(U)) (p_even(W) 2 cos 2 pi L(U) + p_odd(W) 2i sin 2 pi
     L(U)), with L(U) = ell^T x kept out of the carried form (see the module
-    docstring), and magnitudes |e(Q(U))| (|p_even + p_odd| + |p_even -
-    p_odd|), with p_even or p_odd poly and the other 0 by its degree
-    parity, or from poly(-W) for a (hand-made) poly of both parities.
+    docstring), and magnitudes |e(Q(U))| (|poly(W)| + |poly(-W)|): p_even
+    or p_odd is poly and the other 0 by its degree parity, and a
+    (hand-made) poly of both parities takes poly(-W) from a second call.
     """
     poly, Yfac, L, c, ell, paired = plan.poly, plan.Yfac, plan.L, plan.c, plan.ell, plan.paired
     m, n = poly.m, poly.n
@@ -822,16 +821,17 @@ def _summand(plan: SeriesPlan):
             return vals, np.abs(vals)
         if len(parities) == 2:
             p_minus = eval_batch(poly, -W)
-            pe, po = 0.5 * (p + p_minus), 0.5 * (p - p_minus)
+            pe, po, mags = 0.5 * (p + p_minus), 0.5 * (p - p_minus), np.abs(p) + np.abs(p_minus)
         else:
             pe, po = (0.0, p) if 1 in parities else (p, 0.0)
+            mags = 2.0 * np.abs(p)
         if not lin:  # sin 2 pi L(U) = 0
             both = 2.0 * pe
         else:
             t = np.einsum("ij,j->i", block.rows + c, ell)
             t = 2.0 * math.pi * (t - np.round(t))
             both = 2.0 * (pe * np.cos(t) + 1j * po * np.sin(t))
-        return eq * both, np.abs(eq) * (np.abs(pe + po) + np.abs(pe - po))
+        return eq * both, np.abs(eq) * mags
 
     return summand
 

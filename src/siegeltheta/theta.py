@@ -783,7 +783,7 @@ def _times_form(spec: ThetaSpec, X) -> list:
     """A X for the form A of spec and a rational m x n X, exactly, from the nonzero entries only."""
     A, nonzero = spec.A.tolist(), [(b, j, x) for b, row in enumerate(X) for j, x in enumerate(row) if x]
     return [[sum(A[a][b] * x for b, k, x in nonzero if k == j and A[a][b]) for j in range(spec.n)]
-            for a in range(spec.m)]
+            for a in range(spec.m)] if nonzero else [[0] * spec.n for _ in range(spec.m)]
 
 
 def _summand(plan: SeriesPlan):

@@ -1030,7 +1030,7 @@ def test_indefinite_h2_e8_in_the_cusp_evaluates_through_the_inversion_law():
         h2 = mpmath.sqrt(ym) * mpmath.fsum(mpmath.exp(2j * mpmath.pi * xm * a * b - mpmath.pi * ym * (a * a + b * b))
                                            for a in range(-40, 41) for b in range(-40, 41))
         ref = complex(h2 * e4)
-    assert abs(val.value - ref) <= val.tail_bound  # 4.9e-12 on a 2-vCPU host
+    assert abs(val.value - ref) <= val.tail_bound  # 3.2e-12 on a 2-vCPU host
 
 
 # The integer part of a characteristic never enters a float: H + D leaves

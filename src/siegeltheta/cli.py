@@ -122,7 +122,7 @@ def _cmd_cosets(args) -> int:
         "form": [[int(x) for x in row] for row in np.asarray(A).tolist()],
         "genus": args.genus,
         "count": len(reps),
-        "reps": [_frac_mat_out(rep.J) for rep in reps],
+        "reps": [_frac_mat_out(rep) for rep in reps],
     })
     return 0
 

@@ -6,18 +6,18 @@ absolute value of A).  When M is rational the split is upgraded to exact
 arithmetic, which is what makes the symbolic zero-residual checks on the
 fixture forms possible.
 
-coset_reps() enumerates A^-1 Z^(m x n) / Z^(m x n) column-wise, as the group
-the columns of A^-1 generate mod 1.  lattice_blocks() enumerates an ellipsoid
-q(v + c) <= R^2 around a real center, pruning on the Cholesky factorization
-of the Gram matrix over a chunked numpy frontier of partial vectors (the
-level-by-level ellipsoid enumeration of Deconinck et al., "Computing Riemann
-theta functions", Math. Comp. 73 (2004), run depth first chunk by chunk so
-memory stays bounded), in a deterministic order.  Each point comes with its
-q carried down the Cholesky recurrence and, given a stack of complex
-quadratic forms, each form's value carried the same way (the series' term
-phase); with half=True and 2 center integral it emits one point of each
-pair {x, -x}, which the series sum as one term pair; lattice_points()
-refilters its output exactly.
+coset_reps() lists A^-1 Z^(m x n) / Z^(m x n) as matrices J, m rows of
+Fractions each.  lattice_blocks() enumerates an ellipsoid q(v + c) <= R^2
+around a real center, pruning on the Cholesky factorization of the Gram
+matrix over a chunked numpy frontier of partial vectors (the level-by-level
+ellipsoid enumeration of Deconinck et al., "Computing Riemann theta
+functions", Math. Comp. 73 (2004), run depth first chunk by chunk so memory
+stays bounded), in a deterministic order.  Each point comes with its q
+carried down the Cholesky recurrence and the value of each form of a stack
+of complex quadratic forms carried the same way (the series' term phase; an
+empty stack by default); with half=True and 2 center integral it emits one
+point of each pair {x, -x}, which the series sum as one term pair;
+lattice_points() refilters its output exactly.
 """
 
 from __future__ import annotations
@@ -33,17 +33,21 @@ from .exactlinalg import frac_matrix, mat_det, mat_inverse, mat_mul, posdef_solv
 # ==== form basics ===========================================================
 
 
+def held_integer(x) -> bool:
+    """Whether x is an integer that int64 and float64 both hold exactly."""
+    try:
+        return int(x) == x and -2**63 <= x < 2**63 and float(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def as_form_array(A) -> np.ndarray:
     """A as a symmetric int64 matrix; an entry that int64 or float64 would change is refused."""
     a = np.asarray(A, dtype=object)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError("a quadratic form must be a nonempty square matrix")
     for x in a.flat:
-        try:
-            held = int(x) == x and -2**63 <= x < 2**63 and float(x) == x
-        except (TypeError, ValueError, OverflowError):
-            held = False
-        if not held:
+        if not held_integer(x):
             raise ValueError("a quadratic form must have integer entries that int64 and float64 "
                              "hold exactly, got %r" % (x,))
     ai = a.astype(np.int64)
@@ -177,63 +181,25 @@ def _try_exact_split(form: QuadForm, M: np.ndarray):
 # ==== cosets ================================================================
 
 
-class CosetRep:
-    """One representative J of A^-1 Z^(m x n) / Z^(m x n), entries in [0, 1)."""
-
-    __slots__ = ("J",)
-
-    def __init__(self, J):
-        self.J = tuple(tuple(Fraction(x) for x in row) for row in J)
-
-    @property
-    def m(self):
-        return len(self.J)
-
-    @property
-    def n(self):
-        return len(self.J[0])
-
-    def __eq__(self, other):
-        return isinstance(other, CosetRep) and self.J == other.J
-
-    def __hash__(self):
-        return hash(self.J)
-
-    def __repr__(self):
-        return "CosetRep(%s)" % (self.J,)
-
-
-def coset_column_reps(A):
-    """A^-1 Z^m / Z^m as sorted Fraction column vectors in [0,1).
-
-    The columns of A^-1 mod 1 generate the group; sums of them are added
-    until no new vector appears.
-    """
-    inv = mat_inverse(as_form_array(A).tolist())
-    gens = {tuple(row[j] % 1 for row in inv) for j in range(len(inv))}
-    group = {tuple(Fraction(0) for _ in inv)}
-    frontier = set(group)
-    while frontier:
-        sums = {tuple((a + b) % 1 for a, b in zip(x, g)) for x in frontier for g in gens}
-        frontier = sums - group
-        group |= frontier
-    return sorted(group)
-
-
 def coset_reps(A, n: int, cap: int = 100_000):
-    """All m x n matrices J with columns in A^-1 Z^m / Z^m, abs(det A)^n of them."""
+    """A^-1 Z^(m x n) / Z^(m x n), abs(det A)^n matrices J, each m rows of Fractions in [0, 1).
+
+    J runs over the n-tuples, first outermost, of the sorted columns of the
+    group that the columns of A^-1 generate mod 1.
+    """
     if n < 1:
         raise ValueError("genus n must be positive, got %d" % n)
     form = QuadForm(A)
     count = abs(form.det) ** n
     if count > cap:
         raise ResourceCapError("coset count %d exceeds the cap %d" % (count, cap))
-    cols = coset_column_reps(form.A)
-    reps = []
-    for combo in itertools.product(cols, repeat=n):
-        J = [[combo[j][i] for j in range(n)] for i in range(form.m)]
-        reps.append(CosetRep(J))
-    return reps
+    inv = mat_inverse(form.A.tolist())
+    gens = {tuple(row[j] % 1 for row in inv) for j in range(form.m)}
+    group, frontier = set(), {tuple(Fraction(0) for _ in inv)}
+    while frontier:
+        group |= frontier
+        frontier = {tuple((a + b) % 1 for a, b in zip(x, g)) for x in frontier for g in gens} - group
+    return [tuple(zip(*combo)) for combo in itertools.product(sorted(group), repeat=n)]
 
 
 # ==== lattice enumeration ===================================================
@@ -261,7 +227,7 @@ class Block:
     rows is a (k, N) int64 array of integer vectors v, q the float q(v +
     center) that the Cholesky recurrence carried down to each row, and tau
     the carried value tau(v + center) of each phase form, complex of shape
-    (forms, k), or None when the enumeration carried none.  len(block) is k.
+    (forms, k): (0, k) when the enumeration carried none.  len(block) is k.
     """
 
     __slots__ = ("rows", "q", "tau")
@@ -318,14 +284,14 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
     point_cap candidates raises ResourceCapError before that.
 
     phase = (B, ell), k complex symmetric forms B of shape (k, N, N) and ell
-    of shape (k, N) or None (zero), makes every row carry each tau(x) = x^T
-    B x / 2 + ell^T x the same way, into Block.tau of shape (k, rows):
-    level l adds x_l (B_ll x_l / 2 + T_l), the shift T_l = ell_l +
-    sum_{j>l} B[l, j] x_j.  The real and imaginary parts of each form are
-    separate float recurrences, so q and tau of a row are bitwise
-    independent of _FRONTIER_ROWS, block_size and the other forms.  tau is
-    a sum of at most N(N + 3)/2 products, so it is within a few N ulps of
-    x^T |B| x / 2 + |ell|^T |x| of the exact value.
+    of shape (k, N) or None (zero), k = 0 for phase None, makes every row
+    carry each tau(x) = x^T B x / 2 + ell^T x the same way, into Block.tau of
+    shape (k, rows): level l adds x_l (B_ll x_l / 2 + T_l), the shift T_l =
+    ell_l + sum_{j>l} B[l, j] x_j.  The real and imaginary parts of each form
+    are separate float recurrences, so q and tau of a row are bitwise
+    independent of _FRONTIER_ROWS, block_size and the other forms.  tau is a
+    sum of at most N(N + 3)/2 products, so it is within a few N ulps of x^T
+    |B| x / 2 + |ell|^T |x| of the exact value.
 
     chol, the lower Cholesky factor of G, spares the walk factorising G
     itself; the caller vouches that it is one.
@@ -351,23 +317,19 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
         return
     d, mu = _cholesky_data(G, chol)
     # coef[i, l] is what x_l adds to the shifts of level i < l: mu[i, l] to
-    # S and, with a phase, Re and Im B[i, l] of each form to its T;
-    # hdiag[l, 1:] holds Re and Im B_ll / 2 of each form
-    if phase is None:
-        coef = mu[:, :, None]
-        shift0 = np.zeros((1, N, 1))
-    else:
-        B, ell = phase
-        B = np.asarray(B, dtype=complex)
-        ell = np.zeros(B.shape[:-1]) if ell is None else np.asarray(ell, dtype=complex)
-        if B.ndim != 3 or B.shape[1:] != (N, N) or ell.shape != B.shape[:-1]:
-            raise ValueError("phase form shape mismatch: need a (k, N, N) stack")
-        # the recurrences in order: q, then Re and Im of each form
-        coef, shift0 = np.zeros((N, N, 1 + 2 * len(B))), np.zeros((1, N, 1 + 2 * len(B)))
-        coef[..., 0] = mu
-        coef[..., 1::2], coef[..., 2::2] = B.real.transpose(1, 2, 0), B.imag.transpose(1, 2, 0)
-        shift0[0, :, 1::2], shift0[0, :, 2::2] = ell.real.T, ell.imag.T
-    w = coef.shape[2]
+    # S and Re and Im B[i, l] of each form to its T; hdiag[l, 1:] holds Re
+    # and Im B_ll / 2 of each form
+    B, ell = (np.zeros((0, N, N)), None) if phase is None else phase
+    B = np.asarray(B, dtype=complex)
+    ell = np.zeros(B.shape[:-1]) if ell is None else np.asarray(ell, dtype=complex)
+    if B.ndim != 3 or B.shape[1:] != (N, N) or ell.shape != B.shape[:-1]:
+        raise ValueError("phase form shape mismatch: need a (k, N, N) stack")
+    # the recurrences in order: q, then Re and Im of each form
+    w = 1 + 2 * len(B)
+    coef, shift0 = np.zeros((N, N, w)), np.zeros((1, N, w))
+    coef[..., 0] = mu
+    coef[..., 1::2], coef[..., 2::2] = B.real.transpose(1, 2, 0), B.imag.transpose(1, 2, 0)
+    shift0[0, :, 1::2], shift0[0, :, 2::2] = ell.real.T, ell.imag.T
     hdiag = 0.5 * np.diagonal(coef).T
     slack = enumeration_slack(R2)
     # bounds at level l lie within the ellipsoid's projection |c_l| + sqrt((R2 + slack)
@@ -401,10 +363,8 @@ def lattice_blocks(G, center, R2: float, point_cap=None, block_size: int = 8192,
             raise ResourceCapError("lattice enumeration exceeded the %d point cap" % point_cap)
         if kept < keep.shape[0]:
             rows, P = rows[keep], P[:, keep]
-        tau = None
-        if phase is not None:
-            tau = np.empty((w // 2, kept), dtype=complex)
-            tau.real, tau.imag = P[1::2], P[2::2]
+        tau = np.empty((w // 2, kept), dtype=complex)
+        tau.real, tau.imag = P[1::2], P[2::2]
         return Block(rows, P[0], tau)
 
     def chunk(level, V, F, P, axis):

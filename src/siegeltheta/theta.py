@@ -50,10 +50,11 @@ a golden-section search (_tail_plan).
 Each series is planned once into a SeriesPlan (_series_plan): compiled
 polynomial, Gram matrix, centre, phase form, prefactor, tail budget, and
 rho, R^2, tail and predicted rows from one Cholesky factorisation and one
-_tail_plan; the factor is kept and handed to the enumeration.
+_tail_plan; the factor is kept and handed to the enumeration.  Its exact
+characteristic algebra depends on the spec alone (ThetaSpec.route).
 certified_lattice_sum enumerates and sums the plans it is given, several
-at once when they share G, centre and pairing (_sum_plans): the two sides
-of the translation law, or the plain and Borcherds series at one Z
+at once when they share G, centre and pairing: the two sides of the
+translation law, or the plain and Borcherds series at one Z
 (theta_eval_shared).  One enumeration then runs at their largest R^2 and
 carries each distinct phase form, and each plan keeps the rows whose
 carried q is within its own R^2 plus the enumeration's slack, so its
@@ -94,9 +95,9 @@ magnitudes an order of magnitude less accurate.  The carried tau is a sum
 of N(N + 3)/2 rounded products, within a few N ulps of their absolute sum
 of the exact value, and does not depend on how the enumeration is cut.
 term_phase is the same tau evaluated per term, for the quadrature checks.
-No float holds the integer part of a characteristic: _series_plan drops
-it exactly from the centre (H, or A H for the dual lattice), which leaves
-the set of U as it is, and from ell, which turns every term by one phase
+No float holds the integer part of a characteristic: _route drops it
+exactly from the centre (H, or A H for the dual lattice), which leaves the
+set of U as it is, and from ell, which turns every term by one phase
 e(int(ell)^T c) that multiplies the value: H = 10^20 + 1/2 sums as 1/2.
 
 theta_eval sums a series of any signature through the inversion law when
@@ -296,9 +297,13 @@ def _float_mat(fracs) -> np.ndarray:
 
 
 class ThetaSpec:
-    """Form decomposition, characteristics and coefficient, PDE-validated."""
+    """Form decomposition, characteristics and coefficient, PDE-validated.
 
-    __slots__ = ("dec", "coeff", "H", "K", "n")
+    route(dual) keeps the exact characteristic algebra of every plan of the
+    spec (_route), built on first use; a with_characteristics copy has none.
+    """
+
+    __slots__ = ("dec", "coeff", "H", "K", "n", "_routes")
 
     def __init__(self, dec: QuadFormDecomposition, coeff, H, K):
         self.dec = dec
@@ -310,6 +315,7 @@ class ThetaSpec:
         self.H = _frac_mat(H, dec.m, ncols, "H")
         self.K = _frac_mat(K, dec.m, ncols, "K")
         self.n = ncols
+        self._routes = [None, None]
         if coeff.f.m != dec.m or coeff.f.n != ncols:
             raise ValueError("coefficient shape does not match the characteristics")
         self._validate_pde()
@@ -345,7 +351,15 @@ class ThetaSpec:
         new.H = self.H if H is None else _frac_mat(H, self.m, self.n, "H")
         new.K = self.K if K is None else _frac_mat(K, self.m, self.n, "K")
         new.n = self.n
+        new._routes = [None, None]
         return new
+
+    def route(self, dual: bool = False):
+        """(c, ell, unit, paired) of the direct lattice, or of the dual one with dual (_route)."""
+        if self._routes[dual] is None:
+            AX = _times_form(self.A.tolist(), self.H if dual else self.K)
+            self._routes[dual] = _route(AX, self.K) if dual else _route(self.H, AX)
+        return self._routes[dual]
 
     def K_floats(self) -> np.ndarray:
         return _float_mat(self.K)
@@ -435,10 +449,12 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
     and that ratio minimises it for a fixed sum.  R^2(rho) = log(lead / eps)
     / (pi rho), lead the bound at R^2 = 0, is minimised over rho by a
     golden-section search of RHO_PROBES evaluations on RHO_BRACKET (log lead
-    is close to convex in rho, so R^2 is close to unimodal; any rho is
-    valid, so a probe off the true minimum only costs points).  The best
-    probe wins, the first of equals; R^2 then moves up by ulps until the
-    computed tail is at most eps, since the logarithm may round it short.
+    is close to convex in rho, so R^2 is close to unimodal; any rho is valid,
+    so a probe off the true minimum only costs points).  The best probe wins,
+    the first of equals; R^2 then moves up by ulps until the computed tail is
+    at most eps, since the logarithm may round it short.  A lead / eps past
+    the float range is log lead - log eps.  Where the tail or exp(-pi rho R^2)
+    is subnormal, R^2 is decided in logarithms and the tail reported is eps.
     """
     N = len(pivots)
 
@@ -455,7 +471,8 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
 
     def radius2(rho):
         a = lead(rho)
-        return max(0.0, math.log(a / eps) / (math.pi * rho)) if a > eps else 0.0
+        log_q = (math.log(a / eps) if a / eps < math.inf else math.log(a) - math.log(eps)) if a > eps else 0.0
+        return max(0.0, log_q / (math.pi * rho))
 
     lo, hi = RHO_BRACKET
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
@@ -474,58 +491,65 @@ def _tail_plan(Cp: float, deg: int, sig2: float, pivots, eps: float):
             probes.append((fd, d))
     R2, rho = min(probes, key=lambda p: p[0])
     a = lead(rho)
-    tail = a * math.exp(-math.pi * rho * R2)
+    decay = math.exp(-math.pi * rho * R2)
+    tail = a * decay
+    if R2 > 0 and min(decay, tail) < np.finfo(float).tiny:
+        # a subnormal keeps too few digits to bound the exact tail: in
+        # logarithms, 1e-9 is far above their rounding, and eps bounds it
+        return rho, max(R2, (math.log(a) - math.log(eps) + 1e-9) / (math.pi * rho)), eps
     while tail > eps:  # the logarithm rounds R^2 a few ulps short
         R2 = math.nextafter(R2, math.inf)
         tail = a * math.exp(-math.pi * rho * R2)
     return rho, R2, tail
 
 
-def certified_lattice_sum(walk: Walk, eps: float, summand, point_cap: int):
-    """Sum summand over the integer offsets of walk.c in the ellipsoid of each plan of walk.
+def certified_lattice_sum(plans, eps: float, summand, point_cap: int):
+    """Sum summand over the integer offsets of c in the ellipsoid of each of plans.
 
     The plans (_series_plan) fix G, c, the pairing, their phase forms, R^2,
-    rho and tails, and share the first three (_sum_plans), so this only
-    enumerates, once, and adds.  The enumeration runs at the largest R^2 of
-    the plans with a nonzero polynomial and carries each distinct phase
-    form of theirs (lattice_blocks with a stack of forms), so a row's q and
-    tau are bitwise those of an enumeration for its plan alone.  Each plan
-    keeps the rows whose carried q is at most its own R^2 +
-    enumeration_slack(R^2), the filter the enumeration applies, so it sums
-    exactly the rows of an enumeration at its own R^2.  eps is the tail
-    budget the sum certifies: it must be finite and positive and at least
-    the sum of the plans' tails (ValueError).  summand(j, block, eq) maps
-    the rows that plan j keeps of a lattice_blocks Block (int64 rows of
-    shape (k, d), their carried q and the tau of plan j's form) and their
-    phases eq = e(tau) = exp(-2 pi Im tau + 2 pi i frac(Re tau)) to a pair
-    of float arrays: the complex values of plan j's full summand at c +
-    rows and their magnitudes.  eq is computed once per block for each
-    distinct form, on the rows of its plan of largest R^2, and each plan
-    gets its subset: the two plans of a Borcherds pair share their form.
-    With walk.paired, 2c is integral: the enumeration then emits one x = c
-    + row of each pair {x, -x} (lattice_blocks with half), summand must
-    return term(x) + term(-x) and |term(x)| + |term(-x)| for each row, and
-    the origin, whose paired value is twice its term, is halved here.  A
-    plan's terms count the terms of its full series either way, two per
-    pair and one for the origin, and point_cap caps that count for the
-    enumeration, at its R^2.  Each block
-    is summed in floating point and the per-block sums are combined with
-    exact float summation.  The result is deterministic for a fixed
-    enumeration block size, because the enumerator fixes both the order of
-    the rows and where the blocks are cut; a different block size rounds
-    the per-block sums differently and may move the result by a few ulps of
-    gross, the gross magnitude sum |f| over all terms: the honest scale for
-    relative comparisons when cancellation drives the net value to zero.  A
-    plan whose R^2 is below the enumeration's keeps part of each block, so
-    its sums may differ from those of its own enumeration by the same few
-    ulps of gross; a plan at the enumeration's R^2 gets the bits of its own.
-    The return is (sums, tail, terms): one (total, terms, gross) per plan,
-    the plans' tails summed and their terms summed.  A zero polynomial (Cp
-    = 0) sums nothing: its total, terms and gross are 0.
+    rho and tails, and must share the first three, read off plans[0]
+    (ValueError otherwise), so this only enumerates, once, and adds.  The
+    enumeration runs at the largest R^2 of the plans with a nonzero polynomial
+    and carries each distinct phase form of theirs (lattice_blocks with a
+    stack of forms), so a row's q and tau are bitwise those of an enumeration
+    for its plan alone.  Each plan keeps the rows whose carried q is at most
+    its own R^2 + enumeration_slack(R^2), the filter the enumeration applies,
+    so it sums exactly the rows of an enumeration at its own R^2.  eps is the
+    tail budget the sum certifies: it must be finite and positive and at least
+    the sum of the plans' tails (ValueError).  summand(j, block, eq) maps the
+    rows that plan j keeps of a lattice_blocks Block (int64 rows of shape (k,
+    d), their carried q and the tau of plan j's form) and their phases eq =
+    e(tau) = exp(-2 pi Im tau + 2 pi i frac(Re tau)) to a pair of float
+    arrays: the complex values of plan j's full summand at c + rows and their
+    magnitudes.  eq is computed once per block for each distinct form, on the
+    rows of its plan of largest R^2, and each plan gets its subset: the two
+    plans of a Borcherds pair share their form. With the pairing, 2c is
+    integral: the enumeration then emits one x = c + row of each pair {x, -x}
+    (lattice_blocks with half), summand must return term(x) + term(-x) and
+    |term(x)| + |term(-x)| for each row, and the origin, whose paired value is
+    twice its term, is halved here.  A plan's terms count the terms of its
+    full series either way, two per pair and one for the origin, and point_cap
+    caps that count for the enumeration, at its R^2.  Each block is summed in
+    floating point and the per-block sums are combined with exact float
+    summation.  The result is deterministic for a fixed enumeration block
+    size, because the enumerator fixes both the order of the rows and where
+    the blocks are cut; a different block size rounds the per-block sums
+    differently and may move the result by a few ulps of gross, the gross
+    magnitude sum |f| over all terms: the honest scale for relative
+    comparisons when cancellation drives the net value to zero.  A plan whose
+    R^2 is below the enumeration's keeps part of each block, so its sums may
+    differ from those of its own enumeration by the same few ulps of gross; a
+    plan at the enumeration's R^2 gets the bits of its own. The return is
+    (sums, tail, terms): one (total, terms, gross) per plan, the plans' tails
+    summed and their terms summed.  A zero polynomial (Cp = 0) sums nothing:
+    its total, terms and gross are 0.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive, got %r" % eps)
-    plans, paired = walk.plans, walk.paired
+    G, c, paired = plans[0].G, plans[0].c, plans[0].paired
+    if not all(plan.paired == paired and np.array_equal(plan.G, G) and np.array_equal(plan.c, c)
+               for plan in plans[1:]):
+        raise ValueError("plans summed over one enumeration must share G, centre and pairing")
     tail = math.fsum(plan.tail for plan in plans)
     if not tail <= eps:
         raise ValueError("the plans' tail %r exceeds eps %r" % (tail, eps))
@@ -550,10 +574,10 @@ def certified_lattice_sum(walk: Walk, eps: float, summand, point_cap: int):
     for j in live:
         reach[form_of[j]] = max(reach.get(form_of[j], 0.0), bound[j])
     # with paired and an integral center the origin is the first row emitted
-    origin = int(paired and not np.any(walk.c % 1.0))
+    origin = int(paired and not np.any(c % 1.0))
     parts = {j: ([], [], []) for j in live}  # the block sums of Re, Im and magnitudes
     used = dict.fromkeys(live, 0)
-    for block in lattice_blocks(walk.G, walk.c, R2, point_cap=point_cap, half=paired, phase=phase,
+    for block in lattice_blocks(G, c, R2, point_cap=point_cap, half=paired, phase=phase,
                                 chol=plans[live[0]].chol):
         kept = {}
         for f, lim in reach.items():
@@ -681,8 +705,6 @@ def det_y_weight(Y, power: float, what: str) -> float:
 # choice of theta_eval compares plans and _sum_series sums one as it is.
 SeriesPlan = namedtuple("SeriesPlan", "poly Yfac L G chol c B ell unit paired pref eps budget "
                                       "Cp rho R2 tail rows")
-# Plans with the same G, centre and pairing, summed over one enumeration (_sum_plans).
-Walk = namedtuple("Walk", "G c paired plans")
 
 
 def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = False,
@@ -695,16 +717,11 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     sig2 bounds |W|_F^2 / q and Cp is poly.majorant() (_tail_plan).
 
     Yfac is C, the lower-triangular factor of Y = C C^T, read off chol
-    below.  f(U C) = f(U Y^(1/2)): P+- are det-homogeneous in the columns,
-    the projectors act on the left and tr Delta_M is invariant under U -> U
-    O for orthogonal O, so f(U O) = f(U) for O = C^-1 Y^(1/2), which is
-    orthogonal of determinant 1.  |U C|_F^2 = tr(U^T U Y) either way, so
-    sig2, the tails and the term counts are those of Y^(1/2), and L acts on
-    the left, so the same holds for the dual lattice.  Column j of U C
-    reads U's columns j, ..., n - 1 only: the last column of W is a
-    function of the enumeration's outermost coordinates, and eval_batch
-    forms the outer half of f once per run of rows that repeat it.  Yfac is
-    None when nothing is summed (no chol).
+    below: f(U C) = f(U Y^(1/2)) (module docstring) and |U C|_F^2 = tr(U^T
+    U Y), so sig2, the tails and the term counts are those of Y^(1/2), for
+    the dual lattice too, as L acts on the left.  Column j of U C reads U's
+    columns j, ..., n - 1 only (_summand).  Yfac is None when nothing is
+    summed (no chol).
 
     eps must be finite and positive, and pref a positive finite float
     (det_y_weight; ValueError otherwise, one naming det(Y) and the point
@@ -712,18 +729,16 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     eps) is the tail budget of the lattice sum.
 
     The series runs over the integer rows v of U = L(V + c), V the m x n
-    matrix of v column by column, c = L^-1 H - int(L^-1 H), with
-    Gram matrix G = kron(Y, L^T M L); L is A^-1 for the dual lattice and
-    None (I) otherwise.  paired says whether 2c is integral.  At x = v + c
-    the phase of term_phase is, mod 1, tau = x^T B x / 2 + ell^T x +
-    int(ell)^T c with
+    matrix of v column by column, with Gram matrix G = kron(Y, L^T M L); L
+    is A^-1 for the dual lattice and None (I) otherwise.  c (L^-1 H less
+    its integer part), ell, unit and paired are spec.route(dual), built
+    once for every plan of the spec.  At x = v + c the phase of term_phase
+    is, mod 1, tau = x^T B x / 2 + ell^T x + int(ell)^T c with
 
         B = kron(X, L^T A L) + i kron(Y, L^T (A - 2 A-) L),  ell + int(ell) = vec(L^T A K),
 
     and L^T A L = A^-1, L^T A K = K for the dual lattice.  Im B is G, built
     from the integer A and A- rather than the float M (module docstring).
-    int() truncates toward zero, in Fractions; ell's integer part gives
-    every term one factor unit = e(int(ell)^T c), 1.0 if that is e(integer).
 
     One Cholesky factorisation of G, kept as chol, serves the one
     _tail_plan (rho, R2 and tail), predicted_rows (rows) and the
@@ -748,18 +763,11 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
     A = spec.A.astype(float)
     aminus = spec.dec.aminus if spec.dec.s > 0 else np.zeros((spec.m, spec.m))
     M, L, AL = spec.dec.M, None, A
-    center, ell = spec.H, _times_form(spec, spec.K)
     if dual:
         L = AL = np.linalg.inv(A)
         M = L.T @ M @ L
         aminus = L.T @ aminus @ L
-        center, ell = _times_form(spec, spec.H), spec.K
-    center = [[x - int(x) if x else x for x in row] for row in center]
-    whole = [[int(x) if x else 0 for x in row] for row in ell]
-    turn = sum(w * x for wrow, crow in zip(whole, center) for w, x in zip(wrow, crow) if w)
-    ell = [[x - w if w else x for x, w in zip(row, wrow)] for row, wrow in zip(ell, whole)]
-    unit = 1.0 if turn.denominator == 1 else e_of_fraction(turn)
-    paired = all((2 * x).denominator == 1 for row in center for x in row)
+    c, ell, unit, paired = spec.route(dual)
     G = np.kron(Y, M)
     B = np.kron(Z.X, AL) + 1j * np.kron(Y, AL - 2.0 * aminus)
     Cp, deg = poly.majorant(), poly.degree()
@@ -775,15 +783,33 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
             # chol(kron(Y, M)) = kron(chol(Y), chol(M)): every m-th row and
             # column is chol(Y) times sqrt(M_00)
             Yfac = chol[::spec.m, ::spec.m] / math.sqrt(M[0, 0])
-    return SeriesPlan(poly, Yfac, L, G, chol, _float_mat(center).T.reshape(-1), B,
-                      _float_mat(ell).T.reshape(-1), unit, paired, pref, eps, budget, Cp, rho, R2, tail, rows)
+    return SeriesPlan(poly, Yfac, L, G, chol, c, B, ell, unit, paired, pref, eps, budget, Cp, rho, R2,
+                      tail, rows)
 
 
-def _times_form(spec: ThetaSpec, X) -> list:
-    """A X for the form A of spec and a rational m x n X, exactly, from the nonzero entries only."""
-    A, nonzero = spec.A.tolist(), [(b, j, x) for b, row in enumerate(X) for j, x in enumerate(row) if x]
-    return [[sum(A[a][b] * x for b, k, x in nonzero if k == j and A[a][b]) for j in range(spec.n)]
-            for a in range(spec.m)] if nonzero else [[0] * spec.n for _ in range(spec.m)]
+def _times_form(A, X) -> list:
+    """A X, exactly, for the integer rows of a form A and a rational m x n X: the one such product."""
+    m, n = len(A), len(X[0])
+    nonzero = [(b, j, x) for b, row in enumerate(X) for j, x in enumerate(row) if x]
+    return [[sum(A[a][b] * x for b, k, x in nonzero if k == j and A[a][b]) for j in range(n)]
+            for a in range(m)] if nonzero else [[0] * n for _ in range(m)]
+
+
+def _route(center, ell):
+    """(c, ell, unit, paired) from the exact (center, ell): (H, A K), or (A H, K) for the dual lattice.
+
+    c = center - int(center), int() truncating toward zero, leaves the set
+    of U as it is; ell loses int(ell), which turns every term by one factor
+    unit = e(int(ell)^T c), 1.0 if that is e(integer).  paired says whether
+    2c is integral.  c and ell are float vectors, column by column.
+    """
+    center = [[x - int(x) if x else x for x in row] for row in center]
+    whole = [[int(x) if x else 0 for x in row] for row in ell]
+    turn = sum(w * x for wrow, crow in zip(whole, center) for w, x in zip(wrow, crow) if w)
+    ell = [[x - w if w else x for x, w in zip(row, wrow)] for row, wrow in zip(ell, whole)]
+    unit = 1.0 if turn.denominator == 1 else e_of_fraction(turn)
+    paired = all((2 * x).denominator == 1 for row in center for x in row)
+    return _float_mat(center).T.reshape(-1), _float_mat(ell).T.reshape(-1), unit, paired
 
 
 def _summand(plan: SeriesPlan):
@@ -849,13 +875,8 @@ def _sum_plans(plans, point_cap) -> list:
         if not plan.budget > 0:
             raise ValueError("eps %r divided by the series prefactor %r leaves no positive float "
                              "tail budget" % (plan.eps, plan.pref))
-    lead = plans[0]
-    if not all(plan.paired == lead.paired and np.array_equal(plan.G, lead.G)
-               and np.array_equal(plan.c, lead.c) for plan in plans[1:]):
-        raise ValueError("plans summed over one enumeration must share G, centre and pairing")
-    walk = Walk(lead.G, lead.c, lead.paired, tuple(plans))
     summands = [_summand(plan) for plan in plans]
-    sums, _, _ = certified_lattice_sum(walk, math.fsum(plan.budget for plan in plans),
+    sums, _, _ = certified_lattice_sum(plans, math.fsum(plan.budget for plan in plans),
                                        lambda j, block, eq: summands[j](block, eq),
                                        point_cap_from_env(point_cap))
     return [ThetaValue(plan.pref * total if plan.unit == 1 else plan.pref * total * plan.unit,
@@ -955,8 +976,8 @@ def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
     pref = cmath.exp(-1j * math.pi * (dec.r - dec.s) * n / 4.0)
     pref *= abs(float_det(dec)) ** (-n / 2.0)
     pref *= det_power(Z.Z, power)
-    hak = sum(h * x for hrow, xrow in zip(spec.H, _times_form(spec, spec.K)) for h, x in zip(hrow, xrow) if h)
-    return pref * e_of_fraction(hak)
+    AK = _times_form(spec.A.tolist(), spec.K)
+    return pref * e_of_fraction(sum(h * x for hrow, xrow in zip(spec.H, AK) for h, x in zip(hrow, xrow) if h))
 
 
 def dual_spec(spec: ThetaSpec) -> ThetaSpec:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlinalg import frac_matrix, mat_inverse, mat_mul
+from .exactlinalg import mat_inverse, mat_mul
 from .polyalg import (
     MatPoly,
     euler_entry,
@@ -43,7 +43,7 @@ from .polyalg import (
 )
 from .polyalg import exp_trace_laplace_weighted  # noqa: F401  (patched by perfbench tracing)
 from .quadform import coset_reps  # noqa: F401  (patched by perfbench tracing)
-from .quadform import decompose, named_form
+from .quadform import decompose, held_integer, named_form
 from .scalars import PiScalar
 from .siegel import SiegelPoint, det_power, random_siegel_point
 from .theta import (
@@ -62,6 +62,7 @@ from .theta import (
     theta_eval_shared,
     theta_spec,
 )
+from .theta import _times_form
 from .theta import certified_lattice_sum  # noqa: F401  (patched by perfbench tracing)
 
 
@@ -102,26 +103,6 @@ class CheckReport:
             self.name, flag, self.residual, self.tolerance)
 
 
-# ==== exact rational phase bookkeeping ======================================
-
-
-def _transpose(M):
-    return [list(col) for col in zip(*M)]
-
-
-def _trace(M) -> Fraction:
-    return sum((M[i][i] for i in range(len(M))), Fraction(0))
-
-
-def _diag_part(M):
-    size = len(M)
-    return [[M[i][i] if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-
-
-def _ones(rows, cols):
-    return [[Fraction(1)] * cols for _ in range(rows)]
-
-
 # the smallest factor by which a law check refines its eps: it raises R^2 by
 # at most log(10^6) / (pi rho) < 9, which bounds the work of the repeated
 # sums however small the gross mass
@@ -155,20 +136,18 @@ def _law_residual(sides, pref, eps: float, tol: float):
 
 
 def translation_data(spec: ThetaSpec, S):
-    """Exact phase argument and shifted characteristic for Z -> Z + S."""
-    Sf = [[Fraction(int(x)) for x in row] for row in np.asarray(S).tolist()]
-    m, n = spec.m, spec.n
-    A = frac_matrix(spec.A.tolist())
-    H = [list(row) for row in spec.H]
-    K = [list(row) for row in spec.K]
-    phase = -_trace(mat_mul(mat_mul(mat_mul(_transpose(H), A), H), Sf)) / 2
-    S0 = _diag_part(Sf)
-    A0 = _diag_part(A)
-    phase -= _trace(mat_mul(mat_mul(mat_mul(S0, _ones(n, m)), A0), H)) / 2
-    shift = mat_mul(mat_inverse(A), mat_mul(A0, mat_mul(_ones(m, n), S0)))
-    HS = mat_mul(H, Sf)
-    Ktil = [[K[a][j] + HS[a][j] + shift[a][j] / 2 for j in range(n)] for a in range(m)]
-    return phase, Ktil
+    """(phase, K~) with theta(Z + S; H, K) = e(phase) theta(Z; H, K~) for integer symmetric S.
+
+    Exactly, with D_aj = A_aa S_jj: the Fraction phase = -(sum_aj (A H)_aj
+    (H S)_aj + sum_aj D_aj H_aj) / 2 and K~ = K + H S + A^-1 D / 2.
+    """
+    A, H = spec.A.tolist(), spec.H
+    S = [[int(x) for x in row] for row in np.asarray(S).tolist()]
+    D = [[A[a][a] * S[j][j] for j in range(spec.n)] for a in range(spec.m)]
+    HS = mat_mul(H, S)
+    phase = -sum(x * y + d * h for rows in zip(_times_form(A, H), HS, D, H) for x, y, d, h in zip(*rows)) / 2
+    shift = mat_mul(mat_inverse(A), D)
+    return phase, [[k + x + y / 2 for k, x, y in zip(*rows)] for rows in zip(spec.K, HS, shift)]
 
 
 def check_translation(spec: ThetaSpec, Z: SiegelPoint, S, eps: float = 1e-12,
@@ -176,16 +155,21 @@ def check_translation(spec: ThetaSpec, Z: SiegelPoint, S, eps: float = 1e-12,
     """theta(Z + S) against the exact phase times theta with shifted K.
 
     Both sides run over the same U in H + Z^{m x n} with the same Gram
-    matrix kron(Y, M), so they are summed from one enumeration
-    (theta_eval_shared), at the same R^2.  That costs the law no
-    independence: each side still has its own phase form, carried through
-    its own recurrences, and its own terms, and the two separate
-    enumerations it replaces visited the same rows.
+    matrix kron(Y, M), so one enumeration sums them (theta_eval_shared), at
+    the same R^2; each side still carries its own phase form through its
+    own recurrences and sums its own terms.
+
+    An entry of S that int64 and float64 do not both hold exactly is a
+    ValueError naming it, before any cast.  Z + S is formed in floats, so a
+    large shift fails the tolerance through that rounding alone: at X = 0.1
+    and tol 1e-10, S = 2^20 passes (residual 2.2e-12), 2^26 fails (1.4e-10).
     """
-    Sarr = np.asarray(S, dtype=float)
-    if Sarr.shape != (spec.n, spec.n) or not np.array_equal(Sarr, Sarr.T) \
-            or not np.array_equal(Sarr, np.round(Sarr)):
+    Sarr = np.asarray(S, dtype=object)
+    if Sarr.shape != (spec.n, spec.n) or not np.array_equal(Sarr, Sarr.T):
         raise ValueError("S must be an integer symmetric matrix of the point's size")
+    for (j, k), x in np.ndenumerate(Sarr):
+        if not held_integer(x):
+            raise ValueError("S[%d][%d] = %r is no integer that int64 and float64 hold exactly" % (j, k, x))
     Sarr = Sarr.astype(np.int64)
     phase, Ktil = translation_data(spec, Sarr)
     lhs, rhs = theta_eval_shared([(spec, Z.translate(Sarr), False),

@@ -264,11 +264,11 @@ def test_cosets_are_the_dual_quotient(A, n):
     m, det = len(A), abs(int(sympy.Matrix(A).det()))
     assert len(reps) == len(set(reps)) == det ** n
     for rep in reps:
-        assert all(0 <= x < 1 for row in rep.J for x in row)
-        assert all(sum(A[a][b] * rep.J[b][j] for b in range(m)).denominator == 1
+        assert all(0 <= x < 1 for row in rep for x in row)
+        assert all(sum(A[a][b] * rep[b][j] for b in range(m)).denominator == 1
                    for a in range(m) for j in range(n))
     columns = brute_force_columns(A)
-    assert {tuple(tuple(rep.J[i][j] for i in range(m)) for j in range(n)) for rep in reps} \
+    assert {tuple(tuple(rep[i][j] for i in range(m)) for j in range(n)) for rep in reps} \
         == set(itertools.product(columns, repeat=n))
 
 
@@ -296,10 +296,10 @@ def test_cosets_are_distinct_and_in_dual():
     for rep in reps:
         # A J must be integral, entries reduced to [0,1)
         for a in range(2):
-            prod = sum(Af[a][b] * rep.J[b][0] for b in range(2))
+            prod = sum(Af[a][b] * rep[b][0] for b in range(2))
             assert prod.denominator == 1
-            assert 0 <= rep.J[a][0] < 1
-        seen.add(tuple(x for row in rep.J for x in row))
+            assert 0 <= rep[a][0] < 1
+        seen.add(tuple(x for row in rep for x in row))
     assert len(seen) == len(reps)
 
 
@@ -436,6 +436,32 @@ def test_lattice_blocks_half_space_against_box_oracle(monkeypatch):
                 x = [Fraction(float(c)) + v for c, v in zip(center, r)]
                 last = next((t for t in reversed(x) if t), 0)
                 assert last > 0 or r in origin
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_a_phase_less_walk_is_the_empty_form_stack(half):
+    # one enumeration path: no phase walks an empty (0, N, N) stack, with the
+    # rows and carried q of a walk that carries one form
+    G = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.2], [0.0, 0.2, 1.5]])
+    center = [0.5, 0.0, -1.5] if half else [0.25, -0.4, 0.1]
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    phase = ((B + B.T)[None], rng.normal(size=(1, 3)) + 0j)
+    for block_size in (7, 8192):
+        bare = list(lattice_blocks(G, center, 30.0, block_size=block_size, half=half))
+        carried = list(lattice_blocks(G, center, 30.0, block_size=block_size, half=half, phase=phase))
+        assert len(bare) == len(carried) > 0
+        for a, b in zip(bare, carried):
+            assert a.rows.tobytes() == b.rows.tobytes() and a.q.tobytes() == b.q.tobytes()
+            assert a.tau.shape == (0, len(a)) and b.tau.shape == (1, len(b))
+
+
+def test_a_coset_is_its_matrix():
+    reps = coset_reps(named_form("diag:3,-2"), 2)
+    assert len(reps) == 36
+    assert all(len(rep) == 2 and all(len(row) == 2 and all(type(x) is Fraction for x in row) for row in rep)
+               for rep in reps)
+    assert reps[1] == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2)))
 
 
 def test_lattice_blocks_half_space_needs_a_symmetric_center():

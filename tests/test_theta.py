@@ -1159,6 +1159,43 @@ def test_an_underflowing_tail_budget_names_eps_and_the_prefactor():
             evaluate(spec, Z, eps=1e-300)
 
 
+@pytest.mark.parametrize("eps", [1e-310, 5e-324])
+def test_a_subnormal_eps_is_certified(eps):
+    # lead / eps overflowed the float range: R^2 was inf, and the sum a
+    # ResourceCapError "an enumeration bound of inf is beyond 2^52"
+    spec = theta_spec("diag:2")
+    Z = SiegelPoint(np.array([[0.1 + 1j]]))
+    ref, val = theta_eval(spec, Z, eps=1e-300), theta_eval(spec, Z, eps=eps)
+    assert val.tail_bound <= eps and math.isfinite(val.radius2)
+    assert abs(val.value - ref.value) <= val.tail_bound + ref.tail_bound
+    # the tail bounds the exact lead exp(-pi rho R^2), which lies in the
+    # subnormals, where the rounded product keeps few digits
+    rho, R2, tail = theta._tail_plan(1.0, 0, 1.0, [2.0], eps)
+    assert math.isfinite(R2) and tail <= eps
+    lead = mpmath.mpf(theta.theta1_majorant(math.pi * (1.0 - rho) * 2.0))
+    assert lead * mpmath.exp(-mpmath.pi * mpmath.mpf(rho) * mpmath.mpf(R2)) <= tail
+
+
+def test_a_spec_plans_its_characteristic_algebra_once(monkeypatch):
+    # the reduced centre, ell, unit and pairing depend on the spec alone:
+    # built on its first plan, from one exact product, and kept
+    calls = []
+    times_form = theta._times_form
+    monkeypatch.setattr(theta, "_times_form", lambda *args: calls.append(args) or times_form(*args))
+    spec = theta_spec("diag:2,-2", H=[[Fraction(1, 2)], [0]], K=[[0], [Fraction(7, 3)]])
+    Z = SiegelPoint(np.array([[0.1 + 1j]]))
+    first = theta_eval(spec, Z)
+    assert len(calls) == 1
+    calls.clear()
+    assert theta_eval(spec, Z).value == first.value
+    assert calls == []
+    moved = spec.with_characteristics(K=[[0], [Fraction(1, 5)]])
+    assert theta_eval(moved, Z).value != first.value
+    assert len(calls) == 1
+    assert moved.route()[1].tolist() != spec.route()[1].tolist()
+    assert spec.route(dual=True) is spec.route(dual=True) and len(calls) == 2
+
+
 @pytest.mark.parametrize("scale", [Fraction(1, 10**170), Fraction(1, 10**200), Fraction(10**200)])
 def test_coefficients_outside_the_squared_float_range_keep_their_value(scale):
     # |c|^2 underflows below about 1e-162 and overflows above 1e154: the tail

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,8 @@ from siegeltheta.verify import (
     translation_data,
 )
 
+from reference import translation_data_chain
+
 Z_I = SiegelPoint(np.array([[1j]]))
 Z_GEN = SiegelPoint(np.array([[0.4 + 1.1j]]))
 
@@ -51,6 +54,46 @@ def test_translation_data_exact():
     assert phase == Fraction(-9, 4)
     # K + HS + A^-1 A0 1 S0 / 2 = 1/3 + 3/2 + 3/2 = 10/3
     assert Ktil == [[Fraction(10, 3)]]
+
+
+def _symmetric(n, entries):
+    rows = [[0] * n for _ in range(n)]
+    for (a, b), x in zip(((a, b) for a in range(n) for b in range(a, n)), entries):
+        rows[a][b] = rows[b][a] = x
+    return rows
+
+
+_CHAR_ENTRY = st.integers(1, 5).flatmap(lambda q: st.builds(Fraction, st.integers(-3 * q, 3 * q), st.just(q)))
+_TRANSLATION_FORMS = [[[2]], [[-3]], [[2, 1], [1, 2]], [[-2, 1], [1, -2]], [[0, 1], [1, 0]], [[2, 1], [1, -3]],
+                      [[2, 1, 0], [1, 2, 1], [0, 1, 4]], [[2, 0, 0], [0, 2, 0], [0, 0, -2]],
+                      [[1, 2, 0], [2, -1, 1], [0, 1, 3]]]
+
+
+# Forms with m <= 3 of every signature, genus 1 and 2, rational H and K
+# with integer parts, and symmetric integer S: the closed form of
+# translation_data against the matrix chain it replaced.
+@pytest.mark.parametrize("A", _TRANSLATION_FORMS, ids=str)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(n=st.integers(1, 2), data=st.data())
+def test_translation_data_matches_the_matrix_chain(A, n, data):
+    m = len(A)
+    H, K = (data.draw(st.lists(st.lists(_CHAR_ENTRY, min_size=n, max_size=n), min_size=m, max_size=m))
+            for _ in range(2))
+    S = _symmetric(n, data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3)))
+    phase, Ktil = translation_data(theta_spec(A, H=H, K=K, n=n), S)
+    want_phase, want_K = translation_data_chain(A, H, K, S)
+    assert isinstance(phase, Fraction) and phase == want_phase
+    assert Ktil == want_K
+
+
+@pytest.mark.parametrize("big", [10**20, 2**53 + 1])
+def test_translation_names_a_shift_entry_int64_or_float64_cannot_hold(big):
+    # 10^20 passed the float integrality test and was cast to garbage (a
+    # cast warning and a false FAIL); 2^53 + 1 was rounded to another S
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"S\[0\]\[0\] = %d is no integer" % big):
+            check_translation(theta_spec([[2]]), Z_GEN, [[big]])
 
 
 def test_translation_passes():
@@ -100,7 +143,7 @@ def _coset_loop(spec, Z, eps):
     negH = [[-x for x in row] for row in spec.H]
     parts = []
     for rep in coset_reps(spec.A, spec.n):
-        HJ = [[rep.J[a][j] + spec.K[a][j] for j in range(spec.n)] for a in range(spec.m)]
+        HJ = [[rep[a][j] + spec.K[a][j] for j in range(spec.n)] for a in range(spec.m)]
         parts.append(theta_eval_direct(spec.with_characteristics(H=HJ, K=negH), Z, eps))
     value = complex(math.fsum(p.value.real for p in parts), math.fsum(p.value.imag for p in parts))
     return (value, math.fsum(p.tail_bound for p in parts), math.fsum(p.gross for p in parts),
@@ -164,7 +207,7 @@ def test_inversion_and_poisson_make_one_lattice_sum_per_side(monkeypatch):
     inner = theta.certified_lattice_sum
 
     def counting(*args, **kwargs):
-        calls.append(args[0].G.shape)
+        calls.append(args[0][0].G.shape)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(theta, "certified_lattice_sum", counting)

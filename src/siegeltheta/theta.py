@@ -507,42 +507,43 @@ def certified_lattice_sum(plans, eps: float, summand, point_cap: int):
     """Sum summand over the integer offsets of c in the ellipsoid of each of plans.
 
     The plans (_series_plan) fix G, c, the pairing, their phase forms, R^2,
-    rho and tails, and must share the first three, read off plans[0]
-    (ValueError otherwise), so this only enumerates, once, and adds.  The
-    enumeration runs at the largest R^2 of the plans with a nonzero polynomial
-    and carries each distinct phase form of theirs (lattice_blocks with a
-    stack of forms), so a row's q and tau are bitwise those of an enumeration
-    for its plan alone.  Each plan keeps the rows whose carried q is at most
-    its own R^2 + enumeration_slack(R^2), the filter the enumeration applies,
-    so it sums exactly the rows of an enumeration at its own R^2.  eps is the
-    tail budget the sum certifies: it must be finite and positive and at least
-    the sum of the plans' tails (ValueError).  summand(j, block, eq) maps the
-    rows that plan j keeps of a lattice_blocks Block (int64 rows of shape (k,
-    d), their carried q and the tau of plan j's form) and their phases eq =
-    e(tau) = exp(-2 pi Im tau + 2 pi i frac(Re tau)) to a pair of float
-    arrays: the complex values of plan j's full summand at c + rows and their
-    magnitudes.  eq is computed once per block for each distinct form, on the
-    rows of its plan of largest R^2, and each plan gets its subset: the two
-    plans of a Borcherds pair share their form. With the pairing, 2c is
-    integral: the enumeration then emits one x = c + row of each pair {x, -x}
-    (lattice_blocks with half), summand must return term(x) + term(-x) and
-    |term(x)| + |term(-x)| for each row, and the origin, whose paired value is
-    twice its term, is halved here.  A plan's terms count the terms of its
-    full series either way, two per pair and one for the origin, and point_cap
-    caps that count for the enumeration, at its R^2.  Each block is summed in
-    floating point and the per-block sums are combined with exact float
-    summation.  The result is deterministic for a fixed enumeration block
-    size, because the enumerator fixes both the order of the rows and where
-    the blocks are cut; a different block size rounds the per-block sums
-    differently and may move the result by a few ulps of gross, the gross
-    magnitude sum |f| over all terms: the honest scale for relative
-    comparisons when cancellation drives the net value to zero.  A plan whose
-    R^2 is below the enumeration's keeps part of each block, so its sums may
-    differ from those of its own enumeration by the same few ulps of gross; a
-    plan at the enumeration's R^2 gets the bits of its own. The return is
-    (sums, tail, terms): one (total, terms, gross) per plan, the plans' tails
-    summed and their terms summed.  A zero polynomial (Cp = 0) sums nothing:
-    its total, terms and gross are 0.
+    rho and tails, and share the first three (else ValueError), so this only
+    enumerates, once, and adds.  The enumeration runs at the largest R^2 of
+    the plans with a nonzero polynomial and carries each distinct phase
+    form of theirs (lattice_blocks with a stack of forms), so a row's q and
+    tau are bitwise those of an enumeration for its plan alone.  Each plan
+    keeps the rows whose carried q is at most its own R^2 +
+    enumeration_slack(R^2), the filter the enumeration applies, so it sums
+    exactly the rows of an enumeration at its own R^2.  eps is the tail
+    budget the sum certifies: it must be finite and positive and at least
+    the sum of the plans' tails (ValueError).  summand(j, block, eq) maps
+    the rows that plan j keeps of a lattice_blocks Block (int64 rows of
+    shape (k, d), their carried q and the tau of plan j's form) and their
+    phases eq = e(tau) = exp(-2 pi Im tau + 2 pi i frac(Re tau)) to a pair
+    of float arrays: the complex values of plan j's full summand at c +
+    rows and their magnitudes.  eq is computed once per block for each
+    distinct form, on the rows of its plan of largest R^2, and each plan
+    gets its subset: the two plans of a Borcherds pair share their form.
+    With the pairing, 2c is integral: the enumeration then emits one x = c
+    + row of each pair {x, -x} (lattice_blocks with half), summand must
+    return term(x) + term(-x) and |term(x)| + |term(-x)| for each row, and
+    the origin, whose paired value is twice its term, is halved here.  A
+    plan's terms count the terms of its full series either way, two per
+    pair and one for the origin, and point_cap caps that count for the
+    enumeration, at its R^2.  Each block
+    is summed in floating point and the per-block sums are combined with
+    exact float summation.  The result is deterministic for a fixed
+    enumeration block size, because the enumerator fixes both the order of
+    the rows and where the blocks are cut; a different block size rounds
+    the per-block sums differently and may move the result by a few ulps of
+    gross, the gross magnitude sum |f| over all terms: the honest scale for
+    relative comparisons when cancellation drives the net value to zero.  A
+    plan whose R^2 is below the enumeration's keeps part of each block, so
+    its sums may differ from those of its own enumeration by the same few
+    ulps of gross; a plan at the enumeration's R^2 gets the bits of its own.
+    The return is (sums, tail, terms): one (total, terms, gross) per plan,
+    the plans' tails summed and their terms summed.  A zero polynomial (Cp
+    = 0) sums nothing: its total, terms and gross are 0.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive, got %r" % eps)
@@ -789,10 +790,9 @@ def _series_plan(spec: ThetaSpec, Z: SiegelPoint, eps: float, borcherds: bool = 
 
 def _times_form(A, X) -> list:
     """A X, exactly, for the integer rows of a form A and a rational m x n X: the one such product."""
-    m, n = len(A), len(X[0])
-    nonzero = [(b, j, x) for b, row in enumerate(X) for j, x in enumerate(row) if x]
+    n, nonzero = len(X[0]), [(b, j, x) for b, row in enumerate(X) for j, x in enumerate(row) if x]
     return [[sum(A[a][b] * x for b, k, x in nonzero if k == j and A[a][b]) for j in range(n)]
-            for a in range(m)] if nonzero else [[0] * n for _ in range(m)]
+            for a in range(len(A))] if nonzero else [[0] * n for _ in A]
 
 
 def _route(center, ell):

@@ -1176,6 +1176,16 @@ def test_a_subnormal_eps_is_certified(eps):
     assert lead * mpmath.exp(-mpmath.pi * mpmath.mpf(rho) * mpmath.mpf(R2)) <= tail
 
 
+def test_plans_that_do_not_share_a_walk_are_refused():
+    # certified_lattice_sum reads G, centre and pairing off the first plan
+    spec = theta_spec("diag:2,-2", H=[[Fraction(1, 2)], [0]])
+    Z = SiegelPoint(np.array([[0.1 + 1j]]))
+    moved = spec.with_characteristics(H=[[Fraction(1, 3)], [0]])
+    for other in ((spec, SiegelPoint(np.array([[0.1 + 1.2j]])), False), (moved, Z, False)):
+        with pytest.raises(ValueError, match="must share G, centre and pairing"):
+            theta.theta_eval_shared([(spec, Z, False), other])
+
+
 def test_a_spec_plans_its_characteristic_algebra_once(monkeypatch):
     # the reduced centre, ell, unit and pairing depend on the spec alone:
     # built on its first plan, from one exact product, and kept

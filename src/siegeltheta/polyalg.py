@@ -20,6 +20,17 @@ Coefficients are exact (see scalars.PiScalar); numeric evaluation substitutes
 pi and converts to complex only at the end.  Exponent keys are flat row-major
 tuples of length m*n.
 
+Every exact operator runs on one integer kernel.  A polynomial enters it once
+as a common denominator and one {exponent: numerator} dict per (pi power,
+real or imaginary part) (_slots), the Laplacian as the integer matrix
+L A^-1 (_laplacian), and the result becomes a MatPoly of PiScalars once, at
+the end of an operator chain.  Where the order of the result's terms is
+read (compile_poly and MatPoly.eval follow it), the parts of each term are
+packed into one int (_Ints), so that terms are summed and dropped as a
+pass over PiScalar coefficients would sum and drop them.  pi is a label
+of the parts throughout: the Vigneras residual multiplies by 4 pi to stay
+integral, and pi is substituted only in PiScalar.to_complex.
+
 Numeric evaluation goes through a CompiledPoly: an int exponent matrix and a
 complex coefficient vector.  A HeatPlan compiles the heat flow of one source
 polynomial for every weight matrix at once: the entries of Delta_A commute,
@@ -220,98 +231,179 @@ class OperatorMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def __sub__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return OperatorMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.entries for f in row)
 
     def norm(self) -> float:
         return max(f.coeff_norm() for row in self.entries for f in row)
 
-    @classmethod
-    def scalar(cls, lam, f, n):
-        """lam * I * f: lam f on the diagonal, zero off it."""
-        zero = MatPoly.zero(f.m, f.n)
-        return cls([[f * lam if i == j else zero for j in range(n)] for i in range(n)])
+
+# ==== the integer kernel (see the module docstring) =========================
 
 
-# ==== first-order operators =================================================
+def _numerators(w: PiScalar):
+    """(den, [(pi power, part, numerator)]): the nonzero parts of w over one denominator, part 1 imaginary."""
+    parts = [(k, part, x) for k, re, im in w.terms() for part, x in ((0, re), (1, im)) if x]
+    den = math.lcm(1, *(x.denominator for _, _, x in parts))
+    return den, [(k, part, x.numerator * (den // x.denominator)) for k, part, x in parts]
 
 
-def partial(f, i: int, j: int):
-    """d/dU_ij."""
-    idx = i * f.n + j
+def _slots(p: MatPoly):
+    """(den, slots): p over one denominator, one {exponent: numerator} dict per (pi power, part)."""
+    den = math.lcm(1, *(x.denominator for c in p.terms.values() for _, re, im in c.terms() for x in (re, im)))
+    slots = {}
+    for e, c in p.terms.items():
+        for k, re, im in c.terms():
+            for part, x in ((0, re), (1, im)):
+                if x:
+                    slots.setdefault((k, part), {})[e] = x.numerator * (den // x.denominator)
+    return den, slots
+
+
+def _graded_poly(m: int, n: int, slots, den: int, shift: int = 0) -> MatPoly:
+    """The MatPoly of slots over den, every pi power moved by shift; zero numerators are dropped."""
+    parts = {}
+    for (k, part), terms in slots.items():
+        for e, v in terms.items():
+            if v:
+                parts.setdefault(e, {}).setdefault(k + shift, [0, 0])[part] = v
+    out = MatPoly(m, n)
+    out.terms = {e: PiScalar.from_numerators(c, den) for e, c in parts.items()}
+    return out
+
+
+class _Ints:
+    """A polynomial on integers: term e is sum_k digit_k(terms[e]) pi^q_k i^part_k / den, (q_k, part_k) = fields[k].
+
+    terms[e] holds all the digits of term e in one int, digit k at bit
+    k * bits and balanced, |digit| <= top < 2^(bits - 1).  Sums and integer
+    multiples act on every digit at once, and a term is zero exactly when
+    all its digits are, so one pass accumulates and drops terms as the same
+    pass over PiScalar coefficients would: same values, same key order.  A
+    single field is its own digit.  Each operation first widens the digits
+    (_room) to top times the sum of the integer weights one term can gather.
+    """
+
+    __slots__ = ("m", "n", "den", "fields", "bits", "top", "terms")
+
+    def __init__(self, m, n, den, fields, bits, top, terms):
+        self.m, self.n, self.den, self.fields = m, n, den, fields
+        self.bits, self.top, self.terms = bits, top, terms
+
+
+def _pack(digits, bits: int) -> int:
+    return sum(d << (bits * k) for k, d in enumerate(digits))
+
+
+def _digits(v: int, count: int, bits: int):
+    """The count balanced digits of v, lowest first."""
+    out = []
+    for _ in range(count - 1):
+        d = v & ((1 << bits) - 1)
+        if d >> (bits - 1):
+            d -= 1 << bits
+        out.append(d)
+        v = (v - d) >> bits
+    out.append(v)
+    return out
+
+
+def _lower(p: MatPoly) -> _Ints:
+    den, slots = _slots(p)
+    fields = sorted(slots)
+    top = max((abs(v) for terms in slots.values() for v in terms.values()), default=0)
+    bits = top.bit_length() + 1
+    if len(fields) == 1:
+        terms = slots[fields[0]]
+    else:
+        terms = {e: _pack([slots[f].get(e, 0) for f in fields], bits) for e in p.terms}
+    return _Ints(p.m, p.n, den, fields, bits, top, terms)
+
+
+def _raise(x: _Ints) -> MatPoly:
+    """x as a MatPoly, in its key order."""
+    out = MatPoly(x.m, x.n)
+    count = len(x.fields)
     terms = {}
-    for e, c in f.terms.items():
-        k = e[idx]
-        if k:
-            e2 = list(e)
-            e2[idx] = k - 1
-            terms[tuple(e2)] = c * k
-    out = MatPoly(f.m, f.n)
+    for e, v in x.terms.items():
+        parts = {}
+        for (k, part), d in zip(x.fields, _digits(v, count, x.bits)):
+            if d:
+                parts.setdefault(k, [0, 0])[part] = d
+        terms[e] = PiScalar.from_numerators(parts, x.den)
     out.terms = terms
     return out
 
 
-def euler_entry(f, i: int, j: int):
-    """E_ij f = sum_d U_di d/dU_dj f, by a direct monomial shuffle."""
-    terms = {}
-    for e, c in f.terms.items():
-        for d in range(f.m):
-            k = e[d * f.n + j]
+def _room(x: _Ints, growth: int):
+    """Widen the digits of x, if need be, to hold top * growth; x.top is left as it is."""
+    bits = (x.top * growth).bit_length() + 1
+    if bits > x.bits:
+        if len(x.fields) > 1:
+            count = len(x.fields)
+            x.terms = {e: _pack(_digits(v, count, x.bits), bits) for e, v in x.terms.items()}
+        x.bits = bits
+
+
+def _degree(x: _Ints) -> int:
+    return max(map(sum, x.terms), default=0)
+
+
+_LAPLACIANS: dict = {}
+
+
+def _laplacian(A):
+    """(W, L, |W|): W = L A^-1 integral, L the lcm of the denominators of A^-1, |W| = sum |W_ab|; kept per A."""
+    key = tuple(tuple(Fraction(x) for x in row) for row in A)
+    got = _LAPLACIANS.get(key)
+    if got is None:
+        inv = mat_inverse(frac_matrix(key))
+        L = math.lcm(*(x.denominator for row in inv for x in row))
+        W = [[int(x * L) for x in row] for row in inv]
+        got = _LAPLACIANS[key] = (W, L, sum(abs(w) for row in W for w in row))
+    return got
+
+
+def _euler_terms(terms: dict, m: int, n: int, i: int, j: int) -> dict:
+    """E_ij on integer terms: sum_d U_di d/dU_dj, one monomial pass."""
+    out = {}
+    for e, c in terms.items():
+        for d in range(m):
+            k = e[d * n + j]
             if k:
                 e2 = list(e)
-                e2[d * f.n + j] = k - 1
-                e2[d * f.n + i] += 1
+                e2[d * n + j] = k - 1
+                e2[d * n + i] += 1
                 key = tuple(e2)
-                add = c * k
-                s = terms.get(key)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    terms.pop(key, None)
+                s = out.get(key)
+                if s is None:
+                    out[key] = c * k
                 else:
-                    terms[key] = s
-    out = MatPoly(f.m, f.n)
-    out.terms = terms
+                    s += c * k
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
     return out
 
 
-_INV_CACHE: dict = {}
+def _laplace_terms(terms: dict, m: int, n: int, W, i: int, j: int) -> dict:
+    """sum_ab d/dU_ai W_ab d/dU_bj on integer terms.
 
-
-def _exact_inverse(A):
-    """Exact inverse of a rational symmetric matrix, cached."""
-    key = tuple(tuple(Fraction(x) for x in row) for row in A)
-    inv = _INV_CACHE.get(key)
-    if inv is None:
-        inv = mat_inverse(frac_matrix(key))
-        _INV_CACHE[key] = inv
-    return inv
-
-
-def laplace_entry(f, A, i: int, j: int):
-    """(Delta_A)_ij f = sum_ab d/dU_ai (A^-1)_ab d/dU_bj f.
-
-    One direct monomial pass per (b, a) with (A^-1)_ab != 0, each term
-    gaining c k_bj k_ai (A^-1)_ab; the terms are accumulated in the order the
-    sum of the m^2 pieces d/dU_ai ((A^-1)_ab d/dU_bj f) would give them.
+    One direct monomial pass per (b, a) with W_ab != 0, each term gaining
+    c k_bj k_ai W_ab (k_ai less one when ai = bj); the terms are accumulated
+    in the order the sum of the m^2 pieces d/dU_ai (W_ab d/dU_bj f) would
+    give them.
     """
-    ainv = _exact_inverse(A)
-    m, n = f.m, f.n
-    terms = {}
+    out = {}
     for b in range(m):
         bj = b * n + j
         for a in range(m):
-            c = ainv[a][b]
-            if not c:
+            w = W[a][b]
+            if not w:
                 continue
             ai = a * n + i
-            for e, coef in f.terms.items():
+            for e, c in terms.items():
                 kb = e[bj]
                 if not kb:
                     continue
@@ -322,78 +414,239 @@ def laplace_entry(f, A, i: int, j: int):
                 e2[bj] -= 1
                 e2[ai] -= 1
                 key = tuple(e2)
-                add = coef * (c * (kb * ka))
-                s = terms.get(key)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    terms.pop(key, None)
+                add = c * (w * kb * ka)
+                s = out.get(key)
+                if s is None:
+                    out[key] = add
                 else:
-                    terms[key] = s
-    out = MatPoly(m, n)
-    out.terms = terms
+                    s += add
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
     return out
+
+
+def _partial_into(out: dict, terms: dict, idx: int, w: int):
+    """out += w d/dU_idx terms."""
+    for e, c in terms.items():
+        k = e[idx]
+        if k:
+            e2 = list(e)
+            e2[idx] = k - 1
+            key = tuple(e2)
+            out[key] = out.get(key, 0) + c * (w * k)
+
+
+def _times_var_into(out: dict, terms: dict, idx: int, w: int):
+    """out += w U_idx terms."""
+    for e, c in terms.items():
+        e2 = list(e)
+        e2[idx] += 1
+        key = tuple(e2)
+        out[key] = out.get(key, 0) + c * w
+
+
+def _laplace(x: _Ints, lap, i: int, j: int) -> _Ints:
+    """(Delta_A)_ij x, lap = _laplacian(A)."""
+    W, L, size = lap
+    growth = size * _degree(x) ** 2
+    _room(x, growth)
+    terms = _laplace_terms(x.terms, x.m, x.n, W, i, j)
+    return _Ints(x.m, x.n, x.den * L, x.fields, x.bits, x.top * growth, terms)
+
+
+def _weights(pairs):
+    """(den, entries, plain) for the weighted entries [(i, j, w)] of a trace step.
+
+    Zero weights are dropped; each other w is listed as its _numerators over
+    the common den, and plain says that every w is a real rational.
+    """
+    nums = [(i, j, _numerators(as_pi_scalar(w))) for i, j, w in pairs]
+    nums = [(i, j, num) for i, j, num in nums if num[1]]
+    den = math.lcm(1, *(wden for _, _, (wden, _) in nums))
+    entries = [(i, j, [(k, part, c * (den // wden)) for k, part, c in parts]) for i, j, (wden, parts) in nums]
+    plain = all(len(parts) == 1 and parts[0][:2] == (0, 0) for _, _, parts in entries)
+    return den, entries, plain
+
+
+def _times(terms: dict, fields, out_fields, bits: int, w) -> dict:
+    """terms, digits on fields, times the scalar w = [(pi power, part, integer)], digits on out_fields."""
+    index = {f: k for k, f in enumerate(out_fields)}
+    count = len(fields)
+    out = {}
+    for e, v in terms.items():
+        digits = [0] * len(out_fields)
+        for (k, part), d in zip(fields, _digits(v, count, bits)):
+            if d:
+                for q, wpart, c in w:
+                    digits[index[(k + q, part ^ wpart)]] += -d * c if part & wpart else d * c
+        out[e] = _pack(digits, bits)
+    return out
+
+
+def _step(x: _Ints, lap, weights) -> _Ints:
+    """sum w_ij (Delta_A)_ij x over weights = _weights(...), the pieces summed in entry order."""
+    W, L, size = lap
+    den, entries, plain = weights
+    growth = sum(abs(c) for _, _, parts in entries for _, _, c in parts) * size * _degree(x) ** 2
+    _room(x, growth)
+    fields = x.fields if plain else sorted(
+        {(k + q, part ^ wpart) for k, part in x.fields for _, _, parts in entries for q, wpart, _ in parts})
+    acc = None
+    for i, j, parts in entries:
+        piece = _laplace_terms(x.terms, x.m, x.n, W, i, j)
+        if not plain:
+            piece = _times(piece, x.fields, fields, x.bits, parts)
+        elif parts[0][2] != 1:
+            w = parts[0][2]
+            piece = {e: v * w for e, v in piece.items()}
+        if acc is None:
+            acc = piece
+            continue
+        for e, v in piece.items():
+            s = acc.get(e)
+            if s is None:
+                acc[e] = v
+            else:
+                s += v
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    return _Ints(x.m, x.n, x.den * L * den, fields, x.bits, x.top * growth, acc or {})
+
+
+def _trace_weights(W, n: int):
+    """_weights of tr(Delta_A W): entries i <= j, each off-diagonal one weighted W_ij + W_ji.
+
+    A is symmetric and partial derivatives commute, so (Delta_A)_ij =
+    (Delta_A)_ji; both weights are added because W need not be symmetric
+    (the float inverse of a symmetric Y is not always bit-symmetric).
+    """
+    def weight(a, b):
+        return as_pi_scalar(W[a][b] if not isinstance(W, np.ndarray) else W[a, b])
+
+    return _weights([(i, j, weight(i, i) if i == j else weight(j, i) + weight(i, j))
+                     for i in range(n) for j in range(i, n)])
+
+
+# ==== exact operators =======================================================
+
+
+def partial(f, i: int, j: int):
+    """d/dU_ij."""
+    x = _lower(f)
+    deg = _degree(x)
+    _room(x, deg)
+    terms = {}
+    _partial_into(terms, x.terms, i * f.n + j, 1)
+    return _raise(_Ints(f.m, f.n, x.den, x.fields, x.bits, x.top * deg, terms))
+
+
+def euler_entry(f, i: int, j: int):
+    """E_ij f = sum_d U_di d/dU_dj f."""
+    x = _lower(f)
+    growth = f.m * _degree(x)
+    _room(x, growth)
+    return _raise(_Ints(f.m, f.n, x.den, x.fields, x.bits, x.top * growth,
+                        _euler_terms(x.terms, f.m, f.n, i, j)))
+
+
+def laplace_entry(f, A, i: int, j: int):
+    """(Delta_A)_ij f = sum_ab d/dU_ai (A^-1)_ab d/dU_bj f."""
+    return _raise(_laplace(_lower(f), _laplacian(A), i, j))
 
 
 def trace_laplace(f, A):
     """tr(Delta_A) f."""
-    acc = None
-    for i in range(f.n):
-        piece = laplace_entry(f, A, i, i)
-        acc = piece if acc is None else acc + piece
-    return acc
+    return _raise(_step(_lower(f), _laplacian(A), _weights([(i, i, 1) for i in range(f.n)])))
 
 
 def trace_laplace_weighted(f, A, W):
-    """tr(Delta_A W) f = sum_ij W_ji (Delta_A)_ij f, W an n x n scalar matrix.
-
-    A is symmetric and partial derivatives commute, so (Delta_A)_ij =
-    (Delta_A)_ji and each off-diagonal entry is applied once, weighted by
-    W_ij + W_ji (both added: W need not be symmetric, and the float inverse
-    of a symmetric Y is not always bit-symmetric).
-    """
-    n = f.n
-
-    def weight(a, b):
-        return as_pi_scalar(W[a][b] if not isinstance(W, np.ndarray) else W[a, b])
-
-    acc = None
-    for i in range(n):
-        for j in range(i, n):
-            w = weight(i, i) if i == j else weight(j, i) + weight(i, j)
-            if w.is_zero():
-                continue
-            piece = laplace_entry(f, A, i, j) * w
-            acc = piece if acc is None else acc + piece
-    return MatPoly.zero(f.m, f.n) if acc is None else acc
+    """tr(Delta_A W) f = sum_ij W_ji (Delta_A)_ij f, W an n x n scalar matrix (_trace_weights)."""
+    return _raise(_step(_lower(f), _laplacian(A), _trace_weights(W, f.n)))
 
 
 # ==== heat-operator exponential =============================================
 
 
 def _heat_series(p: MatPoly, step, c) -> MatPoly:
-    """sum_k c^k/k! step^k p for a degree-lowering operator step (finite on polynomials)."""
+    """sum_k c^k/k! step^k p for a degree-lowering kernel step (finite on polynomials).
+
+    The flows step^k p stay on integers.  The sum p + sum_k flow_k c^k/k!
+    is formed on numerators over one denominator, flow after flow and term
+    after term as the MatPoly sums would form it, so its terms come in the
+    order of those sums and the pi powers of each coefficient in the order
+    they are first reached.
+    """
     c = as_pi_scalar(c)
-    out = p
-    cur = p
+    start = x = _lower(p)
+    flows = []
     scale = PI_ONE
-    k = 0
     while True:
-        cur = step(cur)
-        if cur.is_zero():
-            return out
-        k += 1
-        scale = (scale * c).divide_rational(k)
-        out = out + cur * scale
+        x = step(x)
+        if not x.terms:
+            break
+        scale = (scale * c).divide_rational(len(flows) + 1)
+        flows.append((x, _numerators(scale)))
+    if not flows:
+        return p
+    den = math.lcm(start.den, *(flow.den * sden for flow, (sden, _) in flows))
+    out = {e: {k: [re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)]
+               for k, re, im in cf.terms()} for e, cf in p.terms.items()}
+    for flow, (sden, parts) in flows:
+        # a digit d on (k, part) adds d (a + i b) pi^(k + q) / (flow.den sden) per scale part
+        per = den // (flow.den * sden)
+        mults = {}
+        for q, part, s in parts:
+            mults.setdefault(q, [0, 0])[part] = s * per
+        count = len(flow.fields)
+        for e, v in flow.terms.items():
+            add = {}
+            for (k, part), d in zip(flow.fields, _digits(v, count, flow.bits)):
+                if d:
+                    for q, (a, b) in mults.items():
+                        r = add.setdefault(k + q, [0, 0])
+                        if part:
+                            r[0] -= d * b
+                            r[1] += d * a
+                        else:
+                            r[0] += d * a
+                            r[1] += d * b
+            add = {k: r for k, r in add.items() if r[0] or r[1]}
+            if not add:
+                continue
+            got = out.get(e)
+            if got is None:
+                out[e] = add
+                continue
+            for k, (re, im) in add.items():
+                g = got.get(k)
+                if g is None:
+                    got[k] = [re, im]
+                    continue
+                g[0] += re
+                g[1] += im
+                if not (g[0] or g[1]):
+                    del got[k]
+            if not got:
+                del out[e]
+    poly = MatPoly(p.m, p.n)
+    poly.terms = {e: PiScalar.from_numerators(parts, den) for e, parts in out.items()}
+    return poly
 
 
 def exp_trace_laplace(p: MatPoly, A, c) -> MatPoly:
     """exp(c tr Delta_A) p = sum_k c^k/k! (tr Delta_A)^k p (finite on polynomials)."""
-    return _heat_series(p, lambda f: trace_laplace(f, A), c)
+    lap, weights = _laplacian(A), _weights([(i, i, 1) for i in range(p.n)])
+    return _heat_series(p, lambda x: _step(x, lap, weights), c)
 
 
 def exp_trace_laplace_weighted(p: MatPoly, A, W, c) -> MatPoly:
     """exp(c tr(Delta_A W)) p with a column-mixing weight matrix W."""
-    return _heat_series(p, lambda f: trace_laplace_weighted(f, A, W), c)
+    lap, weights = _laplacian(A), _trace_weights(W, p.n)
+    return _heat_series(p, lambda x: _step(x, lap, weights), c)
 
 
 # ==== substitution ==========================================================
@@ -444,7 +697,72 @@ def substitute_linear(p: MatPoly, L, N) -> MatPoly:
 
 # ==== Vigneras operator =====================================================
 
-_MINUS_QUARTER_OVER_PI = PiScalar.from_parts(Fraction(-1, 4), 0, -1)
+
+def _vigneras(f: MatPoly, A, aminus, lam) -> OperatorMatrix:
+    """(E - Delta_A/(4 pi)) f - lam I f on integers, the Gaussian of aminus divided out.
+
+    With A- = S / s (S integral) every d/dU_ai is d/dU_ai + 4 pi (A- U)_ai,
+    the product rule on f exp(2 pi tr(U^T A- U)); A- = 0 is the definite
+    case.  Each (pi power, part) slot of f = F / den goes through the
+    integer operators d' = s d/dU + 4 pi S U and W = L A^-1:
+
+        N_ij = 4 pi s L l E'_ij - l Lap'_ij - [i = j] 4 pi s^2 L (l lam) F,
+        E'_ij = sum_e U_ei d'_ej F,  Lap'_ij = sum_a d'_ai sum_b W_ab d'_bj F,
+
+    with l lam over the integers, and the entry is N_ij / (4 pi s^2 L l
+    den).  4 pi raises a slot's pi power by one, so no slot divides.
+    """
+    m, n = f.m, f.n
+    W, L, _ = _laplacian(A)
+    den, F = _slots(f)
+    lden, lam_parts = _numerators(as_pi_scalar(lam))
+    S, sden = None, 1
+    if aminus is not None:
+        rows = [[Fraction(x) for x in row] for row in aminus]
+        sden = math.lcm(1, *(x.denominator for row in rows for x in row))
+        S = [[int(x * sden) for x in row] for row in rows]
+
+    def add_into(out, g, w, shift=0):
+        for (k, part), terms in g.items():
+            o = out.setdefault((k + shift, part), {})
+            for e, v in terms.items():
+                o[e] = o.get(e, 0) + v * w
+
+    def d(g, b, j):
+        out = {}
+        for (k, part), terms in g.items():
+            _partial_into(out.setdefault((k, part), {}), terms, b * n + j, sden)
+            for c in range(m) if S else ():
+                if S[b][c]:
+                    _times_var_into(out.setdefault((k + 1, part), {}), terms, c * n + j, 4 * S[b][c])
+        return out
+
+    rows = [[None] * n for _ in range(n)]
+    for j in range(n):
+        dj = [d(F, b, j) for b in range(m)]
+        inner = []
+        for a in range(m):
+            acc = {}
+            for b in range(m):
+                if W[a][b]:
+                    add_into(acc, dj[b], W[a][b])
+            inner.append(acc)
+        for i in range(n):
+            N = {}
+            for e in range(m):
+                for (k, part), terms in dj[e].items():
+                    _times_var_into(N.setdefault((k + 1, part), {}), terms, e * n + i, 4 * sden * L * lden)
+            for a in range(m):
+                add_into(N, d(inner[a], a, i), -lden)
+            if i == j:
+                for q, lpart, c in lam_parts:
+                    for (k, part), terms in F.items():
+                        w = -4 * sden * sden * L * c
+                        o = N.setdefault((k + q + 1, part ^ lpart), {})
+                        for e, v in terms.items():
+                            o[e] = o.get(e, 0) + (-v * w if part & lpart else v * w)
+            rows[i][j] = _graded_poly(m, n, N, 4 * sden * sden * L * lden * den, -1)
+    return OperatorMatrix(rows)
 
 
 def vigneras_apply(f: MatPoly, A, aminus=None) -> OperatorMatrix:
@@ -453,40 +771,14 @@ def vigneras_apply(f: MatPoly, A, aminus=None) -> OperatorMatrix:
     With aminus, the A- of an indefinite form (exact entries), the operator
     acts on the coefficient f exp(2 pi tr(U^T A- U)) and the Gaussian is
     divided out of the result again: by the product rule every d/dU_ai
-    becomes d/dU_ai + 4 pi (A- U)_ai.  Without it, euler_entry and
-    laplace_entry act on f by their direct monomial passes.
+    becomes d/dU_ai + 4 pi (A- U)_ai.  Without it A- = 0.
     """
-    m, n = f.m, f.n
-    if aminus is None:
-        return OperatorMatrix(
-            [[euler_entry(f, i, j) + laplace_entry(f, A, i, j) * _MINUS_QUARTER_OVER_PI
-              for j in range(n)] for i in range(n)])
-    ainv = _exact_inverse(A)
-    four_pi = PiScalar.from_parts(4, 0, 1)
-    zero = MatPoly.zero(m, n)
-    # 4 pi (A- U)_ai, the U_ai-derivative of the Gaussian's exponent
-    shift = [[sum((MatPoly.variable(m, n, b, i) * (four_pi * Fraction(aminus[a][b]))
-                   for b in range(m) if aminus[a][b]), zero)
-              for i in range(n)] for a in range(m)]
-
-    def d(p, a, i):
-        return partial(p, a, i) + p * shift[a][i]
-
-    rows = [[None] * n for _ in range(n)]
-    for j in range(n):
-        dj = [d(f, b, j) for b in range(m)]
-        # sum_b (A^-1)_ab D_bj f, the inner half of every (Delta_A)_ij
-        inner = [sum((dj[b] * ainv[a][b] for b in range(m) if ainv[a][b]), zero) for a in range(m)]
-        for i in range(n):
-            euler = sum((MatPoly.variable(m, n, e, i) * dj[e] for e in range(m)), zero)
-            laplace = sum((d(inner[a], a, i) for a in range(m)), zero)
-            rows[i][j] = euler + laplace * _MINUS_QUARTER_OVER_PI
-    return OperatorMatrix(rows)
+    return _vigneras(f, A, aminus, 0)
 
 
 def vigneras_residual(f: MatPoly, A, lam, aminus=None) -> OperatorMatrix:
     """vigneras_apply(f, A, aminus) - lam * I * f; identically zero for a solution."""
-    return vigneras_apply(f, A, aminus) - OperatorMatrix.scalar(as_pi_scalar(lam), f, f.n)
+    return _vigneras(f, A, aminus, lam)
 
 
 # ==== homogeneity ===========================================================
@@ -497,7 +789,8 @@ def homogeneity_degree(p: MatPoly):
 
     Equivalent to the eigen-equation E p = alpha I p: every monomial must have
     all column degrees equal to alpha and the off-diagonal Euler entries must
-    vanish.  Constants (including 0) report 0.
+    vanish, on every (pi power, part) slot of p.  Constants (including 0)
+    report 0.
     """
     if p.is_zero():
         return 0
@@ -507,12 +800,12 @@ def homogeneity_degree(p: MatPoly):
     vec = next(iter(degs))
     if len(set(vec)) != 1:
         return None
-    alpha = vec[0]
+    _, slots = _slots(p)
     for i in range(p.n):
         for j in range(p.n):
-            if i != j and not euler_entry(p, i, j).is_zero():
+            if i != j and any(_euler_terms(terms, p.m, p.n, i, j) for terms in slots.values()):
                 return None
-    return alpha
+    return vec[0]
 
 
 def _compositions(total: int, parts: int):
@@ -921,7 +1214,8 @@ class HeatPlan:
     def __init__(self, P: MatPoly, A):
         self.m, self.n = P.m, P.n
         self.entries = [(i, j) for i in range(P.n) for j in range(i, P.n)]
-        words = [((0,) * len(self.entries), P)]
+        lap = _laplacian(A)
+        words = [((0,) * len(self.entries), _lower(P))]
         frontier = words
         while frontier:
             grown = []
@@ -929,12 +1223,14 @@ class HeatPlan:
                 # every multiset of entries once: extend at or after the last one used
                 last = max((e for e, k in enumerate(alpha) if k), default=0)
                 for e in range(last, len(self.entries)):
-                    child = laplace_entry(word, A, *self.entries[e])
-                    if not child.is_zero():
+                    child = _laplace(word, lap, *self.entries[e])
+                    if child.terms:
                         beta = alpha[:e] + (alpha[e] + 1,) + alpha[e + 1:]
-                        grown.append((beta, child * Fraction(1, beta[e])))
+                        child.den *= beta[e]
+                        grown.append((beta, child))
             words = words + grown
             frontier = grown
+        words = [(alpha, _raise(word)) for alpha, word in words]
         monomials = sorted({e for _, word in words for e in word.terms})
         self.alphas = np.array([alpha for alpha, _ in words], dtype=np.intp)
         self.table = ExponentTable(

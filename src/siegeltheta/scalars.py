@@ -8,7 +8,13 @@ The heat-operator factors 1/(8 pi) and 1/(4 pi) lower the pi-degree, while
 differentiating the Gaussian factor exp(2 pi tr(U^T A- U)) of an indefinite
 coefficient raises it, so the ring must allow both signs of k.  Equality of ring
 elements is exact; conversion to a complex float happens only at evaluation
-time by substituting a numeric value for pi.
+time by substituting a numeric value for pi (to_complex, abs_norm).
+
+The operators themselves do not compute with PiScalars: polyalg runs them on
+integer numerators over one common denominator, with pi and i as labels of
+the parts, and forms one PiScalar per term at the end of an operator chain
+(from_numerators).  PiScalar arithmetic serves the polynomial ring
+operations, the heat-flow times c^k/k! and the inputs.
 
 Floats and complex numbers embed exactly: every float is a dyadic rational,
 and Fraction(float) preserves it bit for bit.
@@ -65,6 +71,19 @@ class PiScalar:
     @classmethod
     def from_parts(cls, re, im=0, pi_pow: int = 0) -> "PiScalar":
         return cls({pi_pow: (_frac(re), _frac(im))})
+
+    @classmethod
+    def from_numerators(cls, parts, den: int) -> "PiScalar":
+        """sum_k (re_k + i im_k) pi^k / den from integer numerators {k: (re_k, im_k)}, in their order.
+
+        The exit of the integer operator kernel (polyalg): each nonzero part
+        becomes one reduced Fraction, and a power whose parts are both 0 is
+        left out.
+        """
+        out = cls()
+        out._c = {k: (Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
+                  for k, (re, im) in parts.items() if re or im}
+        return out
 
     # ---- ring structure ------------------------------------------------
 

@@ -300,10 +300,12 @@ class ThetaSpec:
     """Form decomposition, characteristics and coefficient, PDE-validated.
 
     route(dual) keeps the exact characteristic algebra of every plan of the
-    spec (_route), built on first use; a with_characteristics copy has none.
+    spec (_route), built on first use, and dual() and zero_characteristics()
+    keep the copies the laws sum, built on first use too, so their routes
+    are kept with them; a with_characteristics copy starts with none.
     """
 
-    __slots__ = ("dec", "coeff", "H", "K", "n", "_routes")
+    __slots__ = ("dec", "coeff", "H", "K", "n", "_routes", "_dual", "_zero")
 
     def __init__(self, dec: QuadFormDecomposition, coeff, H, K):
         self.dec = dec
@@ -316,6 +318,7 @@ class ThetaSpec:
         self.K = _frac_mat(K, dec.m, ncols, "K")
         self.n = ncols
         self._routes = [None, None]
+        self._dual = self._zero = None
         if coeff.f.m != dec.m or coeff.f.n != ncols:
             raise ValueError("coefficient shape does not match the characteristics")
         self._validate_pde()
@@ -352,7 +355,21 @@ class ThetaSpec:
         new.K = self.K if K is None else _frac_mat(K, self.m, self.n, "K")
         new.n = self.n
         new._routes = [None, None]
+        new._dual = new._zero = None
         return new
+
+    def dual(self) -> "ThetaSpec":
+        """The spec with characteristics (K, -H), the right side of the inversion law, built once."""
+        if self._dual is None:
+            self._dual = self.with_characteristics(H=self.K, K=[[-x for x in row] for row in self.H])
+        return self._dual
+
+    def zero_characteristics(self) -> "ThetaSpec":
+        """The spec with H = K = 0, which the Fourier and Poisson checks sum, built once."""
+        if self._zero is None:
+            zero = [[0] * self.n for _ in range(self.m)]
+            self._zero = self.with_characteristics(H=zero, K=zero)
+        return self._zero
 
     def route(self, dual: bool = False):
         """(c, ell, unit, paired) of the direct lattice, or of the dual one with dual (_route)."""
@@ -981,8 +998,8 @@ def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
 
 
 def dual_spec(spec: ThetaSpec) -> ThetaSpec:
-    """spec with characteristics (K, -H): the right side of the inversion law."""
-    return spec.with_characteristics(H=spec.K, K=[[-x for x in row] for row in spec.H])
+    """spec with characteristics (K, -H): the right side of the inversion law (ThetaSpec.dual)."""
+    return spec.dual()
 
 
 def _inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float):

@@ -403,11 +403,6 @@ def check_gauss_transform(p: MatPoly, V, tol: float = 1e-8,
     return _quad_report("gauss_transform", fn, closed, (m, n), Cp, p.degree(), 1.0, tol, quad_eps)
 
 
-def _zero_characteristics(spec: ThetaSpec) -> ThetaSpec:
-    zero = [[0] * spec.n for _ in range(spec.m)]
-    return spec.with_characteristics(H=zero, K=zero)
-
-
 def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen") -> complex:
     """The closed form of the transform of f_Z, evaluated at V.
 
@@ -428,7 +423,7 @@ def fourier_closed_form(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen")
     V = np.asarray(V, dtype=float).reshape(m, n)
     Zinv = np.linalg.inv(Z.Z)
     W = SiegelPoint(-Zinv)
-    phase = complex(term_phase(_zero_characteristics(spec), W)(V[None])[0])
+    phase = complex(term_phase(spec.zero_characteristics(), W)(V[None])[0])
     if form == "eigen":
         pB = borcherds_poly(spec, W.Y)
         return _fourier_prefactor(spec, Z, W) * complex(eval_batch(pB, V[None])[0] * phase)
@@ -446,7 +441,7 @@ def _fourier_prefactor(spec: ThetaSpec, Z: SiegelPoint, W: SiegelPoint) -> compl
     beta) = |det Z|^(-(s + 2 beta)), taken as one power.
     """
     power = spec.dec.s + 2 * spec.coeff.beta
-    return inversion_prefactor(_zero_characteristics(spec), W) * abs(np.linalg.det(Z.Z)) ** -power
+    return inversion_prefactor(spec.zero_characteristics(), W) * abs(np.linalg.det(Z.Z)) ** -power
 
 
 def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
@@ -459,7 +454,7 @@ def check_fourier(spec: ThetaSpec, Z: SiegelPoint, V, form: str = "eigen",
     closed = fourier_closed_form(spec, Z, V, form)
     AV = spec.A.astype(float) @ V
     poly = spec.coeff.compiled() if form == "plain" else borcherds_poly(spec, Z.Y)
-    phase = term_phase(_zero_characteristics(spec), Z)
+    phase = term_phase(spec.zero_characteristics(), Z)
 
     def fn(U):
         pair = np.einsum("aj,xaj->x", AV, U)
@@ -481,7 +476,7 @@ def check_poisson(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-10,
     that the tails could explain is summed again at a finer eps
     (_law_residual), recorded in the metadata.
     """
-    spec0 = _zero_characteristics(spec)
+    spec0 = spec.zero_characteristics()
     W = SiegelPoint(-np.linalg.inv(Z.Z))
     pref = _fourier_prefactor(spec, Z, W)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from siegeltheta import cli, verify
-from siegeltheta.polyalg import basis_homopol, matpoly_from_json, matpoly_to_json
+from siegeltheta.polyalg import MatPoly, basis_homopol, matpoly_from_json, matpoly_to_json
 from siegeltheta.quadform import named_form
 from siegeltheta.scalars import PiScalar
 
@@ -136,6 +136,20 @@ def test_eval_characteristic_with_a_large_integer_part_is_the_reduced_one(tmp_pa
         assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_eval_non_homogeneous_coefficient_exits_one_naming_it(tmp_path):
+    # a minor plus u_11 u_22: every column has degree 1, so only the
+    # off-diagonal Euler entries tell that P+ is no power of det
+    P = basis_homopol(3, 2, 1)[0] + MatPoly.variable(3, 2, 0, 0) * MatPoly.variable(3, 2, 1, 1)
+    spec = {"A": [[2, 1, 0], [1, 2, 1], [0, 1, 4]],
+            "coeff": {"type": "posdef", "P_alpha": matpoly_to_json(P)},
+            "Z": {"X": [[0.1, 0.05], [0.05, -0.2]], "Y": [[0.8, 0.1], [0.1, 0.7]]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("eval", "--spec", str(path))
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert "P+" in json.loads(proc.stdout)["error"]
 
 
 def test_eval_invalid_spec_exits_one(tmp_path):

@@ -183,13 +183,14 @@ def test_borcherds_plan_matches_the_exact_flow(form, genus, alpha):
 def test_borcherds_plan_is_compiled_once(monkeypatch):
     spec = _combination_spec(A3, 2, 2, seed=1)
     calls = []
-    laplace_entry = polyalg.laplace_entry
+    laplace = polyalg._laplace
 
     def counted(*args):
         calls.append(args[1:])
-        return laplace_entry(*args)
+        return laplace(*args)
 
-    monkeypatch.setattr(polyalg, "laplace_entry", counted)
+    # every exact word of a HeatPlan is one kernel Laplacian entry of an earlier word
+    monkeypatch.setattr(polyalg, "_laplace", counted)
     Y = np.array([[0.7, 0.1], [0.1, 0.6]])
     first = borcherds_poly(spec, Y)
     assert calls  # the first weighted flow builds the plan
@@ -1319,6 +1320,34 @@ def test_indefinite_validation_needs_the_true_gaussian(form, genus):
     wrong = Coefficient(coeff.f, coeff.source, coeff.alpha + 1, coeff.beta, coeff.s)
     with pytest.raises(ValueError, match="eigenvalue equation"):
         ThetaSpec(dec, wrong, zero, zero)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _combination_spec(A3, 2, 4, seed=4),
+    lambda: theta_spec("diag:2,-2,-2", P_minus=basis_homopol(3, 2, 1)[0], n=2),
+], ids=["definite-alpha4", "exact-split-P-minus"])
+def test_the_exact_validation_refuses_the_smallest_changes(make):
+    # the full residual of f is tested for exact zero: 2^-60 in one
+    # coefficient, f + 1 and a wrong alpha are each refused
+    spec = make()
+    coeff = spec.coeff
+    assert coeff.f.degree() > 0 and spec.dec.has_exact_split()
+    last = list(coeff.f.terms)[-1]
+    nudge = MatPoly(coeff.f.m, coeff.f.n, {last: Fraction(1, 2**60)})
+    ThetaSpec(spec.dec, Coefficient(coeff.f, coeff.source, coeff.alpha, coeff.beta, coeff.s), spec.H, spec.K)
+    for f, alpha in ((coeff.f + nudge, coeff.alpha), (coeff.f + 1, coeff.alpha), (coeff.f, coeff.alpha + 1)):
+        with pytest.raises(ValueError, match="eigenvalue equation"):
+            ThetaSpec(spec.dec, Coefficient(f, coeff.source, alpha, coeff.beta, coeff.s), spec.H, spec.K)
+
+
+def test_the_float_validation_refuses_f_plus_one():
+    # |A| of [[2, 1], [1, -3]] is irrational: the residual is held to a float tolerance
+    spec = theta_spec([[2, 1], [1, -3]], P_plus=MatPoly.variable(2, 1, 0, 0), n=1)
+    coeff = spec.coeff
+    assert not spec.dec.has_exact_split()
+    with pytest.raises(ValueError, match="beyond float tolerance"):
+        ThetaSpec(spec.dec, Coefficient(coeff.f + 1, coeff.source, coeff.alpha, coeff.beta, coeff.s),
+                  spec.H, spec.K)
 
 
 # ==== generated genus-1 diagonal forms against mpmath.jtheta ================

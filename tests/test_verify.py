@@ -222,6 +222,27 @@ def test_inversion_and_poisson_make_one_lattice_sum_per_side(monkeypatch):
     assert "certified_lattice_sum(" not in inspect.getsource(verify)
 
 
+def test_a_second_law_check_on_one_spec_builds_no_route(monkeypatch):
+    # the dual and zero-characteristic copies are kept on the spec, and with
+    # them the exact centre, ell and unit of their plans
+    calls = []
+    route = theta._route
+    monkeypatch.setattr(theta, "_route", lambda *args: calls.append(args) or route(*args))
+    spec = theta_spec("diag:2,-2", H=[[Fraction(1, 2)], [0]], K=[[0], [Fraction(1, 3)]])
+    Z = SiegelPoint(np.array([[0.1 + 1.1j]]))
+    for check in (check_inversion, check_poisson):
+        first = check(spec, Z)
+        assert first.passed and calls
+        calls.clear()
+        again = check(spec, Z)
+        assert calls == [] and (again.lhs, again.rhs) == (first.lhs, first.rhs)
+    assert spec.dual() is spec.dual() and spec.zero_characteristics() is spec.zero_characteristics()
+    moved = spec.with_characteristics(K=[[0], [Fraction(1, 5)]])
+    assert moved.dual() is not spec.dual()
+    check_inversion(moved, Z)
+    assert calls
+
+
 def test_translation_and_borcherds_make_one_enumeration_per_round(monkeypatch):
     # both sides of each law come from one lattice_blocks walk, in every
     # _law_residual round: a tolerance of 0 forces the re-sum round of the

@@ -300,7 +300,7 @@ class ThetaSpec:
     """Form decomposition, characteristics and coefficient, PDE-validated.
 
     route(dual) keeps the exact characteristic algebra of every plan of the
-    spec (_route), built on first use, and dual() and zero_characteristics()
+    spec (_route), built on first use, and dual_spec and zero_characteristics
     keep the copies the laws sum, built on first use too, so their routes
     are kept with them; a with_characteristics copy starts with none.
     """
@@ -357,12 +357,6 @@ class ThetaSpec:
         new._routes = [None, None]
         new._dual = new._zero = None
         return new
-
-    def dual(self) -> "ThetaSpec":
-        """The spec with characteristics (K, -H), the right side of the inversion law, built once."""
-        if self._dual is None:
-            self._dual = self.with_characteristics(H=self.K, K=[[-x for x in row] for row in self.H])
-        return self._dual
 
     def zero_characteristics(self) -> "ThetaSpec":
         """The spec with H = K = 0, which the Fourier and Poisson checks sum, built once."""
@@ -998,8 +992,10 @@ def inversion_prefactor(spec: ThetaSpec, Z: SiegelPoint) -> complex:
 
 
 def dual_spec(spec: ThetaSpec) -> ThetaSpec:
-    """spec with characteristics (K, -H): the right side of the inversion law (ThetaSpec.dual)."""
-    return spec.dual()
+    """spec with characteristics (K, -H): the right side of the inversion law, kept on spec."""
+    if spec._dual is None:
+        spec._dual = spec.with_characteristics(H=spec.K, K=[[-x for x in row] for row in spec.H])
+    return spec._dual
 
 
 def _inversion(spec: ThetaSpec, Z: SiegelPoint, eps: float):

@@ -98,6 +98,16 @@ def test_the_kernel_equals_the_per_term_operators(case):
         assert got == [[want[i][j] - (f * lam if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+def test_a_heat_term_that_cancels_leaves_and_comes_back_last():
+    # exp(tr Delta) (x^6 - 30 x^4 + 360 x^2) on A = [[1]]: the first flow
+    # cancels x^4 and x^2, and the second brings x^2 back after the constant
+    x = MatPoly.variable(1, 1, 0, 0)
+    p = x**6 - x**4 * 30 + x**2 * 360
+    got = exp_trace_laplace(p, [[1]], 1)
+    assert _same(got, reference.exp_trace_laplace(p, [[1]], 1))
+    assert list(got.terms) == [(6,), (0,), (2,)]
+
+
 def test_heat_plan_words_are_the_per_term_words():
     # each word L^alpha P / alpha! is one Laplacian entry of an earlier word
     rng = np.random.default_rng(5)

@@ -722,9 +722,9 @@ def _vigneras(f: MatPoly, A, aminus, lam) -> OperatorMatrix:
         sden = math.lcm(1, *(x.denominator for row in rows for x in row))
         S = [[int(x * sden) for x in row] for row in rows]
 
-    def add_into(out, g, w, shift=0):
+    def add_into(out, g, w):
         for (k, part), terms in g.items():
-            o = out.setdefault((k + shift, part), {})
+            o = out.setdefault((k, part), {})
             for e, v in terms.items():
                 o[e] = o.get(e, 0) + v * w
 
@@ -757,10 +757,11 @@ def _vigneras(f: MatPoly, A, aminus, lam) -> OperatorMatrix:
             if i == j:
                 for q, lpart, c in lam_parts:
                     for (k, part), terms in F.items():
-                        w = -4 * sden * sden * L * c
+                        # i times i is -1
+                        w = 4 * sden * sden * L * c * (1 if part & lpart else -1)
                         o = N.setdefault((k + q + 1, part ^ lpart), {})
                         for e, v in terms.items():
-                            o[e] = o.get(e, 0) + (-v * w if part & lpart else v * w)
+                            o[e] = o.get(e, 0) + v * w
             rows[i][j] = _graded_poly(m, n, N, 4 * sden * sden * L * lden * den, -1)
     return OperatorMatrix(rows)
 

@@ -51,10 +51,10 @@ def translation_data_chain(A, H, K, S):
 
 # ==== per-term exact operators ===============================================
 #
-# The operator calculus as it was first written: one PiScalar operation per
-# term and per step, each sum accumulated term by term.  polyalg runs the
-# same operators on integer numerators; the tests hold the two equal, key
-# order included where a float evaluation reads it.
+# The operator calculus with one PiScalar operation per term and per step,
+# each sum accumulated term by term.  polyalg runs the same operators on
+# integer numerators; the tests hold the two equal, key order included
+# where a float evaluation reads it.
 
 
 def _inverse(A):

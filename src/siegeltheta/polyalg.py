@@ -1202,9 +1202,9 @@ class HeatPlan:
         exp(tr(Delta_A W)) P = sum_alpha w^alpha L^alpha P / alpha!,
 
     where L^alpha applies entry e alpha_e times.  Every nonzero word
-    L^alpha P / alpha! is computed exactly, once, as one laplace_entry of an
-    earlier word; each entry lowers the degree by two, so there are finitely
-    many.  table is the ExponentTable of the union of their monomials (T
+    L^alpha P / alpha! is computed exactly, once, as one Laplacian entry of
+    an earlier word on the integer kernel (_laplace); each entry lowers the
+    degree by two, so there are finitely many.  table is the ExponentTable of the union of their monomials (T
     x mn), built once and shared by every flow, coef their pi-substituted
     coefficients (T x words) and alphas the multi-indices (words x
     entries).  flow(W) is then one float matrix-vector product.

@@ -121,26 +121,47 @@ def mat_inverse(m):
     return inv
 
 
+def _definite(pivots, swaps, n) -> int:
+    """Sylvester's test from an elimination of a symmetric n x n matrix: 1, -1 or 0.
+
+    Without row exchanges the k-th pivot is the ratio of the k-th and
+    (k-1)-th leading principal minors, so the matrix is positive definite
+    exactly when the elimination needs no exchange and every pivot is
+    positive (1), and negative definite, its negation positive definite,
+    when every pivot is negative instead (-1); otherwise 0.
+    """
+    if swaps or len(pivots) < n:
+        return 0
+    if all(v > 0 for _, v in pivots):
+        return 1
+    return -1 if all(v < 0 for _, v in pivots) else 0
+
+
 def posdef_solve(m, b):
     """M^-1 B for a symmetric rational M that is positive definite, None when it is not.
 
-    One elimination of [M | B] is also Sylvester's criterion: without row
-    exchanges the k-th pivot is the ratio of the k-th and (k-1)-th leading
-    principal minors, so every minor is positive exactly when the elimination
-    needs no exchange and every pivot is positive.
+    One elimination of [M | B] is also Sylvester's test (_definite).
     """
     pivots, swaps, x = _solve(m, b)
-    if swaps or len(pivots) < len(m) or any(v <= 0 for _, v in pivots):
-        return None
-    return x
+    return x if _definite(pivots, swaps, len(m)) == 1 else None
+
+
+def det_definite(m) -> tuple:
+    """(det, definite) of a square rational matrix m from one elimination.
+
+    det is the signed product of the pivots, and for a symmetric m definite
+    is 1 or -1 when Sylvester's test proves it positive or negative
+    definite, 0 otherwise (_definite).
+    """
+    pivots, swaps, _ = _solve(m, [()] * len(m))
+    if len(pivots) < len(m):
+        return Fraction(0), 0
+    return prod((v for _, v in pivots), start=Fraction((-1) ** swaps)), _definite(pivots, swaps, len(m))
 
 
 def mat_det(m) -> Fraction:
     """Exact determinant of a square rational matrix: the signed product of its pivots."""
-    pivots, swaps, _ = _solve(m, [()] * len(m))
-    if len(pivots) < len(m):
-        return Fraction(0)
-    return prod((v for _, v in pivots), start=Fraction((-1) ** swaps))
+    return det_definite(m)[0]
 
 
 def rational_kernel(rows, ncols):

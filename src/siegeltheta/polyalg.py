@@ -354,7 +354,9 @@ _LAPLACIANS: dict = {}
 
 def _laplacian(A):
     """(W, L, |W|): W = L A^-1 integral, L the lcm of the denominators of A^-1, |W| = sum |W_ab|; kept per A."""
-    key = tuple(tuple(Fraction(x) for x in row) for row in A)
+    # ints, Fractions and floats of one value hash and compare equal, so the
+    # entries as given key the cache and become Fractions only on a miss
+    key = tuple(map(tuple, A))
     got = _LAPLACIANS.get(key)
     if got is None:
         inv = mat_inverse(frac_matrix(key))
@@ -659,28 +661,28 @@ def substitute_linear(p: MatPoly, L, N) -> MatPoly:
     def entry(M, i, j):
         return as_pi_scalar(M[i][j] if not isinstance(M, np.ndarray) else M[i, j])
 
-    forms = {}
-    for a in range(m):
-        for b in range(n):
-            lf = MatPoly.zero(m, n)
-            for i in range(m):
-                li = entry(L, a, i)
-                if li.is_zero():
-                    continue
-                for j in range(n):
-                    c = li * entry(N, j, b)
-                    if not c.is_zero():
-                        lf = lf + MatPoly.variable(m, n, i, j) * c
-            forms[(a, b)] = lf
+    def linear_form(a, b):
+        """(L U N)_ab as a MatPoly, built for the variables that occur in p only."""
+        lf = MatPoly.zero(m, n)
+        for i in range(m):
+            li = entry(L, a, i)
+            if li.is_zero():
+                continue
+            for j in range(n):
+                c = li * entry(N, j, b)
+                if not c.is_zero():
+                    lf = lf + MatPoly.variable(m, n, i, j) * c
+        return lf
 
-    pow_cache = {}
+    forms, pow_cache = {}, {}
 
     def form_power(a, b, k):
         key = (a, b, k)
         got = pow_cache.get(key)
         if got is None:
-            got = forms[(a, b)] ** k
-            pow_cache[key] = got
+            if (a, b) not in forms:
+                forms[(a, b)] = linear_form(a, b)
+            got = pow_cache[key] = forms[(a, b)] ** k
         return got
 
     out = MatPoly.zero(m, n)

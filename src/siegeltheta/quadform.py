@@ -1,10 +1,15 @@
 """Integral quadratic forms: signature decomposition, cosets, lattice enumeration.
 
-A form is a symmetric invertible integer matrix A.  decompose() produces the
-normalized eigen-split A = A+ + A- with majorant M = A+ - A- (the matrix
-absolute value of A).  When M is rational the split is upgraded to exact
-arithmetic, which is what makes the symbolic zero-residual checks on the
-fixture forms possible.
+A form is a symmetric invertible integer matrix A.  QuadForm finds its
+orthogonal blocks (the connected components of its nonzero pattern) and
+eliminates each once in Fractions: the pivots give the exact determinant and
+prove a block positive or negative definite by Sylvester's test.
+decompose() produces the normalized eigen-split A = A+ + A- with majorant
+M = A+ - A- (the matrix absolute value of A) from the form's one eigh, and
+an exact split too whenever M is rational, which is what makes the symbolic
+zero-residual checks possible.  The exact split is made block by block: a
+definite block is its own majorant up to sign, and only an indefinite block
+rationalises its rows of the float M and checks them.
 
 coset_reps() lists A^-1 Z^(m x n) / Z^(m x n) as matrices J, m rows of
 Fractions each.  lattice_blocks() enumerates an ellipsoid q(v + c) <= R^2
@@ -28,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactlinalg import frac_matrix, mat_det, mat_inverse, mat_mul, posdef_solve
+from .exactlinalg import det_definite, frac_matrix, mat_inverse, mat_mul, posdef_solve
 
 # ==== form basics ===========================================================
 
@@ -56,13 +61,52 @@ def as_form_array(A) -> np.ndarray:
     return ai
 
 
+def orthogonal_blocks(A) -> list:
+    """The orthogonal summands of a symmetric matrix: the connected components of its nonzero pattern.
+
+    Each block is a sorted list of indices, the blocks in the order of their
+    least index; A is zero between two blocks, so up to a permutation it is
+    the direct sum of its restrictions to the blocks.  O(m^2).
+    """
+    rows = np.asarray(A).tolist()
+    seen = [False] * len(rows)
+    blocks = []
+    for start in range(len(rows)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, todo = [], [start]
+        while todo:
+            i = todo.pop()
+            block.append(i)
+            for j, x in enumerate(rows[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    todo.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
 class QuadForm:
-    """A symmetric invertible integer matrix with cached invariants, its one eigh among them."""
+    """A symmetric invertible integer matrix with cached invariants, its one eigh among them.
+
+    blocks are its orthogonal summands (orthogonal_blocks), each eliminated
+    once in Fractions: the pivots give the exact det, the product over the
+    blocks, and definite[k] is 1 or -1 when Sylvester's test proves block k
+    positive or negative definite, 0 when it is indefinite.
+    """
 
     def __init__(self, A):
         self.A = as_form_array(A)
         self.m = self.A.shape[0]
-        self.det = int(mat_det(self.A.tolist()))
+        a = self.A.tolist()
+        self.blocks = orthogonal_blocks(a)
+        det, self.definite = 1, []
+        for block in self.blocks:
+            d, sign = det_definite([[a[i][j] for j in block] for i in block])
+            det *= d
+            self.definite.append(sign)
+        self.det = int(det)
         if self.det == 0:
             raise ValueError("form is degenerate")
         self.eigvals, self.eigvecs = np.linalg.eigh(self.A.astype(float))
@@ -135,8 +179,10 @@ def decompose(A) -> QuadFormDecomposition:
     A+ (A-) restricts the form to the positive (negative) eigenspace; the
     majorant M = A+ - A- is positive definite and is computed as
     (S^-1)^T S^-1, where the columns of S are the eigenvectors scaled by
-    abs(eigenvalue)^(-1/2).  The eigenpairs are the form's own; the exact
-    split, when there is one, is rationalised from this M.
+    abs(eigenvalue)^(-1/2).  The eigenpairs are the form's own.  The exact
+    split, when there is one, is built block by block on the form's
+    orthogonal summands (_try_exact_split): only an indefinite block reads
+    this float M.
     """
     form = A if isinstance(A, QuadForm) else QuadForm(A)
     if np.any(np.abs(form.eigvals) < 1e-9):
@@ -152,30 +198,57 @@ def decompose(A) -> QuadFormDecomposition:
     return QuadFormDecomposition(form, r, s, aplus, aminus, M, _try_exact_split(form, M))
 
 
+_SPLIT = ("M", "aplus", "aminus", "proj_plus", "proj_minus")
+
+
 def _try_exact_split(form: QuadForm, M: np.ndarray):
     """Exact A = A+ + A- split whenever the matrix absolute value is rational.
 
-    The candidate for |A| is decompose's float M, symmetrised and rationalised.
-    It is |A| exactly when M^2 == A^2 and M is positive definite: one
-    elimination of [M | A] is Sylvester's test and leaves the sign S = M^-1 A,
-    so A+- = (A +- M)/2 and the projectors are (I +- S)/2.  All fixture forms
-    used by the exact-mode checks pass this.
+    |A| is the direct sum of the |A_B| of the orthogonal blocks B of A, so
+    the split is made block by block and is 0 between blocks.  A block that
+    QuadForm proved definite of sign e has |A_B| = e A_B, the sign e I, and
+    A+ = A_B, A- = 0 and projectors I and 0 for e = 1, the reverse for
+    e = -1.  An indefinite block takes its rows of decompose's float M,
+    symmetrised and rationalised: that is |A_B| exactly when its square is
+    A_B^2 and it is positive definite, and one elimination of [M_B | A_B] is
+    Sylvester's test and leaves the sign S = M_B^-1 A_B, so A+- = (A_B +-
+    M_B)/2 and the projectors are (I +- S)/2.  One block whose |A_B| is not
+    rational leaves the whole form without a split (None).
     """
-    Mrat = [[Fraction(x).limit_denominator(10**6) for x in row] for row in ((M + M.T) / 2).tolist()]
-    a = form.A.astype(object)  # Python ints: A^2 stays exact past the int64 range
-    if mat_mul(Mrat, Mrat) != (a @ a).tolist():
-        return None
-    a = a.tolist()
-    sign = posdef_solve(Mrat, a)
-    if sign is None:
-        return None
-    return {
-        "M": Mrat,
-        "aplus": [[(x + y) / 2 for x, y in zip(ra, rm)] for ra, rm in zip(a, Mrat)],
-        "aminus": [[(x - y) / 2 for x, y in zip(ra, rm)] for ra, rm in zip(a, Mrat)],
-        "proj_plus": [[(int(i == j) + x) / 2 for j, x in enumerate(row)] for i, row in enumerate(sign)],
-        "proj_minus": [[(int(i == j) - x) / 2 for j, x in enumerate(row)] for i, row in enumerate(sign)],
-    }
+    zero, one = Fraction(0), Fraction(1)
+    split = {name: [[zero] * form.m for _ in range(form.m)] for name in _SPLIT}
+    a = form.A.tolist()
+    Msym = None
+    for block, definite in zip(form.blocks, form.definite):
+        ab = [[Fraction(a[i][j]) for j in block] for i in block]
+        nought = [[zero] * len(block) for _ in block]
+        if definite:
+            mb = ab if definite > 0 else [[-x for x in row] for row in ab]
+            eye = [[one if i == j else zero for j in block] for i in block]
+            parts = (mb, ab, nought, eye, nought) if definite > 0 else (mb, nought, ab, nought, eye)
+        else:
+            if Msym is None:
+                Msym = ((M + M.T) / 2).tolist()
+            mb = [[Fraction(Msym[i][j]).limit_denominator(10**6) for j in block] for i in block]
+            if mat_mul(mb, mb) != mat_mul(ab, ab):
+                return None
+            sign = posdef_solve(mb, ab)
+            if sign is None:
+                return None
+            parts = (
+                mb,
+                [[(x + y) / 2 for x, y in zip(ra, rm)] for ra, rm in zip(ab, mb)],
+                [[(x - y) / 2 for x, y in zip(ra, rm)] for ra, rm in zip(ab, mb)],
+                [[(int(i == j) + x) / 2 for j, x in enumerate(row)] for i, row in enumerate(sign)],
+                [[(int(i == j) - x) / 2 for j, x in enumerate(row)] for i, row in enumerate(sign)],
+            )
+        for name, part in zip(_SPLIT, parts):
+            mat = split[name]
+            for i, row in zip(block, part):
+                out = mat[i]
+                for j, x in zip(block, row):
+                    out[j] = x
+    return split
 
 
 # ==== cosets ================================================================

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from siegeltheta.exactlinalg import (
+    det_definite,
     frac_matrix,
     gauss_jordan,
     identity_frac,
@@ -87,6 +88,22 @@ def test_posdef_solve_is_sylvester(s):
     assert (x is None) == (not all(d > 0 for d in minors))
     if x is not None:
         assert mat_mul(s, x) == b
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(s=_symmetric())
+@example(s=frac_matrix([[0, 1], [1, 0]]))
+@example(s=frac_matrix([[-2, 1], [1, -2]]))
+@example(s=frac_matrix([[-1, 0], [0, 0]]))
+@example(s=frac_matrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))
+def test_det_definite_is_sylvester(s):
+    # 1 iff every leading minor is positive, -1 iff the k-th has the sign
+    # (-1)^k, which is the test for -M; the det is sympy's either way
+    minors = [_sympy(s)[:k, :k].det() for k in range(1, len(s) + 1)]
+    det, definite = det_definite(s)
+    assert det == minors[-1]
+    assert (definite == 1) == all(d > 0 for d in minors)
+    assert (definite == -1) == all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -13,6 +13,8 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from siegeltheta.exactlinalg import frac_matrix, mat_inverse, mat_mul
+from siegeltheta.polyalg import MatPoly, vigneras_residual
+import siegeltheta.exactlinalg as exactlinalg
 import siegeltheta.quadform as quadform
 import siegeltheta.theta as theta
 from siegeltheta.quadform import (
@@ -162,21 +164,32 @@ def test_decompose_computes_one_eigendecomposition(monkeypatch, form):
     assert dec.has_exact_split() == isinstance(form, str)
 
 
+_A3 = [[2, 1, 0], [1, 2, 1], [0, 1, 4]]
+
+
 @st.composite
 def _rational_abs_forms(draw):
-    """Signed permutations of orthogonal sums of diagonal entries and scaled
-    h2 blocks, with |A| from the blocks: |d| for d, |c| I for c h2."""
+    """Signed permutations of orthogonal sums of diagonal entries, scaled h2
+    blocks and definite blocks +-A3 and +-[[2, 1], [1, 2]], with |A| from the
+    blocks: |d| for d, |c| I for c h2, and the positive block for either
+    sign of a definite one."""
+    def definite(b, sign):
+        return np.array(b) * sign, np.array(b)
+
     blocks = draw(st.lists(st.one_of(
-        st.builds(lambda d: [[d]], st.integers(-4, 4).filter(bool)),
-        st.builds(lambda c: [[0, c], [c, 0]], st.integers(-3, 3).filter(bool))), min_size=1, max_size=4))
-    m = sum(len(b) for b in blocks)
+        st.builds(lambda d: (np.array([[d]]), np.array([[abs(d)]])), st.integers(-4, 4).filter(bool)),
+        st.builds(lambda c: (np.array([[0, c], [c, 0]]), abs(c) * np.eye(2, dtype=np.int64)),
+                  st.integers(-3, 3).filter(bool)),
+        st.builds(definite, st.sampled_from([_A3, [[2, 1], [1, 2]]]), st.sampled_from([-1, 1]))),
+        min_size=1, max_size=4))
+    m = sum(len(b) for b, _ in blocks)
     A = np.zeros((m, m), dtype=np.int64)
     M = np.zeros((m, m), dtype=np.int64)
     o = 0
-    for b in blocks:
+    for b, mb in blocks:
         k = len(b)
         A[o:o + k, o:o + k] = b
-        M[o:o + k, o:o + k] = np.eye(k, dtype=np.int64) * max(abs(x) for row in b for x in row)
+        M[o:o + k, o:o + k] = mb
         o += k
     perm = draw(st.permutations(range(m)))
     P = np.eye(m, dtype=np.int64)[list(perm)] * np.array(draw(st.lists(
@@ -217,6 +230,47 @@ def test_exact_split_past_the_int64_square():
     dec = decompose(np.array([[c, 0], [0, -c]]))
     assert dec.exact["M"] == [[c, 0], [0, c]]
     assert dec.exact["proj_minus"] == [[0, 0], [0, 1]]
+
+
+def test_a_definite_form_splits_with_no_rationalised_majorant():
+    # the float M of [[10^15, 1], [1, 10^15]] rationalises to no |A|, but a
+    # definite form is its own majorant, proven so by Sylvester's test; the
+    # Vigneras residual of u_11^2, whose heat flow divides by det A, is
+    # exactly zero.  One irrational block still refuses the whole split
+    A = [[10**15, 1], [1, 10**15]]
+    dec = decompose(A)
+    assert dec.form.det == 10**30 - 1
+    assert dec.exact["M"] == dec.exact["aplus"] == A
+    assert dec.exact["proj_plus"] == [[1, 0], [0, 1]]
+    for P in (None, MatPoly.variable(2, 1, 0, 0) ** 2):
+        spec = theta.theta_spec(A, P_plus=P)
+        assert spec.dec.has_exact_split()
+    assert vigneras_residual(spec.coeff.f, A, spec.coeff.lam).is_zero()
+    B = np.zeros((10, 10), dtype=np.int64)
+    B[:8, :8], B[8:, 8:] = named_form("e8"), [[2, 1], [1, -3]]
+    assert decompose(B).exact is None
+
+
+@pytest.mark.parametrize("name, blocks", [("e8", [8]), ("h2+e8", [2, 8])])
+def test_a_definite_block_is_neither_rationalised_nor_solved(monkeypatch, name, blocks):
+    # QuadForm eliminates each orthogonal block once; the e8 block takes M =
+    # A from Sylvester's test, and only the indefinite h2 block rationalises
+    # its four entries of the float M and solves [M | A]
+    eliminated, rationalised, solved = [], [], []
+    gj, limit, solve = exactlinalg.gauss_jordan, Fraction.limit_denominator, quadform.posdef_solve
+    monkeypatch.setattr(exactlinalg, "gauss_jordan", lambda rows, n: eliminated.append(n) or gj(rows, n))
+    monkeypatch.setattr(Fraction, "limit_denominator",
+                        lambda self, cap=10**6: rationalised.append(self) or limit(self, cap))
+    monkeypatch.setattr(quadform, "posdef_solve", lambda m, b: solved.append(len(m)) or solve(m, b))
+    h2 = len(blocks) - 1  # 1 with the h2 block, 0 without
+    form = QuadForm(named_form(name))
+    assert eliminated == blocks
+    assert [len(b) for b in form.blocks] == blocks and form.definite == [0] * h2 + [1]
+    dec = decompose(form)
+    assert dec.exact["M"][-8:] == [[0, 0] * h2 + row for row in named_form("e8").tolist()]
+    assert len(rationalised) == 4 * h2
+    assert solved == [2] * h2
+    assert eliminated == blocks + [2] * h2
 
 
 def test_decompose_random_floats_still_valid():

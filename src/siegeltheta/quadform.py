@@ -61,14 +61,14 @@ def as_form_array(A) -> np.ndarray:
     return ai
 
 
-def orthogonal_blocks(A) -> list:
-    """The orthogonal summands of a symmetric matrix: the connected components of its nonzero pattern.
+def _orthogonal_blocks(rows) -> list:
+    """The orthogonal summands of a symmetric matrix, as rows: the components of its nonzero pattern.
 
     Each block is a sorted list of indices, the blocks in the order of their
-    least index; A is zero between two blocks, so up to a permutation it is
-    the direct sum of its restrictions to the blocks.  O(m^2).
+    least index; the matrix is zero between two blocks, so up to a
+    permutation it is the direct sum of its restrictions to the blocks.
+    O(m^2).
     """
-    rows = np.asarray(A).tolist()
     seen = [False] * len(rows)
     blocks = []
     for start in range(len(rows)):
@@ -90,7 +90,7 @@ def orthogonal_blocks(A) -> list:
 class QuadForm:
     """A symmetric invertible integer matrix with cached invariants, its one eigh among them.
 
-    blocks are its orthogonal summands (orthogonal_blocks), each eliminated
+    blocks are its orthogonal summands (_orthogonal_blocks), each eliminated
     once in Fractions: the pivots give the exact det, the product over the
     blocks, and definite[k] is 1 or -1 when Sylvester's test proves block k
     positive or negative definite, 0 when it is indefinite.
@@ -100,7 +100,7 @@ class QuadForm:
         self.A = as_form_array(A)
         self.m = self.A.shape[0]
         a = self.A.tolist()
-        self.blocks = orthogonal_blocks(a)
+        self.blocks = _orthogonal_blocks(a)
         det, self.definite = 1, []
         for block in self.blocks:
             d, sign = det_definite([[a[i][j] for j in block] for i in block])
@@ -217,8 +217,7 @@ def _try_exact_split(form: QuadForm, M: np.ndarray):
     """
     zero, one = Fraction(0), Fraction(1)
     split = {name: [[zero] * form.m for _ in range(form.m)] for name in _SPLIT}
-    a = form.A.tolist()
-    Msym = None
+    a, Msym = form.A.tolist(), ((M + M.T) / 2).tolist()
     for block, definite in zip(form.blocks, form.definite):
         ab = [[Fraction(a[i][j]) for j in block] for i in block]
         nought = [[zero] * len(block) for _ in block]
@@ -227,8 +226,6 @@ def _try_exact_split(form: QuadForm, M: np.ndarray):
             eye = [[one if i == j else zero for j in block] for i in block]
             parts = (mb, ab, nought, eye, nought) if definite > 0 else (mb, nought, ab, nought, eye)
         else:
-            if Msym is None:
-                Msym = ((M + M.T) / 2).tolist()
             mb = [[Fraction(Msym[i][j]).limit_denominator(10**6) for j in block] for i in block]
             if mat_mul(mb, mb) != mat_mul(ab, ab):
                 return None

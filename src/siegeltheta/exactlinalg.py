@@ -158,12 +158,6 @@ def det_definite(m) -> tuple:
         return Fraction(0), 0
     return prod((v for _, v in pivots), start=Fraction((-1) ** swaps)), _definite(pivots, swaps, len(m))
 
-
-def mat_det(m) -> Fraction:
-    """Exact determinant of a square rational matrix: the signed product of its pivots."""
-    return det_definite(m)[0]
-
-
 def rational_kernel(rows, ncols):
     """Basis of the right kernel of a sparse rational matrix.
 

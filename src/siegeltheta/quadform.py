@@ -182,11 +182,26 @@ def decompose(A) -> QuadFormDecomposition:
     abs(eigenvalue)^(-1/2).  The eigenpairs are the form's own.  The exact
     split, when there is one, is built block by block on the form's
     orthogonal summands (_try_exact_split): only an indefinite block reads
-    this float M.
+    this float M.  A form with an eigenvalue below 1e-9 in absolute value, or
+    whose float signature contradicts the one QuadForm's pivots prove, is
+    refused as numerically singular.
     """
     form = A if isinstance(A, QuadForm) else QuadForm(A)
     if np.any(np.abs(form.eigvals) < 1e-9):
         raise ValueError("form is numerically singular")
+    # the pivots prove the signature of a definite block, and an indefinite
+    # block has both signs: a float signature below those counts is eigh
+    # rounding on an ill-conditioned form
+    least = [0, 0]
+    for block, definite in zip(form.blocks, form.definite):
+        if definite:
+            least[definite < 0] += len(block)
+        else:
+            least[0] += 1
+            least[1] += 1
+    if form.r < least[0] or form.s < least[1]:
+        raise ValueError("form is numerically singular: eigh gives the signature (%d, %d), exact "
+                         "arithmetic at least (%d, %d)" % (form.r, form.s, *least))
     order = np.argsort(-form.eigvals)  # positives first, descending
     eigvals, eigvecs = form.eigvals[order], form.eigvecs[:, order]
     r, s = form.r, form.s

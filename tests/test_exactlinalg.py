@@ -12,7 +12,6 @@ from siegeltheta.exactlinalg import (
     frac_matrix,
     gauss_jordan,
     identity_frac,
-    mat_det,
     mat_inverse,
     mat_mul,
     posdef_solve,
@@ -112,14 +111,14 @@ def test_det_definite_is_sylvester(s):
 @example(m=frac_matrix([[1, 2], [2, 4]]))
 @example(m=frac_matrix([[0, 0, 1], [0, 2, 0], [3, 0, 0]]))
 def test_mat_det_is_sympys(m):
-    assert mat_det(m) == _sympy(m).det()
+    assert det_definite(m)[0] == _sympy(m).det()
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(m=st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_mat_det_of_an_integer_matrix_is_sympys(m):
-    det = mat_det(m)
+    det = det_definite(m)[0]
     assert det.denominator == 1 and det == sympy.Matrix(m).det()
 
 

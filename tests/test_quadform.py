@@ -273,6 +273,19 @@ def test_a_definite_block_is_neither_rationalised_nor_solved(monkeypatch, name, 
     assert eliminated == blocks + [2] * h2
 
 
+@pytest.mark.parametrize("A", [
+    [[8186378314083, 14557362532478], [14557362532478, 25886514863042]],
+    [[91368159245, 2564856511250, -301786], [2564856511250, 71999797059078, -8471636], [-301786, -8471636, 1]],
+], ids=["2x2", "3x3"])
+def test_a_float_signature_the_pivots_contradict_is_refused(A):
+    # B^T D B for a unimodular B with large entries: the pivots prove the
+    # form positive definite, but eigh finds a negative eigenvalue above the
+    # singularity threshold, so the float split would be of another signature
+    assert QuadForm(A).definite == [1]
+    with pytest.raises(ValueError, match=r"numerically singular: eigh gives the signature \(\d, 1\)"):
+        decompose(A)
+
+
 def test_decompose_random_floats_still_valid():
     rng = np.random.default_rng(0)
     B = rng.integers(-2, 3, size=(3, 3))

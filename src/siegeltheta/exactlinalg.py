@@ -1,19 +1,19 @@
 """Exact linear algebra over Q and Z.
 
 Every exact elimination (matrix inverses, determinants, Sylvester's test
-with its solve, and the homogeneity constraints basis_homopol solves as one
-kernel over all monomials of the degree) goes through gauss_jordan, which
-works on sparse rows, one {column: Fraction} dict per row.  The constraint
-systems have hundreds of columns but at most three nonzeros per row, so dict
-rows skip nearly all the work a dense row would do, and every intermediate
-value stays exact.  A determinant is the signed product of the pivots.
+with its solve, and the echelon form of the minor products that
+basis_homopol reduces) goes through gauss_jordan, which works on sparse
+rows, one {column: value} dict per row.  Rows of hundreds of columns with a
+few nonzeros each skip nearly all the work a dense row would do, and every
+intermediate value stays exact.  A determinant is the signed product of the
+pivots.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 
 def frac_matrix(rows):
@@ -42,16 +42,17 @@ def mat_mul(a, b):
 
 
 def gauss_jordan(rows, ncols):
-    """Reduce sparse Fraction rows in place to reduced row echelon form in columns < ncols.
+    """Reduce sparse rational rows in place to reduced row echelon form in columns < ncols.
 
-    Each row is a {column: Fraction} dict holding no zeros; columns >= ncols
-    (an augmented matrix) ride along.  Columns are taken left to right and the
-    first remaining row with a nonzero entry becomes the pivot row.  Returns
-    (pivots, swaps): pivots lists (column, value) for each pivot in order,
-    value being the entry divided out of its row, and swaps counts the row
-    exchanges.  Stops once every row holds a pivot.  An index from each
-    column to the positions of the rows that hold it finds the pivot row and
-    the rows to clear without scanning the others.
+    Each row is a {column: int or Fraction} dict holding no zeros; columns >=
+    ncols (an augmented matrix) ride along.  A pivot other than 1 is divided
+    out as a Fraction, so every value stays exact.  Columns are taken left to
+    right and the first remaining row with a nonzero entry becomes the pivot
+    row.  Returns (pivots, swaps): pivots lists (column, value) for each pivot
+    in order, value being the entry divided out of its row, and swaps counts
+    the row exchanges.  Stops once every row holds a pivot.  An index from
+    each column to the positions of the rows that hold it finds the pivot row
+    and the rows to clear without scanning the others.
     """
     holders = defaultdict(set)
     for r, row in enumerate(rows):
@@ -79,7 +80,10 @@ def gauss_jordan(rows, ncols):
             rows[rank], rows[piv] = rows[piv], rows[rank]
             swaps += 1
         pv = rows[rank][col]
-        prow = rows[rank] = {c: x / pv for c, x in rows[rank].items()}
+        if pv != 1:
+            pv = Fraction(pv)
+            rows[rank] = {c: x / pv for c, x in rows[rank].items()}
+        prow = rows[rank]
         for r in [r for r in holders[col] if r != rank]:
             row = rows[r]
             f = row[col]
@@ -157,33 +161,3 @@ def det_definite(m) -> tuple:
     if len(pivots) < len(m):
         return Fraction(0), 0
     return prod((v for _, v in pivots), start=Fraction((-1) ** swaps)), _definite(pivots, swaps, len(m))
-
-def rational_kernel(rows, ncols):
-    """Basis of the right kernel of a sparse rational matrix.
-
-    rows: iterable of {col: coeff} dicts.  Returns a list of length-ncols
-    Fraction vectors in reduced echelon parametrization, scaled to primitive
-    integer vectors with positive leading entry.  Deterministic.
-    """
-    reduced = [r for r in ({c: Fraction(x) for c, x in row.items() if x} for row in rows) if r]
-    pivots = [col for col, _ in gauss_jordan(reduced, ncols)[0]]
-    pivot_set = set(pivots)
-    zero = Fraction(0)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = {fc: Fraction(1)}
-        for row, pc in zip(reduced, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        # v has the entry 1, so clearing the denominators by their lcm
-        # already leaves a primitive integer vector
-        den = lcm(*(x.denominator for x in v.values()))
-        if v[min(v)] < 0:
-            den = -den
-        vec = [zero] * ncols
-        for c, x in v.items():
-            vec[c] = Fraction(x.numerator * (den // x.denominator))
-        basis.append(vec)
-    return basis

@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ResourceCapError
-from .exactlinalg import frac_matrix, mat_inverse, rational_kernel
+from .exactlinalg import frac_matrix, gauss_jordan, mat_inverse
 from .scalars import PI_ONE, PiScalar, as_pi_scalar
 
 # ==== polynomial containers =================================================
@@ -811,24 +812,50 @@ def homogeneity_degree(p: MatPoly):
     return vec[0]
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _minor_products(m: int, n: int, alpha: int, shifts):
+    """{code: coefficient} of the product of the minors det U[I, :] along each chain I_1 <= ... <= I_alpha.
+
+    Row sets compare entrywise.  A monomial's code is the sum of its exponents
+    shifted left by shifts[v] bits, v = i n + j, in digits wide enough for
+    alpha and U_00 highest, so codes order as exponent tuples do.
+    """
+    perms = [(list(enumerate(perm)), (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+             for perm in itertools.permutations(range(n))]
+    subsets = list(itertools.combinations(range(m), n))
+    minors = [{sum([1 << shifts[rows[p] * n + j] for j, p in perm]): sign for perm, sign in perms}
+              for rows in subsets]
+    factors = [(first, rest) for first, *rest in (minor.items() for minor in minors)]
+    # an entrywise larger subset is also lexicographically larger; alpha = 1 needs none
+    above = [[b for b in range(a, len(subsets)) if all(map(operator.le, subsets[a], subsets[b]))]
+             for a in range(len(subsets) if alpha > 1 else 0)]
+    level = [(minor, a) for a, minor in enumerate(minors)]  # (product, last subset) per chain
+    for _ in range(alpha - 1):
+        nxt_level = []
+        for prod, last in level:
+            for b in above[last]:
+                (mcode, y), rest = factors[b]
+                nxt = {code + mcode: x * y for code, x in prod.items()}
+                for mcode, y in rest:
+                    for code, x in prod.items():
+                        k = code + mcode
+                        nxt[k] = nxt.get(k, 0) + x * y
+                nxt_level.append((nxt, b))
+        level = nxt_level
+    return [prod for prod, _ in level]
 
 
 def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
-    """Exact basis of {P : E P = alpha I P} in degree n*alpha.
+    """Exact basis of {P : E P = alpha I P} in degree n*alpha; empty for m < n and alpha >= 1.
 
-    Solves the kernel of the off-diagonal Euler constraints on the monomials
-    whose column degrees all equal alpha (the diagonal constraints pin exactly
-    that support).  Returns primitive-integer-coefficient MatPolys in a
-    deterministic order.  For m < n and alpha >= 1 the space is empty; the
-    result coincides with the span of alpha-fold products of n x n minors.
+    The products of alpha n x n minors along chains of row sets (semistandard
+    tableaux of shape alpha^n) are a basis (Doubilet, Rota and Stein 1974; De
+    Concini, Eisenbud and Procesi 1980).  One gauss_jordan takes them to
+    reduced echelon form, columns from the largest monomial down; each row is
+    scaled to a primitive integer vector positive at its smallest monomial,
+    elements ordered by pivot and terms ascending.  That is the kernel basis
+    of the Euler constraints over the monomials of column degree alpha, whose
+    free columns are these pivots.  monomial_cap bounds the count of all
+    monomials of degree n*alpha in the m*n entries (ResourceCapError above).
     """
     if min(m, n) < 1:
         raise ValueError("%s must be positive, got %d" % (("m", m) if m < 1 else ("n", n)))
@@ -845,34 +872,29 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
             % (n * alpha, total_monomials, monomial_cap)
         )
 
-    col_choices = sorted(_compositions(alpha, m))
-    monomials = []
-    for combo in itertools.product(col_choices, repeat=n):
-        e = [0] * (m * n)
-        for j, col in enumerate(combo):
-            for i in range(m):
-                e[i * n + j] = col[i]
-        monomials.append(tuple(e))
-    monomials.sort()
-
-    rows = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for src, e in enumerate(monomials):
-                for d in range(m):
-                    k = e[d * n + j]
-                    if not k:
-                        continue
-                    e2 = list(e)
-                    e2[d * n + j] = k - 1
-                    e2[d * n + i] += 1
-                    row = rows.setdefault((i, j, tuple(e2)), {})
-                    row[src] = row.get(src, 0) + k
-    ordered = [rows[k] for k in sorted(rows)]
-    return [MatPoly(m, n, {e: x for e, x in zip(monomials, vec) if x})
-            for vec in rational_kernel(ordered, len(monomials))]
+    bits = alpha.bit_length()
+    shifts, mask = range(bits * (m * n - 1), -1, -bits), (1 << bits) - 1
+    products = _minor_products(m, n, alpha, shifts)
+    support = sorted({code for prod in products for code, x in prod.items() if x}, reverse=True)
+    column = {code: c for c, code in enumerate(support)}
+    rows = [{column[code]: x for code, x in prod.items() if x} for prod in products]
+    rank = len(gauss_jordan(rows, len(support))[0])
+    exponents = [tuple(map(mask.__and__, map(code.__rshift__, shifts))) for code in support]
+    scalars, basis = {}, []
+    for row in reversed(rows[:rank]):
+        # the pivot entry is 1, so the lcm of the denominators leaves a primitive vector
+        den = math.lcm(*[x.denominator for x in row.values()])
+        order = sorted(row, reverse=True)  # ascending monomials
+        den = -den if row[order[0]] < 0 else den
+        terms = {}
+        for c in order:
+            v = row[c].numerator * (den // row[c].denominator)
+            # one PiScalar per coefficient value, shared by its terms
+            terms[exponents[c]] = scalars[v] = scalars.get(v) or PiScalar.from_numerators({0: (v, 0)}, 1)
+        p = MatPoly(m, n)
+        p.terms = terms
+        basis.append(p)
+    return basis
 
 
 # ==== numeric batch evaluation =============================================

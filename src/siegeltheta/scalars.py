@@ -201,10 +201,13 @@ class PiScalar:
         return [(k, re, im) for k, (re, im) in sorted(self._c.items())]
 
     def to_complex(self) -> complex:
-        """The value at pi = math.pi; ValueError when it is not a finite complex float."""
+        """The value at pi = math.pi; ValueError when it is not a finite complex float.
+
+        The powers are summed highest first, so equal scalars give equal floats.
+        """
         try:
             z = 0j
-            for k, (re, im) in self._c.items():
+            for k, (re, im) in sorted(self._c.items(), reverse=True):
                 z += complex(re, im) * math.pi**k
         except OverflowError:
             z = complex(math.inf)

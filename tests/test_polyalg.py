@@ -398,7 +398,7 @@ def semistandard_count(m: int, n: int, alpha: int) -> int:
 
 
 # beyond BASIS_GRID, where the single-system oracle takes seconds
-@pytest.mark.parametrize("m,n,alpha,dim", [(4, 4, 2, 1), (5, 3, 2, 50), (5, 2, 3, 175)])
+@pytest.mark.parametrize("m,n,alpha,dim", [(4, 4, 2, 1), (5, 3, 2, 50), (5, 2, 3, 175), (8, 1, 2, 36)])
 def test_basis_beyond_the_oracle_grid(m, n, alpha, dim):
     basis = basis_homopol(m, n, alpha)
     assert len(basis) == semistandard_count(m, n, alpha) == dim

@@ -16,20 +16,19 @@ D_A also acts on an indefinite coefficient f exp(2 pi tr(U^T A- U)): it
 takes the polynomial f and the form's A- (vigneras_apply), and no type
 holds the Gaussian.
 
-Coefficients are exact (see scalars.PiScalar); numeric evaluation substitutes
-pi and converts to complex only at the end.  Exponent keys are flat row-major
-tuples of length m*n.
+Coefficients are exact; numeric evaluation substitutes pi and converts to
+complex only at the end.  Exponent keys are flat row-major tuples of length
+m*n.
 
-Every exact operator runs on one integer kernel.  A polynomial enters it once
-as a common denominator and one {exponent: numerator} dict per (pi power,
-real or imaginary part) (_slots), the Laplacian as the integer matrix
-L A^-1 (_laplacian), and the result becomes a MatPoly of PiScalars once, at
-the end of an operator chain.  Where the order of the result's terms is
-read (compile_poly and MatPoly.eval follow it), the parts of each term are
-packed into one int (_Ints), so that terms are summed and dropped as a
-pass over PiScalar coefficients would sum and drop them.  pi is a label
-of the parts throughout: the Vigneras residual multiplies by 4 pi to stay
-integral, and pi is substituted only in PiScalar.to_complex.
+A MatPoly holds one integer form, and every ring operation and operator runs
+on it: a common denominator and one {exponent: numerator} dict per (pi
+power, real or imaginary part), with the Laplacian as the integer matrix
+L A^-1 (_laplacian).  pi and i are labels of the parts: the Vigneras
+residual multiplies by 4 pi to stay integral, and pi is substituted only
+when a polynomial is evaluated or compiled.  The form is canonical and its
+readers take the exponents in sorted order, so the floats of a polynomial
+depend on its value alone.  PiScalar is the scalar of inputs, constants
+and the read-only terms view.
 
 Numeric evaluation goes through a CompiledPoly: an int exponent matrix and a
 complex coefficient vector.  A HeatPlan compiles the heat flow of one source
@@ -45,36 +44,76 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ResourceCapError
 from .exactlinalg import frac_matrix, gauss_jordan, mat_inverse
-from .scalars import PI_ONE, PiScalar, as_pi_scalar
+from .scalars import PiScalar, abs_at_pi, as_pi_scalar, at_pi
 
 # ==== polynomial containers =================================================
 
 
-class MatPoly:
-    """Polynomial in the entries of an m x n matrix of indeterminates."""
+def _numerators(w: PiScalar):
+    """(den, [(pi power, part, numerator)]): the nonzero parts of w over one denominator, part 1 imaginary."""
+    parts = [(k, part, x) for k, re, im in w.terms() for part, x in ((0, re), (1, im)) if x]
+    den = math.lcm(1, *(x.denominator for _, _, x in parts))
+    return den, [(k, part, x.numerator * (den // x.denominator)) for k, part, x in parts]
 
-    __slots__ = ("m", "n", "terms")
+
+class MatPoly:
+    """Polynomial in the entries of an m x n matrix of indeterminates, exact.
+
+    It is held as the operators compute on it: one positive denominator den
+    and slots, one {exponent: integer numerator} dict per (pi power, part),
+    part 1 imaginary, for the polynomial
+
+        sum_(k, part) sum_e slots[(k, part)][e] i^part pi^k U^e / den.
+
+    The form is canonical (no zero numerator, no empty slot, den prime to
+    the numerators together), so == and hash do not depend on how a
+    polynomial was built.  terms is a read-only {exponent: PiScalar} view;
+    it, eval, compile_poly and the JSON form take the exponents in sorted
+    order.  A MatPoly is not changed after it is made.
+    """
+
+    __slots__ = ("m", "n", "den", "slots", "_terms")
 
     def __init__(self, m: int, n: int, terms=None):
         self.m = int(m)
         self.n = int(n)
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                key = tuple(int(x) for x in e)
-                if len(key) != self.m * self.n or min(key, default=0) < 0 or key != tuple(e):
-                    raise ValueError("exponent %r is not %d nonnegative integers" % (e, self.m * self.n))
-                c = as_pi_scalar(c)
-                if not c.is_zero():
-                    clean[key] = c
-        self.terms = clean
+        parts = []
+        for e, c in (terms or {}).items():
+            key = tuple(int(x) for x in e)
+            if len(key) != self.m * self.n or min(key, default=0) < 0 or key != tuple(e):
+                raise ValueError("exponent %r is not %d nonnegative integers" % (e, self.m * self.n))
+            parts += [(key, k, part, x) for k, re, im in as_pi_scalar(c).terms()
+                      for part, x in ((0, re), (1, im)) if x]
+        # the lcm of reduced denominators leaves no factor common to den and every numerator
+        self.den = math.lcm(1, *(x.denominator for *_, x in parts))
+        self.slots = {}
+        for key, k, part, x in parts:
+            self.slots.setdefault((k, part), {})[key] = x.numerator * (self.den // x.denominator)
+        self._terms = None
 
     # ---- constructors ----
+
+    @classmethod
+    def _from(cls, m: int, n: int, den: int, slots) -> "MatPoly":
+        """The canonical MatPoly of slots over den != 0: zeros and empty slots dropped, common factors divided out."""
+        clean = {}
+        for key, t in slots.items():
+            t = {e: v for e, v in t.items() if v}
+            if t:
+                clean[key] = t
+        g = math.gcd(den, *[v for t in clean.values() for v in t.values()])
+        g = -g if den < 0 else g
+        if g != 1:
+            clean = {key: {e: v // g for e, v in t.items()} for key, t in clean.items()}
+        out = cls.__new__(cls)
+        out.m, out.n, out.den, out.slots, out._terms = m, n, den // g, clean, None
+        return out
 
     @classmethod
     def zero(cls, m, n):
@@ -89,44 +128,69 @@ class MatPoly:
         return cls.constant(m, n, 1)
 
     @classmethod
-    def _of(cls, m, n, terms):
-        """A MatPoly holding terms as they are: exponent tuples to nonzero PiScalars, unchecked."""
-        out = cls(m, n)
-        out.terms = terms
-        return out
-
-    @classmethod
     def variable(cls, m, n, i, j):
         e = [0] * (m * n)
         e[i * n + j] = 1
-        return cls(m, n, {tuple(e): PI_ONE})
+        return cls._from(m, n, 1, {(0, 0): {tuple(e): 1}})
 
     # ---- basic queries ----
 
+    def _exponents(self) -> list:
+        """The exponents of the nonzero terms, sorted."""
+        return sorted(set().union(*self.slots.values()))
+
+    def _by_term(self):
+        """(exponent, [(pi power, re numerator, im numerator)]) per term, exponents sorted, powers ascending."""
+        columns = [(k, self.slots.get((k, 0), {}), self.slots.get((k, 1), {}))
+                   for k in sorted({k for k, _ in self.slots})]
+        for e in self._exponents():
+            yield e, [(k, re.get(e, 0), im.get(e, 0)) for k, re, im in columns if e in re or e in im]
+
+    @property
+    def terms(self):
+        """{exponent: PiScalar} in sorted exponent order, read-only, built once."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({e: PiScalar({k: (Fraction(re, den), Fraction(im, den))
+                                                         for k, re, im in parts})
+                                            for e, parts in self._by_term()})
+        return self._terms
+
+    def floats(self) -> dict:
+        """{exponent: coefficient at pi = math.pi}, exponents sorted; each is the term's PiScalar.to_complex, bitwise.
+
+        re / den is the correctly rounded quotient, as float(Fraction(re, den))
+        is, and Fraction -> complex adds 0.0 to the imaginary part.
+        """
+        den = self.den
+        return {e: at_pi((k, re / den, im / den + 0.0) for k, re, im in reversed(parts))
+                for e, parts in self._by_term()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.slots
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for t in self.slots.values() for e in t), default=0)
 
     def coeff_norm(self) -> float:
-        return math.fsum(c.abs_norm() for c in self.terms.values())
+        den = self.den
+        return math.fsum(abs_at_pi((k, re / den, im / den) for k, re, im in parts)
+                         for _, parts in self._by_term())
 
     def column_degrees(self):
         """Set of per-monomial column degree vectors."""
-        out = set()
-        for e in self.terms:
-            out.add(tuple(sum(e[i * self.n + j] for i in range(self.m)) for j in range(self.n)))
-        return out
+        return {tuple(sum(e[i * self.n + j] for i in range(self.m)) for j in range(self.n))
+                for t in self.slots.values() for e in t}
 
     def __eq__(self, other):
         if not isinstance(other, MatPoly):
             return NotImplemented
-        return (self.m, self.n, self.terms) == (other.m, other.n, other.terms)
+        return (self.m, self.n, self.den, self.slots) == (other.m, other.n, other.den, other.slots)
 
     def __hash__(self):
-        return hash((self.m, self.n, frozenset(self.terms.items())))
+        return hash((self.m, self.n, self.den,
+                     frozenset((key, frozenset(t.items())) for key, t in self.slots.items())))
 
     # ---- ring operations ----
 
@@ -140,20 +204,20 @@ class MatPoly:
         if not isinstance(other, MatPoly):
             return NotImplemented
         self._check_shape(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MatPoly._of(self.m, self.n, terms)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        slots = {key: {e: v * a for e, v in t.items()} for key, t in self.slots.items()}
+        for key, t in other.slots.items():
+            out = slots.setdefault(key, {})
+            for e, v in t.items():
+                out[e] = out.get(e, 0) + v * b
+        return MatPoly._from(self.m, self.n, den, slots)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MatPoly._of(self.m, self.n, {e: -c for e, c in self.terms.items()})
+        return MatPoly._from(self.m, self.n, self.den,
+                             {key: {e: -v for e, v in t.items()} for key, t in self.slots.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex, Fraction, PiScalar)):
@@ -167,25 +231,30 @@ class MatPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, Fraction, PiScalar)):
-            c = as_pi_scalar(other)
-            if c.is_zero():
-                return MatPoly.zero(self.m, self.n)
-            return MatPoly._of(self.m, self.n, {e: cc * c for e, cc in self.terms.items()})
+            cden, parts = _numerators(as_pi_scalar(other))
+            slots = {}
+            for (k, part), t in self.slots.items():
+                for q, cpart, c in parts:
+                    # i times i is -1
+                    c = -c if part & cpart else c
+                    out = slots.setdefault((k + q, part ^ cpart), {})
+                    for e, v in t.items():
+                        out[e] = out.get(e, 0) + v * c
+            return MatPoly._from(self.m, self.n, self.den * cden, slots)
         if not isinstance(other, MatPoly):
             return NotImplemented
         self._check_shape(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MatPoly._of(self.m, self.n, terms)
+        slots = {}
+        for (k1, part1), t1 in self.slots.items():
+            for (k2, part2), t2 in other.slots.items():
+                out = slots.setdefault((k1 + k2, part1 ^ part2), {})
+                sign = -1 if part1 & part2 else 1
+                for e1, v1 in t1.items():
+                    v1 *= sign
+                    for e2, v2 in t2.items():
+                        e = tuple(map(operator.add, e1, e2))
+                        out[e] = out.get(e, 0) + v1 * v2
+        return MatPoly._from(self.m, self.n, self.den * other.den, slots)
 
     __rmul__ = __mul__
 
@@ -207,8 +276,7 @@ class MatPoly:
         flat = [complex(U[i][j]) if not isinstance(U, np.ndarray) else complex(U[i, j])
                 for i in range(self.m) for j in range(self.n)]
         total = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
+        for e, v in self.floats().items():
             for x, k in zip(flat, e):
                 if k:
                     v *= x**k
@@ -216,7 +284,7 @@ class MatPoly:
         return total
 
     def __repr__(self):
-        return "MatPoly(%dx%d, %d terms, degree %d)" % (self.m, self.n, len(self.terms), self.degree())
+        return "MatPoly(%dx%d, %d terms, degree %d)" % (self.m, self.n, len(self._exponents()), self.degree())
 
 
 class OperatorMatrix:
@@ -238,118 +306,14 @@ class OperatorMatrix:
         return max(f.coeff_norm() for row in self.entries for f in row)
 
 
-# ==== the integer kernel (see the module docstring) =========================
-
-
-def _numerators(w: PiScalar):
-    """(den, [(pi power, part, numerator)]): the nonzero parts of w over one denominator, part 1 imaginary."""
-    parts = [(k, part, x) for k, re, im in w.terms() for part, x in ((0, re), (1, im)) if x]
-    den = math.lcm(1, *(x.denominator for _, _, x in parts))
-    return den, [(k, part, x.numerator * (den // x.denominator)) for k, part, x in parts]
-
-
-def _slots(p: MatPoly):
-    """(den, slots): p over one denominator, one {exponent: numerator} dict per (pi power, part)."""
-    den = math.lcm(1, *(x.denominator for c in p.terms.values() for _, re, im in c.terms() for x in (re, im)))
-    slots = {}
-    for e, c in p.terms.items():
-        for k, re, im in c.terms():
-            for part, x in ((0, re), (1, im)):
-                if x:
-                    slots.setdefault((k, part), {})[e] = x.numerator * (den // x.denominator)
-    return den, slots
-
-
-def _graded_poly(m: int, n: int, slots, den: int, shift: int = 0) -> MatPoly:
-    """The MatPoly of slots over den, every pi power moved by shift; zero numerators are dropped."""
-    parts = {}
-    for (k, part), terms in slots.items():
-        for e, v in terms.items():
-            if v:
-                parts.setdefault(e, {}).setdefault(k + shift, [0, 0])[part] = v
-    return MatPoly._of(m, n, {e: PiScalar.from_numerators(c, den) for e, c in parts.items()})
-
-
-class _Ints:
-    """A polynomial on integers: term e is sum_k digit_k(terms[e]) pi^q_k i^part_k / den, (q_k, part_k) = fields[k].
-
-    terms[e] holds all the digits of term e in one int, digit k at bit
-    k * bits and balanced, |digit| <= top < 2^(bits - 1).  Sums and integer
-    multiples act on every digit at once, and a term is zero exactly when
-    all its digits are, so one pass accumulates and drops terms as the same
-    pass over PiScalar coefficients would: same values, same key order.  A
-    single field is its own digit.  Each operation first widens the digits
-    (_room) to top times the sum of the integer weights one term can gather.
-    """
-
-    __slots__ = ("m", "n", "den", "fields", "bits", "top", "terms")
-
-    def __init__(self, m, n, den, fields, bits, top, terms):
-        self.m, self.n, self.den, self.fields = m, n, den, fields
-        self.bits, self.top, self.terms = bits, top, terms
-
-
-def _pack(digits, bits: int) -> int:
-    return sum(d << (bits * k) for k, d in enumerate(digits))
-
-
-def _digits(v: int, count: int, bits: int):
-    """The count balanced digits of v, lowest first."""
-    out = []
-    for _ in range(count - 1):
-        d = v & ((1 << bits) - 1)
-        if d >> (bits - 1):
-            d -= 1 << bits
-        out.append(d)
-        v = (v - d) >> bits
-    out.append(v)
-    return out
-
-
-def _lower(p: MatPoly) -> _Ints:
-    den, slots = _slots(p)
-    fields = sorted(slots)
-    top = max((abs(v) for terms in slots.values() for v in terms.values()), default=0)
-    bits = top.bit_length() + 1
-    if len(fields) == 1:
-        terms = slots[fields[0]]
-    else:
-        terms = {e: _pack([slots[f].get(e, 0) for f in fields], bits) for e in p.terms}
-    return _Ints(p.m, p.n, den, fields, bits, top, terms)
-
-
-def _raise(x: _Ints) -> MatPoly:
-    """x as a MatPoly, in its key order."""
-    count = len(x.fields)
-    terms = {}
-    for e, v in x.terms.items():
-        parts = {}
-        for (k, part), d in zip(x.fields, _digits(v, count, x.bits)):
-            if d:
-                parts.setdefault(k, [0, 0])[part] = d
-        terms[e] = PiScalar.from_numerators(parts, x.den)
-    return MatPoly._of(x.m, x.n, terms)
-
-
-def _room(x: _Ints, growth: int):
-    """Widen the digits of x, if need be, to hold top * growth; x.top is left as it is."""
-    bits = (x.top * growth).bit_length() + 1
-    if bits > x.bits:
-        if len(x.fields) > 1:
-            count = len(x.fields)
-            x.terms = {e: _pack(_digits(v, count, x.bits), bits) for e, v in x.terms.items()}
-        x.bits = bits
-
-
-def _degree(x: _Ints) -> int:
-    return max(map(sum, x.terms), default=0)
+# ==== integer monomial passes ===============================================
 
 
 _LAPLACIANS: dict = {}
 
 
 def _laplacian(A):
-    """(W, L, |W|): W = L A^-1 integral, L the lcm of the denominators of A^-1, |W| = sum |W_ab|; kept per A."""
+    """(W, L): W = L A^-1 integral, L the lcm of the denominators of A^-1; kept per A."""
     # ints, Fractions and floats of one value hash and compare equal, so the
     # entries as given key the cache and become Fractions only on a miss
     key = tuple(map(tuple, A))
@@ -357,8 +321,7 @@ def _laplacian(A):
     if got is None:
         inv = mat_inverse(frac_matrix(key))
         L = math.lcm(*(x.denominator for row in inv for x in row))
-        W = [[int(x * L) for x in row] for row in inv]
-        got = _LAPLACIANS[key] = (W, L, sum(abs(w) for row in W for w in row))
+        got = _LAPLACIANS[key] = ([[int(x * L) for x in row] for row in inv], L)
     return got
 
 
@@ -373,25 +336,14 @@ def _euler_terms(terms: dict, m: int, n: int, i: int, j: int) -> dict:
                 e2[d * n + j] = k - 1
                 e2[d * n + i] += 1
                 key = tuple(e2)
-                s = out.get(key)
-                if s is None:
-                    out[key] = c * k
-                else:
-                    s += c * k
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                out[key] = out.get(key, 0) + c * k
     return out
 
 
 def _laplace_terms(terms: dict, m: int, n: int, W, i: int, j: int) -> dict:
-    """sum_ab d/dU_ai W_ab d/dU_bj on integer terms.
+    """sum_ab d/dU_ai W_ab d/dU_bj on integer terms: one monomial pass per (b, a) with W_ab != 0.
 
-    One direct monomial pass per (b, a) with W_ab != 0, each term gaining
-    c k_bj k_ai W_ab (k_ai less one when ai = bj); the terms are accumulated
-    in the order the sum of the m^2 pieces d/dU_ai (W_ab d/dU_bj f) would
-    give them.
+    Each term gains c k_bj k_ai W_ab, k_ai less one when ai = bj.
     """
     out = {}
     for b in range(m):
@@ -412,16 +364,7 @@ def _laplace_terms(terms: dict, m: int, n: int, W, i: int, j: int) -> dict:
                 e2[bj] -= 1
                 e2[ai] -= 1
                 key = tuple(e2)
-                add = c * (w * kb * ka)
-                s = out.get(key)
-                if s is None:
-                    out[key] = add
-                else:
-                    s += add
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                out[key] = out.get(key, 0) + c * (w * kb * ka)
     return out
 
 
@@ -445,78 +388,15 @@ def _times_var_into(out: dict, terms: dict, idx: int, w: int):
         out[key] = out.get(key, 0) + c * w
 
 
-def _laplace(x: _Ints, lap, i: int, j: int) -> _Ints:
-    """(Delta_A)_ij x, lap = _laplacian(A)."""
-    W, L, size = lap
-    growth = size * _degree(x) ** 2
-    _room(x, growth)
-    terms = _laplace_terms(x.terms, x.m, x.n, W, i, j)
-    return _Ints(x.m, x.n, x.den * L, x.fields, x.bits, x.top * growth, terms)
-
-
-def _weights(pairs):
-    """(den, entries, plain) for the weighted entries [(i, j, w)] of a trace step.
-
-    Zero weights are dropped; each other w is listed as its _numerators over
-    the common den, and plain says that every w is a real rational.
-    """
-    nums = [(i, j, _numerators(as_pi_scalar(w))) for i, j, w in pairs]
-    nums = [(i, j, num) for i, j, num in nums if num[1]]
-    den = math.lcm(1, *(wden for _, _, (wden, _) in nums))
-    entries = [(i, j, [(k, part, c * (den // wden)) for k, part, c in parts]) for i, j, (wden, parts) in nums]
-    plain = all(len(parts) == 1 and parts[0][:2] == (0, 0) for _, _, parts in entries)
-    return den, entries, plain
-
-
-def _times(terms: dict, fields, out_fields, bits: int, w) -> dict:
-    """terms, digits on fields, times the scalar w = [(pi power, part, integer)], digits on out_fields."""
-    index = {f: k for k, f in enumerate(out_fields)}
-    count = len(fields)
-    out = {}
-    for e, v in terms.items():
-        digits = [0] * len(out_fields)
-        for (k, part), d in zip(fields, _digits(v, count, bits)):
-            if d:
-                for q, wpart, c in w:
-                    digits[index[(k + q, part ^ wpart)]] += -d * c if part & wpart else d * c
-        out[e] = _pack(digits, bits)
-    return out
-
-
-def _step(x: _Ints, lap, weights) -> _Ints:
-    """sum w_ij (Delta_A)_ij x over weights = _weights(...), the pieces summed in entry order."""
-    W, L, size = lap
-    den, entries, plain = weights
-    growth = sum(abs(c) for _, _, parts in entries for _, _, c in parts) * size * _degree(x) ** 2
-    _room(x, growth)
-    fields = x.fields if plain else sorted(
-        {(k + q, part ^ wpart) for k, part in x.fields for _, _, parts in entries for q, wpart, _ in parts})
-    acc = None
-    for i, j, parts in entries:
-        piece = _laplace_terms(x.terms, x.m, x.n, W, i, j)
-        if not plain:
-            piece = _times(piece, x.fields, fields, x.bits, parts)
-        elif parts[0][2] != 1:
-            w = parts[0][2]
-            piece = {e: v * w for e, v in piece.items()}
-        if acc is None:
-            acc = piece
-            continue
-        for e, v in piece.items():
-            s = acc.get(e)
-            if s is None:
-                acc[e] = v
-            else:
-                s += v
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-    return _Ints(x.m, x.n, x.den * L * den, fields, x.bits, x.top * growth, acc or {})
+def _laplace(f: MatPoly, lap, i: int, j: int) -> MatPoly:
+    """(Delta_A)_ij f, lap = _laplacian(A)."""
+    W, L = lap
+    return MatPoly._from(f.m, f.n, f.den * L,
+                         {key: _laplace_terms(t, f.m, f.n, W, i, j) for key, t in f.slots.items()})
 
 
 def _trace_weights(W, n: int):
-    """_weights of tr(Delta_A W): entries i <= j, each off-diagonal one weighted W_ij + W_ji.
+    """[(i, j, w)] of tr(Delta_A W): entries i <= j, each off-diagonal one weighted W_ij + W_ji, zeros dropped.
 
     A is symmetric and partial derivatives commute, so (Delta_A)_ij =
     (Delta_A)_ji; both weights are added because W need not be symmetric
@@ -525,8 +405,18 @@ def _trace_weights(W, n: int):
     def weight(a, b):
         return as_pi_scalar(W[a][b] if not isinstance(W, np.ndarray) else W[a, b])
 
-    return _weights([(i, j, weight(i, i) if i == j else weight(j, i) + weight(i, j))
-                     for i in range(n) for j in range(i, n)])
+    weights = [(i, j, weight(i, i) if i == j else weight(j, i) + weight(i, j))
+               for i in range(n) for j in range(i, n)]
+    return [(i, j, w) for i, j, w in weights if w]
+
+
+def _trace_step(f: MatPoly, lap, weights) -> MatPoly:
+    """sum w (Delta_A)_ij f over weights [(i, j, w)]."""
+    out = MatPoly.zero(f.m, f.n)
+    for i, j, w in weights:
+        piece = _laplace(f, lap, i, j)
+        out = out + (piece if w == 1 else piece * w)
+    return out
 
 
 # ==== exact operators =======================================================
@@ -534,115 +424,57 @@ def _trace_weights(W, n: int):
 
 def partial(f, i: int, j: int):
     """d/dU_ij."""
-    x = _lower(f)
-    deg = _degree(x)
-    _room(x, deg)
-    terms = {}
-    _partial_into(terms, x.terms, i * f.n + j, 1)
-    return _raise(_Ints(f.m, f.n, x.den, x.fields, x.bits, x.top * deg, terms))
+    slots = {}
+    for key, t in f.slots.items():
+        _partial_into(slots.setdefault(key, {}), t, i * f.n + j, 1)
+    return MatPoly._from(f.m, f.n, f.den, slots)
 
 
 def euler_entry(f, i: int, j: int):
     """E_ij f = sum_d U_di d/dU_dj f."""
-    x = _lower(f)
-    growth = f.m * _degree(x)
-    _room(x, growth)
-    return _raise(_Ints(f.m, f.n, x.den, x.fields, x.bits, x.top * growth,
-                        _euler_terms(x.terms, f.m, f.n, i, j)))
+    return MatPoly._from(f.m, f.n, f.den,
+                         {key: _euler_terms(t, f.m, f.n, i, j) for key, t in f.slots.items()})
 
 
 def laplace_entry(f, A, i: int, j: int):
     """(Delta_A)_ij f = sum_ab d/dU_ai (A^-1)_ab d/dU_bj f."""
-    return _raise(_laplace(_lower(f), _laplacian(A), i, j))
+    return _laplace(f, _laplacian(A), i, j)
 
 
 def trace_laplace(f, A):
     """tr(Delta_A) f."""
-    return _raise(_step(_lower(f), _laplacian(A), _weights([(i, i, 1) for i in range(f.n)])))
+    return _trace_step(f, _laplacian(A), [(i, i, 1) for i in range(f.n)])
 
 
 def trace_laplace_weighted(f, A, W):
     """tr(Delta_A W) f = sum_ij W_ji (Delta_A)_ij f, W an n x n scalar matrix (_trace_weights)."""
-    return _raise(_step(_lower(f), _laplacian(A), _trace_weights(W, f.n)))
+    return _trace_step(f, _laplacian(A), _trace_weights(W, f.n))
 
 
 # ==== heat-operator exponential =============================================
 
 
-def _heat_series(p: MatPoly, step, c) -> MatPoly:
-    """sum_k c^k/k! step^k p for a degree-lowering kernel step (finite on polynomials).
-
-    The flows step^k p stay on integers.  The sum p + sum_k flow_k c^k/k!
-    is formed on numerators over one denominator, flow after flow and term
-    after term as the MatPoly sums would form it, so its terms come in the
-    order of those sums and the pi powers of each coefficient in the order
-    they are first reached.
-    """
-    c = as_pi_scalar(c)
-    start = x = _lower(p)
-    flows = []
-    scale = PI_ONE
-    while True:
-        x = step(x)
-        if not x.terms:
-            break
-        scale = (scale * c).divide_rational(len(flows) + 1)
-        flows.append((x, _numerators(scale)))
-    if not flows:
-        return p
-    den = math.lcm(start.den, *(flow.den * sden for flow, (sden, _) in flows))
-    out = {e: {k: [re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)]
-               for k, re, im in cf.terms()} for e, cf in p.terms.items()}
-    for flow, (sden, parts) in flows:
-        # a digit d on (k, part) adds d (a + i b) pi^(k + q) / (flow.den sden) per scale part
-        per = den // (flow.den * sden)
-        mults = {}
-        for q, part, s in parts:
-            mults.setdefault(q, [0, 0])[part] = s * per
-        count = len(flow.fields)
-        for e, v in flow.terms.items():
-            add = {}
-            for (k, part), d in zip(flow.fields, _digits(v, count, flow.bits)):
-                if d:
-                    for q, (a, b) in mults.items():
-                        r = add.setdefault(k + q, [0, 0])
-                        if part:
-                            r[0] -= d * b
-                            r[1] += d * a
-                        else:
-                            r[0] += d * a
-                            r[1] += d * b
-            add = {k: r for k, r in add.items() if r[0] or r[1]}
-            if not add:
-                continue
-            got = out.get(e)
-            if got is None:
-                out[e] = add
-                continue
-            for k, (re, im) in add.items():
-                g = got.get(k)
-                if g is None:
-                    got[k] = [re, im]
-                    continue
-                g[0] += re
-                g[1] += im
-                if not (g[0] or g[1]):
-                    del got[k]
-            if not got:
-                del out[e]
-    return MatPoly._of(p.m, p.n, {e: PiScalar.from_numerators(parts, den) for e, parts in out.items()})
+def _heat_series(p: MatPoly, A, weights, c) -> MatPoly:
+    """sum_k c^k/k! T^k p, T = sum w (Delta_A)_ij over weights [(i, j, w)]; finite, as T lowers the degree."""
+    lap, c = _laplacian(A), as_pi_scalar(c)
+    out = flow = p
+    scale = as_pi_scalar(1)
+    for k in itertools.count(1):
+        flow = _trace_step(flow, lap, weights)
+        if flow.is_zero():
+            return out
+        scale = scale * c * Fraction(1, k)
+        out = out + flow * scale
 
 
 def exp_trace_laplace(p: MatPoly, A, c) -> MatPoly:
     """exp(c tr Delta_A) p = sum_k c^k/k! (tr Delta_A)^k p (finite on polynomials)."""
-    lap, weights = _laplacian(A), _weights([(i, i, 1) for i in range(p.n)])
-    return _heat_series(p, lambda x: _step(x, lap, weights), c)
+    return _heat_series(p, A, [(i, i, 1) for i in range(p.n)], c)
 
 
 def exp_trace_laplace_weighted(p: MatPoly, A, W, c) -> MatPoly:
     """exp(c tr(Delta_A W)) p with a column-mixing weight matrix W."""
-    lap, weights = _laplacian(A), _trace_weights(W, p.n)
-    return _heat_series(p, lambda x: _step(x, lap, weights), c)
+    return _heat_series(p, A, _trace_weights(W, p.n), c)
 
 
 # ==== substitution ==========================================================
@@ -680,14 +512,16 @@ def substitute_linear(p: MatPoly, L, N) -> MatPoly:
         return got
 
     out = MatPoly.zero(m, n)
-    for e, c in p.terms.items():
-        prod = MatPoly.constant(m, n, c)
-        for a in range(m):
-            for b in range(n):
-                k = e[a * n + b]
-                if k:
-                    prod = prod * form_power(a, b, k)
-        out = out + prod
+    one = (0,) * (m * n)
+    for key, t in p.slots.items():
+        for e, v in t.items():
+            prod = MatPoly._from(m, n, p.den, {key: {one: v}})
+            for a in range(m):
+                for b in range(n):
+                    k = e[a * n + b]
+                    if k:
+                        prod = prod * form_power(a, b, k)
+            out = out + prod
     return out
 
 
@@ -709,8 +543,8 @@ def _vigneras(f: MatPoly, A, aminus, lam) -> OperatorMatrix:
     den).  4 pi raises a slot's pi power by one, so no slot divides.
     """
     m, n = f.m, f.n
-    W, L, _ = _laplacian(A)
-    den, F = _slots(f)
+    W, L = _laplacian(A)
+    den, F = f.den, f.slots
     lden, lam_parts = _numerators(as_pi_scalar(lam))
     S, sden = None, 1
     if aminus is not None:
@@ -758,7 +592,8 @@ def _vigneras(f: MatPoly, A, aminus, lam) -> OperatorMatrix:
                         o = N.setdefault((k + q + 1, part ^ lpart), {})
                         for e, v in terms.items():
                             o[e] = o.get(e, 0) + v * w
-            rows[i][j] = _graded_poly(m, n, N, 4 * sden * sden * L * lden * den, -1)
+            rows[i][j] = MatPoly._from(m, n, 4 * sden * sden * L * lden * den,
+                                       {(k - 1, part): t for (k, part), t in N.items()})
     return OperatorMatrix(rows)
 
 
@@ -797,10 +632,9 @@ def homogeneity_degree(p: MatPoly):
     vec = next(iter(degs))
     if len(set(vec)) != 1:
         return None
-    _, slots = _slots(p)
     for i in range(p.n):
         for j in range(p.n):
-            if i != j and any(_euler_terms(terms, p.m, p.n, i, j) for terms in slots.values()):
+            if i != j and any(any(_euler_terms(t, p.m, p.n, i, j).values()) for t in p.slots.values()):
                 return None
     return vec[0]
 
@@ -845,9 +679,9 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
     Concini, Eisenbud and Procesi 1980).  One gauss_jordan takes them to
     reduced echelon form, columns from the largest monomial down; each row is
     scaled to a primitive integer vector positive at its smallest monomial,
-    elements ordered by pivot and terms ascending.  That is the kernel basis
-    of the Euler constraints over the monomials of column degree alpha, whose
-    free columns are these pivots.  monomial_cap bounds the count of all
+    elements ordered by pivot.  That is the kernel basis of the Euler
+    constraints over the monomials of column degree alpha, whose free
+    columns are these pivots.  monomial_cap bounds the count of all
     monomials of degree n*alpha in the m*n entries (ResourceCapError above).
     """
     if min(m, n) < 1:
@@ -866,8 +700,7 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
         )
     if n == 1:
         # the minors are the entries: each chain is its own monomial, and reversed they ascend
-        one = PiScalar.from_numerators({0: (1, 0)}, 1)
-        return [MatPoly._of(m, n, {tuple(map(chain.count, range(m))): one})
+        return [MatPoly._from(m, n, 1, {(0, 0): {tuple(map(chain.count, range(m))): 1}})
                 for chain in reversed(list(itertools.combinations_with_replacement(range(m), alpha)))]
 
     bits = alpha.bit_length()
@@ -878,18 +711,13 @@ def basis_homopol(m: int, n: int, alpha: int, monomial_cap: int = 2_000_000):
     rows = [{column[code]: x for code, x in prod.items() if x} for prod in products]
     rank = len(gauss_jordan(rows, len(support))[0])
     exponents = [tuple(map(mask.__and__, map(code.__rshift__, shifts))) for code in support]
-    scalars, basis = {}, []
+    basis = []
     for row in reversed(rows[:rank]):
         # the pivot entry is 1, so the lcm of the denominators leaves a primitive vector
         den = math.lcm(*[x.denominator for x in row.values()])
-        order = sorted(row, reverse=True)  # ascending monomials
-        den = -den if row[order[0]] < 0 else den
-        terms = {}
-        for c in order:
-            v = row[c].numerator * (den // row[c].denominator)
-            # one PiScalar per coefficient value, shared by its terms
-            terms[exponents[c]] = scalars[v] = scalars.get(v) or PiScalar.from_numerators({0: (v, 0)}, 1)
-        basis.append(MatPoly._of(m, n, terms))
+        den = -den if row[max(row)] < 0 else den  # the largest column is the smallest monomial
+        basis.append(MatPoly._from(m, n, 1, {(0, 0): {exponents[c]: x.numerator * (den // x.denominator)
+                                                      for c, x in row.items()}}))
     return basis
 
 
@@ -1076,8 +904,9 @@ def compile_poly(p) -> CompiledPoly:
     """p as a CompiledPoly, pi substituted; a CompiledPoly is returned as it is."""
     if isinstance(p, CompiledPoly):
         return p
-    E = np.array(list(p.terms), dtype=np.intp).reshape(len(p.terms), p.m * p.n)
-    coef = np.array([c.to_complex() for c in p.terms.values()], dtype=complex)
+    floats = p.floats()
+    E = np.array(list(floats), dtype=np.intp).reshape(len(floats), p.m * p.n)
+    coef = np.array(list(floats.values()), dtype=complex)
     return CompiledPoly(p.m, p.n, ExponentTable(p.m, p.n, E), coef)
 
 
@@ -1223,11 +1052,12 @@ class HeatPlan:
 
     where L^alpha applies entry e alpha_e times.  Every nonzero word
     L^alpha P / alpha! is computed exactly, once, as one Laplacian entry of
-    an earlier word on the integer kernel (_laplace); each entry lowers the
-    degree by two, so there are finitely many.  table is the ExponentTable of the union of their monomials (T
-    x mn), built once and shared by every flow, coef their pi-substituted
-    coefficients (T x words) and alphas the multi-indices (words x
-    entries).  flow(W) is then one float matrix-vector product.
+    an earlier word (_laplace); each entry lowers the degree by two, so
+    there are finitely many.  table is the ExponentTable of the union of
+    their monomials (T x mn), built once and shared by every flow, coef
+    their pi-substituted coefficients (T x words) and alphas the
+    multi-indices (words x entries).  flow(W) is then one float
+    matrix-vector product.
     """
 
     __slots__ = ("m", "n", "entries", "alphas", "table", "coef")
@@ -1236,7 +1066,7 @@ class HeatPlan:
         self.m, self.n = P.m, P.n
         self.entries = [(i, j) for i in range(P.n) for j in range(i, P.n)]
         lap = _laplacian(A)
-        words = [((0,) * len(self.entries), _lower(P))]
+        words = [((0,) * len(self.entries), P)]
         frontier = words
         while frontier:
             grown = []
@@ -1245,20 +1075,18 @@ class HeatPlan:
                 last = max((e for e, k in enumerate(alpha) if k), default=0)
                 for e in range(last, len(self.entries)):
                     child = _laplace(word, lap, *self.entries[e])
-                    if child.terms:
+                    if not child.is_zero():
                         beta = alpha[:e] + (alpha[e] + 1,) + alpha[e + 1:]
-                        child.den *= beta[e]
-                        grown.append((beta, child))
+                        grown.append((beta, child * Fraction(1, beta[e])))
             words = words + grown
             frontier = grown
-        words = [(alpha, _raise(word)) for alpha, word in words]
-        monomials = sorted({e for _, word in words for e in word.terms})
+        floats = [word.floats() for _, word in words]
+        monomials = sorted(set().union(*floats))
         self.alphas = np.array([alpha for alpha, _ in words], dtype=np.intp)
         self.table = ExponentTable(
             P.m, P.n, np.array(monomials, dtype=np.intp).reshape(len(monomials), P.m * P.n))
-        self.coef = np.array(
-            [[word.terms[e].to_complex() if e in word.terms else 0j for _, word in words]
-             for e in monomials], dtype=complex).reshape(len(monomials), len(words))
+        self.coef = np.array([[word.get(e, 0j) for word in floats] for e in monomials],
+                             dtype=complex).reshape(len(monomials), len(words))
 
     def flow(self, W) -> CompiledPoly:
         """exp(tr(Delta_A W)) P, compiled, for a real or complex n x n array W."""

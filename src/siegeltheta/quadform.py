@@ -28,6 +28,7 @@ lattice_points() refilters its output exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,10 @@ class QuadFormDecomposition:
         return frac_matrix(((mat + mat.T) / 2.0).tolist())
 
 
+# the largest |sum log|eigenvalue| - log|det|| decompose accepts
+_DET_LOG_TOL = 1e-6
+
+
 def decompose(A) -> QuadFormDecomposition:
     """Eigen-normalized decomposition of a symmetric invertible integer form.
 
@@ -182,9 +187,12 @@ def decompose(A) -> QuadFormDecomposition:
     abs(eigenvalue)^(-1/2).  The eigenpairs are the form's own.  The exact
     split, when there is one, is built block by block on the form's
     orthogonal summands (_try_exact_split): only an indefinite block reads
-    this float M.  A form with an eigenvalue below 1e-9 in absolute value, or
-    whose float signature contradicts the one QuadForm's pivots prove, is
-    refused as numerically singular.
+    this float M.  A form is refused as numerically singular when it has an
+    eigenvalue below 1e-9 in absolute value, when its float signature
+    contradicts the one QuadForm's pivots prove, or when the sum of the
+    log|eigenvalues| misses log|det| of the exact det by more than
+    _DET_LOG_TOL: eigh has then misread an eigenvalue (the Gram matrix of Z^4
+    in a skewed basis has det 1, yet its float eigenvalues multiply to 6.6e12).
     """
     form = A if isinstance(A, QuadForm) else QuadForm(A)
     if np.any(np.abs(form.eigvals) < 1e-9):
@@ -202,6 +210,11 @@ def decompose(A) -> QuadFormDecomposition:
     if form.r < least[0] or form.s < least[1]:
         raise ValueError("form is numerically singular: eigh gives the signature (%d, %d), exact "
                          "arithmetic at least (%d, %d)" % (form.r, form.s, *least))
+    # logs: the product of twenty eigenvalues near 1e16 overflows a float
+    drift = abs(math.fsum(np.log(np.abs(form.eigvals)).tolist()) - math.log(abs(form.det)))
+    if drift > _DET_LOG_TOL:
+        raise ValueError("form is numerically singular: the eigenvalues of eigh give log|det| %.3g "
+                         "away from the exact det %d" % (drift, form.det))
     order = np.argsort(-form.eigvals)  # positives first, descending
     eigvals, eigvecs = form.eigvals[order], form.eigvecs[:, order]
     r, s = form.r, form.s

@@ -10,11 +10,13 @@ coefficient raises it, so the ring must allow both signs of k.  Equality of ring
 elements is exact; conversion to a complex float happens only at evaluation
 time by substituting a numeric value for pi (to_complex, abs_norm).
 
-The operators themselves do not compute with PiScalars: polyalg runs them on
-integer numerators over one common denominator, with pi and i as labels of
-the parts, and forms one PiScalar per term at the end of an operator chain
-(from_numerators).  PiScalar arithmetic serves the polynomial ring
-operations, the heat-flow times c^k/k! and the inputs.
+Polynomials do not hold PiScalars: a polyalg.MatPoly keeps integer
+numerators over one common denominator, with pi and i as labels of the
+parts, and every ring operation and operator runs on those.  PiScalar is
+the scalar of inputs (coefficients, weights, heat-flow times such as
+-1/(8 pi)), of the JSON form and of the read-only MatPoly.terms view.
+at_pi and abs_at_pi substitute pi for both, so a term gives the same float
+whichever holds it.
 
 Floats and complex numbers embed exactly: every float is a dyadic rational,
 and Fraction(float) preserves it bit for bit.
@@ -72,19 +74,6 @@ class PiScalar:
     def from_parts(cls, re, im=0, pi_pow: int = 0) -> "PiScalar":
         return cls({pi_pow: (_frac(re), _frac(im))})
 
-    @classmethod
-    def from_numerators(cls, parts, den: int) -> "PiScalar":
-        """sum_k (re_k + i im_k) pi^k / den from integer numerators {k: (re_k, im_k)}, in their order.
-
-        The exit of the integer operator kernel (polyalg): each nonzero part
-        becomes one reduced Fraction, and a power whose parts are both 0 is
-        left out.
-        """
-        out = cls()
-        out._c = {k: (Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
-                  for k, (re, im) in parts.items() if re or im}
-        return out
-
     # ---- ring structure ------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -136,9 +125,6 @@ class PiScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return PiScalar.from_number(other) + (-self)
-
     def __mul__(self, other) -> "PiScalar":
         out = PiScalar()
         if isinstance(other, (int, Fraction)):
@@ -174,26 +160,6 @@ class PiScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "PiScalar":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("PiScalar powers must be nonnegative integers")
-        out = PI_ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def divide_rational(self, q) -> "PiScalar":
-        """Divide by a nonzero real rational (int, Fraction, float or decimal string)."""
-        q = _frac(q)
-        if q == 0:
-            raise ZeroDivisionError("division of PiScalar by zero")
-        inv = _ONE / q
-        return PiScalar({k: (re * inv, im * inv) for k, (re, im) in self._c.items()})
-
     # ---- inspection ----------------------------------------------------
 
     def terms(self):
@@ -205,28 +171,14 @@ class PiScalar:
 
         The powers are summed highest first, so equal scalars give equal floats.
         """
-        try:
-            z = 0j
-            for k, (re, im) in sorted(self._c.items(), reverse=True):
-                z += complex(re, im) * math.pi**k
-        except OverflowError:
-            z = complex(math.inf)
-        if not cmath.isfinite(z):
-            raise ValueError("an exact coefficient is outside the float range")
-        return z
+        return at_pi((k, re, im) for k, (re, im) in sorted(self._c.items(), reverse=True))
 
     def abs_norm(self) -> float:
         """Sum of term magnitudes; an upper bound for abs(to_complex()).
 
         ValueError when it is not a finite float, as for to_complex.
         """
-        try:
-            norm = math.fsum(abs(complex(re, im)) * math.pi**k for k, (re, im) in self._c.items())
-        except OverflowError:
-            norm = math.inf
-        if not math.isfinite(norm):
-            raise ValueError("an exact coefficient is outside the float range")
-        return norm
+        return abs_at_pi((k, re, im) for k, (re, im) in self._c.items())
 
     def __repr__(self):
         if not self._c:
@@ -248,3 +200,32 @@ PI_SYMBOL = PiScalar({1: (_ONE, _ZERO)})
 
 def as_pi_scalar(x) -> PiScalar:
     return PiScalar.from_number(x)
+
+
+def at_pi(parts) -> complex:
+    """sum (re + i im) pi^k at pi = math.pi over (k, re, im), in the order given.
+
+    re and im are Fractions or floats; an OverflowError while the parts are
+    formed or summed, or a value that is not a finite complex float, is a
+    ValueError.
+    """
+    try:
+        z = 0j
+        for k, re, im in parts:
+            z += complex(re, im) * math.pi**k
+    except OverflowError:
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ValueError("an exact coefficient is outside the float range")
+    return z
+
+
+def abs_at_pi(parts) -> float:
+    """sum |re + i im| pi^k over (k, re, im), correctly rounded (fsum); ValueError as for at_pi."""
+    try:
+        norm = math.fsum(abs(complex(re, im)) * math.pi**k for k, re, im in parts)
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ValueError("an exact coefficient is outside the float range")
+    return norm

@@ -88,8 +88,7 @@ def rational_kernel(rows, ncols):
 #
 # The operator calculus with one PiScalar operation per term and per step,
 # each sum accumulated term by term.  polyalg runs the same operators on
-# integer numerators; the tests hold the two equal, key order included
-# where a float evaluation reads it.
+# integer numerators; the tests hold the two equal.
 
 
 def _inverse(A):
@@ -105,10 +104,13 @@ def _accumulate(terms, key, add):
         terms[key] = s
 
 
-def _poly(m, n, terms):
-    out = MatPoly(m, n)
-    out.terms = terms
-    return out
+def product(p, q):
+    """p q, one PiScalar product per pair of terms."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return MatPoly(p.m, p.n, terms)
 
 
 def partial(f, i, j):
@@ -121,7 +123,7 @@ def partial(f, i, j):
             e2 = list(e)
             e2[idx] = k - 1
             terms[tuple(e2)] = c * k
-    return _poly(f.m, f.n, terms)
+    return MatPoly(f.m, f.n, terms)
 
 
 def euler_entry(f, i, j):
@@ -135,7 +137,7 @@ def euler_entry(f, i, j):
                 e2[d * f.n + j] = k - 1
                 e2[d * f.n + i] += 1
                 _accumulate(terms, tuple(e2), c * k)
-    return _poly(f.m, f.n, terms)
+    return MatPoly(f.m, f.n, terms)
 
 
 def laplace_entry(f, A, i, j):
@@ -161,7 +163,7 @@ def laplace_entry(f, A, i, j):
                 e2[bj] -= 1
                 e2[ai] -= 1
                 _accumulate(terms, tuple(e2), coef * (c * (kb * ka)))
-    return _poly(m, n, terms)
+    return MatPoly(m, n, terms)
 
 
 def trace_laplace_weighted(f, A, W):
@@ -189,7 +191,7 @@ def heat_series(p, step, c):
         if cur.is_zero():
             return out
         k += 1
-        scale = (scale * c).divide_rational(k)
+        scale = scale * c * Fraction(1, k)
         out = out + cur * scale
 
 

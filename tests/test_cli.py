@@ -138,6 +138,28 @@ def test_eval_characteristic_with_a_large_integer_part_is_the_reduced_one(tmp_pa
     assert outs[0] == outs[1]
 
 
+def test_eval_prints_the_same_bytes_for_terms_in_any_order(tmp_path):
+    # a weighted sum of the first six basis polynomials, 21 terms, listed
+    # forwards and backwards.  While a MatPoly kept its terms in the order
+    # they were built, the two printed tail bounds one ulp apart
+    P = MatPoly.zero(3, 2)
+    for w, b in zip((3, -1, 2, 5, -4, 1), basis_homopol(3, 2, 2)):
+        P = P + b * w
+    terms = matpoly_to_json(P)["terms"]
+    assert len(terms) == 21
+    outs = []
+    for order in (terms, terms[::-1]):
+        spec = {"A": [[2, 1, 0], [1, 2, 1], [0, 1, 4]],
+                "coeff": {"type": "posdef", "P_alpha": {"m": 3, "n": 2, "terms": order}},
+                "Z": {"X": [[0.1, 0.05], [0.05, -0.2]], "Y": [[0.8, 0.1], [0.1, 0.7]]}, "eps": 1e-10}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("eval", "--spec", str(path))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_eval_non_homogeneous_coefficient_exits_one_naming_it(tmp_path):
     # a minor plus u_11 u_22: every column has degree 1, so only the
     # off-diagonal Euler entries tell that P+ is no power of det

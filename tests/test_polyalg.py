@@ -1,6 +1,7 @@
 """Operator algebra on matrix-argument polynomials, checked against sympy."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import rational_kernel
+from reference import product, rational_kernel
 from siegeltheta.errors import ResourceCapError
 import siegeltheta.polyalg as polyalg
 from siegeltheta.polyalg import (
@@ -114,8 +115,8 @@ def test_laplace_matches_sympy():
 
 @pytest.mark.parametrize("A", [[[2, 1, 0], [1, 2, 1], [0, 1, 4]], [[2, 0, 0], [0, -2, 1], [0, 1, 3]]])
 def test_laplace_entry_is_the_product_rule_sum_term_for_term(A):
-    # the monomial pass must give the terms in the order the sum of the m^2
-    # pieces gives them: compiled coefficients are summed in term order
+    # the one monomial pass equals the sum of the m^2 pieces, and both read
+    # their terms in sorted order
     rng = np.random.default_rng(4)
     ainv = sympy.Matrix(A).inv()
     for _ in range(3):
@@ -372,7 +373,7 @@ def test_sparse_oracle_equals_rational_kernel(m, n, alpha):
 def test_basis_equals_the_single_system_oracle(m, n, alpha):
     got = basis_homopol(m, n, alpha)
     want = single_system_basis(m, n, alpha)
-    # the same list, in the same order, down to the order of each element's terms
+    # the same list, in the same order, each element's terms read in sorted order
     assert got == want
     assert [list(p.terms) for p in got] == [list(p.terms) for p in want]
     assert all(homogeneity_degree(p) == alpha for p in got)
@@ -681,6 +682,68 @@ def test_majorant_of_a_degree_whose_weights_underflow():
     poly = MatPoly(3, 2, {(100,) * 6: 3})
     W = np.full((3, 2), 6 ** -0.5)  # |W|_F = 1
     assert compile_poly(poly).majorant() >= abs(poly.eval(W)) > 0
+
+
+_PART = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_SCALAR = st.dictionaries(st.integers(-2, 1), st.tuples(_PART, _PART), min_size=1, max_size=3).map(PiScalar)
+
+
+@st.composite
+def _term_lists(draw):
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 3)] * (m * n))
+    p, q = (draw(st.lists(st.tuples(exponents, _SCALAR), min_size=1, max_size=7,
+                          unique_by=lambda t: t[0])) for _ in range(2))
+    return m, n, p, q, draw(st.permutations(p)), draw(st.integers(0, len(p)))
+
+
+def _sum_of_terms(m, n, terms):
+    out = MatPoly.zero(m, n)
+    for e, c in terms:
+        out = out + MatPoly(m, n, {e: c})
+    return out
+
+
+def _bits(*values):
+    return np.array(values, dtype=complex).view(np.int64).tolist()
+
+
+def _assert_alike(polys):
+    """Equal polynomials, stored alike and read alike: same den and slots, sorted terms, bitwise floats."""
+    first = polys[0]
+    want = compile_poly(first)
+    U = np.array([[0.3 + 0.1j, -1.2], [0.7, 0.25 - 0.5j]])[:first.m, :first.n]
+    for p in polys:
+        assert p == first and hash(p) == hash(first)
+        assert (p.den, p.slots) == (first.den, first.slots)
+        assert list(p.terms) == list(first.terms) == sorted(first.terms)
+        got = compile_poly(p)
+        assert np.array_equal(got.exponents, want.exponents)
+        # each term's float is its PiScalar's
+        assert _bits(*got.coef) == _bits(*want.coef) == _bits(*(c.to_complex() for c in first.terms.values()))
+        assert _bits(got.majorant(), p.eval(U)) == _bits(want.majorant(), first.eval(U))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=_term_lists())
+def test_equal_polynomials_built_differently_are_stored_and_read_alike(case):
+    m, n, p_terms, q_terms, shuffled, cut = case
+    p = MatPoly(m, n, dict(p_terms))
+    q = MatPoly(m, n, dict(q_terms))
+    a, b = MatPoly(m, n, dict(shuffled[:cut])), MatPoly(m, n, dict(shuffled[cut:]))
+    _assert_alike([
+        p,
+        MatPoly(m, n, dict(shuffled)),
+        _sum_of_terms(m, n, reversed(shuffled)),
+        b + a,
+        (p + q) - q,
+        p * 3 * Fraction(1, 3),
+        matpoly_from_json(json.loads(json.dumps(matpoly_to_json(p)))),
+    ])
+    pq = p * q
+    assert pq == product(p, q)
+    _assert_alike([pq, q * p, a * q + b * q, q * b + (q * a + q) - q,
+                   matpoly_from_json(json.loads(json.dumps(matpoly_to_json(pq))))])
 
 
 def test_json_round_trip():

@@ -291,6 +291,28 @@ def test_a_float_signature_the_pivots_contradict_is_refused(A):
         decompose(form)
 
 
+def test_eigenvalues_that_contradict_the_exact_det_are_refused():
+    # the Gram matrix of Z^4 in a skewed unimodular basis: det 1 and a
+    # smallest eigenvalue near 1.9e-16, which eigh reads about 1e13 times
+    # too large (the float eigenvalues multiply to about 6.6e12).  Summed
+    # with that float M, theta_eval at z = i returned 1.0864 under a 1e-10
+    # certificate, against theta_3(e^-pi)^4 = 1.3932
+    G = [[40579882, -1220412467, -37512, 22494963626],
+         [-1220412467, 36703086606, 1125035, -676520943574],
+         [-37512, 1125035, 1242, -20738315],
+         [22494963626, -676520943574, -20738315, 12469811927983]]
+    form = QuadForm(G)
+    assert form.det == 1 and form.definite == [1]
+    assert abs(math.fsum(np.log(np.abs(form.eigvals)).tolist())) > 1.0
+    with pytest.raises(ValueError, match="numerically singular"):
+        decompose(G)
+    with pytest.raises(ValueError, match="numerically singular"):
+        theta.theta_spec(G)
+    # a well-conditioned form with a large det passes: twenty entries of 1e16
+    # would overflow the product of the eigenvalues, not the sum of their logs
+    assert decompose(np.diag([10**16] * 19 + [-(10**16)]).tolist()).s == 1
+
+
 def test_decompose_random_floats_still_valid():
     rng = np.random.default_rng(0)
     B = rng.integers(-2, 3, size=(3, 3))

@@ -81,27 +81,23 @@ def test_equal_scalars_give_equal_floats_in_any_build_order():
 
 
 def test_a_polynomial_read_back_from_json_compiles_to_the_same_floats():
-    # matpoly_from_json inserts the pi powers of a coefficient lowest first,
-    # the heat flow of a pi^0 source highest first
+    # the scalars hold the pi powers of a coefficient highest first, and
+    # matpoly_from_json reads them back lowest first
     rng = random.Random(1)
     terms = {}
     for e in [(0, 0, 2, 1), (0, 2, 1, 0), (1, 1, 0, 1), (2, 0, 0, 1)]:
         terms[e] = PiScalar({k: (Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
                                  Fraction(rng.randint(-99, 99), rng.randint(1, 99))) for k in (0, -1, -2, -3)})
     p = MatPoly(2, 2, terms)
-    q = matpoly_from_json(json.loads(json.dumps(matpoly_to_json(p))))
+    data = matpoly_to_json(p)
+    q = matpoly_from_json(json.loads(json.dumps(data)))
     assert p == q
-    assert [list(c._c) for c in q.terms.values()] != [list(c._c) for c in p.terms.values()]
+    assert all(list(c._c) == [0, -1, -2, -3] for c in terms.values())
+    assert [t["pi_pow"] for t in data["terms"][:4]] == [-3, -2, -1, 0]
     got, want = compile_poly(q), compile_poly(p)
     assert [_bits(z) for z in got.coef.tolist()] == [_bits(z) for z in want.coef.tolist()]
     U = [[0.3 + 0.1j, -1.2], [0.7, 0.25 - 0.5j]]
     assert _bits(q.eval(U)) == _bits(p.eval(U))
-
-
-def test_divide_rational():
-    c = PiScalar.from_parts(Fraction(3, 4), Fraction(1, 2), 1)
-    d = c.divide_rational(Fraction(3, 2))
-    assert to_sympy(d) == sympy.expand(to_sympy(c) / sympy.Rational(3, 2))
 
 
 def test_abs_norm_bounds_modulus():

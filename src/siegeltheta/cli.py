@@ -98,19 +98,11 @@ def _cmd_decompose(args) -> int:
         "det": str(dec.form.det),
         "exact_split": dec.has_exact_split(),
     }
-    if dec.has_exact_split():
-        ex = dec.exact
-        out["aplus"] = _frac_mat_out(ex["aplus"])
-        out["aminus"] = _frac_mat_out(ex["aminus"])
-        out["majorant"] = _frac_mat_out(ex["M"])
-        out["proj_plus"] = _frac_mat_out(ex["proj_plus"])
-        out["proj_minus"] = _frac_mat_out(ex["proj_minus"])
-    else:
-        out["aplus"] = dec.aplus.tolist()
-        out["aminus"] = dec.aminus.tolist()
-        out["majorant"] = dec.M.tolist()
-        out["proj_plus"] = dec.proj_plus_matrix()
-        out["proj_minus"] = dec.proj_minus_matrix()
+    # the five split matrices: exact strings, or floats without an exact split
+    floats = {"aplus": dec.aplus.tolist, "aminus": dec.aminus.tolist, "M": dec.M.tolist,
+              "proj_plus": dec.proj_plus_matrix, "proj_minus": dec.proj_minus_matrix}
+    for key, name in zip(("aplus", "aminus", "majorant", "proj_plus", "proj_minus"), floats):
+        out[key] = _frac_mat_out(dec.exact[name]) if dec.has_exact_split() else floats[name]()
     _emit(out)
     return 0
 

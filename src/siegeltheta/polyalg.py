@@ -775,10 +775,9 @@ class ExponentTable:
     exponents (each flow of a HeatPlan) shares them too.
     """
 
-    __slots__ = ("m", "n", "exponents", "degrees", "degree", "top", "inner", "outer", "_weights")
+    __slots__ = ("exponents", "degrees", "degree", "top", "inner", "outer", "_weights")
 
     def __init__(self, m: int, n: int, exponents: np.ndarray):
-        self.m, self.n = m, n
         self.exponents = exponents
         self.degrees = exponents.sum(axis=1)
         self.degree = int(self.degrees.max(initial=0))

@@ -83,19 +83,11 @@ class SymplecticMatrix:
         if size % 2 != 0 or any(len(r) != size for r in rows):
             raise ValueError("symplectic matrix must be square of even size")
         n = size // 2
-        # J = [[0, I], [-I, 0]]; verify M^T J M == J exactly
-        jm = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                acc = 0
-                for k in range(n):
-                    acc += rows[k][i] * rows[n + k][j] - rows[n + k][i] * rows[k][j]
-                jm[i][j] = acc
-        for i in range(size):
-            for j in range(size):
-                want = 1 if j == i + n else (-1 if i == j + n else 0)
-                if jm[i][j] != want:
-                    raise ValueError("matrix is not symplectic")
+        # J = [[0, I], [-I, 0]]; M^T J M == J in Python integers, exactly
+        J = np.kron(np.array([[0, 1], [-1, 0]], dtype=object), np.eye(n, dtype=int).astype(object))
+        Mo = np.array(rows, dtype=object).reshape(size, size)
+        if not np.array_equal(Mo.T @ J @ Mo, J):
+            raise ValueError("matrix is not symplectic")
         self.M = np.array(rows, dtype=np.int64)
         self.n = n
 

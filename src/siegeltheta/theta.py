@@ -12,7 +12,7 @@ every column; then lam = alpha - beta - s.  A definite form has Pi+ = I,
 Pi- = 0, M = A and A- = 0, so g = f = exp(-tr Delta_A / 8 pi) P+.  The
 coefficient keeps only the polynomial f: the Gaussian is carried by the
 form's A-, in the series phase below and in the exact validation
-(polyalg.vigneras_residual with A-).
+(ThetaSpec.vigneras_residual, polyalg.vigneras_residual with A-).
 
 The series attached to characteristics H, K (rational m x n matrices) at a
 point Z = X + iY of the genus-n Siegel upper half-space is
@@ -134,7 +134,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlinalg import frac_matrix, identity_frac
+from .exactlinalg import identity_frac
 from .polyalg import (
     CompiledPoly,
     HeatPlan,
@@ -147,7 +147,7 @@ from .polyalg import (
     vigneras_residual,
 )
 from .polyalg import exp_trace_laplace_weighted  # noqa: F401  (patched by perfbench tracing)
-from .quadform import Block, QuadFormDecomposition, decompose, enumeration_slack, lattice_blocks
+from .quadform import QuadFormDecomposition, decompose, enumeration_slack, lattice_blocks
 from .quadform import named_form
 from .scalars import PiScalar
 from .siegel import SiegelPoint, det_power
@@ -259,7 +259,6 @@ def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = 
         if beta > 0:
             raise ValueError("a definite form takes a single polynomial")
         source = P_plus * P_minus
-        M = frac_matrix(dec.A.tolist())
     else:
         eye = identity_frac(n)
         plus, minus = dec.fraction_matrix("proj_plus"), dec.fraction_matrix("proj_minus")
@@ -271,7 +270,7 @@ def build_coeff(dec: QuadFormDecomposition, P_plus: MatPoly, P_minus: MatPoly = 
                 raise ValueError("the coefficient is rounding noise: norm %.3e against %.3e for the "
                                  "absolute substitution (P+ or P- vanishes on an eigenspace of A)"
                                  % (source.coeff_norm(), scale))
-        M = dec.fraction_matrix("M")
+    M = dec.fraction_matrix("M")
     return Coefficient(exp_trace_laplace(source, M, _MINUS_EIGHTH_OVER_PI), source, alpha, beta, dec.s)
 
 
@@ -299,8 +298,11 @@ def _float_mat(fracs) -> np.ndarray:
 class ThetaSpec:
     """Form decomposition, characteristics and coefficient, PDE-validated.
 
-    route(dual) keeps the exact characteristic algebra of every plan of the
-    spec (_route), built on first use, and dual_spec and zero_characteristics
+    vigneras_residual() is the one residual of the coefficient on the form:
+    the construction requires it to vanish (within float tolerance when the
+    split is not exact), and verify.check_vigneras reports it.  route(dual)
+    keeps the exact characteristic algebra of every plan of the spec
+    (_route), built on first use, and dual_spec and zero_characteristics
     keep the copies the laws sum, built on first use too, so their routes
     are kept with them; a with_characteristics copy starts with none.
     """
@@ -323,10 +325,14 @@ class ThetaSpec:
             raise ValueError("coefficient shape does not match the characteristics")
         self._validate_pde()
 
-    def _validate_pde(self):
+    def vigneras_residual(self) -> MatPoly:
+        """The Vigneras residual of the coefficient on the form, with its A- when indefinite."""
         A = [[int(x) for x in row] for row in self.dec.A.tolist()]
         aminus = self.dec.fraction_matrix("aminus") if self.dec.s > 0 else None
-        res = vigneras_residual(self.coeff.f, A, self.coeff.lam, aminus)
+        return vigneras_residual(self.coeff.f, A, self.coeff.lam, aminus)
+
+    def _validate_pde(self):
+        res = self.vigneras_residual()
         if self.dec.has_exact_split():
             if not res.is_zero():
                 raise ValueError("coefficient does not solve the eigenvalue equation")
@@ -527,14 +533,14 @@ def certified_lattice_sum(plans, eps: float, summand, point_cap: int):
     enumeration_slack(R^2), the filter the enumeration applies, so it sums
     exactly the rows of an enumeration at its own R^2.  eps is the tail
     budget the sum certifies: it must be finite and positive and at least
-    the sum of the plans' tails (ValueError).  summand(j, block, eq) maps
-    the rows that plan j keeps of a lattice_blocks Block (int64 rows of
-    shape (k, d), their carried q and the tau of plan j's form) and their
-    phases eq = e(tau) = exp(-2 pi Im tau + 2 pi i frac(Re tau)) to a pair
-    of float arrays: the complex values of plan j's full summand at c +
-    rows and their magnitudes.  eq is computed once per block for each
-    distinct form, on the rows of its plan of largest R^2, and each plan
-    gets its subset: the two plans of a Borcherds pair share their form.
+    the sum of the plans' tails (ValueError).  summand(j, rows, eq) maps
+    the int64 rows of shape (k, d) that plan j keeps of a lattice_blocks
+    block and their phases eq = e(tau) = exp(-2 pi Im tau + 2 pi i frac(Re
+    tau)), tau carried for plan j's form, to a pair of float arrays: the
+    complex values of plan j's full summand at c + rows and their
+    magnitudes.  e(tau) is computed once per block for each distinct form,
+    on the whole block, and each plan gets its subset: the two plans of a
+    Borcherds pair share their form.
     With the pairing, 2c is integral: the enumeration then emits one x = c
     + row of each pair {x, -x} (lattice_blocks with half), summand must
     return term(x) + term(-x) and |term(x)| + |term(-x)| for each row, and
@@ -579,34 +585,24 @@ def certified_lattice_sum(plans, eps: float, summand, point_cap: int):
     phase = (np.array([plans[j].B for j in firsts]),
              None if paired else np.array([plans[j].ell for j in firsts]))
     R2 = max(plans[j].R2 for j in live)
-    bound = {j: plans[j].R2 + enumeration_slack(plans[j].R2) if plans[j].R2 < R2 else math.inf
-             for j in live}
-    # a form's e(tau) is needed on the rows of its plan of largest R^2
-    reach = {}
-    for j in live:
-        reach[form_of[j]] = max(reach.get(form_of[j], 0.0), bound[j])
+    # a plan below the walk's R^2 keeps the rows within its own
+    bound = {j: plans[j].R2 + enumeration_slack(plans[j].R2) for j in live if plans[j].R2 < R2}
     # with paired and an integral center the origin is the first row emitted
     origin = int(paired and not np.any(c % 1.0))
     parts = {j: ([], [], []) for j in live}  # the block sums of Re, Im and magnitudes
     used = dict.fromkeys(live, 0)
     for block in lattice_blocks(G, c, R2, point_cap=point_cap, half=paired, phase=phase,
                                 chol=plans[live[0]].chol):
-        kept = {}
-        for f, lim in reach.items():
-            rows, q, tau = block.rows, block.q, block.tau[f]
-            if lim < math.inf:
-                keep = q <= lim
-                rows, q, tau = rows[keep], q[keep], tau[keep]
-            eq = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real)))
-            kept[f] = (rows, q, tau, eq)
+        tau = block.tau
+        eqs = np.exp(-2.0 * math.pi * tau.imag + 2j * math.pi * (tau.real - np.round(tau.real)))
         for j in live:
-            rows, q, tau, eq = kept[form_of[j]]
-            if bound[j] < reach[form_of[j]]:
-                keep = q <= bound[j]
-                rows, q, tau, eq = rows[keep], q[keep], tau[keep], eq[keep]
+            rows, eq = block.rows, eqs[form_of[j]]
+            if j in bound:
+                keep = block.q <= bound[j]
+                rows, eq = rows[keep], eq[keep]
             if not len(rows):
                 continue
-            vals, mags = summand(j, Block(rows, q, tau), eq)
+            vals, mags = summand(j, rows, eq)
             if origin and not used[j]:
                 vals[0] *= 0.5
                 mags[0] *= 0.5
@@ -639,16 +635,6 @@ class ThetaValue:
         self.radius2 = radius2
         self.rho = rho
         self.gross = gross
-
-    def as_dict(self) -> dict:
-        return {
-            "value": {"re": self.value.real, "im": self.value.imag},
-            "tail_bound": self.tail_bound,
-            "terms": self.terms,
-            "radius2": self.radius2,
-            "rho": self.rho,
-            "gross": self.gross,
-        }
 
     def __repr__(self):
         return "ThetaValue(%r, tail<=%.2e, terms=%d)" % (self.value, self.tail_bound, self.terms)
@@ -845,10 +831,10 @@ def _summand(plan: SeriesPlan):
     const = complex(np.sum(poly.coef)) if poly.degree() == 0 else None
     lin = paired and bool(np.any(ell))
 
-    def summand(block, eq):
+    def summand(rows, eq):
         p = const
         if const is None:
-            U = (block.rows + c).reshape(-1, n, m).transpose(0, 2, 1)
+            U = (rows + c).reshape(-1, n, m).transpose(0, 2, 1)
             if L is not None:
                 U = np.einsum("ab,xbj->xaj", L, U)
             W = U if Yfac is None else np.matmul(U, Yfac)
@@ -865,7 +851,7 @@ def _summand(plan: SeriesPlan):
         if not lin:  # sin 2 pi L(U) = 0
             both = 2.0 * pe
         else:
-            t = np.einsum("ij,j->i", block.rows + c, ell)
+            t = np.einsum("ij,j->i", rows + c, ell)
             t = 2.0 * math.pi * (t - np.round(t))
             both = 2.0 * (pe * np.cos(t) + 1j * po * np.sin(t))
         return eq * both, np.abs(eq) * mags
@@ -888,7 +874,7 @@ def _sum_plans(plans, point_cap) -> list:
                              "tail budget" % (plan.eps, plan.pref))
     summands = [_summand(plan) for plan in plans]
     sums, _, _ = certified_lattice_sum(plans, math.fsum(plan.budget for plan in plans),
-                                       lambda j, block, eq: summands[j](block, eq),
+                                       lambda j, rows, eq: summands[j](rows, eq),
                                        point_cap_from_env(point_cap))
     return [ThetaValue(plan.pref * total if plan.unit == 1 else plan.pref * total * plan.unit,
                        plan.pref * plan.tail, terms, plan.R2, plan.rho, plan.pref * gross)

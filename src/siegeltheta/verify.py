@@ -248,18 +248,14 @@ def check_borcherds_form(spec: ThetaSpec, Z: SiegelPoint, eps: float = 1e-13,
 def check_vigneras(f, A=None, lam=None, tol: float = 0.0) -> CheckReport:
     """Residual of the eigenvalue equation; exact zero unless told otherwise.
 
-    A ThetaSpec brings its form, its eigenvalue and, for an indefinite form,
-    the A- that carries the coefficient's Gaussian.
+    A ThetaSpec gives its own residual (ThetaSpec.vigneras_residual: its
+    form, its eigenvalue and, for an indefinite form, the A- that carries
+    the coefficient's Gaussian); a bare polynomial f takes A and lam.
     """
-    aminus = None
     if isinstance(f, ThetaSpec):
-        spec = f
-        f = spec.coeff.f
-        A = [[int(x) for x in row] for row in spec.A.tolist()]
-        lam = spec.coeff.lam
-        if spec.dec.s > 0:
-            aminus = spec.dec.fraction_matrix("aminus")
-    res = vigneras_residual(f, A, lam, aminus)
+        res, lam = f.vigneras_residual(), f.lam
+    else:
+        res = vigneras_residual(f, A, lam)
     norm = 0.0 if res.is_zero() else res.norm()
     return CheckReport("vigneras", norm, tol, metadata={"lam": str(lam)})
 

@@ -657,6 +657,42 @@ def test_a_shared_walk_sums_each_side_as_its_own_sum(form, n, alpha, weights, ha
             assert abs(got.gross - want.gross) <= rounding
 
 
+# A translation pair planned at two eps: two phase forms (the sides' X differ
+# by S) at two R^2, so one form has no plan at the walk's R^2.  Summed by
+# certified_lattice_sum directly, each plan keeps the rows within its own
+# R^2 and gets e(tau) of its own form, and equals its own _sum_series.  Paired
+# (H = 1/2) and unpaired (H = 1/3), with constant and linear coefficients.
+@pytest.mark.parametrize("form, P, H, K, n", [
+    ("diag:2,-2", MatPoly.variable(2, 1, 0, 0), [[Fraction(1, 2)], [0]], [[Fraction(1, 3)], [0]], 1),
+    ("diag:2,-2", MatPoly.variable(2, 1, 0, 0), [[Fraction(1, 3)], [0]], [[0], [Fraction(1, 5)]], 1),
+    ("h2", None, [[Fraction(1, 2), 0], [0, 0]], [[0, 0], [Fraction(1, 3), 0]], 2),
+    ("diag:2,2", None, [[Fraction(1, 3), 0], [0, 0]], [[0, 0], [Fraction(2, 3), 0]], 2),
+])
+def test_plans_at_two_radii_with_two_forms_each_keep_their_own_sum(form, P, H, K, n):
+    spec = theta_spec(form, P_plus=P, H=H, K=K, n=n)
+    Z = SiegelPoint(np.array([[0.2 + 0.9j, 0.1 + 0.1j], [0.1 + 0.1j, -0.3 + 1.1j]])[:n, :n])
+    S = np.array([[1, -1], [-1, 2]])[:n, :n]
+    Ktil = translation_data(spec, S)[1]
+    plans = [theta._series_plan(spec, Z.translate(S), 1e-6),
+             theta._series_plan(spec.with_characteristics(K=Ktil), Z, 1e-11)]
+    assert plans[0].R2 < plans[1].R2 and not np.array_equal(plans[0].B, plans[1].B)
+    summands = [theta._summand(plan) for plan in plans]
+    sums, tail, terms = theta.certified_lattice_sum(
+        plans, plans[0].budget + plans[1].budget, lambda j, rows, eq: summands[j](rows, eq), 10**6)
+    assert tail == math.fsum(plan.tail for plan in plans)
+    assert terms == sums[0][1] + sums[1][1] and sums[0][1] < sums[1][1]
+    for plan, (total, count, gross) in zip(plans, sums):
+        want = theta._sum_series(plan, None)
+        value = plan.pref * total if plan.unit == 1 else plan.pref * total * plan.unit
+        assert count == want.terms
+        if plan.R2 == plans[1].R2:
+            assert (value, plan.pref * gross) == (want.value, want.gross)
+        else:
+            rounding = SHARED_ROUNDING * np.finfo(float).eps * want.gross
+            assert abs(value - want.value) <= rounding
+            assert abs(plan.pref * gross - want.gross) <= rounding
+
+
 # ==== the phase and q carried through the enumeration =======================
 
 CARRY_ROUNDING = 4  # |e(tau_carried) - term_phase| <= 4 (2 pi (N + 2) eps (1 + scale)) |term_phase|
